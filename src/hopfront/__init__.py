@@ -8,19 +8,7 @@ every solver result.
 
 __version__ = "0.1.0"
 
-from .constrained import (
-    ConstrainedSolveResult,
-    ConstrainedSolverConfig,
-    ConstraintSet,
-    box_constraints,
-    constrained_preconditioner,
-    constrained_residual,
-    dual_update_nu,
-    dykstra_project,
-    merit_psi_k,
-    multiplier_estimate,
-    solve_constrained,
-)
+from .constrained import ConstraintSet, box_constraints, dykstra_project
 from .core import (
     CertificationError,
     Chebyshev,
@@ -32,15 +20,12 @@ from .core import (
     SoftMax,
     VectorObjective,
     WeightedSum,
-    bregman_divergence,
     jacobian_check,
 )
 from .oracle import (
-    Dominance,
     SampleCloud,
     certification_cloud,
     convex_envelope_front,
-    dominates,
     front_distance,
     greedy_pareto_filter,
     nonconvexity_witness,
@@ -53,11 +38,12 @@ from .solver import (
     SolveResult,
     SolverConfig,
     certify_gap,
+    dual_update_nu,
     dual_update_pi,
     gap_and_bound,
     merit_psi,
-    primal_update_u,
+    multiplier_estimate,
     solve,
     stationarity_residual,
 )
-from .sweep import FrontSample, ParetoFront, TauPath, front_objective_points, sweep
+from .sweep import FrontSample, ParetoFront, TauPath, sweep

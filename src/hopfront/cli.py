@@ -16,8 +16,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .constrained import ConstrainedSolverConfig, solve_constrained
-from .core import SoftMax
+from .core import HopfLaxParams, SoftMax
 from .oracle import (
     certification_cloud,
     convex_envelope_front,
@@ -217,12 +216,11 @@ def _add_common(p):
     p.add_argument("--eta", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--maxit", type=int)
-    p.add_argument("--mode", choices=["lm_step", "projected_gradient"])
     p.add_argument("--pref-eps", type=float, default=0.1, help="softmax sharpness")
     p.add_argument("--no-safeguard", action="store_true")
 
 
-def _build_cfg(args, problem):
+def _build_cfg(args):
     overrides = {}
     if args.rho is not None:
         overrides["rho"] = args.rho
@@ -232,14 +230,17 @@ def _build_cfg(args, problem):
         overrides["eps"] = args.eps
     if args.maxit is not None:
         overrides["maxit_outer"] = args.maxit
+    if args.sigma is not None:
+        overrides["sigma"] = args.sigma
     if args.no_safeguard:
         overrides["safeguard"] = False
-    if problem.constraints is not None:
-        if args.sigma is not None:
-            overrides["sigma"] = args.sigma
-        overrides["mode"] = args.mode or problem.solver_mode
-        return ConstrainedSolverConfig(**overrides)
     return SolverConfig(**overrides)
+
+
+def _hopf_lax_value(args, problem, name):
+    # an explicit flag wins, 0 included, so HopfLaxParams can reject it
+    value = getattr(args, name)
+    return getattr(problem, name) if value is None else value
 
 
 def _vector_arg(text, n, name):
@@ -259,22 +260,14 @@ def cmd_solve(args):
     n_obj = problem.objective.dim_obj
     tau = _vector_arg(args.tau, n_obj, "--tau")
     g = SoftMax(args.pref_eps, n_obj)
-    params = problem.params_for(tau)
-    if args.alpha or args.c or args.mu:
-        from .core import HopfLaxParams
-
-        params = HopfLaxParams(
-            x=problem.x,
-            tau=tau,
-            alpha=args.alpha or problem.alpha,
-            c=args.c or problem.c,
-            mu=args.mu or problem.mu,
-        )
-    cfg = _build_cfg(args, problem)
-    if problem.constraints is not None:
-        res = solve_constrained(problem.objective, problem.constraints, g, params, cfg)
-    else:
-        res = solve(problem.objective, g, params, cfg)
+    params = HopfLaxParams(
+        x=problem.x,
+        tau=tau,
+        alpha=_hopf_lax_value(args, problem, "alpha"),
+        c=_hopf_lax_value(args, problem, "c"),
+        mu=_hopf_lax_value(args, problem, "mu"),
+    )
+    res = solve(problem.objective, g, params, _build_cfg(args), constraints=problem.constraints)
     out = {
         "problem": problem.id,
         "converged": bool(res.converged),
@@ -286,11 +279,10 @@ def cmd_solve(args):
         "residual": res.residual_history[-1] if res.residual_history else None,
         "psi": res.merit_history[-1],
         "objectives": problem.objective.value(res.u_star).tolist(),
+        "nu_star": res.nu_star.tolist(),
+        "complementarity": res.complementarity,
+        "feasibility_violation": res.feasibility_violation,
     }
-    if hasattr(res, "nu_star"):
-        out["nu_star"] = res.nu_star.tolist()
-        out["complementarity"] = res.complementarity
-        out["feasibility_violation"] = res.feasibility_violation
     print(json.dumps(out))
     return 0 if res.converged else 2
 
@@ -299,7 +291,8 @@ def cmd_sweep(args):
     problem = get_problem(args.problem)
     n_obj = problem.objective.dim_obj
     g = SoftMax(args.pref_eps, n_obj)
-    cfg = _build_cfg(args, problem)
+    cfg = _build_cfg(args)
+    alpha, c, mu = (_hopf_lax_value(args, problem, name) for name in ("alpha", "c", "mu"))
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     if not os.access(outdir, os.W_OK):
@@ -334,11 +327,13 @@ def cmd_sweep(args):
     front = sweep(
         problem,
         g,
+        alpha=alpha,
+        c=c,
+        mu=mu,
         path=path,
         cfg=cfg,
         warm_start=not args.cold_start,
         reference=cert_cloud,
-        workers=args.workers,
     )
     duration = time.perf_counter() - start
 
@@ -389,25 +384,27 @@ def cmd_sweep(args):
         "command": "sweep",
         "problem": problem.id,
         "version": __version__,
-        "mode": getattr(cfg, "mode", "unconstrained"),
         "params": {
-            "alpha": args.alpha or problem.alpha,
-            "c": args.c or problem.c,
-            "mu": args.mu or problem.mu,
+            "alpha": alpha,
+            "c": c,
+            "mu": mu,
             "rho": cfg.rho,
-            "sigma": getattr(cfg, "sigma", None),
+            "sigma": cfg.sigma,
             "eta": cfg.eta,
             "eps": cfg.eps,
             "maxit_outer": cfg.maxit_outer,
-            "active_threshold": getattr(cfg, "active_threshold", None),
+            "active_threshold": cfg.active_threshold,
+            "safeguard": cfg.safeguard,
             "pref": {"kind": "softmax", "eps": args.pref_eps},
             "n": args.n,
             "tau_start": path.start.tolist(),
             "tau_end": path.end.tolist(),
             "warm_start": not args.cold_start,
             "seed": args.seed,
+            "compare": args.compare,
             "grid": args.grid,
             "mc": args.mc,
+            "weights": args.weights,
         },
         "duration_s": duration,
         "converged": front.converged_count(),
@@ -496,7 +493,7 @@ def cmd_check(args):
     report("filter-equivalence", mismatches == 0, f"{mismatches} mismatching clouds of 40")
 
     # Closed-form stationary point of the scalar linear problem.
-    from .core import HopfLaxParams, VectorObjective, WeightedSum
+    from .core import VectorObjective, WeightedSum
 
     ident = VectorObjective(1, 1, lambda u: u, lambda u: np.array([[1.0]]))
     params = HopfLaxParams(x=np.array([1.0]), tau=np.array([0.0]), alpha=1.0, c=1.0, mu=1.0)
@@ -514,9 +511,8 @@ def cmd_check(args):
         if s.converged and s.gap is not None:
             gaps_ok &= -1e-6 <= s.gap <= s.bregman_bound + 1e-6
     g2 = problem.default_preference()
-    cfg = ConstrainedSolverConfig(mode=problem.solver_mode)
     for tau in TauPath(problem.tau_start, problem.tau_end, 5).points():
-        r = solve_constrained(problem.objective, problem.constraints, g2, problem.params_for(tau), cfg)
+        r = solve(problem.objective, g2, problem.params_for(tau), constraints=problem.constraints)
         diffs = np.diff(r.merit_history)
         merit_ok &= bool(diffs.size == 0 or diffs.max() <= 1e-12)
     report("gap-certificate", gaps_ok, "all converged samples within bounds")
@@ -547,7 +543,6 @@ def build_parser():
     p_sweep.add_argument("--tau-start")
     p_sweep.add_argument("--tau-end")
     p_sweep.add_argument("--cold-start", action="store_true")
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--config", help="JSON manifest to take parameter defaults from")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -567,7 +562,9 @@ def build_parser():
 
 
 def _apply_config(argv):
-    # Config file supplies defaults; explicit flags win.
+    # The manifest supplies defaults. They go in right after the subcommand,
+    # so an explicit flag, in either "--c 0.5" or "--c=0.5" form, comes
+    # later and wins.
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -578,21 +575,28 @@ def _apply_config(argv):
     flag_map = {
         "alpha": "--alpha", "c": "--c", "mu": "--mu", "rho": "--rho", "sigma": "--sigma",
         "eta": "--eta", "eps": "--eps", "maxit_outer": "--maxit", "n": "--n",
-        "seed": "--seed", "grid": "--grid", "mc": "--mc",
+        "seed": "--seed", "grid": "--grid", "mc": "--mc", "weights": "--weights",
     }
     for key, flag in flag_map.items():
         val = params.get(key)
-        if val is not None and flag not in argv:
+        if val is not None:
             injected.append(f"{flag}={val}")  # '=' form keeps negative values intact
-    if "tau_start" in params and "--tau-start" not in argv:
+    if "tau_start" in params:
         injected.append("--tau-start=" + ",".join(repr(v) for v in params["tau_start"]))
-    if "tau_end" in params and "--tau-end" not in argv:
+    if "tau_end" in params:
         injected.append("--tau-end=" + ",".join(repr(v) for v in params["tau_end"]))
-    if params.get("warm_start") is False and "--cold-start" not in argv:
+    pref_eps = params.get("pref", {}).get("eps")
+    if pref_eps is not None:
+        injected.append(f"--pref-eps={pref_eps!r}")
+    if params.get("warm_start") is False:
         injected.append("--cold-start")
-    if "--problem" not in argv and "problem" in manifest:
-        injected += ["--problem", manifest["problem"]]
-    return argv + injected
+    if params.get("safeguard") is False:
+        injected.append("--no-safeguard")
+    if params.get("compare"):
+        injected.append("--compare")
+    if "problem" in manifest:
+        injected.append("--problem=" + manifest["problem"])
+    return argv[:1] + injected + argv[1:]
 
 
 def main(argv=None) -> int:

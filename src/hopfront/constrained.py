@@ -1,37 +1,19 @@
-"""Inequality-constrained primal-dual solver.
+"""Inequality constraint sets k(u) >= 0 and projections onto them.
 
-Adds a multiplier channel for constraints k(u) >= 0 to the unconstrained
-iteration: an active-set-weighted preconditioner, projections onto the
-feasible set (including Dykstra's method for an intersection of a parabola
-epigraph with a halfspace), and the extended merit function.
-
-The shared loop below is also what the unconstrained ``solve`` runs (with no
-constraint set), so dropping the constraints reproduces the unconstrained
-iterate sequence exactly.
+A ConstraintSet bundles the constraint map, its Jacobian, and an optional
+projector; the primal-dual solver uses the projector, when there is one, to
+keep iterates feasible. Also here: the box clamp, and Dykstra's method for
+the intersection of a parabola epigraph with a halfspace.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .core import NumericalError, as_vector
-from .solver import (
-    SolveResult,
-    SolverConfig,
-    dual_update_pi,
-    lm_matrix,
-    merit_psi,
-    spd_solve,
-    stationarity_residual,
-)
-
-# Acceptance slack for the merit safeguard; absorbs rounding near the floor
-# without masking genuine increases.
-_MERIT_SLACK = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,103 +81,11 @@ def box_constraints(lo, hi) -> ConstraintSet:
         dim_con=2 * d,
         fn=lambda u: np.concatenate([u - lo, hi - u], axis=-1),
         jac=lambda u: jac_rows,
-        projector=lambda u: np.clip(u, lo, hi),
+        projector=lambda u: u.clip(lo, hi),
         membership_tol=1e-9,
         tangent_basis=tangent_basis,
         batched=True,
     )
-
-
-@dataclass(frozen=True)
-class ConstrainedSolverConfig(SolverConfig):
-    sigma: float = 0.5
-    active_threshold: float = 1e-3
-    mode: str = "lm_step"
-    maxit_u: int = 200
-    tol_u: float = 1e-4
-    ls_beta: float = 0.5
-    ls_c1: float = 1e-4
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.active_threshold < 0:
-            raise ValueError("active_threshold must be nonnegative")
-        if self.mode not in ("lm_step", "projected_gradient"):
-            raise ValueError(f"unknown subproblem mode {self.mode!r}")
-
-
-@dataclass(eq=False)
-class ConstrainedSolveResult(SolveResult):
-    nu_star: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    complementarity: float = 0.0
-    feasibility_violation: float = 0.0
-
-
-def dual_update_nu(k_vals, nu, sigma):
-    """Projected ascent in the constraint channel: [nu + sigma (-k)]_+."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    k_vals = np.asarray(k_vals, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    return np.maximum(nu + sigma * (-k_vals), 0.0)
-
-
-def constrained_residual(f, k, u, pi, nu, params):
-    """Jac[ell]^T pi - Jac[k]^T nu + mu u - c (x - alpha u)."""
-    r = stationarity_residual(f, u, pi, params)
-    if k is not None and k.dim_con > 0:
-        r = r - k.jacobian(u).T @ np.asarray(nu, dtype=float)
-    return r
-
-
-def constrained_preconditioner(f, k, u, params, active_threshold):
-    """LM matrix plus Jac[k]^T W Jac[k] over the nearly active constraints."""
-    if active_threshold < 0:
-        raise ValueError("active_threshold must be nonnegative")
-    B = lm_matrix(f, u, params)
-    if k is not None and k.dim_con > 0:
-        active = k.value(u) <= active_threshold
-        if np.any(active):
-            Jk = k.jacobian(u)[active]
-            B = B + Jk.T @ Jk
-    return B
-
-
-def multiplier_estimate(f, k, u, pi, params, active_threshold=1e-3):
-    """Nonnegative least-squares multipliers over the nearly active set.
-
-    Exact projection zeroes the ascent signal on active constraints, so the
-    multipliers are recovered from stationarity instead: minimize
-    ||Jac[k]_A^T nu - F|| over nu >= 0 supported on the active set A.
-    """
-    nu = np.zeros(k.dim_con)
-    active = np.flatnonzero(k.value(u) <= active_threshold)
-    if active.size == 0:
-        return nu
-    F = stationarity_residual(f, u, pi, params)
-    sol, _ = nnls(k.jacobian(u)[active].T, F)
-    nu[active] = sol
-    return nu
-
-
-def merit_psi_k(f, k, g, u, pi, nu, params, rho, sigma) -> float:
-    """Constrained merit: stationarity, dual prox displacement, and the
-    ascent displacement of the inequality multipliers."""
-    if rho <= 0 or sigma <= 0:
-        raise ValueError("rho and sigma must be positive")
-    base_nu = np.zeros(0) if k is None else np.asarray(nu, dtype=float)
-    r = constrained_residual(f, k, u, pi, base_nu, params)
-    B = lm_matrix(f, u, params)
-    term1 = 0.5 * float(r @ spd_solve(B, r))
-    E = params.dual_shift(pi)
-    disp = g.prox_conjugate(np.asarray(pi, dtype=float) + rho * (f.value(u) + E), rho) - pi
-    term2 = float(disp @ disp) / (2.0 * rho * rho)
-    if k is None or k.dim_con == 0:
-        return term1 + term2
-    nu_disp = dual_update_nu(k.value(u), base_nu, sigma) - base_nu
-    return term1 + term2 + float(nu_disp @ nu_disp) / (2.0 * sigma * sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -291,358 +181,3 @@ def dykstra_project(u, cycles=10, root_tol=1e-6, feas_tol=1e-6):
             return np.array([x0, x1])
     raise NumericalError("Dykstra projection did not reach feasibility")
 
-
-# ---------------------------------------------------------------------------
-# Shared primal-dual loop
-
-
-@dataclass(eq=False)
-class LoopState:
-    u: np.ndarray
-    pi: np.ndarray
-    nu: np.ndarray
-    iterations: int
-    converged: bool
-    residual_history: List[float]
-    merit_history: List[float]
-
-
-def _null_basis(A):
-    # Orthonormal basis of null(A) for small dense A.
-    _, s, vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)))
-    return vt[rank:].T
-
-
-def _two_metric_step(k, u, gvec, B, Jk, active):
-    # Preconditioning a projected-gradient step can rotate the descent
-    # direction across the tangent space of a curved active constraint, so the
-    # inverse preconditioner is applied within that tangent space only; the
-    # normal component keeps the plain gradient, conservatively scaled.
-    if not np.any(active):
-        return spd_solve(B, gvec)
-    Jk_a = Jk[active]
-    Q = k.tangent_basis(u, active) if k.tangent_basis is not None else _null_basis(Jk_a)
-    lam_hi = B.trace()
-    if Q.size == 0:
-        return gvec / lam_hi
-    tangential = Q @ spd_solve(Q.T @ B @ Q, Q.T @ gvec)
-    normal = gvec - Q @ (Q.T @ gvec)
-    return tangential + normal / lam_hi
-
-
-def _inner_projected_gradient(f, g, k, u0, pi_new, params, cfg):
-    # Full inner solve of the shifted scalarization over K (or all of R^d when
-    # k is None): projected gradient descent, preconditioned in the two-metric
-    # sense, with Armijo backtracking and a plain-gradient arc fallback.
-    E = params.dual_shift(pi_new)
-    stiff = params.mu + params.alpha * params.c
-    cx = params.c * params.x
-    gamma = 1.0 / stiff
-    move_tol = min(getattr(cfg, "tol_u", 1e-4), 0.01 * cfg.eps)
-    res_tol = 0.05 * cfg.eps
-    ls_beta = getattr(cfg, "ls_beta", 0.5)
-    ls_c1 = getattr(cfg, "ls_c1", 1e-4)
-    maxit_u = getattr(cfg, "maxit_u", 200)
-    active_threshold = getattr(cfg, "active_threshold", 1e-3)
-    eye = stiff * np.eye(f.dim_u)
-    project = k.project if k is not None else (lambda u_: u_)
-
-    def val(u):
-        return g.value(f.value(u) + E) + 0.5 * stiff * float(u @ u) - float(cx @ u)
-
-    u = u0
-    fu = val(u)
-    res = np.inf
-    t_warm = 1.0  # accepted step carries over; curvature mismatch is persistent
-    for _ in range(maxit_u):
-        J = f.jacobian(u)
-        gvec = J.T @ g.gradient(f.value(u) + E) + stiff * u - cx
-        res = float(np.linalg.norm(u - project(u - gamma * gvec))) / gamma
-        if res <= res_tol:
-            break
-        B = eye + J.T @ J
-        if k is not None:
-            Jk = k.jacobian(u)
-            active = k.value(u) <= active_threshold
-            if np.any(active):
-                B = B + Jk[active].T @ Jk[active]
-            primary = _two_metric_step(k, u, gvec, B, Jk, active)
-        else:
-            primary = spd_solve(B, gvec)
-        cand = fc = None
-        for attempt, direction in enumerate((primary, gamma * gvec)):
-            t = min(1.0, t_warm / ls_beta) if attempt == 0 else 1.0
-            for _ in range(30):
-                trial = project(u - t * direction)
-                ft = val(trial)
-                step = trial - u
-                # projection-arc form of the Armijo sufficient decrease
-                if ft <= fu - ls_c1 * float(step @ step) / max(t, 1e-300):
-                    cand, fc = trial, ft
-                    if attempt == 0:
-                        t_warm = t
-                    break
-                t *= ls_beta
-            if cand is not None:
-                break
-        if cand is None:
-            break
-        move = float(np.linalg.norm(cand - u))
-        u, fu = cand, fc
-        if move <= move_tol:
-            break
-    return u, res
-
-
-def _refine_lm(f, k, u, pi, nu, params, eta, cfg, projector, nu_of=None, maxit=None):
-    # Damped LM steps at frozen pi until the residual target is met or the
-    # iterate stalls. ``nu_of`` re-estimates the multipliers at every iterate
-    # so the step tracks the active manifold; otherwise nu stays frozen.
-    target = 0.05 * cfg.eps
-    active_threshold = getattr(cfg, "active_threshold", 1e-3)
-
-    def residual(u_):
-        nu_ = nu_of(u_) if nu_of is not None else nu
-        J = f.jacobian(u_)
-        r = J.T @ pi + params.mu * u_ - params.dual_momentum(u_)
-        if k is not None and k.dim_con > 0:
-            r = r - k.jacobian(u_).T @ nu_
-        return r, nu_, J
-
-    u_cur = u
-    r_cur, nu_cur, J = residual(u_cur)
-    for _ in range(maxit if maxit is not None else cfg.maxit_inner):
-        B = lm_matrix(f, u_cur, params, jac=J)
-        if k is not None and k.dim_con > 0:
-            active = k.value(u_cur) <= active_threshold
-            if np.any(active):
-                Jk_a = k.jacobian(u_cur)[active]
-                B = B + Jk_a.T @ Jk_a
-        if projector is None:
-            res_here = float(np.linalg.norm(r_cur))
-        else:
-            gamma = 1.0 / (params.mu + params.alpha * params.c)
-            res_here = float(np.linalg.norm(u_cur - projector(u_cur - gamma * r_cur))) / gamma
-        if res_here <= target:
-            return u_cur
-        step = eta * spd_solve(B, r_cur)
-        r_norm = float(np.linalg.norm(r_cur))
-        accepted = None
-        frac = 1.0
-        for _ in range(25):
-            u_next = u_cur - step
-            if projector is not None:
-                u_next = projector(u_next)
-            if not np.all(np.isfinite(u_next)):
-                raise NumericalError("primal update produced non-finite iterate")
-            r_next, nu_next, J_next = residual(u_next)
-            # damping: the Gauss-Newton model can understate curvature and
-            # equal-norm mirror steps would cycle; the required decrease
-            # scales with the damping so short steps stay acceptable
-            if float(np.linalg.norm(r_next)) <= r_norm * (1.0 - 1e-3 * frac):
-                accepted = (u_next, r_next, nu_next, J_next)
-                break
-            step = 0.5 * step
-            frac *= 0.5
-        if accepted is None:
-            return u_cur
-        u_next, r_cur, nu_cur, J = accepted
-        if float(np.linalg.norm(u_next - u_cur)) <= 1e-15 * (1.0 + float(np.linalg.norm(u_cur))):
-            return u_next
-        u_cur = u_next
-    return u_cur
-
-
-def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None, nu0=None) -> LoopState:
-    """Shared outer loop for the constrained and unconstrained solvers."""
-    k = constraints
-    m = 0 if k is None else k.dim_con
-    projector = None if k is None else k.projector
-    sigma = getattr(cfg, "sigma", 0.5)
-    active_threshold = getattr(cfg, "active_threshold", 1e-3)
-    mode = getattr(cfg, "mode", "lm_step")
-    use_estimate = m > 0 and projector is not None
-    if mode == "projected_gradient":
-        if projector is None:
-            raise ValueError("projected_gradient mode requires a projector")
-        if not g.smooth:
-            raise ValueError("projected_gradient mode requires a smooth scalarizer")
-
-    u = as_vector(u0, f.dim_u, "u0") if u0 is not None else params.x / max(params.alpha, 1.0)
-    if k is not None:
-        if projector is not None:
-            u = k.project(u)
-        elif not k.is_feasible(u):
-            raise ValueError("infeasible start and no projector available")
-    pi = as_vector(pi0, f.dim_obj, "pi0") if pi0 is not None else np.zeros(f.dim_obj)
-    nu = as_vector(nu0, m, "nu0") if (nu0 is not None and m > 0) else np.zeros(m)
-    if np.any(nu < 0):
-        raise ValueError("nu0 must be nonnegative")
-
-    def merit(u_, pi_, nu_):
-        if m == 0:
-            return merit_psi(f, g, u_, pi_, params, cfg.rho)
-        return merit_psi_k(f, k, g, u_, pi_, nu_, params, cfg.rho, sigma)
-
-    def stop_residual(u_, pi_, nu_):
-        if m == 0:
-            return float(np.linalg.norm(stationarity_residual(f, u_, pi_, params)))
-        if projector is not None:
-            F = stationarity_residual(f, u_, pi_, params)
-            gamma = 1.0 / (params.mu + params.alpha * params.c)
-            return float(np.linalg.norm(u_ - projector(u_ - gamma * F))) / gamma
-        return float(np.linalg.norm(constrained_residual(f, k, u_, pi_, nu_, params)))
-
-    # Smooth scalarizers get the value-descent inner solve; the residual-only
-    # LM refinement cannot cross residual ridges of nonconvex composites.
-    value_descent = g.smooth and (mode == "projected_gradient" or m == 0)
-
-    def refine(u_, pi_, nu_, eta):
-        nu_of = None
-        if use_estimate:
-            nu_of = lambda uu: multiplier_estimate(f, k, uu, pi_, params, active_threshold)
-        if value_descent:
-            u_in, res_in = _inner_projected_gradient(f, g, k if m > 0 else None, u_, pi_, params, cfg)
-            if m == 0 and res_in > 0.05 * cfg.eps:
-                # LM polish: value descent bottoms out at the rounding floor
-                # of the composite, the residual does not
-                u_in = _refine_lm(f, k, u_in, pi_, nu_, params, 1.0, cfg, projector,
-                                  nu_of=nu_of, maxit=10)
-            return u_ + eta * (u_in - u_)
-        return _refine_lm(f, k, u_, pi_, nu_, params, eta, cfg, projector, nu_of=nu_of)
-
-    psi = merit(u, pi, nu)
-    psi_floor = cfg.eps**2 * max(1.0, psi)
-    merit_history = [psi]
-    residual_history: List[float] = []
-    converged = False
-    iterations = 0
-
-    # The safeguard damps both channels: the dual step by theta, the primal
-    # step by eta, accepting the first merit-nonincreasing combination.
-    thetas = (1.0, 0.5, 0.25, 0.125, 0.0) if cfg.safeguard else (1.0,)
-    eta_trials = 1 if not cfg.safeguard else min(cfg.max_backtracks, 4) + 1
-
-    for iterations in range(1, cfg.maxit_outer + 1):
-        pi_new, _ = dual_update_pi(f, g, u, pi, params, cfg.rho, force_prox=cfg.dual_via_prox)
-        nu_asc = None
-        if m > 0 and not use_estimate:
-            nu_asc = dual_update_nu(k.value(u), nu, sigma)
-
-        accepted = None
-        budget = cfg.max_backtracks + len(thetas)
-        for theta in thetas:
-            if theta == 1.0:
-                pi_cand = pi_new
-            elif theta == 0.0:
-                pi_cand = pi
-            else:
-                pi_cand = pi + theta * (pi_new - pi)
-            if nu_asc is not None:
-                nu_seed = nu_asc if theta > 0.0 else nu
-            else:
-                nu_seed = nu
-
-            proposals = []
-            if value_descent:
-                # one inner solve per dual candidate; eta only relaxes it
-                u_in = refine(u, pi_cand, nu_seed, 1.0)
-                eta = cfg.eta
-                for _ in range(eta_trials):
-                    proposals.append(u + eta * (u_in - u))
-                    eta *= cfg.backtrack_factor
-            else:
-                eta = cfg.eta
-                for _ in range(eta_trials):
-                    proposals.append(("eta", eta))
-                    eta *= cfg.backtrack_factor
-
-            for prop in proposals:
-                budget -= 1
-                u_cand = prop if not isinstance(prop, tuple) else refine(u, pi_cand, nu_seed, prop[1])
-                if nu_asc is not None:
-                    nu_cand = nu_seed
-                elif use_estimate:
-                    nu_cand = multiplier_estimate(f, k, u_cand, pi_cand, params, active_threshold)
-                else:
-                    nu_cand = nu
-                psi_cand = merit(u_cand, pi_cand, nu_cand)
-                ok = np.isfinite(psi_cand) and (
-                    not cfg.safeguard or psi_cand <= psi + _MERIT_SLACK * max(1.0, psi)
-                )
-                if ok:
-                    accepted = (u_cand, pi_cand, nu_cand, psi_cand)
-                    break
-                if budget <= 0:
-                    break
-            if accepted is not None or budget <= 0:
-                break
-        if accepted is None:
-            iterations -= 1
-            break  # merit stalled at its numerical floor
-
-        u_next, pi_next, nu_next, psi_next = accepted
-        res = stop_residual(u_next, pi_next, nu_next)
-        pi_disp = float(np.linalg.norm(pi_next - pi))
-        nu_disp = float(np.linalg.norm(nu_next - nu))
-        u_disp = float(np.linalg.norm(u_next - u))
-        u, pi, nu, psi = u_next, pi_next, nu_next, psi_next
-        residual_history.append(res)
-        merit_history.append(psi)
-        if not (np.isfinite(res) and np.isfinite(psi)):
-            raise NumericalError("iteration diverged to non-finite values")
-        if res <= cfg.eps and pi_disp <= cfg.eps and nu_disp <= cfg.eps and psi <= psi_floor:
-            converged = True
-            break
-        stagnant = max(pi_disp, nu_disp, u_disp) <= 1e-14 * (1.0 + float(np.linalg.norm(u)))
-        if stagnant:
-            break  # fixed point reached at the solver's numerical resolution
-
-    return LoopState(
-        u=u,
-        pi=pi,
-        nu=nu,
-        iterations=iterations,
-        converged=converged,
-        residual_history=residual_history,
-        merit_history=merit_history,
-    )
-
-
-def solve_constrained(f, k, g, params, cfg=None, u0=None, pi0=None, nu0=None) -> ConstrainedSolveResult:
-    """Constrained primal-dual solve; mirrors ``solve`` plus the nu channel.
-
-    With an empty constraint set this reproduces the unconstrained iterate
-    sequence exactly.
-    """
-    cfg = cfg or ConstrainedSolverConfig()
-    if f.dim_obj != g.dim_obj or params.dim_u != f.dim_u or params.dim_obj != f.dim_obj:
-        raise ValueError("dimension mismatch between objective, scalarizer, and params")
-    if k is not None and k.dim_u != f.dim_u:
-        raise ValueError("constraint set dimension mismatch")
-    state = run_primal_dual(f, g, params, cfg, constraints=k, u0=u0, pi0=pi0, nu0=nu0)
-    u, pi, nu = state.u, state.pi, state.nu
-    m = 0 if k is None else k.dim_con
-    if m > 0 and k.projector is not None:
-        nu = multiplier_estimate(f, k, u, pi, params, getattr(cfg, "active_threshold", 1e-3))
-    if m > 0:
-        kv = k.value(u)
-        complementarity = float(np.max(np.abs(nu * kv)))
-        feasibility = max(0.0, -float(kv.min()))
-    else:
-        complementarity = 0.0
-        feasibility = 0.0
-    return ConstrainedSolveResult(
-        u_star=u,
-        pi_star=pi,
-        p_bar=params.dual_momentum(u),
-        E_bar=params.dual_shift(pi),
-        iterations=state.iterations,
-        converged=state.converged,
-        residual_history=state.residual_history,
-        merit_history=state.merit_history,
-        nu_star=nu,
-        complementarity=complementarity,
-        feasibility_violation=feasibility,
-    )

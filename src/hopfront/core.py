@@ -41,8 +41,9 @@ def as_vector(y, n=None, name="y"):
             raise ValueError(f"{name} must be a vector, got shape {v.shape}")
     if n is not None and v.shape[0] != n:
         raise ValueError(f"{name} must have length {n}, got {v.shape[0]}")
-    # summing propagates any nan/inf to the total
-    if not math.isfinite(float(v.sum())):
+    # summing propagates any nan/inf to the total; a non-finite total of
+    # finite entries is an overflow, so only then look at every entry
+    if not math.isfinite(np.add.reduce(v)) and not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite")
     return v
 
@@ -67,7 +68,7 @@ class VectorObjective:
     def value(self, u):
         u = as_vector(u, self.dim_u, "u")
         y = np.asarray(self.fn(u), dtype=float).reshape(self.dim_obj)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise NumericalError("objective returned non-finite values")
         return y
 
@@ -215,8 +216,8 @@ class SoftMax(PreferenceFunction):
     def value(self, y):
         y = as_vector(y, self.dim_obj)
         z = y / self.eps
-        m = float(np.max(z))
-        return self.eps * (m + float(np.log(np.sum(np.exp(z - m)))))
+        m = float(z.max())
+        return self.eps * (m + float(np.log(np.exp(z - m).sum())))
 
     def value_batch(self, Y):
         Y = np.asarray(Y, dtype=float).reshape(-1, self.dim_obj)
@@ -226,7 +227,7 @@ class SoftMax(PreferenceFunction):
 
     def gradient(self, y):
         y = as_vector(y, self.dim_obj)
-        z = (y - np.max(y)) / self.eps
+        z = (y - y.max()) / self.eps
         w = np.exp(z)
         return w / w.sum()
 
@@ -370,13 +371,9 @@ class QuadraticRegularizer:
         return np.asarray(p, dtype=float) / self.mu
 
     def bregman(self, u, v) -> float:
+        """D_R(u, v) = R(u) - R(v) - <grad R(v), u - v>; nonnegative, zero iff u = v."""
         diff = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
         return 0.5 * self.mu * float(diff @ diff)
-
-
-def bregman_divergence(R: QuadraticRegularizer, u, v) -> float:
-    """D_R(u, v) = R(u) - R(v) - <grad R(v), u - v>; nonnegative, zero iff u = v."""
-    return R.bregman(u, v)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,35 +7,9 @@ deterministic.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core import as_vector
-
-
-class Dominance(enum.Enum):
-    NONE = "none"
-    WEAK = "weak"
-    STRICT = "strict"
-
-
-def dominates(a, b) -> Dominance:
-    """Dominance of a over b under coordinatewise minimization.
-
-    STRICT: a_i < b_i for all i. WEAK: a <= b with at least one strict
-    inequality (and not all strict). NONE otherwise.
-    """
-    a = as_vector(a, name="a")
-    b = as_vector(b, name="b")
-    if a.shape != b.shape:
-        raise ValueError("length mismatch")
-    if np.all(a < b):
-        return Dominance.STRICT
-    if np.all(a <= b) and np.any(a < b):
-        return Dominance.WEAK
-    return Dominance.NONE
 
 
 @dataclass(frozen=True, eq=False)

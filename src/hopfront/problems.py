@@ -29,7 +29,6 @@ class BenchmarkProblem:
     x: np.ndarray
     tau_start: np.ndarray
     tau_end: np.ndarray
-    solver_mode: str
     label: str
     optimal_manifold: Optional[Callable[[int], np.ndarray]] = None
 
@@ -46,20 +45,28 @@ class BenchmarkProblem:
         return lambda u: np.clip(u, lo, hi)
 
 
+def _stack_last(cols):
+    # On a single point every column is a scalar, and np.stack costs more
+    # than the objective itself there.
+    if np.ndim(cols[0]) == 0:
+        return np.array(cols, dtype=float)
+    return np.stack(cols, axis=-1)
+
+
 def example1() -> BenchmarkProblem:
     """Two convex objectives on the intersection of a parabola epigraph with
     a halfspace; the front lies on the parabola boundary."""
 
     def ell(u):
         u1, u2 = u[..., 0], u[..., 1]
-        return np.stack([-u1, u1 + u2**2], axis=-1)
+        return _stack_last([-u1, u1 + u2**2])
 
     def jac(u):
         return np.array([[-1.0, 0.0], [1.0, 2.0 * u[1]]])
 
     def kfun(u):
         u1, u2 = u[..., 0], u[..., 1]
-        return np.stack([-(u1**2) + u2, -u1 - 2.0 * u2 + 3.0], axis=-1)
+        return _stack_last([-(u1**2) + u2, -u1 - 2.0 * u2 + 3.0])
 
     def kjac(u):
         return np.array([[-2.0 * u[0], 1.0], [-1.0, -2.0]])
@@ -104,16 +111,12 @@ def example1() -> BenchmarkProblem:
         x=np.zeros(2),
         tau_start=np.array([-10.0, 10.0]),
         tau_end=np.array([10.0, -10.0]),
-        solver_mode="projected_gradient",
         label="semialgebraic-constrained 2-D",
         optimal_manifold=boundary,
     )
 
 
 def _box_problem(pid, ell, jac, d, n_obj, alpha, c, mu, tau_start, tau_end, label, manifold=None):
-    # Solves route through the full inner minimization: the plain
-    # Gauss-Newton model misses the penalty-coupling curvature of these
-    # objectives on the valley floor and oscillates against the box faces.
     lo, hi = np.zeros(d), np.ones(d)
     return BenchmarkProblem(
         id=pid,
@@ -126,7 +129,6 @@ def _box_problem(pid, ell, jac, d, n_obj, alpha, c, mu, tau_start, tau_end, labe
         x=np.zeros(d),
         tau_start=np.asarray(tau_start, dtype=float),
         tau_end=np.asarray(tau_end, dtype=float),
-        solver_mode="projected_gradient",
         label=label,
         optimal_manifold=manifold,
     )
@@ -149,7 +151,7 @@ def example2_case1() -> BenchmarkProblem:
         penalty = lam * (u2 - u1) ** 2
         l1 = u1 + penalty
         l2 = 1.0 - u1 + a * (u1 - 0.5) ** 4 - b * (u1 - 0.5) ** 2 + penalty
-        return np.stack([l1, l2], axis=-1)
+        return _stack_last([l1, l2])
 
     def jac(u):
         u1, u2 = u
@@ -177,7 +179,7 @@ def example2_case2() -> BenchmarkProblem:
         pen = (u2 - u1) ** 2
         l1 = u1 + g1 * np.sin(4.0 * np.pi * u1) + b1 * pen
         l2 = (u1 - 0.25) ** 4 * (u1 - 0.75) ** 2 + eta * (1.0 - u1) + b2 * pen
-        return np.stack([l1, l2], axis=-1)
+        return _stack_last([l1, l2])
 
     def jac(u):
         u1, u2 = u
@@ -219,7 +221,7 @@ def example3_case1(d: int) -> BenchmarkProblem:
         s, r2 = _mean_spread(u)
         l1 = s + g1 * np.sin(2.0 * np.pi * s) + b1 * r2
         l2 = 1.0 - s + a * (s - 0.5) ** 4 - b * (s - 0.5) ** 2 + b2 * r2
-        return np.stack([l1, l2], axis=-1)
+        return _stack_last([l1, l2])
 
     def jac(u):
         s, _ = _mean_spread(u)
@@ -250,7 +252,7 @@ def example3_case2() -> BenchmarkProblem:
         l3 = (s - 0.2) ** 2 + c3 * r2
         l4 = (s - 0.8) ** 2 + c4 * r2
         l5 = 0.5 * s**2 + g5 * np.sin(4.0 * np.pi * s) + c5 * r2
-        return np.stack([l1, l2, l3, l4, l5], axis=-1)
+        return _stack_last([l1, l2, l3, l4, l5])
 
     def jac(u):
         s, _ = _mean_spread(u)

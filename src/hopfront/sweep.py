@@ -7,13 +7,11 @@ fronts.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
-from .constrained import ConstrainedSolverConfig, solve_constrained
 from .core import HopfLaxParams, as_vector
 from .solver import SolverConfig, gap_and_bound, solve
 
@@ -25,15 +23,12 @@ class TauPath:
     start: np.ndarray
     end: np.ndarray
     n_samples: int
-    spacing: str = "uniform"
 
     def __post_init__(self):
         object.__setattr__(self, "start", as_vector(self.start, name="start"))
         object.__setattr__(self, "end", as_vector(self.end, self.start.shape[0], "end"))
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.spacing != "uniform":
-            raise ValueError("only uniform spacing is supported")
 
     def parameters(self):
         if self.n_samples == 1:
@@ -72,29 +67,9 @@ class ParetoFront:
         return sum(1 for s in self.samples if s.converged)
 
     def objective_points(self, converged_only=True):
-        return front_objective_points(self, converged_only)
-
-
-def front_objective_points(front: ParetoFront, converged_only=True):
-    """Objective vectors in path order, optionally converged samples only."""
-    pts = [s.objectives for s in front.samples if s.converged or not converged_only]
-    return [np.array(p) for p in pts]
-
-
-def _solve_one(problem, g, params, cfg, warm):
-    u0 = pi0 = nu0 = None
-    if warm is not None:
-        u0, pi0, nu0 = warm
-    if problem.constraints is not None:
-        return solve_constrained(problem.objective, problem.constraints, g, params, cfg,
-                                 u0=u0, pi0=pi0, nu0=nu0)
-    return solve(problem.objective, g, params, cfg, u0=u0, pi0=pi0)
-
-
-def _default_cfg(problem):
-    if problem.constraints is not None:
-        return ConstrainedSolverConfig(mode=problem.solver_mode)
-    return SolverConfig()
+        """Objective vectors in path order, optionally converged samples only."""
+        pts = [s.objectives for s in self.samples if s.converged or not converged_only]
+        return [np.array(p) for p in pts]
 
 
 def sweep(
@@ -110,14 +85,12 @@ def sweep(
     cfg=None,
     warm_start: bool = True,
     reference=None,
-    workers: int = 1,
 ) -> ParetoFront:
     """Run one solve per tau sample and assemble the front in path order.
 
     Non-converged samples are retained and flagged. When ``reference`` (a
     SampleCloud) is given, each converged sample records its duality-gap
-    certificate and Bregman bound. ``workers > 1`` parallelizes cold-started
-    sweeps; warm-started sweeps are inherently sequential.
+    certificate and Bregman bound.
     """
     g = g or problem.default_preference()
     x = problem.x if x is None else as_vector(x, problem.objective.dim_u, "x")
@@ -126,7 +99,7 @@ def sweep(
     mu = problem.mu if mu is None else mu
     if path is None:
         path = TauPath(problem.tau_start, problem.tau_end, n_samples)
-    cfg = cfg or _default_cfg(problem)
+    cfg = cfg or SolverConfig()
 
     ts = path.parameters()
     taus = path.points()
@@ -134,26 +107,22 @@ def sweep(
     def make_params(tau):
         return HopfLaxParams(x=x, tau=tau, alpha=alpha, c=c, mu=mu)
 
-    results = [None] * len(taus)
-    if warm_start or workers <= 1:
-        warm = None
-        for i, tau in enumerate(taus):
-            res = _solve_one(problem, g, make_params(tau), cfg, warm if warm_start else None)
-            if warm_start and warm is not None and not res.converged:
-                # a stale neighboring basin can wedge the merit descent;
-                # retry from the default initialization
-                retry = _solve_one(problem, g, make_params(tau), cfg, None)
-                if retry.converged:
-                    res = retry
-            results[i] = res
-            if warm_start and res.converged:
-                warm = (res.u_star, res.pi_star, getattr(res, "nu_star", None))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_solve_one, problem, g, make_params(tau), cfg, None) for tau in taus
-            ]
-            results = [fut.result() for fut in futures]
+    results = []
+    warm = None
+    for tau in taus:
+        u0, pi0, nu0 = warm or (None, None, None)
+        res = solve(problem.objective, g, make_params(tau), cfg, u0, pi0,
+                    constraints=problem.constraints, nu0=nu0)
+        if warm is not None and not res.converged:
+            # a stale neighboring basin can wedge the merit descent;
+            # retry from the default initialization
+            retry = solve(problem.objective, g, make_params(tau), cfg,
+                          constraints=problem.constraints)
+            if retry.converged:
+                res = retry
+        results.append(res)
+        if warm_start and res.converged:
+            warm = (res.u_star, res.pi_star, res.nu_star)
 
     front = ParetoFront(problem_id=problem.id)
     for i, (t, tau, res) in enumerate(zip(ts, taus, results)):
@@ -173,7 +142,7 @@ def sweep(
                 residual=res.residual_history[-1] if res.residual_history else np.inf,
                 iterations=res.iterations,
                 converged=res.converged,
-                nu=getattr(res, "nu_star", None),
+                nu=res.nu_star,
                 merit=res.merit_history[-1] if res.merit_history else np.nan,
                 gap=gap,
                 bregman_bound=bound,

@@ -12,7 +12,6 @@ import pytest
 import hopfront as hf
 from hopfront.cli import main as cli_main
 from hopfront.cli import read_front_csv
-from hopfront.constrained import ConstrainedSolverConfig, solve_constrained
 from hopfront.core import SoftMax, VectorObjective, WeightedSum, HopfLaxParams, jacobian_check
 from hopfront.solver import SolverConfig, solve
 
@@ -47,18 +46,19 @@ def benchmark_runs():
     for pid in BENCHMARKS:
         prob = hf.get_problem(pid)
         g = prob.default_preference()
-        cfg = ConstrainedSolverConfig(mode=prob.solver_mode)
+        cfg = SolverConfig()
         cloud = hf.certification_cloud(prob, mc=20000, seed=0)
         path = hf.TauPath(prob.tau_start, prob.tau_end, 40)
         chain = []
         warm = None
         for tau in path.points():
             params = prob.params_for(tau)
-            res = solve_constrained(prob.objective, prob.constraints, g, params, cfg,
-                                    u0=None if warm is None else warm[0],
-                                    pi0=None if warm is None else warm[1])
+            res = solve(prob.objective, g, params, cfg,
+                        u0=None if warm is None else warm[0],
+                        pi0=None if warm is None else warm[1],
+                        constraints=prob.constraints)
             if warm is not None and not res.converged:
-                retry = solve_constrained(prob.objective, prob.constraints, g, params, cfg)
+                retry = solve(prob.objective, g, params, cfg, constraints=prob.constraints)
                 if retry.converged:
                     res = retry
             if res.converged:
@@ -247,7 +247,7 @@ def test_criterion_10_constrained_unconstrained_reduction():
     params = HopfLaxParams(x=np.array([1.0]), tau=np.array([0.0]), alpha=1.0, c=1.0, mu=1.0)
     box = hf.box_constraints(np.array([-1e3]), np.array([1e3]))
     unc = solve(f, g, params, SolverConfig(eps=1e-9))
-    con = solve_constrained(f, box, g, params, ConstrainedSolverConfig(eps=1e-9))
+    con = solve(f, g, params, SolverConfig(eps=1e-9), constraints=box)
     assert unc.converged and con.converged
     du = abs(unc.u_star[0] - con.u_star[0])
     assert du <= 1e-8

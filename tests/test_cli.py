@@ -71,12 +71,39 @@ class TestSweepCommand:
             assert rec["ell_2"] == s.objectives[1]
             assert rec["residual"] == s.residual
 
-    def test_manifest_reproduces_csv_bit_for_bit(self, tmp_path):
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--pref-eps", "0.05", "--no-safeguard", "--c", "0.5", "--compare", "--grid", "40"],
+    ], ids=["default", "non-default"])
+    def test_manifest_reproduces_csv_bit_for_bit(self, tmp_path, flags):
         a = tmp_path / "a"
         b = tmp_path / "b"
-        run(["sweep", "--problem", "ex2a", "--n", "6", "--out", str(a)])
-        run(["sweep", "--config", str(a / "manifest.json"), "--out", str(b)])
+        assert run(["sweep", "--problem", "ex2a", "--n", "6", "--out", str(a)] + flags) == 0
+        assert run(["sweep", "--config", str(a / "manifest.json"), "--out", str(b)]) == 0
         assert (a / "front.csv").read_bytes() == (b / "front.csv").read_bytes()
+        assert (json.loads((a / "manifest.json").read_text())["params"]
+                == json.loads((b / "manifest.json").read_text())["params"])
+
+    def test_explicit_flags_override_config(self, tmp_path):
+        run(["sweep", "--problem", "ex2a", "--n", "2", "--out", str(tmp_path / "a")])
+        config = str(tmp_path / "a" / "manifest.json")
+        for i, flags in enumerate((["--c", "0.5"], ["--c=0.5"])):
+            out = tmp_path / f"b{i}"
+            assert run(["sweep", "--config", config, "--out", str(out)] + flags) == 0
+            assert json.loads((out / "manifest.json").read_text())["params"]["c"] == 0.5
+
+    def test_hopf_lax_flags_take_effect(self, tmp_path):
+        base = tmp_path / "base"
+        changed = tmp_path / "c05"
+        run(["sweep", "--problem", "ex2a", "--n", "8", "--out", str(base)])
+        assert run(["sweep", "--problem", "ex2a", "--n", "8", "--c", "0.5", "--out", str(changed)]) == 0
+        assert (base / "front.csv").read_bytes() != (changed / "front.csv").read_bytes()
+        assert json.loads((changed / "manifest.json").read_text())["params"]["c"] == 0.5
+
+    def test_explicit_zero_alpha_is_rejected(self, tmp_path, capsys):
+        assert run(["sweep", "--problem", "ex2a", "--n", "2", "--alpha", "0", "--out", str(tmp_path)]) == 1
+        assert run(["solve", "--problem", "ex2a", "--tau", "0,0", "--alpha", "0"]) == 1
+        assert capsys.readouterr().err.count("alpha must be positive") == 2
 
     def test_pairs_svgs_for_many_objectives(self, tmp_path):
         out = tmp_path / "run"

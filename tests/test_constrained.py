@@ -2,24 +2,20 @@ import numpy as np
 import pytest
 
 from hopfront.constrained import (
-    ConstrainedSolverConfig,
     ConstraintSet,
     box_constraints,
-    constrained_preconditioner,
-    constrained_residual,
-    dual_update_nu,
     dykstra_project,
-    merit_psi_k,
-    multiplier_estimate,
     project_halfspace,
     project_parabola_epigraph,
-    solve_constrained,
 )
 from hopfront.core import HopfLaxParams, SoftMax, VectorObjective, WeightedSum
 from hopfront.problems import example1
 from hopfront.solver import (
     SolverConfig,
+    dual_update_nu,
     merit_psi,
+    multiplier_estimate,
+    preconditioner,
     solve,
     stationarity_residual,
 )
@@ -47,6 +43,10 @@ def ex1_params(tau=(0.0, 0.0)):
     return HopfLaxParams(x=np.zeros(2), tau=np.asarray(tau, dtype=float), alpha=1.0, c=0.1, mu=0.01)
 
 
+def constrained_residual(f, k, u, pi, nu, params):
+    return stationarity_residual(f.jacobian(u), u, pi, params, k.jacobian(u), nu)
+
+
 class TestDualUpdateNu:
     def test_strictly_feasible_clips_to_zero(self):
         assert np.array_equal(dual_update_nu([1.0, 1.0], [0.0, 0.0], 1.0), [0.0, 0.0])
@@ -69,7 +69,7 @@ class TestConstrainedResidual:
         u = rng.uniform(-1, 1, size=2)
         pi = rng.dirichlet([1, 1])
         r_con = constrained_residual(prob.objective, prob.constraints, u, pi, np.zeros(2), params)
-        r_unc = stationarity_residual(prob.objective, u, pi, params)
+        r_unc = stationarity_residual(prob.objective.jacobian(u), u, pi, params)
         assert np.allclose(r_con, r_unc, atol=1e-15)
 
     def test_multiplier_cancels_gradient(self):
@@ -96,10 +96,11 @@ class TestConstrainedPreconditioner:
         prob = example1()
         params = ex1_params()
         u = np.array([0.0, 1.0])  # k = (1, 1): inactive
-        from hopfront.solver import lm_matrix
-
-        B = constrained_preconditioner(prob.objective, prob.constraints, u, params, 1e-3)
-        assert np.array_equal(B, lm_matrix(prob.objective, u, params))
+        J = prob.objective.jacobian(u)
+        active = prob.constraints.value(u) <= 1e-3
+        B = preconditioner(J, params, prob.constraints.jacobian(u)[active])
+        assert not active.any()
+        assert np.array_equal(B, preconditioner(J, params))
 
     def test_all_active_three_term_sum(self):
         prob = example1()
@@ -108,7 +109,9 @@ class TestConstrainedPreconditioner:
         J = prob.objective.jacobian(u)
         Jk = prob.constraints.jacobian(u)
         expected = 0.11 * np.eye(2) + J.T @ J + Jk.T @ Jk
-        B = constrained_preconditioner(prob.objective, prob.constraints, u, params, 1e-3)
+        active = prob.constraints.value(u) <= 1e-3
+        assert active.all()
+        B = preconditioner(J, params, Jk[active])
         assert np.allclose(B, expected, atol=1e-14)
         eigs = np.linalg.eigvalsh(B)
         assert eigs.min() >= 0.11 - 1e-12
@@ -189,7 +192,7 @@ class TestMultiplierEstimate:
         params = HopfLaxParams(x=np.zeros(d), tau=np.zeros(1), alpha=1.0, c=0.1, mu=0.01)
         u = np.array([0.0, 0.5, 1.0])  # lower face, free, upper face
         pi = np.array([1.0])
-        F = stationarity_residual(f, u, pi, params)
+        F = stationarity_residual(f.jacobian(u), u, pi, params)
         nu = multiplier_estimate(f, k, u, pi, params)
         assert nu[0] == pytest.approx(max(F[0], 0.0))   # lower face row is +e_0
         assert nu[3 + 2] == pytest.approx(max(-F[2], 0.0))  # upper face row is -e_2
@@ -200,8 +203,8 @@ class TestMeritPsiK:
     def test_zero_at_bound_kkt_point(self):
         f = identity_objective()
         k = halfline_constraint()
-        psi = merit_psi_k(f, k, WeightedSum([1.0]), np.array([0.0]), np.array([1.0]),
-                          np.array([1.0]), scalar_params(), 0.5, 0.5)
+        psi = merit_psi(f, WeightedSum([1.0]), np.array([0.0]), np.array([1.0]), scalar_params(), 0.5,
+                        k, np.array([1.0]), 0.5)
         assert psi == pytest.approx(0.0, abs=1e-28)
 
     def test_interior_zero_multiplier_matches_unconstrained(self, rng):
@@ -210,7 +213,7 @@ class TestMeritPsiK:
         g = SoftMax(0.1, 2)
         u = np.array([0.0, 1.0])
         pi = rng.dirichlet([1, 1])
-        psi_k = merit_psi_k(prob.objective, prob.constraints, g, u, pi, np.zeros(2), params, 0.5, 0.5)
+        psi_k = merit_psi(prob.objective, g, u, pi, params, 0.5, prob.constraints, np.zeros(2), 0.5)
         psi = merit_psi(prob.objective, g, u, pi, params, 0.5)
         assert psi_k == psi
 
@@ -238,7 +241,7 @@ class TestMeritPsiK:
                 + float(disp @ disp) / (2 * rho**2)
                 + float(nu_disp @ nu_disp) / (2 * sigma**2)
             )
-            got = merit_psi_k(prob.objective, prob.constraints, g, u, pi, nu, params, rho, sigma)
+            got = merit_psi(prob.objective, g, u, pi, params, rho, prob.constraints, nu, sigma)
             assert got == pytest.approx(expected, rel=1e-9)
 
 
@@ -249,7 +252,7 @@ class TestSolveConstrained:
         params = scalar_params(x=0.0)
         k = box_constraints(np.array([-1e3]), np.array([1e3]))
         unc = solve(f, g, params, SolverConfig(eps=1e-9))
-        con = solve_constrained(f, k, g, params, ConstrainedSolverConfig(eps=1e-9))
+        con = solve(f, g, params, SolverConfig(eps=1e-9), constraints=k)
         assert unc.converged and con.converged
         assert abs(unc.u_star[0] - con.u_star[0]) <= 1e-8
         assert np.linalg.norm(con.nu_star) <= 1e-8
@@ -257,8 +260,7 @@ class TestSolveConstrained:
     def test_active_bound_multiplier(self):
         f = identity_objective()
         g = WeightedSum([1.0])
-        res = solve_constrained(f, halfline_constraint(), g, scalar_params(x=0.0),
-                                ConstrainedSolverConfig(eps=1e-9))
+        res = solve(f, g, scalar_params(x=0.0), SolverConfig(eps=1e-9), constraints=halfline_constraint())
         assert res.converged
         assert abs(res.u_star[0]) <= 1e-9
         assert res.nu_star[0] == pytest.approx(1.0, abs=1e-8)
@@ -270,7 +272,7 @@ class TestSolveConstrained:
         g = WeightedSum([1.0])
         params = scalar_params(x=1.0)
         unc = solve(f, g, params)
-        con = solve_constrained(f, empty_constraint(), g, params, ConstrainedSolverConfig())
+        con = solve(f, g, params, SolverConfig(), constraints=empty_constraint())
         assert unc.u_star.tobytes() == con.u_star.tobytes()
         assert unc.pi_star.tobytes() == con.pi_star.tobytes()
         assert unc.merit_history == con.merit_history
@@ -280,8 +282,8 @@ class TestSolveConstrained:
     def test_ex1_boundary_solution_with_reference_params(self):
         prob = example1()
         g = SoftMax(0.1, 2)
-        cfg = ConstrainedSolverConfig(mode="projected_gradient")
-        res = solve_constrained(prob.objective, prob.constraints, g, ex1_params(tau=(0.0, 0.0)), cfg)
+        cfg = SolverConfig()
+        res = solve(prob.objective, g, ex1_params(tau=(0.0, 0.0)), cfg, constraints=prob.constraints)
         assert res.converged
         assert res.residual_history[-1] <= 1e-4  # variational-inequality residual
         assert abs(res.u_star[1] - res.u_star[0] ** 2) <= 1e-6
@@ -298,15 +300,14 @@ class TestSolveConstrained:
         f = identity_objective()
         k = ConstraintSet(1, 1, lambda u: u.copy(), lambda u: np.array([[1.0]]))
         with pytest.raises(ValueError):
-            solve_constrained(f, k, WeightedSum([1.0]), scalar_params(x=0.0),
-                              ConstrainedSolverConfig(), u0=np.array([-1.0]))
+            solve(f, WeightedSum([1.0]), scalar_params(x=0.0), u0=np.array([-1.0]), constraints=k)
 
     def test_dual_ascent_path_without_projector(self):
         # feasible start, no projector: the ascent channel carries nu
         f = identity_objective()
         k = ConstraintSet(1, 1, lambda u: u.copy(), lambda u: np.array([[1.0]]))
-        res = solve_constrained(f, k, WeightedSum([1.0]), scalar_params(x=0.0),
-                                ConstrainedSolverConfig(eps=1e-7), u0=np.array([2.0]))
+        res = solve(f, WeightedSum([1.0]), scalar_params(x=0.0), SolverConfig(eps=1e-7),
+                    u0=np.array([2.0]), constraints=k)
         assert res.converged
         assert abs(res.u_star[0]) <= 1e-5
         assert res.nu_star[0] == pytest.approx(1.0, abs=1e-5)
@@ -325,27 +326,16 @@ class TestSolveConstrained:
 
         f = VectorObjective(2, 2, recording, prob.objective.jac)
         g = SoftMax(0.1, 2)
-        cfg = ConstrainedSolverConfig(mode="projected_gradient")
-        res = solve_constrained(f, prob.constraints, g, ex1_params(tau=(4.0, -4.0)), cfg)
+        res = solve(f, g, ex1_params(tau=(4.0, -4.0)), constraints=prob.constraints)
         assert res.converged
         ks = np.array([prob.constraints.value(u) for u in seen])
         assert ks.min() >= -1e-6
 
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            ConstrainedSolverConfig(mode="newton")
-        f = identity_objective()
-        k = ConstraintSet(1, 1, lambda u: u.copy(), lambda u: np.array([[1.0]]))
-        with pytest.raises(ValueError):
-            solve_constrained(f, k, WeightedSum([1.0]), scalar_params(),
-                              ConstrainedSolverConfig(mode="projected_gradient"))
-
     def test_merit_history_non_increasing(self):
         prob = example1()
         g = SoftMax(0.1, 2)
-        cfg = ConstrainedSolverConfig(mode="projected_gradient")
         for tau in ((-8.0, 8.0), (2.0, -2.0), (10.0, -10.0)):
-            res = solve_constrained(prob.objective, prob.constraints, g, ex1_params(tau=tau), cfg)
+            res = solve(prob.objective, g, ex1_params(tau=tau), constraints=prob.constraints)
             diffs = np.diff(res.merit_history)
             assert diffs.size == 0 or diffs.max() <= 1e-12
 
@@ -367,7 +357,7 @@ class TestSolveConstrained:
                             lambda u: np.array([[-1.0, 0.0], [0.0, -1.0]]))
         g = SoftMax(0.1, 2)
         params = HopfLaxParams(x=np.zeros(2), tau=np.array([1.0, -1.0]), alpha=1.0, c=0.1, mu=0.01)
-        res = solve_constrained(f, disc, g, params, ConstrainedSolverConfig(mode="projected_gradient"))
+        res = solve(f, g, params, constraints=disc)
         assert res.converged
         # both objectives pull outward, so the disc boundary is active
         assert np.linalg.norm(res.u_star) == pytest.approx(1.0, abs=1e-6)

@@ -12,6 +12,7 @@ from hopfront.core import (
     SoftMax,
     VectorObjective,
     WeightedSum,
+    as_vector,
     jacobian_check,
 )
 
@@ -24,6 +25,17 @@ def fd_gradient(fun, y, h=1e-6):
         e[i] = h
         grad[i] = (fun(y + e) - fun(y - e)) / (2 * h)
     return grad
+
+
+class TestAsVector:
+    def test_huge_finite_accepted_nonfinite_rejected(self):
+        # the sum of these entries overflows although every entry is finite
+        v = as_vector([1e308, 1e308], 2)
+        assert v.tolist() == [1e308, 1e308]
+        assert as_vector([-1e308, -1e308, 1.0]).shape == (3,)
+        for bad in ([np.nan, 0.0], [np.inf, 1.0], [1e308, np.inf], [-np.inf, np.inf]):
+            with pytest.raises(ValueError):
+                as_vector(bad)
 
 
 class TestPreferenceValues:

@@ -3,6 +3,7 @@ import pytest
 
 from hopfront.core import (
     CertificationError,
+    Chebyshev,
     HopfLaxParams,
     SoftMax,
     VectorObjective,
@@ -15,8 +16,9 @@ from hopfront.solver import (
     dual_update_pi,
     gap_and_bound,
     merit_psi,
-    primal_update_u,
+    preconditioner,
     solve,
+    spd_solve,
     stationarity_residual,
 )
 
@@ -58,12 +60,13 @@ class TestDualUpdate:
         assert pi_next == pytest.approx(1.0)
 
     def test_prox_path_stays_in_simplex(self, rng):
+        # a non-smooth scalarizer takes the proximal step on the conjugate
         f = VectorObjective(1, 2, lambda u: np.array([u[0], -u[0]]), lambda u: np.array([[1.0], [-1.0]]))
-        g = SoftMax(0.1, 2)
+        g = Chebyshev([1.0, 1.0])
         params = HopfLaxParams(x=np.zeros(1), tau=np.array([3.0, -3.0]), alpha=1.0, c=0.1, mu=0.01)
         pi = np.zeros(2)
         for _ in range(20):
-            pi, _ = dual_update_pi(f, g, rng.normal(size=1), pi, params, 0.5, force_prox=True)
+            pi, _ = dual_update_pi(f, g, rng.normal(size=1), pi, params, 0.5)
             assert np.all(pi >= -1e-15)
             assert abs(pi.sum() - 1.0) <= 1e-9
 
@@ -75,12 +78,14 @@ def scalar_E():
 class TestStationarityResidual:
     def test_forced_kkt_point(self):
         f = identity_objective()
-        r = stationarity_residual(f, np.array([0.0]), np.array([1.0]), scalar_params(x=1.0))
+        u = np.array([0.0])
+        r = stationarity_residual(f.jacobian(u), u, np.array([1.0]), scalar_params(x=1.0))
         assert r == pytest.approx(0.0)
 
     def test_linear_arithmetic(self):
         f = identity_objective()
-        r = stationarity_residual(f, np.array([1.0]), np.array([1.0]), scalar_params(x=1.0))
+        u = np.array([1.0])
+        r = stationarity_residual(f.jacobian(u), u, np.array([1.0]), scalar_params(x=1.0))
         assert r == pytest.approx(2.0)
 
     def test_matches_hand_rolled_formula(self, rng):
@@ -90,19 +95,27 @@ class TestStationarityResidual:
             u = rng.uniform(0, 1, size=2)
             pi = rng.uniform(0, 1, size=2)
             expected = f.jacobian(u).T @ pi + 0.01 * u + 0.1 * 1.0 * u - 0.1 * np.zeros(2)
-            assert np.allclose(stationarity_residual(f, u, pi, params), expected, atol=1e-14)
+            assert np.allclose(stationarity_residual(f.jacobian(u), u, pi, params), expected, atol=1e-14)
+
+
+def lm_step(f, u, pi, params):
+    # one undamped Levenberg-Marquardt step u - B^-1 r, built from the
+    # residual and preconditioner the solver's LM refinement uses
+    J = f.jacobian(u)
+    r = stationarity_residual(J, u, pi, params)
+    return u - spd_solve(preconditioner(J, params), r), float(np.linalg.norm(r))
 
 
 class TestPrimalUpdate:
     def test_scalar_closed_form_step(self):
         f = identity_objective()
-        u_next, r_norm = primal_update_u(f, np.array([1.0]), np.array([1.0]), scalar_params(x=1.0), 1.0)
+        u_next, r_norm = lm_step(f, np.array([1.0]), np.array([1.0]), scalar_params(x=1.0))
         assert r_norm == pytest.approx(2.0)
         assert u_next[0] == pytest.approx(1.0 / 3.0)
 
     def test_fixed_point_when_residual_zero(self):
         f = identity_objective()
-        u_next, r_norm = primal_update_u(f, np.array([0.0]), np.array([1.0]), scalar_params(x=1.0), 1.0)
+        u_next, r_norm = lm_step(f, np.array([0.0]), np.array([1.0]), scalar_params(x=1.0))
         assert r_norm == pytest.approx(0.0)
         assert u_next[0] == pytest.approx(0.0, abs=1e-15)
 
@@ -119,13 +132,13 @@ class TestPrimalUpdate:
         det = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
         Binv = np.array([[B[1, 1], -B[0, 1]], [-B[1, 0], B[0, 0]]]) / det
         expected = u - Binv @ r
-        u_next, _ = primal_update_u(f, u, pi, params, 1.0)
+        u_next, _ = lm_step(f, u, pi, params)
         assert np.allclose(u_next, expected, atol=1e-12)
 
     def test_eta_validation(self):
-        f = identity_objective()
-        with pytest.raises(ValueError):
-            primal_update_u(f, np.array([0.0]), np.array([1.0]), scalar_params(), 1.5)
+        for eta in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                SolverConfig(eta=eta)
 
 
 class TestMerit:
@@ -216,19 +229,7 @@ class TestSolve:
         assert base <= 1e-16
         assert bumped > 1e-4
 
-    def test_forced_prox_dual_path_converges_to_simplex(self):
-        f = VectorObjective(1, 2, lambda u: np.array([u[0] ** 2, (u[0] - 1.0) ** 2]),
-                            lambda u: np.array([[2.0 * u[0]], [2.0 * (u[0] - 1.0)]]))
-        g = SoftMax(0.1, 2)
-        params = HopfLaxParams(x=np.zeros(1), tau=np.array([1.0, -1.0]), alpha=1.0, c=0.1, mu=0.01)
-        res = solve(f, g, params, SolverConfig(dual_via_prox=True))
-        assert res.converged
-        assert np.all(res.pi_star >= -1e-12)
-        assert res.pi_star.sum() == pytest.approx(1.0, abs=1e-9)
-
     def test_chebyshev_scalarizer_runs_through_prox_path(self):
-        from hopfront.core import Chebyshev
-
         f = VectorObjective(1, 2, lambda u: np.array([u[0] ** 2, (u[0] - 1.0) ** 2]),
                             lambda u: np.array([[2.0 * u[0]], [2.0 * (u[0] - 1.0)]]))
         g = Chebyshev([1.0, 1.0])
@@ -249,6 +250,11 @@ class TestSolve:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             solve(identity_objective(), WeightedSum([1.0, 1.0]), scalar_params())
+        from hopfront.constrained import box_constraints
+
+        with pytest.raises(ValueError):
+            solve(identity_objective(), WeightedSum([1.0]), scalar_params(),
+                  constraints=box_constraints(np.zeros(2), np.ones(2)))
 
     def test_scale_consistency_under_rotation(self):
         # minimizing ell(Q u) from state Q^T x reproduces Q^T u*
