@@ -8,6 +8,7 @@ CSV reconstructs the run bit for bit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -61,32 +62,30 @@ def _use_color():
     return sys.stdout.isatty() and not os.environ.get("NO_COLOR")
 
 
+def _columns(prefix, n):
+    return [f"{prefix}_{i+1}" for i in range(n)]
+
+
+def _write_csv(path, cols, rows):
+    lines = [",".join(cols)] + [",".join(_fmt(v) for v in row) for row in rows]
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
 def write_front_csv(path, front):
     d = front.samples[0].u.shape[0]
     n_obj = front.samples[0].objectives.shape[0]
     cols = (
-        ["sample_index", "t"]
-        + [f"tau_{i+1}" for i in range(n_obj)]
-        + [f"u_{i+1}" for i in range(d)]
-        + [f"ell_{i+1}" for i in range(n_obj)]
-        + [f"pi_{i+1}" for i in range(n_obj)]
-        + [f"E_{i+1}" for i in range(n_obj)]
+        ["sample_index", "t"] + _columns("tau", n_obj) + _columns("u", d)
+        + _columns("ell", n_obj) + _columns("pi", n_obj) + _columns("E", n_obj)
         + ["residual", "iterations", "converged", "gap", "bregman_bound"]
     )
-    lines = [",".join(cols)]
-    for s in front.samples:
-        row = (
-            [_fmt(s.index), _fmt(s.t)]
-            + [_fmt(v) for v in s.tau]
-            + [_fmt(v) for v in s.u]
-            + [_fmt(v) for v in s.objectives]
-            + [_fmt(v) for v in s.pi]
-            + [_fmt(v) for v in s.E]
-            + [_fmt(s.residual), _fmt(s.iterations), _fmt(s.converged), _fmt(s.gap), _fmt(s.bregman_bound)]
-        )
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    rows = (
+        [s.index, s.t, *s.tau, *s.u, *s.objectives, *s.pi, *s.E,
+         s.residual, s.iterations, s.converged, s.gap, s.bregman_bound]
+        for s in front.samples
+    )
+    _write_csv(path, cols, rows)
 
 
 def read_front_csv(path):
@@ -111,15 +110,10 @@ def read_front_csv(path):
 
 
 def write_cloud_csv(path, cloud):
-    d = cloud.points_u.shape[1]
-    n_obj = cloud.points_obj.shape[1]
-    cols = ["sample_index"] + [f"u_{i+1}" for i in range(d)] + [f"ell_{i+1}" for i in range(n_obj)]
-    lines = [",".join(cols)]
-    for i in range(len(cloud)):
-        row = [str(i)] + [_fmt(v) for v in cloud.points_u[i]] + [_fmt(v) for v in cloud.points_obj[i]]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    cols = (["sample_index"] + _columns("u", cloud.points_u.shape[1])
+            + _columns("ell", cloud.points_obj.shape[1]))
+    rows = ([i, *u, *y] for i, (u, y) in enumerate(zip(cloud.points_u, cloud.points_obj)))
+    _write_csv(path, cols, rows)
 
 
 def _svg_color(t):
@@ -131,8 +125,9 @@ def _svg_color(t):
 
 
 def write_scatter_svg(path, layers, title, xlabel="objective 1", ylabel="objective 2"):
-    """Minimal scatter plot: layers are dicts with keys
-    points (n, 2), label, style in {line, dots, colored}, color."""
+    """Minimal scatter plot: layers are dicts with keys points (n, 2), label
+    and style; a "line" layer also takes color and dash, a "colored" layer
+    shades its points along the path parameter."""
     W, H = 640, 480
     ml, mr, mt, mb = 60, 20, 30, 45
     pts = np.concatenate([np.asarray(l["points"], dtype=float) for l in layers if len(l["points"])])
@@ -173,9 +168,8 @@ def write_scatter_svg(path, layers, title, xlabel="objective 1", ylabel="objecti
         P = np.asarray(layer["points"], dtype=float)
         if len(P) == 0:
             continue
-        style = layer.get("style", "dots")
-        color = layer.get("color", "#333333")
-        if style == "line":
+        if layer["style"] == "line":
+            color = layer["color"]
             coords = " ".join(f"{sx(p[0]):.2f},{sy(p[1]):.2f}" for p in P)
             parts.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1" '
@@ -183,20 +177,14 @@ def write_scatter_svg(path, layers, title, xlabel="objective 1", ylabel="objecti
             )
             for p in P:
                 parts.append(f'<circle cx="{sx(p[0]):.2f}" cy="{sy(p[1]):.2f}" r="1.5" fill="{color}"/>')
-        elif style == "colored":
+        else:
+            color = _svg_color(0.5)
             n = max(len(P) - 1, 1)
             for j, p in enumerate(P):
                 parts.append(
                     f'<circle cx="{sx(p[0]):.2f}" cy="{sy(p[1]):.2f}" r="3" fill="{_svg_color(j/n)}"/>'
                 )
-        else:
-            for p in P:
-                parts.append(f'<circle cx="{sx(p[0]):.2f}" cy="{sy(p[1]):.2f}" r="3" fill="{color}"/>')
-        parts.append(
-            f'<rect x="{W-mr-150}" y="{legend_y-8}" width="10" height="10" fill="{color}"/>'
-            if style != "colored"
-            else f'<rect x="{W-mr-150}" y="{legend_y-8}" width="10" height="10" fill="{_svg_color(0.5)}"/>'
-        )
+        parts.append(f'<rect x="{W-mr-150}" y="{legend_y-8}" width="10" height="10" fill="{color}"/>')
         parts.append(
             f'<text x="{W-mr-135}" y="{legend_y}" font-size="10">{layer["label"]}</text>'
         )
@@ -206,68 +194,94 @@ def write_scatter_svg(path, layers, title, xlabel="objective 1", ylabel="objecti
         handle.write("\n".join(parts) + "\n")
 
 
+def _float_list(text):
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}")
+
+
+def _pair_list(text):
+    try:
+        return [[int(i), int(j)] for i, j in (chunk.split(":") for chunk in text.split(","))]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of i:j pairs: {text!r}")
+
+
 def _add_common(p):
+    # Every dest is a SolverConfig field, a sweep() keyword or a manifest
+    # key under the same name, so no map translates between them.
+    defaults = SolverConfig()
     p.add_argument("--problem", required=True, help="problem id (%s)" % ", ".join(problem_ids()))
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--maxit", type=int)
+    p.add_argument("--alpha", type=float, help="default: the problem's")
+    p.add_argument("--c", type=float, help="default: the problem's")
+    p.add_argument("--mu", type=float, help="default: the problem's")
+    p.add_argument("--rho", type=float, default=defaults.rho)
+    p.add_argument("--sigma", type=float, default=defaults.sigma)
+    p.add_argument("--eta", type=float, default=defaults.eta)
+    p.add_argument("--eps", type=float, default=defaults.eps)
+    p.add_argument("--maxit", dest="maxit_outer", type=int, default=defaults.maxit_outer)
     p.add_argument("--pref-eps", type=float, default=0.1, help="softmax sharpness")
-    p.add_argument("--no-safeguard", action="store_true")
+    p.add_argument("--no-safeguard", dest="safeguard", action="store_false")
+
+
+def _add_reference(p, mc):
+    p.add_argument("--grid", type=int, help="reference grid resolution (2-D problems)")
+    p.add_argument("--mc", type=int, default=mc, help="reference Monte Carlo sample count")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--weights", type=int, default=16, help="envelope weight count")
+    p.add_argument("--out", help="output directory (default: cwd)")
 
 
 def _build_cfg(args):
-    overrides = {}
-    if args.rho is not None:
-        overrides["rho"] = args.rho
-    if args.eta is not None:
-        overrides["eta"] = args.eta
-    if args.eps is not None:
-        overrides["eps"] = args.eps
-    if args.maxit is not None:
-        overrides["maxit_outer"] = args.maxit
-    if args.sigma is not None:
-        overrides["sigma"] = args.sigma
-    if args.no_safeguard:
-        overrides["safeguard"] = False
-    return SolverConfig(**overrides)
+    return SolverConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)})
 
 
-def _hopf_lax_value(args, problem, name):
+def _resolve_hopf_lax(args, problem):
     # an explicit flag wins, 0 included, so HopfLaxParams can reject it
-    value = getattr(args, name)
-    return getattr(problem, name) if value is None else value
+    for name in ("alpha", "c", "mu"):
+        if getattr(args, name) is None:
+            setattr(args, name, getattr(problem, name))
 
 
-def _vector_arg(text, n, name):
-    try:
-        vals = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise _UsageError(f"could not parse {name}: {text!r}")
+def _vector_arg(vals, n, name):
     if len(vals) == 1 and n > 1:
         vals = vals * n
     if len(vals) != n:
         raise _UsageError(f"{name} must have {n} components")
-    return np.array(vals)
+    return vals
+
+
+def _reference(problem, args):
+    """Base cloud, its strong nondominated subset and the convex envelope."""
+    if args.grid is not None:
+        base = sample_cloud(problem, grid=args.grid)
+    else:
+        base = sample_cloud(problem, mc=args.mc, seed=args.seed)
+    reference = greedy_pareto_filter(base, mode="strong")
+    envelope = convex_envelope_front(problem, n_weights=args.weights, base_cloud=base)
+    return base, reference, envelope
+
+
+def _write_manifest(outdir, args, **fields):
+    # params is the resolved namespace: replaying it as parser defaults
+    # repeats the run
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "command", "config", "out")}
+    manifest = {"command": args.command, "problem": args.problem, "version": __version__,
+                "params": params, **fields}
+    with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def cmd_solve(args):
     problem = get_problem(args.problem)
     n_obj = problem.objective.dim_obj
-    tau = _vector_arg(args.tau, n_obj, "--tau")
-    g = SoftMax(args.pref_eps, n_obj)
-    params = HopfLaxParams(
-        x=problem.x,
-        tau=tau,
-        alpha=_hopf_lax_value(args, problem, "alpha"),
-        c=_hopf_lax_value(args, problem, "c"),
-        mu=_hopf_lax_value(args, problem, "mu"),
-    )
-    res = solve(problem.objective, g, params, _build_cfg(args), constraints=problem.constraints)
+    _resolve_hopf_lax(args, problem)
+    params = HopfLaxParams(x=problem.x, tau=_vector_arg(args.tau, n_obj, "--tau"),
+                           alpha=args.alpha, c=args.c, mu=args.mu)
+    res = solve(problem.objective, SoftMax(args.pref_eps, n_obj), params, _build_cfg(args),
+                constraints=problem.constraints)
     out = {
         "problem": problem.id,
         "converged": bool(res.converged),
@@ -290,35 +304,25 @@ def cmd_solve(args):
 def cmd_sweep(args):
     problem = get_problem(args.problem)
     n_obj = problem.objective.dim_obj
-    g = SoftMax(args.pref_eps, n_obj)
-    cfg = _build_cfg(args)
-    alpha, c, mu = (_hopf_lax_value(args, problem, name) for name in ("alpha", "c", "mu"))
+    _resolve_hopf_lax(args, problem)
+    # each endpoint defaults to the problem's own, independently of the other
+    args.tau_start = _vector_arg(args.tau_start or problem.tau_start.tolist(), n_obj, "--tau-start")
+    args.tau_end = _vector_arg(args.tau_end or problem.tau_end.tolist(), n_obj, "--tau-end")
+    for p, q in args.pairs:
+        if not (1 <= p <= n_obj and 1 <= q <= n_obj):
+            raise _UsageError(f"--pairs index outside 1..{n_obj}: {p}:{q}")
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     if not os.access(outdir, os.W_OK):
         print(f"error: output directory {outdir!r} not writable", file=sys.stderr)
         return 1
 
-    path = TauPath(problem.tau_start, problem.tau_end, args.n)
-    if args.tau_start and args.tau_end:
-        path = TauPath(
-            _vector_arg(args.tau_start, n_obj, "--tau-start"),
-            _vector_arg(args.tau_end, n_obj, "--tau-end"),
-            args.n,
-        )
-
-    reference = envelope = None
-    cert_cloud = None
+    reference = envelope = cert_cloud = None
     if args.compare:
         t_ref = time.perf_counter()
-        if args.grid:
-            base = sample_cloud(problem, grid=args.grid)
-        else:
-            base = sample_cloud(problem, mc=args.mc or 20000, seed=args.seed)
-        reference = greedy_pareto_filter(base, mode="strong")
-        envelope = convex_envelope_front(problem, n_weights=args.weights, base_cloud=base)
-        cert_cloud = certification_cloud(problem, mc=args.mc or 20000, seed=args.seed)
-        if problem.objective.dim_obj == 2:
+        _, reference, envelope = _reference(problem, args)
+        cert_cloud = certification_cloud(problem, mc=args.mc, seed=args.seed)
+        if n_obj == 2:
             # shifted-scalarization minima live on the nondominated subset
             cert_cloud = greedy_pareto_filter(cert_cloud, mode="strong")
         ref_seconds = time.perf_counter() - t_ref
@@ -326,13 +330,13 @@ def cmd_sweep(args):
     start = time.perf_counter()
     front = sweep(
         problem,
-        g,
-        alpha=alpha,
-        c=c,
-        mu=mu,
-        path=path,
-        cfg=cfg,
-        warm_start=not args.cold_start,
+        SoftMax(args.pref_eps, n_obj),
+        alpha=args.alpha,
+        c=args.c,
+        mu=args.mu,
+        path=TauPath(args.tau_start, args.tau_end, args.n),
+        cfg=_build_cfg(args),
+        warm_start=args.warm_start,
         reference=cert_cloud,
     )
     duration = time.perf_counter() - start
@@ -345,13 +349,8 @@ def cmd_sweep(args):
         fwd, bwd, haus = front_distance(converged_pts, reference.points_obj)
         print(f"front distance forward={fwd!r} backward={bwd!r} hausdorff={haus!r}")
 
-    pairs = [(0, 1)]
-    if args.pairs:
-        pairs = []
-        for chunk in args.pairs.split(","):
-            i, j = chunk.split(":")
-            pairs.append((int(i) - 1, int(j) - 1))
-    for i, j in pairs:
+    for p, q in args.pairs:
+        i, j = p - 1, q - 1
         layers = []
         if reference is not None:
             order = np.argsort(reference.points_obj[:, i])
@@ -371,51 +370,18 @@ def cmd_sweep(args):
             )
         if not layers:
             continue
-        name = "front.svg" if (len(pairs) == 1 and pairs == [(0, 1)]) else f"front_{i+1}_{j+1}.svg"
+        name = "front.svg" if args.pairs == [[1, 2]] else f"front_{p}_{q}.svg"
         write_scatter_svg(
             os.path.join(outdir, name),
             layers,
             title=f"{problem.id}: traced front",
-            xlabel=f"objective {i+1}",
-            ylabel=f"objective {j+1}",
+            xlabel=f"objective {p}",
+            ylabel=f"objective {q}",
         )
 
-    manifest = {
-        "command": "sweep",
-        "problem": problem.id,
-        "version": __version__,
-        "params": {
-            "alpha": alpha,
-            "c": c,
-            "mu": mu,
-            "rho": cfg.rho,
-            "sigma": cfg.sigma,
-            "eta": cfg.eta,
-            "eps": cfg.eps,
-            "maxit_outer": cfg.maxit_outer,
-            "active_threshold": cfg.active_threshold,
-            "safeguard": cfg.safeguard,
-            "pref": {"kind": "softmax", "eps": args.pref_eps},
-            "n": args.n,
-            "tau_start": path.start.tolist(),
-            "tau_end": path.end.tolist(),
-            "warm_start": not args.cold_start,
-            "seed": args.seed,
-            "compare": args.compare,
-            "grid": args.grid,
-            "mc": args.mc,
-            "weights": args.weights,
-        },
-        "duration_s": duration,
-        "converged": front.converged_count(),
-        "total": len(front.samples),
-    }
-    if args.compare:
-        manifest["reference_seconds"] = ref_seconds
-    with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
+    timings = {"reference_seconds": ref_seconds} if args.compare else {}
+    _write_manifest(outdir, args, duration_s=duration, converged=front.converged_count(),
+                    total=len(front.samples), **timings)
     print(
         f"swept {len(front.samples)} samples ({front.converged_count()} converged) "
         f"in {duration:.3f}s -> {front_csv}"
@@ -427,29 +393,14 @@ def cmd_oracle(args):
     problem = get_problem(args.problem)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
-    if args.grid is None and (args.mc is None or args.mc <= 0):
+    if args.grid is None and args.mc is None:
         print("error: empty reference (need --grid R or --mc COUNT > 0)", file=sys.stderr)
         return 1
-    if args.grid:
-        base = sample_cloud(problem, grid=args.grid)
-    else:
-        base = sample_cloud(problem, mc=args.mc, seed=args.seed)
-    reference = greedy_pareto_filter(base, mode="strong")
-    envelope = convex_envelope_front(problem, n_weights=args.weights, base_cloud=base)
+    base, reference, envelope = _reference(problem, args)
     write_cloud_csv(os.path.join(outdir, "reference.csv"), reference)
     write_cloud_csv(os.path.join(outdir, "envelope.csv"), envelope)
-    manifest = {
-        "command": "oracle",
-        "problem": problem.id,
-        "version": __version__,
-        "params": {"grid": args.grid, "mc": args.mc, "seed": args.seed, "weights": args.weights},
-        "reference_size": len(reference),
-        "envelope_size": len(envelope),
-        "source": base.source,
-    }
-    with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_manifest(outdir, args, reference_size=len(reference), envelope_size=len(envelope),
+                    source=base.source)
     print(f"reference front: {len(reference)} points; envelope: {len(envelope)} points")
     return 0
 
@@ -527,84 +478,59 @@ def build_parser():
 
     p_solve = sub.add_parser("solve", help="one solve at a fixed tau")
     _add_common(p_solve)
-    p_solve.add_argument("--tau", required=True, help="comma-separated tau, e.g. 0,0")
+    p_solve.add_argument("--tau", type=_float_list, required=True, help="comma-separated tau, e.g. 0,0")
     p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="trace the front along a tau path")
     _add_common(p_sweep)
+    _add_reference(p_sweep, mc=20000)
     p_sweep.add_argument("--n", type=int, default=100)
-    p_sweep.add_argument("--out", help="output directory (default: cwd)")
     p_sweep.add_argument("--compare", action="store_true", help="also build reference/envelope")
-    p_sweep.add_argument("--grid", type=int, help="reference grid resolution (2-D problems)")
-    p_sweep.add_argument("--mc", type=int, help="reference Monte Carlo sample count")
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--weights", type=int, default=16, help="envelope weight count")
-    p_sweep.add_argument("--pairs", help="objective pairs for SVGs, e.g. 1:2,3:4")
-    p_sweep.add_argument("--tau-start")
-    p_sweep.add_argument("--tau-end")
-    p_sweep.add_argument("--cold-start", action="store_true")
+    p_sweep.add_argument("--pairs", type=_pair_list, default=[[1, 2]],
+                         help="objective pairs for SVGs, e.g. 1:2,3:4")
+    p_sweep.add_argument("--tau-start", type=_float_list, help="default: the problem's")
+    p_sweep.add_argument("--tau-end", type=_float_list, help="default: the problem's")
+    p_sweep.add_argument("--cold-start", dest="warm_start", action="store_false")
     p_sweep.add_argument("--config", help="JSON manifest to take parameter defaults from")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="brute-force reference and envelope fronts")
     p_oracle.add_argument("--problem", required=True)
-    p_oracle.add_argument("--grid", type=int)
-    p_oracle.add_argument("--mc", type=int)
-    p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--weights", type=int, default=16)
-    p_oracle.add_argument("--out")
+    _add_reference(p_oracle, mc=None)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_check = sub.add_parser("check", help="run the certificate suite")
     p_check.set_defaults(func=cmd_check)
 
-    return parser
+    return parser, p_sweep
 
 
-def _apply_config(argv):
-    # The manifest supplies defaults. They go in right after the subcommand,
-    # so an explicit flag, in either "--c 0.5" or "--c=0.5" form, comes
-    # later and wins.
-    if "--config" not in argv:
+def _replay_config(argv, p_sweep):
+    # The manifest's params become the sweep parser's defaults, so a flag
+    # given on the command line wins by argparse's own rule. --problem is
+    # required, which a default does not satisfy; it goes in first, where a
+    # later --problem overrides it.
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return argv
-    idx = argv.index("--config")
-    with open(argv[idx + 1], encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle:
         manifest = json.load(handle)
     params = manifest.get("params", {})
-    injected = []
-    flag_map = {
-        "alpha": "--alpha", "c": "--c", "mu": "--mu", "rho": "--rho", "sigma": "--sigma",
-        "eta": "--eta", "eps": "--eps", "maxit_outer": "--maxit", "n": "--n",
-        "seed": "--seed", "grid": "--grid", "mc": "--mc", "weights": "--weights",
-    }
-    for key, flag in flag_map.items():
-        val = params.get(key)
-        if val is not None:
-            injected.append(f"{flag}={val}")  # '=' form keeps negative values intact
-    if "tau_start" in params:
-        injected.append("--tau-start=" + ",".join(repr(v) for v in params["tau_start"]))
-    if "tau_end" in params:
-        injected.append("--tau-end=" + ",".join(repr(v) for v in params["tau_end"]))
-    pref_eps = params.get("pref", {}).get("eps")
-    if pref_eps is not None:
-        injected.append(f"--pref-eps={pref_eps!r}")
-    if params.get("warm_start") is False:
-        injected.append("--cold-start")
-    if params.get("safeguard") is False:
-        injected.append("--no-safeguard")
-    if params.get("compare"):
-        injected.append("--compare")
-    if "problem" in manifest:
-        injected.append("--problem=" + manifest["problem"])
-    return argv[:1] + injected + argv[1:]
+    known = {a.dest for a in p_sweep._actions}
+    unknown = sorted(set(params) - known)
+    if unknown:
+        raise _UsageError(f"{path}: params are not sweep flags: {', '.join(unknown)}")
+    p_sweep.set_defaults(**params)
+    return argv[:1] + ["--problem=" + manifest["problem"]] + argv[1:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, p_sweep = build_parser()
     try:
-        argv = _apply_config(argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_replay_config(argv, p_sweep))
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

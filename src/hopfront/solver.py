@@ -33,37 +33,40 @@ from .core import (
 # without masking genuine increases.
 _MERIT_SLACK = 1e-15
 
+# Inner-loop limits and line-search constants. No run sets them, so they are
+# fixed here rather than carried in SolverConfig.
+_MAXIT_INNER = 50  # LM refinement steps per outer iteration
+_BACKTRACK_FACTOR = 0.5  # primal step damping per safeguard trial
+_MAX_BACKTRACKS = 20  # safeguard trials per outer iteration, beyond one per theta
+_ACTIVE_THRESHOLD = 1e-3  # k(u) below this counts as nearly active
+_MAXIT_U = 200  # value-descent steps per inner solve
+_TOL_U = 1e-4  # value-descent move tolerance, tightened to 0.01 eps when smaller
+_LS_BETA = 0.5  # Armijo step reduction
+_LS_C1 = 1e-4  # Armijo sufficient-decrease constant
+
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The solver parameters a run sets: dual step ``rho``, primal damping
+    ``eta``, tolerance ``eps``, outer iteration limit ``maxit_outer``, the
+    merit ``safeguard`` and multiplier ascent step ``sigma``."""
+
     rho: float = 0.5
     eta: float = 1.0
     eps: float = 1e-5
     maxit_outer: int = 100
-    maxit_inner: int = 50
     safeguard: bool = True
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 20
     sigma: float = 0.5
-    active_threshold: float = 1e-3
-    maxit_u: int = 200
-    tol_u: float = 1e-4
-    ls_beta: float = 0.5
-    ls_c1: float = 1e-4
 
     def __post_init__(self):
         if not (0.0 < self.eta <= 1.0):
             raise ValueError("eta must lie in (0, 1]")
         if self.eps <= 0 or self.rho <= 0:
             raise ValueError("eps and rho must be positive")
-        if not (0.0 < self.backtrack_factor < 1.0):
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if self.maxit_outer < 1 or self.maxit_inner < 1 or self.max_backtracks < 0:
-            raise ValueError("iteration limits must be positive")
+        if self.maxit_outer < 1:
+            raise ValueError("maxit_outer must be positive")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if self.active_threshold < 0:
-            raise ValueError("active_threshold must be nonnegative")
 
 
 @dataclass(eq=False)
@@ -176,7 +179,7 @@ def merit_psi(f, g, u, pi, params, rho, k=None, nu=None, sigma=0.5) -> float:
     return term1 + term2 + float(nu_disp @ nu_disp) / (2.0 * sigma * sigma)
 
 
-def multiplier_estimate(f, k, u, pi, params, active_threshold=1e-3):
+def multiplier_estimate(f, k, u, pi, params):
     """Nonnegative least-squares multipliers over the nearly active set.
 
     Exact projection zeroes the ascent signal on active constraints, so the
@@ -185,7 +188,7 @@ def multiplier_estimate(f, k, u, pi, params, active_threshold=1e-3):
     """
     u = as_vector(u, f.dim_u, "u")
     nu = np.zeros(k.dim_con)
-    active = np.flatnonzero(k.value(u) <= active_threshold)
+    active = np.flatnonzero(k.value(u) <= _ACTIVE_THRESHOLD)
     if active.size == 0:
         return nu
     F = stationarity_residual(f.jacobian(u), u, pi, params)
@@ -226,10 +229,8 @@ def _inner_projected_gradient(f, g, k, u0, pi_new, params, cfg):
     stiff = params.mu + params.alpha * params.c
     cx = params.c * params.x
     gamma = 1.0 / stiff
-    move_tol = min(cfg.tol_u, 0.01 * cfg.eps)
+    move_tol = min(_TOL_U, 0.01 * cfg.eps)
     res_tol = 0.05 * cfg.eps
-    ls_beta = cfg.ls_beta
-    ls_c1 = cfg.ls_c1
     project = k.project if k is not None else (lambda u_: u_)
 
     def val(u):
@@ -239,7 +240,7 @@ def _inner_projected_gradient(f, g, k, u0, pi_new, params, cfg):
     fu = val(u)
     res = np.inf
     t_warm = 1.0  # accepted step carries over; curvature mismatch is persistent
-    for _ in range(cfg.maxit_u):
+    for _ in range(_MAXIT_U):
         J = f.jacobian(u)
         gvec = J.T @ g.gradient(f.value(u) + E) + stiff * u - cx
         res = float(np.linalg.norm(u - project(u - gamma * gvec))) / gamma
@@ -247,25 +248,25 @@ def _inner_projected_gradient(f, g, k, u0, pi_new, params, cfg):
             break
         if k is not None:
             Jk = k.jacobian(u)
-            active = k.value(u) <= cfg.active_threshold
+            active = k.value(u) <= _ACTIVE_THRESHOLD
             B = preconditioner(J, params, Jk[active])
             primary = _two_metric_step(k, u, gvec, B, Jk, active)
         else:
             primary = spd_solve(preconditioner(J, params), gvec)
         cand = fc = None
         for attempt, direction in enumerate((primary, gamma * gvec)):
-            t = min(1.0, t_warm / ls_beta) if attempt == 0 else 1.0
+            t = min(1.0, t_warm / _LS_BETA) if attempt == 0 else 1.0
             for _ in range(30):
                 trial = project(u - t * direction)
                 ft = val(trial)
                 step = trial - u
                 # projection-arc form of the Armijo sufficient decrease
-                if ft <= fu - ls_c1 * float(step @ step) / max(t, 1e-300):
+                if ft <= fu - _LS_C1 * float(step @ step) / max(t, 1e-300):
                     cand, fc = trial, ft
                     if attempt == 0:
                         t_warm = t
                     break
-                t *= ls_beta
+                t *= _LS_BETA
             if cand is not None:
                 break
         if cand is None:
@@ -292,8 +293,8 @@ def _refine_lm(f, k, u, pi, nu, params, eta, cfg, projector, nu_of=None, maxit=N
 
     u_cur = u
     r_cur, nu_cur, J, Jk = residual(u_cur)
-    for _ in range(maxit if maxit is not None else cfg.maxit_inner):
-        Jk_active = Jk[k.value(u_cur) <= cfg.active_threshold] if constrained else None
+    for _ in range(maxit if maxit is not None else _MAXIT_INNER):
+        Jk_active = Jk[k.value(u_cur) <= _ACTIVE_THRESHOLD] if constrained else None
         B = preconditioner(J, params, Jk_active)
         if projector is None:
             res_here = float(np.linalg.norm(r_cur))
@@ -372,7 +373,7 @@ def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None, nu0=
     def refine(u_, pi_, nu_, eta):
         nu_of = None
         if use_estimate:
-            nu_of = lambda uu: multiplier_estimate(f, k, uu, pi_, params, cfg.active_threshold)
+            nu_of = lambda uu: multiplier_estimate(f, k, uu, pi_, params)
         if value_descent:
             u_in, res_in = _inner_projected_gradient(f, g, k if m > 0 else None, u_, pi_, params, cfg)
             if m == 0 and res_in > 0.05 * cfg.eps:
@@ -393,7 +394,7 @@ def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None, nu0=
     # The safeguard damps both channels: the dual step by theta, the primal
     # step by eta, accepting the first merit-nonincreasing combination.
     thetas = (1.0, 0.5, 0.25, 0.125, 0.0) if cfg.safeguard else (1.0,)
-    eta_trials = 1 if not cfg.safeguard else min(cfg.max_backtracks, 4) + 1
+    eta_trials = 1 if not cfg.safeguard else min(_MAX_BACKTRACKS, 4) + 1
 
     for iterations in range(1, cfg.maxit_outer + 1):
         pi_new, _ = dual_update_pi(f, g, u, pi, params, cfg.rho)
@@ -402,7 +403,7 @@ def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None, nu0=
             nu_asc = dual_update_nu(k.value(u), nu, cfg.sigma)
 
         accepted = None
-        budget = cfg.max_backtracks + len(thetas)
+        budget = _MAX_BACKTRACKS + len(thetas)
         for theta in thetas:
             if theta == 1.0:
                 pi_cand = pi_new
@@ -425,11 +426,11 @@ def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None, nu0=
                     u_cand = u + eta * (u_in - u)
                 else:
                     u_cand = refine(u, pi_cand, nu_seed, eta)
-                eta *= cfg.backtrack_factor
+                eta *= _BACKTRACK_FACTOR
                 if nu_asc is not None:
                     nu_cand = nu_seed
                 elif use_estimate:
-                    nu_cand = multiplier_estimate(f, k, u_cand, pi_cand, params, cfg.active_threshold)
+                    nu_cand = multiplier_estimate(f, k, u_cand, pi_cand, params)
                 else:
                     nu_cand = nu
                 psi_cand = merit(u_cand, pi_cand, nu_cand)
@@ -466,7 +467,7 @@ def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None, nu0=
 
     complementarity = feasibility = 0.0
     if use_estimate:
-        nu = multiplier_estimate(f, k, u, pi, params, cfg.active_threshold)
+        nu = multiplier_estimate(f, k, u, pi, params)
     if m > 0:
         kv = k.value(u)
         complementarity = float(np.max(np.abs(nu * kv)))

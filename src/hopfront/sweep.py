@@ -76,7 +76,6 @@ def sweep(
     problem,
     g=None,
     *,
-    x=None,
     alpha=None,
     c=None,
     mu=None,
@@ -93,7 +92,6 @@ def sweep(
     certificate and Bregman bound.
     """
     g = g or problem.default_preference()
-    x = problem.x if x is None else as_vector(x, problem.objective.dim_u, "x")
     alpha = problem.alpha if alpha is None else alpha
     c = problem.c if c is None else c
     mu = problem.mu if mu is None else mu
@@ -105,7 +103,7 @@ def sweep(
     taus = path.points()
 
     def make_params(tau):
-        return HopfLaxParams(x=x, tau=tau, alpha=alpha, c=c, mu=mu)
+        return HopfLaxParams(x=problem.x, tau=tau, alpha=alpha, c=c, mu=mu)
 
     results = []
     warm = None

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -5,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from hopfront.cli import main, read_front_csv
+from hopfront.cli import build_parser, main, read_front_csv
 
 
 def run(args):
@@ -74,7 +75,10 @@ class TestSweepCommand:
     @pytest.mark.parametrize("flags", [
         [],
         ["--pref-eps", "0.05", "--no-safeguard", "--c", "0.5", "--compare", "--grid", "40"],
-    ], ids=["default", "non-default"])
+        ["--cold-start", "--tau-start=-5,5", "--tau-end=5,-5", "--maxit", "80", "--rho", "0.4",
+         "--sigma", "0.6", "--eta", "0.9", "--eps", "2e-5", "--alpha", "1.5", "--mu", "0.02",
+         "--pairs", "2:1", "--compare", "--mc", "3000", "--seed", "4", "--weights", "8"],
+    ], ids=["default", "non-default", "every-flag"])
     def test_manifest_reproduces_csv_bit_for_bit(self, tmp_path, flags):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -83,6 +87,41 @@ class TestSweepCommand:
         assert (a / "front.csv").read_bytes() == (b / "front.csv").read_bytes()
         assert (json.loads((a / "manifest.json").read_text())["params"]
                 == json.loads((b / "manifest.json").read_text())["params"])
+
+    def test_manifest_params_are_the_sweep_flags(self, tmp_path):
+        _, p_sweep = build_parser()
+        dests = {a.dest for a in p_sweep._actions if a.default is not argparse.SUPPRESS}
+        run(["sweep", "--problem", "ex2a", "--n", "2", "--out", str(tmp_path)])
+        params = json.loads((tmp_path / "manifest.json").read_text())["params"]
+        assert set(params) == dests - {"config", "out"}
+        assert params["mc"] == 20000
+        assert params["pairs"] == [[1, 2]]
+
+    def test_config_with_unknown_params_is_rejected(self, tmp_path, capsys):
+        run(["sweep", "--problem", "ex2a", "--n", "2", "--out", str(tmp_path / "a")])
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        manifest["params"]["pref"] = {"kind": "softmax", "eps": 0.05}
+        config = tmp_path / "old.json"
+        config.write_text(json.dumps(manifest))
+        assert run(["sweep", "--config", str(config), "--out", str(tmp_path / "b")]) == 1
+        assert "pref" in capsys.readouterr().err
+
+    def test_compare_with_zero_mc_is_rejected(self, tmp_path, capsys):
+        code = run(["sweep", "--problem", "ex2a", "--n", "2", "--compare", "--mc", "0",
+                    "--out", str(tmp_path)])
+        assert code == 1
+        assert "empty reference" in capsys.readouterr().err
+
+    def test_one_tau_endpoint_alone_takes_effect(self, tmp_path):
+        base = tmp_path / "base"
+        moved = tmp_path / "moved"
+        run(["sweep", "--problem", "ex2a", "--n", "4", "--out", str(base)])
+        assert run(["sweep", "--problem", "ex2a", "--n", "4", "--tau-start", "1,1",
+                    "--out", str(moved)]) == 0
+        assert (base / "front.csv").read_bytes() != (moved / "front.csv").read_bytes()
+        params = json.loads((moved / "manifest.json").read_text())["params"]
+        assert params["tau_start"] == [1.0, 1.0]
+        assert params["tau_end"] == json.loads((base / "manifest.json").read_text())["params"]["tau_end"]
 
     def test_explicit_flags_override_config(self, tmp_path):
         run(["sweep", "--problem", "ex2a", "--n", "2", "--out", str(tmp_path / "a")])
@@ -113,6 +152,14 @@ class TestSweepCommand:
         assert (out / "front_1_2.svg").exists()
         assert (out / "front_3_4.svg").exists()
         ET.parse(out / "front_1_2.svg")
+        assert json.loads((out / "manifest.json").read_text())["params"]["pairs"] == [[1, 2], [3, 4]]
+
+    @pytest.mark.parametrize("pairs", ["1:3", "0:1"])
+    def test_pairs_outside_objectives_are_rejected(self, tmp_path, capsys, pairs):
+        code = run(["sweep", "--problem", "ex2a", "--n", "2", "--pairs", pairs, "--out", str(tmp_path)])
+        assert code == 1
+        assert "--pairs index outside 1..2" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.svg"))
 
     def test_compare_prints_distances(self, tmp_path, capsys):
         out = tmp_path / "run"

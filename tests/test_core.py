@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,13 +30,16 @@ def fd_gradient(fun, y, h=1e-6):
 
 class TestAsVector:
     def test_huge_finite_accepted_nonfinite_rejected(self):
-        # the sum of these entries overflows although every entry is finite
-        v = as_vector([1e308, 1e308], 2)
-        assert v.tolist() == [1e308, 1e308]
-        assert as_vector([-1e308, -1e308, 1.0]).shape == (3,)
-        for bad in ([np.nan, 0.0], [np.inf, 1.0], [1e308, np.inf], [-np.inf, np.inf]):
-            with pytest.raises(ValueError):
-                as_vector(bad)
+        # the sum of these entries overflows although every entry is finite;
+        # neither case may warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = as_vector([1e308, 1e308], 2)
+            assert v.tolist() == [1e308, 1e308]
+            assert as_vector([-1e308, -1e308, 1.0]).shape == (3,)
+            for bad in ([np.nan, 0.0], [np.inf, 1.0], [1e308, np.inf], [-np.inf, np.inf]):
+                with pytest.raises(ValueError):
+                    as_vector(bad)
 
 
 class TestPreferenceValues:

@@ -244,7 +244,7 @@ class TestSolve:
 
     def test_nonconvergence_is_flagged_not_raised(self):
         res = solve(identity_objective(), WeightedSum([1.0]), scalar_params(x=1.0),
-                    SolverConfig(maxit_outer=1, maxit_inner=1, eps=1e-14))
+                    SolverConfig(maxit_outer=1, eps=1e-14))
         assert not res.converged
 
     def test_dimension_mismatch_raises(self):
@@ -328,6 +328,6 @@ class TestCertifyGap:
 
     def test_requires_convergence(self):
         f, g, params, cloud = self.quad_setup(x=1.0)
-        res = solve(f, g, params, SolverConfig(maxit_outer=1, maxit_inner=1, eps=1e-16))
+        res = solve(f, g, params, SolverConfig(maxit_outer=1, eps=1e-16))
         with pytest.raises(ValueError):
             certify_gap(f, g, res, params, cloud)

@@ -96,7 +96,7 @@ class TestSweep:
 
     def test_nonconverged_samples_retained_and_flagged(self):
         prob = example2_case1()
-        cfg = SolverConfig(maxit_outer=1, maxit_u=1, eps=1e-12)
+        cfg = SolverConfig(maxit_outer=1, eps=1e-12)
         front = sweep(prob, n_samples=5, cfg=cfg, warm_start=False)
         assert len(front.samples) == 5
         assert front.converged_count() < 5
