@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 import time
 
@@ -36,6 +37,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A value such as "-1,0" or "-1e-3" after --tau is a value, not an
+        # option: argparse's default matcher only knows plain numbers.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise _UsageError(message)
 

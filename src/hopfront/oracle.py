@@ -28,58 +28,64 @@ class SampleCloud:
         return self.points_u.shape[0]
 
 
+_BLOCK = 64  # points compared per vectorised step of the N != 2 filter
+
+
 def _dominated_mask_2d(P, strong):
-    # Lexicographic sort + running minima; exact, ties handled explicitly.
-    n = P.shape[0]
+    # One lexicographic sort; exact, ties handled explicitly. Within an f1
+    # group f2 ascends, so the group's first f2 is its minimum, and the prefix
+    # minimum of f2 just before the group is the best f2 at strictly smaller f1.
     order = np.lexsort((P[:, 1], P[:, 0]))
-    dominated = np.zeros(n, dtype=bool)
-    best_strict = np.inf  # min f2 over points with strictly smaller f1
-    i = 0
-    while i < n:
-        j = i
-        while j < n and P[order[j], 0] == P[order[i], 0]:
-            j += 1
-        block = order[i:j]
-        f2 = P[block, 1]
-        if strong:
-            # smaller f1 and f2 <= ours, or equal f1 and f2 strictly smaller
-            running_min = np.minimum.accumulate(np.concatenate(([np.inf], f2[:-1])))
-            dominated[block] = (f2 >= best_strict) | (f2 > running_min)
-        else:
-            dominated[block] = f2 > best_strict
-        best_strict = min(best_strict, float(f2.min()))
-        i = j
-    return dominated
+    f1, f2 = P[order, 0], P[order, 1]
+    new_group = np.concatenate(([True], f1[1:] != f1[:-1]))
+    first = np.maximum.accumulate(np.where(new_group, np.arange(len(f1)), 0))
+    best_strict = np.concatenate(([np.inf], np.minimum.accumulate(f2)))[first]
+    if strong:
+        # smaller f1 and f2 <= ours, or equal f1 and f2 strictly smaller
+        dominated = (f2 >= best_strict) | (f2 > f2[first])
+    else:
+        dominated = f2 > best_strict
+    mask = np.empty(len(f1), dtype=bool)
+    mask[order] = dominated
+    return mask
 
 
-def _dominated_mask_general(P, strong, chunk=256):
-    n = P.shape[0]
-    dominated = np.zeros(n, dtype=bool)
-    for start in range(0, n, chunk):
-        block = P[start : start + chunk]  # (b, N)
-        le = np.all(P[:, None, :] <= block[None, :, :], axis=2)
-        lt = np.any(P[:, None, :] < block[None, :, :], axis=2)
+def _dominated_mask_sorted(P, strong):
+    # A dominator sorts lexicographically before what it dominates (it is
+    # smaller where they first differ). By transitivity a dominated point is
+    # then dominated by an earlier kept point or one in its own block, so each
+    # block is compared with the kept set and itself: O(n log n + n k N).
+    order = np.lexsort(P.T[::-1])
+    dominated = np.empty(P.shape[0], dtype=bool)
+    kept = P[:0]
+    for start in range(0, len(order), _BLOCK):
+        idx = order[start : start + _BLOCK]
+        block = P[idx]
+        C = np.concatenate([kept, block])[:, None, :]  # (k + b, 1, N) against (b, N)
         if strong:
-            dom = le & lt
+            dom = np.all(C <= block, axis=2) & np.any(C < block, axis=2)
         else:
-            dom = np.all(P[:, None, :] < block[None, :, :], axis=2)
-        dominated[start : start + chunk] = dom.any(axis=0)
+            dom = np.all(C < block, axis=2)
+        dominated[idx] = dom.any(axis=0)
+        kept = np.concatenate([kept, block[~dominated[idx]]])
     return dominated
 
 
 def nondominated_mask(points, mode="strong"):
-    """Boolean keep-mask of the nondominated subset (exact comparisons)."""
+    """Boolean keep-mask of the nondominated subset of finite points (exact comparisons)."""
     P = np.asarray(points, dtype=float)
-    if P.ndim != 2:
-        raise ValueError("points must be a 2-D array")
+    if P.ndim != 2 or P.shape[1] == 0:
+        raise ValueError("points must be a 2-D array with at least one objective")
     if mode not in ("strong", "weak"):
         raise ValueError(f"unknown mode {mode!r}")
     if P.shape[0] == 0:
         raise ValueError("empty cloud")
+    if not np.isfinite(P).all():
+        raise ValueError("non-finite objective values")
     strong = mode == "strong"
     if P.shape[1] == 2:
         return ~_dominated_mask_2d(P, strong)
-    return ~_dominated_mask_general(P, strong)
+    return ~_dominated_mask_sorted(P, strong)
 
 
 def greedy_pareto_filter(cloud: SampleCloud, mode="strong", epsilon=0.0) -> SampleCloud:

@@ -22,6 +22,25 @@ def brute_force_filter(points, mode="strong"):
     return keep
 
 
+def all_pairs_filter(points, mode="strong"):
+    """Vectorised all-pairs nondominated filter: every point is compared with
+    every other, a chunk of columns at a time. Fast enough to check the
+    library's sort-based filter on clouds of thousands of points."""
+    P = np.asarray(points, dtype=float)
+    dominated = np.zeros(P.shape[0], dtype=bool)
+    chunk = 256
+    for start in range(0, P.shape[0], chunk):
+        block = P[start : start + chunk]  # (b, N)
+        if mode == "strong":
+            le = np.all(P[:, None, :] <= block[None, :, :], axis=2)
+            lt = np.any(P[:, None, :] < block[None, :, :], axis=2)
+            dom = le & lt
+        else:
+            dom = np.all(P[:, None, :] < block[None, :, :], axis=2)
+        dominated[start : start + chunk] = dom.any(axis=0)
+    return ~dominated
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

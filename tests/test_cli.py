@@ -39,6 +39,13 @@ class TestSolveCommand:
         code = run(["solve", "--problem", "zzz", "--tau", "0,0"])
         assert code == 1
 
+    @pytest.mark.parametrize("tau", ["-1,0", "-1e-3"])
+    def test_negative_tau_as_separate_argument(self, capsys, tau):
+        assert run(["solve", "--problem", "ex2a", "--tau", tau]) == 0
+        spaced = capsys.readouterr().out
+        assert run(["solve", "--problem", "ex2a", f"--tau={tau}"]) == 0
+        assert spaced == capsys.readouterr().out
+
     def test_nonconvergence_exit_two(self, capsys):
         code = run(["solve", "--problem", "ex2b", "--tau", "0,0", "--maxit", "1", "--eps", "1e-13"])
         assert code == 2
@@ -122,6 +129,15 @@ class TestSweepCommand:
         params = json.loads((moved / "manifest.json").read_text())["params"]
         assert params["tau_start"] == [1.0, 1.0]
         assert params["tau_end"] == json.loads((base / "manifest.json").read_text())["params"]["tau_end"]
+
+    def test_negative_tau_endpoints_as_separate_arguments(self, tmp_path):
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        base = ["sweep", "--problem", "ex2a", "--n", "2"]
+        assert run(base + ["--tau-start", "-5,5", "--tau-end", "5,-5", "--out", str(spaced)]) == 0
+        assert run(base + ["--tau-start=-5,5", "--tau-end=5,-5", "--out", str(joined)]) == 0
+        assert (spaced / "front.csv").read_bytes() == (joined / "front.csv").read_bytes()
+        params = json.loads((spaced / "manifest.json").read_text())["params"]
+        assert (params["tau_start"], params["tau_end"]) == ([-5.0, 5.0], [5.0, -5.0])
 
     def test_explicit_flags_override_config(self, tmp_path):
         run(["sweep", "--problem", "ex2a", "--n", "2", "--out", str(tmp_path / "a")])

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import brute_force_filter
+from conftest import all_pairs_filter, brute_force_filter
 
 from hopfront.oracle import (
     SampleCloud,
@@ -13,7 +16,7 @@ from hopfront.oracle import (
     reference_front,
     sample_cloud,
 )
-from hopfront.problems import example1, example2_case1
+from hopfront.problems import example1, example2_case1, get_problem
 
 
 def cloud_of(points):
@@ -110,6 +113,60 @@ class TestGreedyParetoFilter:
     def test_duplicates_kept_in_strong_mode(self):
         out = greedy_pareto_filter(cloud_of([[1.0, 1.0], [1.0, 1.0]]), mode="strong")
         assert out.points_obj.shape[0] == 2
+
+
+@st.composite
+def tie_heavy_clouds(draw):
+    # small integer coordinates: many exact ties and duplicates
+    n_obj = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 60))
+    return draw(arrays(np.float64, (n, n_obj), elements=st.integers(-2, 2).map(float)))
+
+
+class TestNondominatedMask:
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_ex3b_cloud_matches_all_pairs(self, mode):
+        P = sample_cloud(get_problem("ex3b"), mc=4000, seed=3).points_obj
+        assert np.array_equal(nondominated_mask(P, mode), all_pairs_filter(P, mode))
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    @pytest.mark.parametrize("points", [
+        # the two rows' float sums tie although the second dominates the first
+        [[1e16, 1.0, 0.0], [1e16, 0.0, 0.0]],
+        [[1e16, 0.0, 0.0], [1e16, 1.0, 0.0]],
+        [[1e16, 1.0, 1.0], [1e16, 0.0, 0.0], [0.0, 1e16, 0.0]],
+        [[3.0], [1.0], [2.0], [1.0]],
+        [[0.5, 0.5, 0.5]],
+        [[2.0, 1.0, 0.0]] * 70,
+        [[1.0, 2.0]] * 5,
+        [[-0.0, 1.0, 0.0], [0.0, 1.0, -0.0], [0.0, 1.0, 1.0]],
+        [[-0.0, 1.0], [0.0, 1.0], [0.0, 2.0], [1.0, -0.0]],
+    ], ids=["sum-tie", "sum-tie-reversed", "sum-tie-three", "one-objective", "one-point",
+            "duplicates-3d", "duplicates-2d", "signed-zero-3d", "signed-zero-2d"])
+    def test_edge_cases_match_all_pairs(self, points, mode):
+        P = np.array(points)
+        assert np.array_equal(nondominated_mask(P, mode), all_pairs_filter(P, mode))
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    @pytest.mark.parametrize("points", [
+        [[0.0, np.inf], [-np.inf, np.inf]],
+        [[0.0, 1.0], [np.nan, 0.0]],
+        [[0.0, 1.0, 2.0], [1.0, np.nan, 0.0]],
+    ], ids=["opposite-infinities", "nan-2d", "nan-3d"])
+    def test_non_finite_rejected(self, points, mode):
+        with pytest.raises(ValueError, match="non-finite objective values"):
+            nondominated_mask(points, mode)
+
+    @pytest.mark.parametrize("points", [np.zeros((3, 0)), np.zeros(3), np.zeros((2, 2, 2))],
+                             ids=["no-objectives", "1-d", "3-d"])
+    def test_malformed_shape_rejected(self, points):
+        with pytest.raises(ValueError, match="2-D array"):
+            nondominated_mask(points)
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(P=tie_heavy_clouds(), mode=st.sampled_from(["strong", "weak"]))
+    def test_exact_on_tie_heavy_clouds(self, P, mode):
+        assert np.array_equal(nondominated_mask(P, mode), brute_force_filter(P, mode))
 
 
 class TestReferenceFront:
