@@ -318,6 +318,8 @@ def cmd_sweep(args):
     for p, q in args.pairs:
         if not (1 <= p <= n_obj and 1 <= q <= n_obj):
             raise _UsageError(f"--pairs index outside 1..{n_obj}: {p}:{q}")
+    # a bad --n fails here, before the reference clouds are sampled
+    path = TauPath(args.tau_start, args.tau_end, args.n)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     if not os.access(outdir, os.W_OK):
@@ -341,9 +343,8 @@ def cmd_sweep(args):
         alpha=args.alpha,
         c=args.c,
         mu=args.mu,
-        path=TauPath(args.tau_start, args.tau_end, args.n),
+        path=path,
         cfg=_build_cfg(args),
-        warm_start=args.warm_start,
         reference=cert_cloud,
     )
     duration = time.perf_counter() - start
@@ -497,7 +498,6 @@ def build_parser():
                          help="objective pairs for SVGs, e.g. 1:2,3:4")
     p_sweep.add_argument("--tau-start", type=_float_list, help="default: the problem's")
     p_sweep.add_argument("--tau-end", type=_float_list, help="default: the problem's")
-    p_sweep.add_argument("--cold-start", dest="warm_start", action="store_false")
     p_sweep.add_argument("--config", help="JSON manifest to take parameter defaults from")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -524,6 +524,9 @@ def _replay_config(argv, p_sweep):
         return argv
     with open(path, encoding="utf-8") as handle:
         manifest = json.load(handle)
+    if manifest.get("command") != "sweep":
+        raise _UsageError(f"{path}: a manifest of command {manifest.get('command')!r}; "
+                          "--config replays sweep manifests only")
     params = manifest.get("params", {})
     known = {a.dest for a in p_sweep._actions}
     unknown = sorted(set(params) - known)

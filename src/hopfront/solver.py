@@ -331,7 +331,7 @@ def _refine_lm(f, k, u, pi, nu, params, eta, cfg, projector, nu_of=None, maxit=N
     return u_cur
 
 
-def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None, nu0=None) -> SolveResult:
+def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None) -> SolveResult:
     """The outer loop behind ``solve``; inputs are assumed consistent."""
     k = constraints
     m = 0 if k is None else k.dim_con
@@ -345,9 +345,7 @@ def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None, nu0=
         elif not k.is_feasible(u):
             raise ValueError("infeasible start and no projector available")
     pi = as_vector(pi0, f.dim_obj, "pi0") if pi0 is not None else np.zeros(f.dim_obj)
-    nu = as_vector(nu0, m, "nu0") if (nu0 is not None and m > 0) else np.zeros(m)
-    if np.any(nu < 0):
-        raise ValueError("nu0 must be nonnegative")
+    nu = np.zeros(m)
 
     def merit(u_, pi_, nu_):
         return merit_psi(f, g, u_, pi_, params, cfg.rho, k, nu_, cfg.sigma)
@@ -371,17 +369,14 @@ def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None, nu0=
     value_descent = g.smooth and (m == 0 or projector is not None)
 
     def refine(u_, pi_, nu_, eta):
-        nu_of = None
-        if use_estimate:
-            nu_of = lambda uu: multiplier_estimate(f, k, uu, pi_, params)
         if value_descent:
             u_in, res_in = _inner_projected_gradient(f, g, k if m > 0 else None, u_, pi_, params, cfg)
             if m == 0 and res_in > 0.05 * cfg.eps:
                 # LM polish: value descent bottoms out at the rounding floor
                 # of the composite, the residual does not
-                u_in = _refine_lm(f, k, u_in, pi_, nu_, params, 1.0, cfg, projector,
-                                  nu_of=nu_of, maxit=10)
+                u_in = _refine_lm(f, k, u_in, pi_, nu_, params, 1.0, cfg, projector, maxit=10)
             return u_ + eta * (u_in - u_)
+        nu_of = (lambda uu: multiplier_estimate(f, k, uu, pi_, params)) if use_estimate else None
         return _refine_lm(f, k, u_, pi_, nu_, params, eta, cfg, projector, nu_of=nu_of)
 
     psi = merit(u, pi, nu)
@@ -487,8 +482,9 @@ def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None, nu0=
     )
 
 
-def solve(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None, nu0=None) -> SolveResult:
-    """Run the primal-dual iteration from u0 = x / max(alpha, 1), pi0 = 0.
+def solve(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None) -> SolveResult:
+    """Run the primal-dual iteration from u0 = x / max(alpha, 1), pi0 = 0 and
+    zero multipliers.
 
     ``constraints`` (a ConstraintSet k(u) >= 0) adds the multiplier channel;
     without it the problem is unconstrained. Stops when the (projected)
@@ -502,7 +498,7 @@ def solve(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None, nu0=No
         raise ValueError("dimension mismatch between objective, scalarizer, and params")
     if constraints is not None and constraints.dim_u != f.dim_u:
         raise ValueError("constraint set dimension mismatch")
-    return run_primal_dual(f, g, params, cfg, constraints, u0, pi0, nu0)
+    return run_primal_dual(f, g, params, cfg, constraints, u0, pi0)
 
 
 def gap_and_bound(f, g, result, params, cloud):

@@ -1,9 +1,9 @@
 """Pareto-front exploration by sweeping tau along a path.
 
 Holding x and alpha fixed while tau moves along a line traces continuous
-curves of converged points; warm-starting each solve from its neighbor keeps
-the curve coherent. All randomness-free: identical inputs give identical
-fronts.
+curves of converged points. Each tau fixes one shifted scalarization, so every
+sample is an independent solve from the default start: no sample depends on
+its neighbor, and identical inputs give identical fronts.
 """
 from __future__ import annotations
 
@@ -82,10 +82,10 @@ def sweep(
     path: Optional[TauPath] = None,
     n_samples: int = 100,
     cfg=None,
-    warm_start: bool = True,
     reference=None,
 ) -> ParetoFront:
-    """Run one solve per tau sample and assemble the front in path order.
+    """Run one solve per tau sample, each from the default start, and
+    assemble the front in path order.
 
     Non-converged samples are retained and flagged. When ``reference`` (a
     SampleCloud) is given, each converged sample records its duality-gap
@@ -99,34 +99,13 @@ def sweep(
         path = TauPath(problem.tau_start, problem.tau_end, n_samples)
     cfg = cfg or SolverConfig()
 
-    ts = path.parameters()
-    taus = path.points()
-
-    def make_params(tau):
-        return HopfLaxParams(x=problem.x, tau=tau, alpha=alpha, c=c, mu=mu)
-
-    results = []
-    warm = None
-    for tau in taus:
-        u0, pi0, nu0 = warm or (None, None, None)
-        res = solve(problem.objective, g, make_params(tau), cfg, u0, pi0,
-                    constraints=problem.constraints, nu0=nu0)
-        if warm is not None and not res.converged:
-            # a stale neighboring basin can wedge the merit descent;
-            # retry from the default initialization
-            retry = solve(problem.objective, g, make_params(tau), cfg,
-                          constraints=problem.constraints)
-            if retry.converged:
-                res = retry
-        results.append(res)
-        if warm_start and res.converged:
-            warm = (res.u_star, res.pi_star, res.nu_star)
-
     front = ParetoFront(problem_id=problem.id)
-    for i, (t, tau, res) in enumerate(zip(ts, taus, results)):
+    for i, (t, tau) in enumerate(zip(path.parameters(), path.points())):
+        params = HopfLaxParams(x=problem.x, tau=tau, alpha=alpha, c=c, mu=mu)
+        res = solve(problem.objective, g, params, cfg, constraints=problem.constraints)
         gap = bound = None
         if reference is not None and res.converged:
-            gap, bound = gap_and_bound(problem.objective, g, res, make_params(tau), reference)
+            gap, bound = gap_and_bound(problem.objective, g, res, params, reference)
         front.samples.append(
             FrontSample(
                 index=i,

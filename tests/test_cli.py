@@ -82,7 +82,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize("flags", [
         [],
         ["--pref-eps", "0.05", "--no-safeguard", "--c", "0.5", "--compare", "--grid", "40"],
-        ["--cold-start", "--tau-start=-5,5", "--tau-end=5,-5", "--maxit", "80", "--rho", "0.4",
+        ["--tau-start=-5,5", "--tau-end=5,-5", "--maxit", "80", "--rho", "0.4",
          "--sigma", "0.6", "--eta", "0.9", "--eps", "2e-5", "--alpha", "1.5", "--mu", "0.02",
          "--pairs", "2:1", "--compare", "--mc", "3000", "--seed", "4", "--weights", "8"],
     ], ids=["default", "non-default", "every-flag"])
@@ -106,12 +106,31 @@ class TestSweepCommand:
 
     def test_config_with_unknown_params_is_rejected(self, tmp_path, capsys):
         run(["sweep", "--problem", "ex2a", "--n", "2", "--out", str(tmp_path / "a")])
-        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
-        manifest["params"]["pref"] = {"kind": "softmax", "eps": 0.05}
-        config = tmp_path / "old.json"
-        config.write_text(json.dumps(manifest))
-        assert run(["sweep", "--config", str(config), "--out", str(tmp_path / "b")]) == 1
-        assert "pref" in capsys.readouterr().err
+        for key, value in (("pref", {"kind": "softmax", "eps": 0.05}), ("warm_start", True)):
+            manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+            manifest["params"][key] = value
+            config = tmp_path / "old.json"
+            config.write_text(json.dumps(manifest))
+            assert run(["sweep", "--config", str(config), "--out", str(tmp_path / "b")]) == 1
+            assert key in capsys.readouterr().err
+
+    def test_config_from_another_command_is_rejected(self, tmp_path, capsys):
+        run(["oracle", "--problem", "ex2a", "--grid", "20", "--out", str(tmp_path / "a")])
+        config = str(tmp_path / "a" / "manifest.json")
+        for flags in ([], ["--compare"]):
+            assert run(["sweep", "--config", config, "--out", str(tmp_path / "b")] + flags) == 1
+            assert "'oracle'" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_zero_samples_fail_before_the_reference_is_built(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("reference cloud built for an empty sweep")
+
+        monkeypatch.setattr("hopfront.cli.sample_cloud", never)
+        monkeypatch.setattr("hopfront.cli.certification_cloud", never)
+        code = run(["sweep", "--problem", "ex3b", "--compare", "--n", "0", "--out", str(tmp_path)])
+        assert code == 1
+        assert "n_samples must be >= 1" in capsys.readouterr().err
 
     def test_compare_with_zero_mc_is_rejected(self, tmp_path, capsys):
         code = run(["sweep", "--problem", "ex2a", "--n", "2", "--compare", "--mc", "0",

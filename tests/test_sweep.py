@@ -75,13 +75,15 @@ class TestSweep:
             assert np.array_equal(s.p, prob.c * (prob.x - prob.alpha * s.u))
 
     @pytest.mark.parametrize("pid", ["ex1", "ex2a", "ex2b", "ex3a-d10", "ex3b"])
-    def test_warm_and_cold_agree(self, pid):
+    def test_samples_equal_lone_solves(self, pid):
         prob = get_problem(pid)
-        warm = sweep(prob, n_samples=8, warm_start=True)
-        cold = sweep(prob, n_samples=8, warm_start=False)
-        for a, b in zip(warm.samples, cold.samples):
-            if a.converged and b.converged:
-                assert np.linalg.norm(a.objectives - b.objectives) <= 1e-3
+        g = prob.default_preference()
+        front = sweep(prob, g, n_samples=8)
+        for s in front.samples:
+            lone = solve(prob.objective, g, prob.params_for(s.tau), constraints=prob.constraints)
+            assert np.array_equal(s.u, lone.u_star)
+            assert np.array_equal(s.pi, lone.pi_star)
+            assert s.iterations == lone.iterations
 
     def test_gap_certificates_recorded_with_reference(self):
         from hopfront.oracle import sample_cloud
@@ -97,7 +99,7 @@ class TestSweep:
     def test_nonconverged_samples_retained_and_flagged(self):
         prob = example2_case1()
         cfg = SolverConfig(maxit_outer=1, eps=1e-12)
-        front = sweep(prob, n_samples=5, cfg=cfg, warm_start=False)
+        front = sweep(prob, n_samples=5, cfg=cfg)
         assert len(front.samples) == 5
         assert front.converged_count() < 5
 
