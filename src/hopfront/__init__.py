@@ -8,7 +8,7 @@ every solver result.
 
 __version__ = "0.1.0"
 
-from .constrained import ConstraintSet, box_constraints, dykstra_project
+from .constrained import ConstraintSet, box_constraints
 from .core import (
     CertificationError,
     Chebyshev,

@@ -2,8 +2,9 @@
 
 A ConstraintSet bundles the constraint map, its Jacobian, and an optional
 projector; the primal-dual solver uses the projector, when there is one, to
-keep iterates feasible. Also here: the box clamp, and Dykstra's method for
-the intersection of a parabola epigraph with a halfspace.
+keep iterates feasible. Also here: the box clamp, and the exact projection
+onto the intersection of a parabola epigraph with a halfspace (Bauschke &
+Combettes, Convex Analysis and Monotone Operator Theory, 2nd ed., Thm 3.16).
 """
 from __future__ import annotations
 
@@ -110,14 +111,18 @@ def _real_cubic_roots(p, q):
     return [m * math.cos((a + 2.0 * math.pi * k) / 3.0) for k in range(3)]
 
 
-def _parabola_root(a, b, root_tol):
+_NEWTON_TOL = 1e-6  # Newton polish tolerance on the cubic's residual
+_VERTICES = np.array([[1.0, 1.0], [-1.5, 2.25]])  # parabola meets the halfspace edge
+
+
+def _parabola_root(a, b):
     # Argmin over x of (x-a)^2 + (x^2-b)^2; the first-order condition is the
-    # cubic 2x^3 + (1-2b)x - a = 0, Newton-polished to root_tol.
+    # cubic 2x^3 + (1-2b)x - a = 0, Newton-polished to _NEWTON_TOL.
     roots = _real_cubic_roots((1.0 - 2.0 * b) / 2.0, -a / 2.0)
     x = min(roots, key=lambda t: (t - a) ** 2 + (t * t - b) ** 2)
     for _ in range(60):
         psi = 2.0 * x * x * x + (1.0 - 2.0 * b) * x - a
-        if abs(psi) <= root_tol:
+        if abs(psi) <= _NEWTON_TOL:
             return x
         dpsi = 6.0 * x * x + (1.0 - 2.0 * b)
         if dpsi <= 0.0:
@@ -126,14 +131,14 @@ def _parabola_root(a, b, root_tol):
     raise NumericalError("epigraph projection root-find did not converge")
 
 
-def project_parabola_epigraph(point, root_tol=1e-6):
+def project_parabola_epigraph(point):
     """Euclidean projection onto {(x, y) : y >= x^2} via the cubic
     first-order condition along the boundary."""
     a = float(point[0])
     b = float(point[1])
     if b >= a * a:
         return np.array([a, b])
-    x = _parabola_root(a, b, root_tol)
+    x = _parabola_root(a, b)
     return np.array([x, x * x])
 
 
@@ -147,37 +152,26 @@ def project_halfspace(point, normal=(1.0, 2.0), offset=3.0):
     return point - (over / float(normal @ normal)) * normal
 
 
-def dykstra_project(u, cycles=10, root_tol=1e-6, feas_tol=1e-6):
-    """Dykstra's corrected alternating projections onto
-    {u2 >= u1^2} intersect {u1 + 2 u2 <= 3}.
+def project_epigraph_halfspace(u):
+    """Euclidean projection onto {u2 >= u1^2} intersect {u1 + 2 u2 <= 3}.
 
-    Runs ``cycles`` cycles (stopping early once the iterate is stationary and
-    feasible), then keeps cycling (bounded) until the output is feasible to
-    ``feas_tol``.
+    For two closed convex sets, a projection onto one that lands in the other
+    is the projection onto the intersection; otherwise both constraints are
+    active at the answer, which in 2-D makes it one of the two vertices.
     """
-    if cycles < 1:
-        raise ValueError("cycles must be >= 1")
-    x0, x1 = float(u[0]), float(u[1])
-    p0 = p1 = q0 = q1 = 0.0
-    for cycle in range(max(20 * cycles, 200)):
-        a, b = x0 + p0, x1 + p1
-        if b >= a * a:
-            y0, y1 = a, b
-        else:
-            y0 = _parabola_root(a, b, root_tol)
-            y1 = y0 * y0
-        p0, p1 = a - y0, b - y1
-        a, b = y0 + q0, y1 + q1
-        over = a + 2.0 * b - 3.0
-        if over <= 0.0:
-            n0, n1 = a, b
-        else:
-            n0, n1 = a - over / 5.0, b - 2.0 * over / 5.0
-        q0, q1 = a - n0, b - n1
-        change = max(abs(n0 - x0), abs(n1 - x1))
-        x0, x1 = n0, n1
-        feasible = min(-x0 * x0 + x1, -x0 - 2.0 * x1 + 3.0) >= -feas_tol
-        if feasible and (cycle + 1 >= cycles or change <= 1e-15 * (1.0 + abs(x0) + abs(x1))):
-            return np.array([x0, x1])
-    raise NumericalError("Dykstra projection did not reach feasibility")
-
+    a, b = float(u[0]), float(u[1])
+    if b >= a * a and a + 2.0 * b <= 3.0:
+        return np.array([a, b])
+    p = project_parabola_epigraph((a, b))
+    if p[0] + 2.0 * p[1] <= 3.0:
+        return p
+    if a + 2.0 * b > 3.0:
+        h = project_halfspace((a, b))
+        # Put h exactly on the edge: 3 - 2 h[1] is exact for h[1] in [0.75, 3]
+        # (Sterbenz), a span that holds the edge's part inside the epigraph,
+        # so h passes the membership test above and projects to itself.
+        h[0] = 3.0 - 2.0 * h[1]
+        if h[1] >= h[0] * h[0]:
+            return h
+    d2 = ((_VERTICES - (a, b)) ** 2).sum(axis=1)
+    return _VERTICES[int(np.argmin(d2))].copy()

@@ -207,8 +207,8 @@ class SoftMax(PreferenceFunction):
     smooth = True
 
     def __init__(self, eps: float, dim_obj: int):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < eps < np.inf:
+            raise ValueError("eps must be positive and finite")
         self.eps = float(eps)
         self.dim_obj = int(dim_obj)
 
@@ -386,8 +386,8 @@ class HopfLaxParams:
         object.__setattr__(self, "x", as_vector(self.x, name="x"))
         object.__setattr__(self, "tau", as_vector(self.tau, name="tau"))
         for name in ("alpha", "c", "mu"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     @property
     def dim_u(self):

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constrained import ConstraintSet, box_constraints, dykstra_project
+from .constrained import ConstraintSet, box_constraints, project_epigraph_halfspace
 from .core import HopfLaxParams, SoftMax, VectorObjective
 
 
@@ -95,7 +95,7 @@ def example1() -> BenchmarkProblem:
         dim_con=2,
         fn=kfun,
         jac=kjac,
-        projector=lambda u: dykstra_project(u, cycles=10, root_tol=1e-6),
+        projector=project_epigraph_halfspace,
         membership_tol=1e-6,
         tangent_basis=tangent,
         batched=True,

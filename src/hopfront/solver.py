@@ -61,12 +61,12 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.eta <= 1.0):
             raise ValueError("eta must lie in (0, 1]")
-        if self.eps <= 0 or self.rho <= 0:
-            raise ValueError("eps and rho must be positive")
+        for name in ("rho", "eps", "sigma"):
+            # the chained comparison is False for NaN as well
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.maxit_outer < 1:
             raise ValueError("maxit_outer must be positive")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
 
 
 @dataclass(eq=False)
@@ -234,15 +234,17 @@ def _inner_projected_gradient(f, g, k, u0, pi_new, params, cfg):
     project = k.project if k is not None else (lambda u_: u_)
 
     def val(u):
-        return g.value(f.value(u) + E) + 0.5 * stiff * float(u @ u) - float(cx @ u)
+        # the composite's value and the objective vector it was built from
+        ell = f.value(u)
+        return g.value(ell + E) + 0.5 * stiff * float(u @ u) - float(cx @ u), ell
 
     u = u0
-    fu = val(u)
+    fu, ell = val(u)
     res = np.inf
     t_warm = 1.0  # accepted step carries over; curvature mismatch is persistent
     for _ in range(_MAXIT_U):
         J = f.jacobian(u)
-        gvec = J.T @ g.gradient(f.value(u) + E) + stiff * u - cx
+        gvec = J.T @ g.gradient(ell + E) + stiff * u - cx
         res = float(np.linalg.norm(u - project(u - gamma * gvec))) / gamma
         if res <= res_tol:
             break
@@ -258,11 +260,11 @@ def _inner_projected_gradient(f, g, k, u0, pi_new, params, cfg):
             t = min(1.0, t_warm / _LS_BETA) if attempt == 0 else 1.0
             for _ in range(30):
                 trial = project(u - t * direction)
-                ft = val(trial)
+                ft, ell_t = val(trial)
                 step = trial - u
                 # projection-arc form of the Armijo sufficient decrease
                 if ft <= fu - _LS_C1 * float(step @ step) / max(t, 1e-300):
-                    cand, fc = trial, ft
+                    cand, fc, ell_c = trial, ft, ell_t
                     if attempt == 0:
                         t_warm = t
                     break
@@ -272,7 +274,7 @@ def _inner_projected_gradient(f, g, k, u0, pi_new, params, cfg):
         if cand is None:
             break
         move = float(np.linalg.norm(cand - u))
-        u, fu = cand, fc
+        u, fu, ell = cand, fc, ell_c
         if move <= move_tol:
             break
     return u, res

@@ -66,11 +66,6 @@ class ParetoFront:
     def converged_count(self):
         return sum(1 for s in self.samples if s.converged)
 
-    def objective_points(self, converged_only=True):
-        """Objective vectors in path order, optionally converged samples only."""
-        pts = [s.objectives for s in self.samples if s.converged or not converged_only]
-        return [np.array(p) for p in pts]
-
 
 def sweep(
     problem,

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from hopfront.cli import build_parser, main, read_front_csv
+from hopfront.core import HopfLaxParams, SoftMax
+from hopfront.solver import SolverConfig
 
 
 def run(args):
@@ -45,6 +47,21 @@ class TestSolveCommand:
         spaced = capsys.readouterr().out
         assert run(["solve", "--problem", "ex2a", f"--tau={tau}"]) == 0
         assert spaced == capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value, build", [
+        ("--eps", "nan", lambda v: SolverConfig(eps=v)),
+        ("--sigma", "nan", lambda v: SolverConfig(sigma=v)),
+        ("--rho", "inf", lambda v: SolverConfig(rho=v)),
+        ("--mu", "inf", lambda v: HopfLaxParams(x=[0.0], tau=[0.0], alpha=1.0, c=1.0, mu=v)),
+        ("--c", "nan", lambda v: HopfLaxParams(x=[0.0], tau=[0.0], alpha=1.0, c=v, mu=1.0)),
+        ("--alpha", "inf", lambda v: HopfLaxParams(x=[0.0], tau=[0.0], alpha=v, c=1.0, mu=1.0)),
+        ("--pref-eps", "nan", lambda v: SoftMax(v, 2)),
+    ], ids=["eps-nan", "sigma-nan", "rho-inf", "mu-inf", "c-nan", "alpha-inf", "pref-eps-nan"])
+    def test_non_finite_parameters_are_rejected(self, capsys, flag, value, build):
+        assert run(["solve", "--problem", "ex2a", "--tau", "0,0", flag, value]) == 1
+        assert "error:" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            build(float(value))
 
     def test_nonconvergence_exit_two(self, capsys):
         code = run(["solve", "--problem", "ex2b", "--tau", "0,0", "--maxit", "1", "--eps", "1e-13"])

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfront.constrained import (
     ConstraintSet,
     box_constraints,
-    dykstra_project,
+    project_epigraph_halfspace,
     project_halfspace,
     project_parabola_epigraph,
 )
@@ -117,6 +119,50 @@ class TestConstrainedPreconditioner:
         assert eigs.min() >= 0.11 - 1e-12
 
 
+def _parabola_arc(s):
+    return np.stack([s, s * s], axis=-1)
+
+
+def _halfspace_edge(s):
+    return np.stack([s, (3.0 - s) / 2.0], axis=-1)
+
+
+# The boundary of ex1's set: the two arcs over u1 in [-1.5, 1], which meet at
+# the vertices (-1.5, 2.25) and (1, 1).
+_BOUNDARY_GRID = np.concatenate([_parabola_arc(np.linspace(-1.5, 1.0, 2001)),
+                                  _halfspace_edge(np.linspace(-1.5, 1.0, 2001))])
+
+
+def _boundary_distance(p):
+    # Grid search over each arc's parameter, zoomed in around the best grid
+    # point until the spacing is ~1e-12.
+    best = np.inf
+    for arc in (_parabola_arc, _halfspace_edge):
+        lo, hi, n = -1.5, 1.0, 20001
+        for _ in range(5):
+            s = np.linspace(lo, hi, n)
+            d = np.linalg.norm(arc(s) - p, axis=1)
+            i = int(np.argmin(d))
+            lo, hi, n = max(-1.5, s[max(i - 1, 0)]), min(1.0, s[min(i + 1, n - 1)]), 201
+        best = min(best, float(d[i]))
+    return best
+
+
+@st.composite
+def ex1_plane_points(draw):
+    # anywhere in a box around the set, or within 1e-3 of a vertex or of a
+    # point on either boundary arc (0 included, so on the boundary itself)
+    kind = draw(st.sampled_from(["box", "vertex", "arc", "edge"]))
+    if kind == "box":
+        return np.array([draw(st.floats(-6.0, 6.0)), draw(st.floats(-6.0, 6.0))])
+    if kind == "vertex":
+        base = np.array(draw(st.sampled_from([(1.0, 1.0), (-1.5, 2.25)])))
+    else:
+        base = (_parabola_arc if kind == "arc" else _halfspace_edge)(draw(st.floats(-1.5, 1.0)))
+    near = st.floats(-1e-3, 1e-3)
+    return base + np.array([draw(near), draw(near)])
+
+
 class TestProjections:
     def test_parabola_feasible_fixed_point(self):
         assert np.array_equal(project_parabola_epigraph([0.3, 0.5]), [0.3, 0.5])
@@ -132,7 +178,7 @@ class TestProjections:
             xs = np.linspace(-4, 4, 400001)
             d2 = (xs - p[0]) ** 2 + (xs**2 - p[1]) ** 2
             best = xs[np.argmin(d2)]
-            proj = project_parabola_epigraph(p, root_tol=1e-10)
+            proj = project_parabola_epigraph(p)
             assert abs(proj[0] - best) <= 2e-5
 
     def test_halfspace_projection(self):
@@ -141,13 +187,13 @@ class TestProjections:
         assert p[0] + 2 * p[1] == pytest.approx(3.0, abs=1e-12)
 
     def test_dykstra_feasible_fixed_point(self):
-        assert np.allclose(dykstra_project([0.0, 0.5]), [0.0, 0.5], atol=1e-14)
+        assert np.array_equal(project_epigraph_halfspace([0.0, 0.5]), [0.0, 0.5])
 
     def test_dykstra_axis_point(self):
-        assert np.allclose(dykstra_project([0.0, -1.0]), [0.0, 0.0], atol=1e-10)
+        assert np.allclose(project_epigraph_halfspace([0.0, -1.0]), [0.0, 0.0], atol=1e-10)
 
     def test_dykstra_corner_against_brute_force(self):
-        out = dykstra_project([4.0, 4.0])
+        out = project_epigraph_halfspace([4.0, 4.0])
         # brute force: search both boundary curves of the intersection
         a = np.linspace(-1.5, 1.0, 200001)
         parab = np.stack([a, a**2], axis=1)
@@ -157,25 +203,25 @@ class TestProjections:
         d2 = ((cand - np.array([4.0, 4.0])) ** 2).sum(axis=1)
         best = cand[np.argmin(d2)]
         assert np.allclose(out, best, atol=1e-4)
-        k1 = -out[0] ** 2 + out[1]
-        k2 = -out[0] - 2 * out[1] + 3
-        assert min(k1, k2) >= -1e-6
+        assert example1().constraints.value(out).min() >= 0.0
 
-    def test_dykstra_random_inputs_feasible_and_contracting(self, rng):
-        for _ in range(50):
-            p = rng.uniform(-5, 5, size=2)
-            out = dykstra_project(p, cycles=10)
-            k1 = -out[0] ** 2 + out[1]
-            k2 = -out[0] - 2 * out[1] + 3
-            assert min(k1, k2) >= -1e-6
-            # successive cycle outputs approach the limit monotonically
-            outs = [dykstra_project(p, cycles=c) for c in range(1, 8)]
-            gaps = [float(np.linalg.norm(outs[i + 1] - outs[i])) for i in range(len(outs) - 1)]
-            assert all(g2 <= g1 + 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
+    def test_projection_distance_matches_boundary_brute_force(self, rng):
+        K = example1().constraints
+        points = rng.uniform(-6, 6, size=(2000, 2))
+        points = points[K.value_batch(points).min(axis=1) < 0.0][:300]
+        assert len(points) == 300
+        for p in points:
+            exact = float(np.linalg.norm(p - project_epigraph_halfspace(p)))
+            assert abs(exact - _boundary_distance(p)) <= 1e-12
 
-    def test_dykstra_validates_cycles(self):
-        with pytest.raises(ValueError):
-            dykstra_project([0.0, 0.0], cycles=0)
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(u=ex1_plane_points())
+    def test_exact_projection_properties(self, u):
+        p = project_epigraph_halfspace(u)
+        assert example1().constraints.value(p).min() >= 0.0
+        assert np.array_equal(project_epigraph_halfspace(p), p)
+        # obtuse-angle characterisation of the projection onto a convex set
+        assert ((_BOUNDARY_GRID - p) @ (u - p)).max() <= 1e-12
 
 
 class TestMultiplierEstimate:

@@ -4,7 +4,7 @@ import pytest
 from hopfront.core import HopfLaxParams, VectorObjective, WeightedSum
 from hopfront.problems import BenchmarkProblem, example2_case1, get_problem
 from hopfront.solver import SolverConfig, solve
-from hopfront.sweep import ParetoFront, TauPath, sweep
+from hopfront.sweep import TauPath, sweep
 
 
 def linear_problem():
@@ -105,15 +105,11 @@ class TestSweep:
 
 
 class TestFrontAccessors:
-    def test_empty_front(self):
-        front = ParetoFront(problem_id="x")
-        assert front.objective_points() == []
-
     def test_converged_filter(self):
         prob = example2_case1()
         front = sweep(prob, n_samples=5)
-        pts_all = front.objective_points(converged_only=False)
-        pts_conv = front.objective_points(converged_only=True)
+        pts_all = [s.objectives for s in front.samples]
+        pts_conv = [s.objectives for s in front.samples if s.converged]
         assert len(pts_all) == 5
         assert len(pts_conv) == front.converged_count()
         assert all(np.isfinite(p).all() for p in pts_conv)
