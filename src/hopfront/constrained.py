@@ -158,7 +158,10 @@ def project_epigraph_halfspace(u):
     For two closed convex sets, a projection onto one that lands in the other
     is the projection onto the intersection; otherwise both constraints are
     active at the answer, which in 2-D makes it one of the two vertices.
+    An ``(n, 2)`` stack is projected row by row.
     """
+    if np.ndim(u) == 2:
+        return np.array([project_epigraph_halfspace(p) for p in u]).reshape(-1, 2)
     a, b = float(u[0]), float(u[1])
     if b >= a * a and a + 2.0 * b <= 3.0:
         return np.array([a, b])

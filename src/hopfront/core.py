@@ -55,10 +55,12 @@ def as_vector(y, n=None, name="y"):
 class VectorObjective:
     """Smooth map from decision vectors to objective vectors.
 
-    ``fn`` maps ``(d,)`` arrays to ``(dim_obj,)`` arrays; when ``batched`` it
-    must also accept ``(n, d)`` stacks and return ``(n, dim_obj)``. ``jac``
-    returns the ``(dim_obj, d)`` Jacobian at a point; when omitted, central
-    finite differences with step ``fd_step`` are used.
+    ``fn`` maps ``(d,)`` arrays to ``(dim_obj,)`` arrays. ``jac`` returns the
+    ``(dim_obj, d)`` Jacobian at a point; when omitted, central finite
+    differences with step ``fd_step`` are used. ``batched`` declares that
+    both also accept ``(n, d)`` stacks, returning ``(n, dim_obj)`` values and
+    ``(n, dim_obj, d)`` Jacobians; ``value_batch`` and ``jacobian_batch``
+    otherwise evaluate the stack point by point.
     """
 
     dim_u: int
@@ -86,6 +88,17 @@ class VectorObjective:
         if self.jac is not None:
             return np.asarray(self.jac(u), dtype=float).reshape(self.dim_obj, self.dim_u)
         return self.fd_jacobian(u, self.fd_step)
+
+    def jacobian_batch(self, U):
+        """Jacobians at a stack of points, ``(n, dim_obj, dim_u)``."""
+        U = np.asarray(U, dtype=float).reshape(-1, self.dim_u)
+        if not (self.batched and self.jac is not None):
+            return np.stack([self.jacobian(u) for u in U])
+        J = np.asarray(self.jac(U), dtype=float)
+        shape = (U.shape[0], self.dim_obj, self.dim_u)
+        if J.shape != shape:
+            raise ValueError(f"batched jac returned shape {J.shape}, expected {shape}")
+        return J
 
     def fd_jacobian(self, u, h):
         """Central-difference Jacobian, also used as the audit reference."""

@@ -3,7 +3,9 @@
 Grid / Monte Carlo sampling, nondominated filtering, weighted-sum envelope
 baselines, and set distances. These are the validation oracles the solver
 results are checked against, so everything here is deliberately simple and
-deterministic.
+deterministic. The envelope runs its projected-gradient descents, one per
+weight and start, in lock step as one batch: each row keeps its own step
+and stopping test, and leaves the batch when it stops.
 """
 from __future__ import annotations
 
@@ -197,34 +199,58 @@ def certification_cloud(problem, mc=20000, seed=0, enrich=20000) -> SampleCloud:
     return sample_cloud(problem, mc=mc, seed=seed, enrich=enrich)
 
 
-def _projected_descent(grad_fn, val_fn, u0, project, maxit=200, tol=1e-9):
-    u = project(np.array(u0, dtype=float))
-    fu = val_fn(u)
+def _lockstep_descent(f, project, W, U0, maxit=200, tol=1e-9):
+    """Projected-gradient descent on w_r . ell from ``U0[r]`` for every row r
+    of ``W``; returns the final points and their weighted values.
+
+    Each row takes the Armijo rule along the projection arc (Bertsekas, IEEE
+    TAC 21, 1976): from t = 1, halve t at most 40 times until
+    f(P(u - t g)) <= f(u) + 1e-4 g . (P(u - t g) - u). A row stops after a
+    step shorter than ``tol``, when no step is accepted, or after ``maxit``
+    iterations. The rows share one batched objective, Jacobian and
+    projection call per iteration and halving.
+    """
+
+    def weighted(V, w):
+        return (f.value_batch(V) * w).sum(axis=1)
+
+    U = project(U0)
+    FU = weighted(U, W)
+    live = np.arange(U.shape[0])
     for _ in range(maxit):
-        g = grad_fn(u)
-        t = 1.0
-        moved = False
+        if live.size == 0:
+            break
+        u, fu, w = U[live], FU[live], W[live]
+        g = (f.jacobian_batch(u) * w[:, :, None]).sum(axis=1)
+        t = np.ones(live.size)
+        stop = np.zeros(live.size, dtype=bool)
+        todo = np.arange(live.size)  # rows still halving their step
         for _ in range(40):
-            cand = project(u - t * g)
-            fc = val_fn(cand)
-            if fc <= fu + 1e-4 * float(g @ (cand - u)):
-                if np.linalg.norm(cand - u) <= tol:
-                    return cand
-                u, fu = cand, fc
-                moved = True
+            cand = project(u[todo] - t[todo, None] * g[todo])
+            fc = weighted(cand, w[todo])
+            step = cand - u[todo]
+            ok = fc <= fu[todo] + 1e-4 * (g[todo] * step).sum(axis=1)
+            done = todo[ok]
+            U[live[done]], FU[live[done]] = cand[ok], fc[ok]
+            stop[done] = np.linalg.norm(step[ok], axis=1) <= tol
+            todo = todo[~ok]
+            if todo.size == 0:
                 break
-            t *= 0.5
-        if not moved:
-            return u
-    return u
+            t[todo] *= 0.5
+        stop[todo] = True  # no step accepted
+        live = live[~stop]
+    return U, FU
 
 
 def convex_envelope_front(problem, n_weights=16, starts=16, seed=0, base_cloud=None):
     """Weighted-sum baseline: minimize w . ell(u) over the feasible set for a
-    spread of weights; returns the nondominated set of the resulting points.
+    spread of weights; returns the nondominated set of the resulting points,
+    each distinct point once.
 
     Nonconvex landscapes need multiple starts, seeded from the best cloud
-    samples per weight. Recovers only the convex envelope of the front.
+    samples per weight; all weight x start descents run as one lock-step
+    batch, and each weight keeps its first best start. Recovers only the
+    convex envelope of the front.
     """
     if n_weights < 2:
         raise ValueError("n_weights must be >= 2")
@@ -246,25 +272,16 @@ def convex_envelope_front(problem, n_weights=16, starts=16, seed=0, base_cloud=N
         W = np.concatenate([np.eye(N), rng.dirichlet(np.ones(N), size=max(0, n_weights - N))])
     W = np.maximum(W, 1e-12)
 
-    project = problem.projector()
-    sols_u, sols_y = [], []
-    for w in W:
-        scores = Y @ w
-        seed_idx = np.argsort(scores)[:starts]
-        best_u, best_val = None, np.inf
-        for i in seed_idx:
-            u = _projected_descent(
-                lambda u: f.jacobian(u).T @ w,
-                lambda u: float(f.value(u) @ w),
-                U[i],
-                project,
-            )
-            val = float(f.value(u) @ w)
-            if val < best_val:
-                best_u, best_val = u, val
-        sols_u.append(best_u)
-        sols_y.append(f.value(best_u))
-    cloud = SampleCloud(np.stack(sols_u), np.stack(sols_y), f"envelope({n_weights})")
+    seed_idx = np.stack([np.argsort(Y @ w)[:starts] for w in W])  # (n_weights, k)
+    k = seed_idx.shape[1]
+    sols, vals = _lockstep_descent(f, problem.projector(), np.repeat(W, k, axis=0), U[seed_idx.ravel()])
+    best = np.argmin(vals.reshape(-1, k), axis=1)
+    sols_u = sols.reshape(-1, k, f.dim_u)[np.arange(len(W)), best]
+    sols_y = np.stack([f.value(u) for u in sols_u])
+    # Weights that share a minimizer give equal rows, which the strong
+    # filter keeps; the first of each stands for them.
+    first = np.sort(np.unique(sols_y, axis=0, return_index=True)[1])
+    cloud = SampleCloud(sols_u[first], sols_y[first], f"envelope({n_weights})")
     return greedy_pareto_filter(cloud, mode="strong")
 
 

@@ -7,6 +7,7 @@ the CLI and output manifests: ex1, ex2a, ex2b, ex3a-d{N}, ex3b.
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -39,6 +40,8 @@ class BenchmarkProblem:
         return SoftMax(0.1, self.objective.dim_obj)
 
     def projector(self):
+        """Euclidean projection onto the feasible set; maps a point ``(d,)``
+        or a stack ``(n, d)`` of points row by row."""
         if self.constraints is not None and self.constraints.projector is not None:
             return self.constraints.projector
         lo, hi = self.feasible_box
@@ -53,6 +56,28 @@ def _stack_last(cols):
     return np.stack(cols, axis=-1)
 
 
+def _stack_jac(u, rows):
+    # Jacobian from its entries: scalars on one point, (n,) columns on an
+    # (n, d) stack, where constant entries are broadcast to every row.
+    if u.ndim == 1:
+        return np.array(rows)
+    J = np.empty((u.shape[0], len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            J[:, i, j] = entry
+    return J
+
+
+def _power(u):
+    # ``**`` for Jacobian coefficients at the points u. On one point it is
+    # libm's pow on numpy scalars. numpy's SIMD power loop differs from that
+    # in the last bit on a few percent of inputs, so a stack takes libm's pow
+    # element by element and matches the scalar Jacobian bit for bit.
+    if u.ndim == 1:
+        return operator.pow
+    return lambda x, k: np.array([v**k for v in x.tolist()])
+
+
 def example1() -> BenchmarkProblem:
     """Two convex objectives on the intersection of a parabola epigraph with
     a halfspace; the front lies on the parabola boundary."""
@@ -62,7 +87,7 @@ def example1() -> BenchmarkProblem:
         return _stack_last([-u1, u1 + u2**2])
 
     def jac(u):
-        return np.array([[-1.0, 0.0], [1.0, 2.0 * u[1]]])
+        return _stack_jac(u, [[-1.0, 0.0], [1.0, 2.0 * u.T[1]]])
 
     def kfun(u):
         u1, u2 = u[..., 0], u[..., 1]
@@ -154,14 +179,11 @@ def example2_case1() -> BenchmarkProblem:
         return _stack_last([l1, l2])
 
     def jac(u):
-        u1, u2 = u
+        u1, u2 = u.T
+        pw = _power(u)
         dp = 2.0 * lam * (u2 - u1)
-        return np.array(
-            [
-                [1.0 - dp, dp],
-                [-1.0 + 4.0 * a * (u1 - 0.5) ** 3 - 2.0 * b * (u1 - 0.5) - dp, dp],
-            ]
-        )
+        x = u1 - 0.5
+        return _stack_jac(u, [[1.0 - dp, dp], [-1.0 + 4.0 * a * pw(x, 3) - 2.0 * b * x - dp, dp]])
 
     return _box_problem(
         "ex2a", ell, jac, 2, 2, 1.0, 0.1, 0.01,
@@ -182,16 +204,13 @@ def example2_case2() -> BenchmarkProblem:
         return _stack_last([l1, l2])
 
     def jac(u):
-        u1, u2 = u
+        u1, u2 = u.T
+        pw = _power(u)
         dpen = 2.0 * (u2 - u1)
         d1 = 1.0 + 4.0 * np.pi * g1 * np.cos(4.0 * np.pi * u1) - b1 * dpen
-        d2 = (
-            4.0 * (u1 - 0.25) ** 3 * (u1 - 0.75) ** 2
-            + 2.0 * (u1 - 0.25) ** 4 * (u1 - 0.75)
-            - eta
-            - b2 * dpen
-        )
-        return np.array([[d1, b1 * dpen], [d2, b2 * dpen]])
+        x, y = u1 - 0.25, u1 - 0.75
+        d2 = 4.0 * pw(x, 3) * pw(y, 2) + 2.0 * pw(x, 4) * y - eta - b2 * dpen
+        return _stack_jac(u, [[d1, b1 * dpen], [d2, b2 * dpen]])
 
     return _box_problem(
         "ex2b", ell, jac, 2, 2, 1.0, 0.1, 0.01,
@@ -204,6 +223,15 @@ def _mean_spread(u):
     s = u.mean(axis=-1)
     r2 = ((u - s[..., None]) ** 2).mean(axis=-1)
     return s, r2
+
+
+def _mean_spread_jac(u, s, coef, spread):
+    # Jacobian of ell_i = h_i(s) + spread_i * r2 from coef_i = h_i'(s): row i
+    # is h_i'(s) / d + spread_i * 2 (u - s) / d. coef is (N,) on one point and
+    # (n, N) on a stack.
+    d = u.shape[-1]
+    dev = 2.0 * (u - s[..., None]) / d
+    return coef[..., None] * (1.0 / d) + spread[:, None] * dev[..., None, :]
 
 
 def example3_case1(d: int) -> BenchmarkProblem:
@@ -223,13 +251,14 @@ def example3_case1(d: int) -> BenchmarkProblem:
         l2 = 1.0 - s + a * (s - 0.5) ** 4 - b * (s - 0.5) ** 2 + b2 * r2
         return _stack_last([l1, l2])
 
+    spread = np.array([b1, b2])
+
     def jac(u):
-        s, _ = _mean_spread(u)
-        dev = 2.0 * (u - s) / d
-        ones = np.full(d, 1.0 / d)
-        row1 = (1.0 + 2.0 * np.pi * g1 * np.cos(2.0 * np.pi * s)) * ones + b1 * dev
-        row2 = (-1.0 + 4.0 * a * (s - 0.5) ** 3 - 2.0 * b * (s - 0.5)) * ones + b2 * dev
-        return np.stack([row1, row2])
+        s = u.mean(axis=-1)
+        pw = _power(u)
+        coef = _stack_last([1.0 + 2.0 * np.pi * g1 * np.cos(2.0 * np.pi * s),
+                            -1.0 + 4.0 * a * pw(s - 0.5, 3) - 2.0 * b * (s - 0.5)])
+        return _mean_spread_jac(u, s, coef, spread)
 
     scale = 10.0 * d
     return _box_problem(
@@ -254,18 +283,21 @@ def example3_case2() -> BenchmarkProblem:
         l5 = 0.5 * s**2 + g5 * np.sin(4.0 * np.pi * s) + c5 * r2
         return _stack_last([l1, l2, l3, l4, l5])
 
+    spread = np.array([b1, b2, c3, c4, c5])
+
     def jac(u):
-        s, _ = _mean_spread(u)
-        dev = 2.0 * (u - s) / d
-        ones = np.full(d, 1.0 / d)
-        rows = [
-            (1.0 + 2.0 * np.pi * g1 * np.cos(2.0 * np.pi * s)) * ones + b1 * dev,
-            (-1.0 + 4.0 * a * (s - 0.5) ** 3 - 2.0 * b * (s - 0.5)) * ones + b2 * dev,
-            2.0 * (s - 0.2) * ones + c3 * dev,
-            2.0 * (s - 0.8) * ones + c4 * dev,
-            (s + 4.0 * np.pi * g5 * np.cos(4.0 * np.pi * s)) * ones + c5 * dev,
-        ]
-        return np.stack(rows)
+        s = u.mean(axis=-1)
+        pw = _power(u)
+        coef = _stack_last(
+            [
+                1.0 + 2.0 * np.pi * g1 * np.cos(2.0 * np.pi * s),
+                -1.0 + 4.0 * a * pw(s - 0.5, 3) - 2.0 * b * (s - 0.5),
+                2.0 * (s - 0.2),
+                2.0 * (s - 0.8),
+                s + 4.0 * np.pi * g5 * np.cos(4.0 * np.pi * s),
+            ]
+        )
+        return _mean_spread_jac(u, s, coef, spread)
 
     # One spread direction across the five shifts traces a curve of distinct
     # tradeoffs; components scale with d like the planar cases.

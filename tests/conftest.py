@@ -41,6 +41,69 @@ def all_pairs_filter(points, mode="strong"):
     return ~dominated
 
 
+def _projected_descent(grad_fn, val_fn, u0, project, maxit=200, tol=1e-9):
+    u = project(np.array(u0, dtype=float))
+    fu = val_fn(u)
+    for _ in range(maxit):
+        g = grad_fn(u)
+        t = 1.0
+        moved = False
+        for _ in range(40):
+            cand = project(u - t * g)
+            fc = val_fn(cand)
+            if fc <= fu + 1e-4 * float(g @ (cand - u)):
+                if np.linalg.norm(cand - u) <= tol:
+                    return cand
+                u, fu = cand, fc
+                moved = True
+                break
+            t *= 0.5
+        if not moved:
+            return u
+    return u
+
+
+def scalar_envelope(problem, n_weights=16, starts=16, seed=0, base_cloud=None):
+    """Weighted-sum envelope with one scalar projected-gradient descent per
+    weight and start, without dropping duplicate rows; the reference the
+    library's lock-step batched envelope is checked against."""
+    from hopfront.oracle import SampleCloud, greedy_pareto_filter, sample_cloud
+
+    f = problem.objective
+    N = f.dim_obj
+    if base_cloud is None:
+        base_cloud = sample_cloud(problem, mc=4000, seed=seed)
+    U, Y = base_cloud.points_u, base_cloud.points_obj
+    if N == 2:
+        ts = np.linspace(0.0, 1.0, n_weights)
+        W = np.stack([ts, 1.0 - ts], axis=1)
+    else:
+        rng = np.random.default_rng(seed)
+        W = np.concatenate([np.eye(N), rng.dirichlet(np.ones(N), size=max(0, n_weights - N))])
+    W = np.maximum(W, 1e-12)
+
+    project = problem.projector()
+    sols_u, sols_y = [], []
+    for w in W:
+        scores = Y @ w
+        seed_idx = np.argsort(scores)[:starts]
+        best_u, best_val = None, np.inf
+        for i in seed_idx:
+            u = _projected_descent(
+                lambda u: f.jacobian(u).T @ w,
+                lambda u: float(f.value(u) @ w),
+                U[i],
+                project,
+            )
+            val = float(f.value(u) @ w)
+            if val < best_val:
+                best_u, best_val = u, val
+        sols_u.append(best_u)
+        sols_y.append(f.value(best_u))
+    cloud = SampleCloud(np.stack(sols_u), np.stack(sols_y), f"envelope({n_weights})")
+    return greedy_pareto_filter(cloud, mode="strong")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

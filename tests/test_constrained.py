@@ -214,6 +214,12 @@ class TestProjections:
             exact = float(np.linalg.norm(p - project_epigraph_halfspace(p)))
             assert abs(exact - _boundary_distance(p)) <= 1e-12
 
+    def test_stack_projects_row_by_row(self, rng):
+        points = rng.uniform(-3, 3, size=(300, 2))
+        stacked = project_epigraph_halfspace(points)
+        assert stacked.shape == (300, 2)
+        assert np.array_equal(stacked, np.stack([project_epigraph_halfspace(p) for p in points]))
+
     @settings(derandomize=True, deadline=None, database=None)
     @given(u=ex1_plane_points())
     def test_exact_projection_properties(self, u):

@@ -269,6 +269,44 @@ class TestVectorObjective:
             jacobian_check(f, [0.0], h=0.0)
 
 
+class TestJacobianBatch:
+    @pytest.mark.parametrize("pid", ["ex1", "ex2a", "ex2b", "ex3a-d2", "ex3a-d10", "ex3a-d100", "ex3b"])
+    def test_benchmark_jacobians_match_scalar_bitwise(self, pid, rng):
+        from hopfront.problems import get_problem
+
+        problem = get_problem(pid)
+        f = problem.objective
+        U = rng.uniform(*problem.feasible_box, size=(500, f.dim_u))
+        J = f.jacobian_batch(U)
+        assert J.shape == (500, f.dim_obj, f.dim_u)
+        assert np.array_equal(J, np.stack([f.jacobian(u) for u in U]))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_point_by_point_fallback(self, batched, rng):
+        def fn(u):
+            return np.stack([u[..., 0] * u[..., 1], np.sin(u[..., 0])], axis=-1)
+
+        U = rng.normal(size=(7, 2))
+        # without jac every row takes the finite-difference Jacobian
+        fd = VectorObjective(2, 2, fn, None, batched=batched)
+        assert np.array_equal(fd.jacobian_batch(U), np.stack([fd.jacobian(u) for u in U]))
+        # an unbatched jac is only ever called on single points
+        calls = []
+
+        def jac(u):
+            calls.append(u.shape)
+            return np.array([[u[1], u[0]], [np.cos(u[0]), 0.0]])
+
+        f = VectorObjective(2, 2, fn, jac)
+        assert np.array_equal(f.jacobian_batch(U), np.stack([f.jacobian(u) for u in U]))
+        assert set(calls) == {(2,)}
+
+    def test_wrong_batched_shape_rejected(self):
+        f = VectorObjective(2, 2, lambda u: u, lambda u: np.eye(2), batched=True)
+        with pytest.raises(ValueError, match=r"\(2, 2\).*\(3, 2, 2\)"):
+            f.jacobian_batch(np.zeros((3, 2)))
+
+
 class TestHopfLaxParams:
     def test_recovery_maps(self):
         params = HopfLaxParams(x=np.array([1.0, 2.0]), tau=np.array([0.5, -0.5]), alpha=2.0, c=0.1, mu=0.01)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import all_pairs_filter, brute_force_filter
+from conftest import all_pairs_filter, brute_force_filter, scalar_envelope
 
 from hopfront.oracle import (
     SampleCloud,
@@ -227,7 +227,8 @@ class TestConvexEnvelope:
             return np.stack([x**2, (x - 1.0) ** 2], axis=-1)
 
         def jac(u):
-            return np.array([[2.0 * u[0]], [2.0 * (u[0] - 1.0)]])
+            x = u[..., 0]
+            return np.stack([2.0 * x, 2.0 * (x - 1.0)], axis=-1)[..., None]
 
         prob = BenchmarkProblem(
             id="pp",
@@ -273,6 +274,25 @@ class TestConvexEnvelope:
         assert env.points_obj.shape == (1, 1)
         base = sample_cloud(prob, mc=4000, seed=0)
         assert env.points_obj[0, 0] == base.points_obj.min()
+
+    def test_each_point_once(self):
+        # three weights share the ex1 vertex (1, 1) as their minimizer
+        prob = example1()
+        base = sample_cloud(prob, mc=20000, seed=1)
+        env = convex_envelope_front(prob, seed=1, base_cloud=base)
+        assert len(env) == len(np.unique(env.points_obj, axis=0)) == 14
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("pid", ["ex1", "ex2a", "ex2b", "ex3a-d10", "ex3b"])
+    def test_lockstep_batch_matches_scalar_descents(self, pid, seed):
+        prob = get_problem(pid)
+        env = convex_envelope_front(prob, seed=seed)
+        ref = scalar_envelope(prob, seed=seed)
+        # the reference keeps repeated points; drop them as the library does
+        first = np.sort(np.unique(ref.points_obj, axis=0, return_index=True)[1])
+        assert len(env) == len(first)
+        assert np.abs(env.points_obj - ref.points_obj[first]).max() <= 1e-7
+        assert np.abs(env.points_u - ref.points_u[first]).max() <= 1e-7
 
 
 class TestFrontDistance:

@@ -8,7 +8,7 @@ from hopfront.sweep import TauPath, sweep
 
 
 def linear_problem():
-    f = VectorObjective(1, 1, lambda u: u, lambda u: np.array([[1.0]]), batched=True)
+    f = VectorObjective(1, 1, lambda u: u, lambda u: np.ones(u.shape[:-1] + (1, 1)), batched=True)
     return BenchmarkProblem(
         id="lin",
         objective=f,
