@@ -40,6 +40,7 @@ from .solver import (
     certify_gap,
     dual_update_nu,
     dual_update_pi,
+    evaluate,
     gap_and_bound,
     merit_psi,
     multiplier_estimate,

@@ -229,7 +229,6 @@ def _add_common(p):
     p.add_argument("--eps", type=float, default=defaults.eps)
     p.add_argument("--maxit", dest="maxit_outer", type=int, default=defaults.maxit_outer)
     p.add_argument("--pref-eps", type=float, default=0.1, help="softmax sharpness")
-    p.add_argument("--no-safeguard", dest="safeguard", action="store_false")
 
 
 def _add_reference(p, mc):
@@ -299,7 +298,7 @@ def cmd_solve(args):
         "E_bar": res.E_bar.tolist(),
         "residual": res.residual_history[-1] if res.residual_history else None,
         "psi": res.merit_history[-1],
-        "objectives": problem.objective.value(res.u_star).tolist(),
+        "objectives": res.objectives.tolist(),
         "nu_star": res.nu_star.tolist(),
         "complementarity": res.complementarity,
         "feasibility_violation": res.feasibility_violation,
@@ -434,6 +433,15 @@ def cmd_check(args):
         res = g3.prox_conjugate(v, rho) + rho * g3.prox_scaled(v / rho, rho) - v
         worst = max(worst, float(np.linalg.norm(res)))
     report("moreau-identity", worst <= 1e-10, f"max residual {worst:.2e}")
+
+    # The conjugate prox is a point of the simplex at any scale of v.
+    worst = 0.0
+    for scale in 10.0 ** np.arange(0, 301, 10):
+        for v in ([1.0, -1.0, 0.0], [1.0, 1.0, -1.0], [-0.5, 1.0, 0.25]):
+            for rho in (0.05, 0.5, 5.0):
+                p = g3.prox_conjugate(scale * np.array(v), rho)
+                worst = max(worst, abs(float(p.sum()) - 1.0), -float(p.min()))
+    report("prox-extreme-scale", worst <= 1e-12, f"max simplex violation {worst:.2e} for |v| up to 1e300")
 
     # Filter equivalence against the quadratic brute force.
     mismatches = 0

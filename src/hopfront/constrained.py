@@ -53,9 +53,6 @@ class ConstraintSet:
     def is_feasible(self, u) -> bool:
         return bool(self.value(u).min(initial=np.inf) >= -self.membership_tol)
 
-    def violation(self, u) -> float:
-        return max(0.0, -float(self.value(u).min(initial=0.0)))
-
     def project(self, u):
         if self.projector is None:
             raise ValueError("constraint set has no projector")

@@ -79,9 +79,12 @@ class VectorObjective:
 
     def value_batch(self, U):
         U = np.asarray(U, dtype=float).reshape(-1, self.dim_u)
-        if self.batched:
-            return np.asarray(self.fn(U), dtype=float).reshape(U.shape[0], self.dim_obj)
-        return np.stack([self.value(u) for u in U])
+        if not self.batched:
+            return np.stack([self.value(u) for u in U])
+        Y = np.asarray(self.fn(U), dtype=float).reshape(U.shape[0], self.dim_obj)
+        if not np.isfinite(Y).all():
+            raise NumericalError("objective returned non-finite values")
+        return Y
 
     def jacobian(self, u):
         u = as_vector(u, self.dim_u, "u")
@@ -164,7 +167,10 @@ def _entropic_weights(v, eps, rho, tol=1e-13, maxit=200):
     # Solves the stationarity system of prox_{g/rho} for the log-sum-exp g:
     # weights s_i satisfy eps*log(s_i) + s_i/rho = v_i - theta with sum(s) = 1.
     # Each s_i is a Wright-omega evaluation, leaving a monotone 1-D root-find
-    # in the multiplier theta.
+    # in the multiplier theta. The weights do not change when v shifts by a
+    # constant; with max(v) shifted to 0, theta lies in [-1/rho, eps log n]
+    # however large |v| is, and so does the resolution its root-find needs.
+    v = v - v.max()
     base = v / eps - np.log(eps * rho)
 
     def weights(theta):
@@ -173,8 +179,8 @@ def _entropic_weights(v, eps, rho, tol=1e-13, maxit=200):
     def h(theta):
         return float(np.sum(weights(theta))) - 1.0
 
-    scale = max(1.0, float(np.max(np.abs(v))), eps)
-    theta = float(np.max(v))
+    scale = max(1.0, eps, 1.0 / rho)
+    theta = 0.0
     step = max(1.0, eps)
     lo = hi = theta
     val = h(theta)
@@ -249,6 +255,14 @@ class SoftMax(PreferenceFunction):
         v = as_vector(v, self.dim_obj, "v")
         s = _entropic_weights(v, self.eps, rho)
         return v - s / rho
+
+    def prox_conjugate(self, v, rho):
+        # The Moreau form v - rho prox_{g/rho}(v/rho) returns exactly these
+        # weights, but cancels to 0 for large |v|.
+        if rho <= 0:
+            raise ValueError("rho must be positive")
+        v = as_vector(v, self.dim_obj, "v")
+        return _entropic_weights(v / rho, self.eps, rho)
 
 
 class WeightedSum(PreferenceFunction):

@@ -7,6 +7,9 @@ function measuring violation of the full optimality system safeguards every
 step: the dual step and the primal step are damped until the merit is
 non-increasing, so recorded merit values never rise.
 
+Each iterate is evaluated once (``evaluate``): the merit, the multipliers, the
+stop test, the next dual step and the next inner solve all read that record.
+
 The primal refinement is chosen from the inputs, not from an option: a
 smooth scalarizer over an unconstrained problem or a constraint set with a
 projector gets the inner minimization of the shifted scalarization (value
@@ -36,8 +39,9 @@ _MERIT_SLACK = 1e-15
 # Inner-loop limits and line-search constants. No run sets them, so they are
 # fixed here rather than carried in SolverConfig.
 _MAXIT_INNER = 50  # LM refinement steps per outer iteration
+_THETAS = (1.0, 0.5, 0.25, 0.125, 0.0)  # dual step damping per safeguard trial
 _BACKTRACK_FACTOR = 0.5  # primal step damping per safeguard trial
-_MAX_BACKTRACKS = 20  # safeguard trials per outer iteration, beyond one per theta
+_ETA_TRIALS = 5  # primal damping trials per dual candidate
 _ACTIVE_THRESHOLD = 1e-3  # k(u) below this counts as nearly active
 _MAXIT_U = 200  # value-descent steps per inner solve
 _TOL_U = 1e-4  # value-descent move tolerance, tightened to 0.01 eps when smaller
@@ -48,14 +52,13 @@ _LS_C1 = 1e-4  # Armijo sufficient-decrease constant
 @dataclass(frozen=True)
 class SolverConfig:
     """The solver parameters a run sets: dual step ``rho``, primal damping
-    ``eta``, tolerance ``eps``, outer iteration limit ``maxit_outer``, the
-    merit ``safeguard`` and multiplier ascent step ``sigma``."""
+    ``eta``, tolerance ``eps``, outer iteration limit ``maxit_outer`` and
+    multiplier ascent step ``sigma``."""
 
     rho: float = 0.5
     eta: float = 1.0
     eps: float = 1e-5
     maxit_outer: int = 100
-    safeguard: bool = True
     sigma: float = 0.5
 
     def __post_init__(self):
@@ -71,13 +74,15 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class SolveResult:
-    """Outcome of one solve. Without constraints ``nu_star`` is empty and
-    ``complementarity`` and ``feasibility_violation`` are 0."""
+    """Outcome of one solve; ``objectives`` is ell(u_star). Without
+    constraints ``nu_star`` is empty and ``complementarity`` and
+    ``feasibility_violation`` are 0."""
 
     u_star: np.ndarray
     pi_star: np.ndarray
     p_bar: np.ndarray
     E_bar: np.ndarray
+    objectives: np.ndarray
     iterations: int
     converged: bool
     residual_history: List[float] = field(default_factory=list)
@@ -88,14 +93,36 @@ class SolveResult:
     gap_certificate: Optional[float] = None
 
 
-def dual_update_pi(f, g, u, pi, params, rho):
-    """One dual step: returns (pi_next, E) with E = c (tau + alpha pi).
+@dataclass(frozen=True, eq=False)
+class Evaluation:
+    """ell(u) and Jac[ell](u), plus k(u) and Jac[k](u) when there are
+    constraints (``kv`` and ``Jk`` are None otherwise)."""
+
+    u: np.ndarray
+    ell: np.ndarray
+    J: np.ndarray
+    kv: Optional[np.ndarray] = None
+    Jk: Optional[np.ndarray] = None
+
+
+def evaluate(f, k, u) -> Evaluation:
+    """The one evaluation of the objective (and constraint) maps at u that
+    every solver step at u reads."""
+    u = as_vector(u, f.dim_u, "u")
+    if k is None or k.dim_con == 0:
+        return Evaluation(u, f.value(u), f.jacobian(u))
+    return Evaluation(u, f.value(u), f.jacobian(u), k.value(u), k.jacobian(u))
+
+
+def dual_update_pi(g, ell, pi, params, rho):
+    """One dual step from the objective vector ``ell`` = ell(u): returns
+    (pi_next, E) with E = c (tau + alpha pi).
 
     Differentiable scalarizers take the gradient shortcut
-    pi_next = grad g(ell(u) + E); otherwise a proximal step on the conjugate.
+    pi_next = grad g(ell + E); otherwise a proximal step on the conjugate.
     """
     E = params.dual_shift(pi)
-    y = f.value(u) + E
+    y = ell + E
     if g.smooth:
         pi_next = g.gradient(y)
     else:
@@ -154,45 +181,43 @@ def spd_solve(B, r):
     return x
 
 
-def merit_psi(f, g, u, pi, params, rho, k=None, nu=None, sigma=0.5) -> float:
-    """Violation of the optimality system; zero exactly at its solutions.
+def merit_psi(g, pt, pi, params, rho, nu=None, sigma=0.5) -> float:
+    """Violation of the optimality system at the evaluated point ``pt``;
+    zero exactly at its solutions.
 
     First block: squared stationarity residual in the inverse-preconditioner
     norm. Second block: squared fixed-point displacement of the dual prox.
-    With a nonempty constraint set ``k``, the residual carries the multiplier
+    When ``pt`` carries constraint values, the residual carries the multiplier
     term and a third block adds the ascent displacement of ``nu``.
     """
     if rho <= 0 or sigma <= 0:
         raise ValueError("rho and sigma must be positive")
-    u = as_vector(u, f.dim_u, "u")
-    pi = as_vector(pi, f.dim_obj, "pi")
-    constrained = k is not None and k.dim_con > 0
-    J = f.jacobian(u)
-    r = stationarity_residual(J, u, pi, params, k.jacobian(u) if constrained else None, nu)
-    term1 = 0.5 * float(r @ spd_solve(preconditioner(J, params), r))
+    pi = as_vector(pi, pt.ell.shape[0], "pi")
+    r = stationarity_residual(pt.J, pt.u, pi, params, pt.Jk, nu)
+    term1 = 0.5 * float(r @ spd_solve(preconditioner(pt.J, params), r))
     E = params.dual_shift(pi)
-    disp = g.prox_conjugate(pi + rho * (f.value(u) + E), rho) - pi
+    disp = g.prox_conjugate(pi + rho * (pt.ell + E), rho) - pi
     term2 = float(disp @ disp) / (2.0 * rho * rho)
-    if not constrained:
+    if pt.kv is None:
         return term1 + term2
-    nu_disp = dual_update_nu(k.value(u), nu, sigma) - nu
+    nu_disp = dual_update_nu(pt.kv, nu, sigma) - nu
     return term1 + term2 + float(nu_disp @ nu_disp) / (2.0 * sigma * sigma)
 
 
-def multiplier_estimate(f, k, u, pi, params):
-    """Nonnegative least-squares multipliers over the nearly active set.
+def multiplier_estimate(pt, pi, params):
+    """Nonnegative least-squares multipliers over the nearly active set of
+    the evaluated point ``pt``.
 
     Exact projection zeroes the ascent signal on active constraints, so the
     multipliers are recovered from stationarity instead: minimize
     ||Jac[k]_A^T nu - F|| over nu >= 0 supported on the active set A.
     """
-    u = as_vector(u, f.dim_u, "u")
-    nu = np.zeros(k.dim_con)
-    active = np.flatnonzero(k.value(u) <= _ACTIVE_THRESHOLD)
+    nu = np.zeros(pt.kv.shape[0])
+    active = np.flatnonzero(pt.kv <= _ACTIVE_THRESHOLD)
     if active.size == 0:
         return nu
-    F = stationarity_residual(f.jacobian(u), u, pi, params)
-    sol, _ = nnls(k.jacobian(u)[active].T, F)
+    F = stationarity_residual(pt.J, pt.u, pi, params)
+    sol, _ = nnls(pt.Jk[active].T, F)
     nu[active] = sol
     return nu
 
@@ -221,10 +246,11 @@ def _two_metric_step(k, u, gvec, B, Jk, active):
     return tangential + normal / lam_hi
 
 
-def _inner_projected_gradient(f, g, k, u0, pi_new, params, cfg):
+def _inner_projected_gradient(f, g, k, pt, pi_new, params, cfg):
     # Full inner solve of the shifted scalarization over K (or all of R^d when
-    # k is None): projected gradient descent, preconditioned in the two-metric
-    # sense, with Armijo backtracking and a plain-gradient arc fallback.
+    # k is None) from the evaluated point pt: projected gradient descent,
+    # preconditioned in the two-metric sense, with Armijo backtracking and a
+    # plain-gradient arc fallback.
     E = params.dual_shift(pi_new)
     stiff = params.mu + params.alpha * params.c
     cx = params.c * params.x
@@ -233,24 +259,25 @@ def _inner_projected_gradient(f, g, k, u0, pi_new, params, cfg):
     res_tol = 0.05 * cfg.eps
     project = k.project if k is not None else (lambda u_: u_)
 
-    def val(u):
-        # the composite's value and the objective vector it was built from
-        ell = f.value(u)
-        return g.value(ell + E) + 0.5 * stiff * float(u @ u) - float(cx @ u), ell
+    def val(u, ell):
+        # the composite at u from its objective vector ell = ell(u)
+        return g.value(ell + E) + 0.5 * stiff * float(u @ u) - float(cx @ u)
 
-    u = u0
-    fu, ell = val(u)
+    u, ell, J, kv, Jk = pt.u, pt.ell, pt.J, pt.kv, pt.Jk
+    fu = val(u, ell)
     res = np.inf
     t_warm = 1.0  # accepted step carries over; curvature mismatch is persistent
-    for _ in range(_MAXIT_U):
-        J = f.jacobian(u)
+    for it in range(_MAXIT_U):
+        if it > 0:
+            J = f.jacobian(u)
         gvec = J.T @ g.gradient(ell + E) + stiff * u - cx
         res = float(np.linalg.norm(u - project(u - gamma * gvec))) / gamma
         if res <= res_tol:
             break
         if k is not None:
-            Jk = k.jacobian(u)
-            active = k.value(u) <= _ACTIVE_THRESHOLD
+            if it > 0:
+                Jk, kv = k.jacobian(u), k.value(u)
+            active = kv <= _ACTIVE_THRESHOLD
             B = preconditioner(J, params, Jk[active])
             primary = _two_metric_step(k, u, gvec, B, Jk, active)
         else:
@@ -260,7 +287,8 @@ def _inner_projected_gradient(f, g, k, u0, pi_new, params, cfg):
             t = min(1.0, t_warm / _LS_BETA) if attempt == 0 else 1.0
             for _ in range(30):
                 trial = project(u - t * direction)
-                ft, ell_t = val(trial)
+                ell_t = f.value(trial)
+                ft = val(trial, ell_t)
                 step = trial - u
                 # projection-arc form of the Armijo sufficient decrease
                 if ft <= fu - _LS_C1 * float(step @ step) / max(t, 1e-300):
@@ -280,57 +308,52 @@ def _inner_projected_gradient(f, g, k, u0, pi_new, params, cfg):
     return u, res
 
 
-def _refine_lm(f, k, u, pi, nu, params, eta, cfg, projector, nu_of=None, maxit=None):
-    # Damped LM steps at frozen pi until the residual target is met or the
-    # iterate stalls. ``nu_of`` re-estimates the multipliers at every iterate
-    # so the step tracks the active manifold; otherwise nu stays frozen.
+def _refine_lm(f, k, pt, pi, nu, params, eta, cfg, projector, nu_of=None, maxit=_MAXIT_INNER):
+    # Damped LM steps at frozen pi from the evaluated point pt until the
+    # residual target is met or the iterate stalls; returns the evaluation of
+    # the final iterate. ``nu_of`` re-estimates the multipliers at every
+    # iterate so the step tracks the active manifold; otherwise nu stays frozen.
     target = 0.05 * cfg.eps
-    constrained = k is not None and k.dim_con > 0
 
-    def residual(u_):
-        nu_ = nu_of(u_) if nu_of is not None else nu
-        J = f.jacobian(u_)
-        Jk = k.jacobian(u_) if constrained else None
-        return stationarity_residual(J, u_, pi, params, Jk, nu_), nu_, J, Jk
+    def residual(pt_):
+        nu_ = nu_of(pt_) if nu_of is not None else nu
+        return stationarity_residual(pt_.J, pt_.u, pi, params, pt_.Jk, nu_)
 
-    u_cur = u
-    r_cur, nu_cur, J, Jk = residual(u_cur)
-    for _ in range(maxit if maxit is not None else _MAXIT_INNER):
-        Jk_active = Jk[k.value(u_cur) <= _ACTIVE_THRESHOLD] if constrained else None
-        B = preconditioner(J, params, Jk_active)
+    r_cur = residual(pt)
+    for _ in range(maxit):
+        Jk_active = pt.Jk[pt.kv <= _ACTIVE_THRESHOLD] if pt.kv is not None else None
+        B = preconditioner(pt.J, params, Jk_active)
         if projector is None:
             res_here = float(np.linalg.norm(r_cur))
         else:
             gamma = 1.0 / (params.mu + params.alpha * params.c)
-            res_here = float(np.linalg.norm(u_cur - projector(u_cur - gamma * r_cur))) / gamma
+            res_here = float(np.linalg.norm(pt.u - projector(pt.u - gamma * r_cur))) / gamma
         if res_here <= target:
-            return u_cur
+            return pt
         step = eta * spd_solve(B, r_cur)
         r_norm = float(np.linalg.norm(r_cur))
-        accepted = None
         frac = 1.0
         for _ in range(25):
-            u_next = u_cur - step
+            u_next = pt.u - step
             if projector is not None:
                 u_next = projector(u_next)
             if not np.all(np.isfinite(u_next)):
                 raise NumericalError("primal update produced non-finite iterate")
-            r_next, nu_next, J_next, Jk_next = residual(u_next)
+            pt_next = evaluate(f, k, u_next)
+            r_next = residual(pt_next)
             # damping: the Gauss-Newton model can understate curvature and
             # equal-norm mirror steps would cycle; the required decrease
             # scales with the damping so short steps stay acceptable
             if float(np.linalg.norm(r_next)) <= r_norm * (1.0 - 1e-3 * frac):
-                accepted = (u_next, r_next, nu_next, J_next, Jk_next)
                 break
             step = 0.5 * step
             frac *= 0.5
-        if accepted is None:
-            return u_cur
-        u_next, r_cur, nu_cur, J, Jk = accepted
-        if float(np.linalg.norm(u_next - u_cur)) <= 1e-15 * (1.0 + float(np.linalg.norm(u_cur))):
-            return u_next
-        u_cur = u_next
-    return u_cur
+        else:
+            return pt
+        if float(np.linalg.norm(pt_next.u - pt.u)) <= 1e-15 * (1.0 + float(np.linalg.norm(pt.u))):
+            return pt_next
+        pt, r_cur = pt_next, r_next
+    return pt
 
 
 def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None) -> SolveResult:
@@ -349,18 +372,12 @@ def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None) -> S
     pi = as_vector(pi0, f.dim_obj, "pi0") if pi0 is not None else np.zeros(f.dim_obj)
     nu = np.zeros(m)
 
-    def merit(u_, pi_, nu_):
-        return merit_psi(f, g, u_, pi_, params, cfg.rho, k, nu_, cfg.sigma)
-
-    def stop_residual(u_, pi_, nu_):
-        J = f.jacobian(u_)
-        if m > 0 and projector is None:
-            return float(np.linalg.norm(stationarity_residual(J, u_, pi_, params, k.jacobian(u_), nu_)))
-        F = stationarity_residual(J, u_, pi_, params)
-        if m == 0:
-            return float(np.linalg.norm(F))
+    def stop_residual(pt_, pi_, nu_):
+        if not use_estimate:
+            return float(np.linalg.norm(stationarity_residual(pt_.J, pt_.u, pi_, params, pt_.Jk, nu_)))
+        F = stationarity_residual(pt_.J, pt_.u, pi_, params)
         gamma = 1.0 / (params.mu + params.alpha * params.c)
-        return float(np.linalg.norm(u_ - projector(u_ - gamma * F))) / gamma
+        return float(np.linalg.norm(pt_.u - projector(pt_.u - gamma * F))) / gamma
 
     # Smooth scalarizers get the value-descent inner solve whenever iterates
     # can be kept feasible: the residual-only LM refinement cannot cross
@@ -370,18 +387,19 @@ def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None) -> S
     # have no gradient to descend, and for projector-less constraint sets.
     value_descent = g.smooth and (m == 0 or projector is not None)
 
-    def refine(u_, pi_, nu_, eta):
-        if value_descent:
-            u_in, res_in = _inner_projected_gradient(f, g, k if m > 0 else None, u_, pi_, params, cfg)
-            if m == 0 and res_in > 0.05 * cfg.eps:
-                # LM polish: value descent bottoms out at the rounding floor
-                # of the composite, the residual does not
-                u_in = _refine_lm(f, k, u_in, pi_, nu_, params, 1.0, cfg, projector, maxit=10)
-            return u_ + eta * (u_in - u_)
-        nu_of = (lambda uu: multiplier_estimate(f, k, uu, pi_, params)) if use_estimate else None
-        return _refine_lm(f, k, u_, pi_, nu_, params, eta, cfg, projector, nu_of=nu_of)
+    def inner_solve(pt_, pi_, nu_):
+        u_in, res_in = _inner_projected_gradient(f, g, k if m > 0 else None, pt_, pi_, params, cfg)
+        if m == 0 and res_in > 0.05 * cfg.eps:
+            # LM polish: value descent bottoms out at the rounding floor
+            # of the composite, the residual does not
+            u_in = _refine_lm(f, k, evaluate(f, k, u_in), pi_, nu_, params, 1.0, cfg,
+                              projector, maxit=10).u
+        # the full step u + (u_in - u) rounds differently from u_in; the
+        # candidates below are relaxations of this rounded point
+        return pt_.u + (u_in - pt_.u)
 
-    psi = merit(u, pi, nu)
+    pt = evaluate(f, k, u)
+    psi = merit_psi(g, pt, pi, params, cfg.rho, nu, cfg.sigma)
     psi_floor = cfg.eps**2 * max(1.0, psi)
     merit_history = [psi]
     residual_history: List[float] = []
@@ -390,67 +408,52 @@ def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None) -> S
 
     # The safeguard damps both channels: the dual step by theta, the primal
     # step by eta, accepting the first merit-nonincreasing combination.
-    thetas = (1.0, 0.5, 0.25, 0.125, 0.0) if cfg.safeguard else (1.0,)
-    eta_trials = 1 if not cfg.safeguard else min(_MAX_BACKTRACKS, 4) + 1
-
     for iterations in range(1, cfg.maxit_outer + 1):
-        pi_new, _ = dual_update_pi(f, g, u, pi, params, cfg.rho)
-        nu_asc = None
-        if m > 0 and not use_estimate:
-            nu_asc = dual_update_nu(k.value(u), nu, cfg.sigma)
+        pi_new, _ = dual_update_pi(g, pt.ell, pi, params, cfg.rho)
+        # projector-less constraint sets ascend in nu, projected ones estimate it
+        nu_asc = dual_update_nu(pt.kv, nu, cfg.sigma) if m > 0 and not use_estimate else nu
 
         accepted = None
-        budget = _MAX_BACKTRACKS + len(thetas)
-        for theta in thetas:
+        for theta in _THETAS:
             if theta == 1.0:
                 pi_cand = pi_new
             elif theta == 0.0:
                 pi_cand = pi
             else:
                 pi_cand = pi + theta * (pi_new - pi)
-            if nu_asc is not None:
-                nu_seed = nu_asc if theta > 0.0 else nu
-            else:
-                nu_seed = nu
+            nu_seed = nu_asc if theta > 0.0 else nu
 
             # one inner solve per dual candidate, which eta only relaxes;
             # LM steps are recomputed for each eta
-            u_in = refine(u, pi_cand, nu_seed, 1.0) if value_descent else None
+            u_in = inner_solve(pt, pi_cand, nu_seed) if value_descent else None
             eta = cfg.eta
-            for _ in range(eta_trials):
-                budget -= 1
+            for _ in range(_ETA_TRIALS):
                 if value_descent:
-                    u_cand = u + eta * (u_in - u)
+                    u_cand = pt.u + eta * (u_in - pt.u)
+                    # a candidate that did not move keeps its evaluation
+                    same = u_cand.tobytes() == pt.u.tobytes()
+                    pt_cand = pt if same else evaluate(f, k, u_cand)
                 else:
-                    u_cand = refine(u, pi_cand, nu_seed, eta)
+                    nu_of = (lambda p: multiplier_estimate(p, pi_cand, params)) if use_estimate else None
+                    pt_cand = _refine_lm(f, k, pt, pi_cand, nu_seed, params, eta, cfg, projector, nu_of)
                 eta *= _BACKTRACK_FACTOR
-                if nu_asc is not None:
-                    nu_cand = nu_seed
-                elif use_estimate:
-                    nu_cand = multiplier_estimate(f, k, u_cand, pi_cand, params)
-                else:
-                    nu_cand = nu
-                psi_cand = merit(u_cand, pi_cand, nu_cand)
-                ok = np.isfinite(psi_cand) and (
-                    not cfg.safeguard or psi_cand <= psi + _MERIT_SLACK * max(1.0, psi)
-                )
-                if ok:
-                    accepted = (u_cand, pi_cand, nu_cand, psi_cand)
+                nu_cand = multiplier_estimate(pt_cand, pi_cand, params) if use_estimate else nu_seed
+                psi_cand = merit_psi(g, pt_cand, pi_cand, params, cfg.rho, nu_cand, cfg.sigma)
+                if np.isfinite(psi_cand) and psi_cand <= psi + _MERIT_SLACK * max(1.0, psi):
+                    accepted = (pt_cand, pi_cand, nu_cand, psi_cand)
                     break
-                if budget <= 0:
-                    break
-            if accepted is not None or budget <= 0:
+            if accepted is not None:
                 break
         if accepted is None:
             iterations -= 1
             break  # merit stalled at its numerical floor
 
-        u_next, pi_next, nu_next, psi_next = accepted
-        res = stop_residual(u_next, pi_next, nu_next)
+        pt_next, pi_next, nu_next, psi_next = accepted
+        res = stop_residual(pt_next, pi_next, nu_next)
         pi_disp = float(np.linalg.norm(pi_next - pi))
         nu_disp = float(np.linalg.norm(nu_next - nu))
-        u_disp = float(np.linalg.norm(u_next - u))
-        u, pi, nu, psi = u_next, pi_next, nu_next, psi_next
+        u_disp = float(np.linalg.norm(pt_next.u - pt.u))
+        pt, pi, nu, psi = pt_next, pi_next, nu_next, psi_next
         residual_history.append(res)
         merit_history.append(psi)
         if not (np.isfinite(res) and np.isfinite(psi)):
@@ -458,22 +461,22 @@ def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None) -> S
         if res <= cfg.eps and pi_disp <= cfg.eps and nu_disp <= cfg.eps and psi <= psi_floor:
             converged = True
             break
-        stagnant = max(pi_disp, nu_disp, u_disp) <= 1e-14 * (1.0 + float(np.linalg.norm(u)))
+        stagnant = max(pi_disp, nu_disp, u_disp) <= 1e-14 * (1.0 + float(np.linalg.norm(pt.u)))
         if stagnant:
             break  # fixed point reached at the solver's numerical resolution
 
     complementarity = feasibility = 0.0
     if use_estimate:
-        nu = multiplier_estimate(f, k, u, pi, params)
+        nu = multiplier_estimate(pt, pi, params)
     if m > 0:
-        kv = k.value(u)
-        complementarity = float(np.max(np.abs(nu * kv)))
-        feasibility = max(0.0, -float(kv.min()))
+        complementarity = float(np.max(np.abs(nu * pt.kv)))
+        feasibility = max(0.0, -float(pt.kv.min()))
     return SolveResult(
-        u_star=u,
+        u_star=pt.u,
         pi_star=pi,
-        p_bar=params.dual_momentum(u),
+        p_bar=params.dual_momentum(pt.u),
         E_bar=params.dual_shift(pi),
+        objectives=pt.ell,
         iterations=iterations,
         converged=converged,
         residual_history=residual_history,

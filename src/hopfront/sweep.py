@@ -107,7 +107,7 @@ def sweep(
                 t=float(t),
                 tau=np.array(tau),
                 u=res.u_star,
-                objectives=problem.objective.value(res.u_star),
+                objectives=res.objectives,
                 pi=res.pi_star,
                 E=res.E_bar,
                 p=res.p_bar,

@@ -98,7 +98,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("flags", [
         [],
-        ["--pref-eps", "0.05", "--no-safeguard", "--c", "0.5", "--compare", "--grid", "40"],
+        ["--pref-eps", "0.05", "--c", "0.5", "--compare", "--grid", "40"],
         ["--tau-start=-5,5", "--tau-end=5,-5", "--maxit", "80", "--rho", "0.4",
          "--sigma", "0.6", "--eta", "0.9", "--eps", "2e-5", "--alpha", "1.5", "--mu", "0.02",
          "--pairs", "2:1", "--compare", "--mc", "3000", "--seed", "4", "--weights", "8"],
@@ -123,7 +123,8 @@ class TestSweepCommand:
 
     def test_config_with_unknown_params_is_rejected(self, tmp_path, capsys):
         run(["sweep", "--problem", "ex2a", "--n", "2", "--out", str(tmp_path / "a")])
-        for key, value in (("pref", {"kind": "softmax", "eps": 0.05}), ("warm_start", True)):
+        for key, value in (("pref", {"kind": "softmax", "eps": 0.05}), ("warm_start", True),
+                           ("safeguard", False)):
             manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
             manifest["params"][key] = value
             config = tmp_path / "old.json"
@@ -254,7 +255,7 @@ class TestCheckCommand:
         code = run(["check"])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6
         assert "FAIL" not in out
 
     def test_no_color_respected(self, capsys, monkeypatch):

@@ -15,6 +15,7 @@ from hopfront.problems import example1
 from hopfront.solver import (
     SolverConfig,
     dual_update_nu,
+    evaluate,
     merit_psi,
     multiplier_estimate,
     preconditioner,
@@ -233,7 +234,7 @@ class TestProjections:
 class TestMultiplierEstimate:
     def test_inactive_gives_zero(self):
         prob = example1()
-        nu = multiplier_estimate(prob.objective, prob.constraints, np.array([0.0, 1.0]),
+        nu = multiplier_estimate(evaluate(prob.objective, prob.constraints, [0.0, 1.0]),
                                  np.array([0.5, 0.5]), ex1_params())
         assert np.array_equal(nu, np.zeros(2))
 
@@ -245,7 +246,7 @@ class TestMultiplierEstimate:
         u = np.array([0.0, 0.5, 1.0])  # lower face, free, upper face
         pi = np.array([1.0])
         F = stationarity_residual(f.jacobian(u), u, pi, params)
-        nu = multiplier_estimate(f, k, u, pi, params)
+        nu = multiplier_estimate(evaluate(f, k, u), pi, params)
         assert nu[0] == pytest.approx(max(F[0], 0.0))   # lower face row is +e_0
         assert nu[3 + 2] == pytest.approx(max(-F[2], 0.0))  # upper face row is -e_2
         assert np.all(nu >= 0)
@@ -255,8 +256,8 @@ class TestMeritPsiK:
     def test_zero_at_bound_kkt_point(self):
         f = identity_objective()
         k = halfline_constraint()
-        psi = merit_psi(f, WeightedSum([1.0]), np.array([0.0]), np.array([1.0]), scalar_params(), 0.5,
-                        k, np.array([1.0]), 0.5)
+        psi = merit_psi(WeightedSum([1.0]), evaluate(f, k, [0.0]), np.array([1.0]), scalar_params(), 0.5,
+                        np.array([1.0]), 0.5)
         assert psi == pytest.approx(0.0, abs=1e-28)
 
     def test_interior_zero_multiplier_matches_unconstrained(self, rng):
@@ -265,8 +266,8 @@ class TestMeritPsiK:
         g = SoftMax(0.1, 2)
         u = np.array([0.0, 1.0])
         pi = rng.dirichlet([1, 1])
-        psi_k = merit_psi(prob.objective, g, u, pi, params, 0.5, prob.constraints, np.zeros(2), 0.5)
-        psi = merit_psi(prob.objective, g, u, pi, params, 0.5)
+        psi_k = merit_psi(g, evaluate(prob.objective, prob.constraints, u), pi, params, 0.5, np.zeros(2), 0.5)
+        psi = merit_psi(g, evaluate(prob.objective, None, u), pi, params, 0.5)
         assert psi_k == psi
 
     def test_matches_independent_assembly(self, rng):
@@ -293,7 +294,7 @@ class TestMeritPsiK:
                 + float(disp @ disp) / (2 * rho**2)
                 + float(nu_disp @ nu_disp) / (2 * sigma**2)
             )
-            got = merit_psi(prob.objective, g, u, pi, params, rho, prob.constraints, nu, sigma)
+            got = merit_psi(g, evaluate(prob.objective, prob.constraints, u), pi, params, rho, nu, sigma)
             assert got == pytest.approx(expected, rel=1e-9)
 
 

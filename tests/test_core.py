@@ -139,9 +139,11 @@ class TestProxCalculus:
 
     def test_softmax_prox_conjugate_simplex(self):
         g = SoftMax(0.1, 2)
-        out = g.prox_conjugate([5.0, -5.0], 1.0)
-        assert out.sum() == pytest.approx(1.0, abs=1e-10)
-        assert np.all(out >= 0)
+        # at large |v| the Moreau form v - rho prox(v/rho) cancels to 0
+        for v in ([5.0, -5.0], [5e299, -5e299], [1e20, 0.0]):
+            out = g.prox_conjugate(v, 1.0)
+            assert out.sum() == pytest.approx(1.0, abs=1e-10)
+            assert np.all(out >= 0)
 
     def test_softmax_prox_scaled_against_direct_minimization(self, rng):
         # independent oracle: minimize g(w)/rho + 0.5||w - v||^2 directly
@@ -254,9 +256,12 @@ class TestVectorObjective:
     def test_nonfinite_objective_raises(self):
         from hopfront.core import NumericalError
 
-        f = VectorObjective(1, 1, lambda u: np.array([np.inf]))
-        with pytest.raises(NumericalError):
-            f.value([0.0])
+        for batched in (False, True):
+            f = VectorObjective(1, 1, lambda u: np.where(u > 0.5, np.inf, u), batched=batched)
+            with pytest.raises(NumericalError):
+                f.value([1.0])
+            with pytest.raises(NumericalError):
+                f.value_batch([[0.0], [1.0]])
 
     def test_dimension_validation(self):
         f = VectorObjective(2, 2, lambda u: u)

@@ -14,6 +14,7 @@ from hopfront.solver import (
     SolverConfig,
     certify_gap,
     dual_update_pi,
+    evaluate,
     gap_and_bound,
     merit_psi,
     preconditioner,
@@ -41,7 +42,7 @@ class TestDualUpdate:
     def test_weighted_sum_returns_weights(self, rng):
         f = identity_objective()
         g = WeightedSum([1.0])
-        pi_next, E = dual_update_pi(f, g, np.array([0.7]), np.array([0.2]), scalar_params(), 0.5)
+        pi_next, E = dual_update_pi(g, f.value(np.array([0.7])), np.array([0.2]), scalar_params(), 0.5)
         assert pi_next == pytest.approx(1.0)
         assert E == pytest.approx(1.0 * (0.0 + 1.0 * 0.2))
 
@@ -50,13 +51,13 @@ class TestDualUpdate:
         f = VectorObjective(2, 2, lambda u: -scalar_E() * np.ones(2), lambda u: np.zeros((2, 2)))
         g = SoftMax(0.1, 2)
         params = HopfLaxParams(x=np.zeros(2), tau=np.zeros(2), alpha=1.0, c=1.0, mu=1.0)
-        pi_next, _ = dual_update_pi(f, g, np.zeros(2), np.zeros(2), params, 0.5)
+        pi_next, _ = dual_update_pi(g, f.value(np.zeros(2)), np.zeros(2), params, 0.5)
         assert np.allclose(pi_next, [0.5, 0.5])
 
     def test_softmax_singleton(self):
         f = identity_objective()
         g = SoftMax(0.1, 1)
-        pi_next, _ = dual_update_pi(f, g, np.array([0.3]), np.array([0.0]), scalar_params(), 0.5)
+        pi_next, _ = dual_update_pi(g, f.value(np.array([0.3])), np.array([0.0]), scalar_params(), 0.5)
         assert pi_next == pytest.approx(1.0)
 
     def test_prox_path_stays_in_simplex(self, rng):
@@ -66,7 +67,7 @@ class TestDualUpdate:
         params = HopfLaxParams(x=np.zeros(1), tau=np.array([3.0, -3.0]), alpha=1.0, c=0.1, mu=0.01)
         pi = np.zeros(2)
         for _ in range(20):
-            pi, _ = dual_update_pi(f, g, rng.normal(size=1), pi, params, 0.5)
+            pi, _ = dual_update_pi(g, f.value(rng.normal(size=1)), pi, params, 0.5)
             assert np.all(pi >= -1e-15)
             assert abs(pi.sum() - 1.0) <= 1e-9
 
@@ -145,13 +146,13 @@ class TestMerit:
     def test_zero_at_scalar_kkt_point(self):
         f = identity_objective()
         g = WeightedSum([1.0])
-        psi = merit_psi(f, g, np.array([0.0]), np.array([1.0]), scalar_params(x=1.0), 0.5)
+        psi = merit_psi(g, evaluate(f, None, [0.0]), np.array([1.0]), scalar_params(x=1.0), 0.5)
         assert psi == pytest.approx(0.0, abs=1e-28)
 
     def test_positive_when_dual_displaced(self):
         f = identity_objective()
         g = WeightedSum([1.0])
-        psi = merit_psi(f, g, np.array([0.0]), np.array([0.4]), scalar_params(x=1.0), 0.5)
+        psi = merit_psi(g, evaluate(f, None, [0.0]), np.array([0.4]), scalar_params(x=1.0), 0.5)
         assert psi > 1e-3
 
     def test_matches_independent_assembly(self, rng):
@@ -170,7 +171,7 @@ class TestMerit:
             E = 0.1 * (params.tau + pi)
             disp = g.prox_conjugate(pi + rho * (f.value(u) + E), rho) - pi
             expected = 0.5 * float(r @ (Binv @ r)) + float(disp @ disp) / (2 * rho**2)
-            assert merit_psi(f, g, u, pi, params, rho) == pytest.approx(expected, rel=1e-9)
+            assert merit_psi(g, evaluate(f, None, u), pi, params, rho) == pytest.approx(expected, rel=1e-9)
 
 
 class TestSolve:
@@ -215,17 +216,39 @@ class TestSolve:
         prob = ex2a_objective()
         g = SoftMax(0.1, 2)
         params = HopfLaxParams(x=np.zeros(2), tau=np.array([3.0, -3.0]), alpha=1.0, c=0.1, mu=0.01)
-        res = solve(prob, g, params, SolverConfig(safeguard=True))
+        res = solve(prob, g, params, SolverConfig())
         diffs = np.diff(res.merit_history)
         assert diffs.size == 0 or diffs.max() <= 1e-12
+
+    def test_objectives_are_ell_at_u_star(self):
+        from hopfront.problems import get_problem
+
+        for pid in ("ex1", "ex2b", "ex3b"):
+            prob = get_problem(pid)
+            for tau in (prob.tau_start, 0.5 * (prob.tau_start + prob.tau_end)):
+                res = solve(prob.objective, prob.default_preference(), prob.params_for(tau),
+                            constraints=prob.constraints)
+                assert res.objectives.tobytes() == prob.objective.value(res.u_star).tobytes()
+
+    def test_extreme_tau_keeps_pi_on_the_simplex(self):
+        # at |ell + E| ~ 1e20 and beyond, the Moreau form of the conjugate prox cancels to 0
+        from hopfront.problems import get_problem
+
+        prob = get_problem("ex2b")
+        for tau in ((1e20, 0.0), (1e300, -1e300)):
+            res = solve(prob.objective, prob.default_preference(), prob.params_for(tau),
+                        constraints=prob.constraints)
+            if res.converged:
+                assert np.all(res.pi_star >= 0.0)
+                assert res.pi_star.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_perturbing_solution_raises_merit(self):
         f = identity_objective()
         g = WeightedSum([1.0])
         params = scalar_params(x=1.0)
         res = solve(f, g, params, SolverConfig(eps=1e-10))
-        base = merit_psi(f, g, res.u_star, res.pi_star, params, 0.5)
-        bumped = merit_psi(f, g, res.u_star + 0.1, res.pi_star, params, 0.5)
+        base = merit_psi(g, evaluate(f, None, res.u_star), res.pi_star, params, 0.5)
+        bumped = merit_psi(g, evaluate(f, None, res.u_star + 0.1), res.pi_star, params, 0.5)
         assert base <= 1e-16
         assert bumped > 1e-4
 
