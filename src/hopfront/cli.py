@@ -431,17 +431,18 @@ def cmd_check(args):
         v = rng.normal(scale=3.0, size=3)
         rho = float(rng.uniform(0.05, 5.0))
         res = g3.prox_conjugate(v, rho) + rho * g3.prox_scaled(v / rho, rho) - v
-        worst = max(worst, float(np.linalg.norm(res)))
+        # np.max, unlike max, keeps a NaN, which then fails the line
+        worst = np.max([worst, float(np.linalg.norm(res))])
     report("moreau-identity", worst <= 1e-10, f"max residual {worst:.2e}")
 
-    # The conjugate prox is a point of the simplex at any scale of v.
+    # The conjugate prox is a point of the simplex at any scale of v and rho.
     worst = 0.0
-    for scale in 10.0 ** np.arange(0, 301, 10):
+    for scale in np.append(10.0 ** np.arange(0, 301, 10), 1e308):
         for v in ([1.0, -1.0, 0.0], [1.0, 1.0, -1.0], [-0.5, 1.0, 0.25]):
-            for rho in (0.05, 0.5, 5.0):
+            for rho in (1e-10, 0.05, 0.5, 5.0):
                 p = g3.prox_conjugate(scale * np.array(v), rho)
-                worst = max(worst, abs(float(p.sum()) - 1.0), -float(p.min()))
-    report("prox-extreme-scale", worst <= 1e-12, f"max simplex violation {worst:.2e} for |v| up to 1e300")
+                worst = np.max([worst, abs(float(p.sum()) - 1.0), -float(p.min())])
+    report("prox-extreme-scale", worst <= 1e-12, f"max simplex violation {worst:.2e} for |v| up to 1e308")
 
     # Filter equivalence against the quadratic brute force.
     mismatches = 0
@@ -465,7 +466,7 @@ def cmd_check(args):
     ident = VectorObjective(1, 1, lambda u: u, lambda u: np.array([[1.0]]))
     params = HopfLaxParams(x=np.array([1.0]), tau=np.array([0.0]), alpha=1.0, c=1.0, mu=1.0)
     res = solve(ident, WeightedSum([1.0]), params, SolverConfig(eps=1e-9))
-    err = max(abs(res.u_star[0]), abs(res.p_bar[0] - 1.0), abs(res.E_bar[0] - 1.0))
+    err = np.max(np.abs([res.u_star[0], res.p_bar[0] - 1.0, res.E_bar[0] - 1.0]))
     report("closed-form-kkt", res.converged and err <= 1e-8, f"max error {err:.2e}")
 
     # Gap certificate + merit descent on a short nonconvex sweep.

@@ -35,6 +35,8 @@ class CertificationError(RuntimeError):
 _isfinite = np.isfinite
 _all_true = np.logical_and.reduce
 
+_FD_STEP = 1e-6  # central-difference step of Jacobians a user does not supply
+
 
 def as_vector(y, n=None, name="y"):
     """Coerce to a finite 1-D float array, optionally of fixed length."""
@@ -57,8 +59,8 @@ class VectorObjective:
 
     ``fn`` maps ``(d,)`` arrays to ``(dim_obj,)`` arrays. ``jac`` returns the
     ``(dim_obj, d)`` Jacobian at a point; when omitted, central finite
-    differences with step ``fd_step`` are used. ``batched`` declares that
-    both also accept ``(n, d)`` stacks, returning ``(n, dim_obj)`` values and
+    differences are used. ``batched`` declares that both also accept
+    ``(n, d)`` stacks, returning ``(n, dim_obj)`` values and
     ``(n, dim_obj, d)`` Jacobians; ``value_batch`` and ``jacobian_batch``
     otherwise evaluate the stack point by point.
     """
@@ -67,7 +69,6 @@ class VectorObjective:
     dim_obj: int
     fn: Callable[[np.ndarray], np.ndarray]
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fd_step: float = 1e-6
     batched: bool = False
 
     def value(self, u):
@@ -90,7 +91,7 @@ class VectorObjective:
         u = as_vector(u, self.dim_u, "u")
         if self.jac is not None:
             return np.asarray(self.jac(u), dtype=float).reshape(self.dim_obj, self.dim_u)
-        return self.fd_jacobian(u, self.fd_step)
+        return self.fd_jacobian(u, _FD_STEP)
 
     def jacobian_batch(self, U):
         """Jacobians at a stack of points, ``(n, dim_obj, dim_u)``."""
@@ -170,8 +171,9 @@ def _entropic_weights(v, eps, rho, tol=1e-13, maxit=200):
     # in the multiplier theta. The weights do not change when v shifts by a
     # constant; with max(v) shifted to 0, theta lies in [-1/rho, eps log n]
     # however large |v| is, and so does the resolution its root-find needs.
-    v = v - v.max()
-    base = v / eps - np.log(eps * rho)
+    # Entries whose shift overflows to -inf get weight wrightomega(-inf) = 0.
+    with np.errstate(over="ignore"):
+        base = (v - v.max()) / eps - np.log(eps * rho)
 
     def weights(theta):
         return eps * rho * wrightomega(base - theta / eps)
@@ -262,7 +264,8 @@ class SoftMax(PreferenceFunction):
         if rho <= 0:
             raise ValueError("rho must be positive")
         v = as_vector(v, self.dim_obj, "v")
-        return _entropic_weights(v / rho, self.eps, rho)
+        with np.errstate(over="ignore"):
+            return _entropic_weights((v - v.max()) / rho, self.eps, rho)
 
 
 class WeightedSum(PreferenceFunction):

@@ -31,6 +31,7 @@ class SampleCloud:
 
 
 _BLOCK = 64  # points compared per vectorised step of the N != 2 filter
+_ENVELOPE_STARTS = 16  # descents per envelope weight, from its best cloud points
 
 
 def _dominated_mask_2d(P, strong):
@@ -242,7 +243,7 @@ def _lockstep_descent(f, project, W, U0, maxit=200, tol=1e-9):
     return U, FU
 
 
-def convex_envelope_front(problem, n_weights=16, starts=16, seed=0, base_cloud=None):
+def convex_envelope_front(problem, n_weights=16, seed=0, base_cloud=None):
     """Weighted-sum baseline: minimize w . ell(u) over the feasible set for a
     spread of weights; returns the nondominated set of the resulting points,
     each distinct point once.
@@ -272,7 +273,7 @@ def convex_envelope_front(problem, n_weights=16, starts=16, seed=0, base_cloud=N
         W = np.concatenate([np.eye(N), rng.dirichlet(np.ones(N), size=max(0, n_weights - N))])
     W = np.maximum(W, 1e-12)
 
-    seed_idx = np.stack([np.argsort(Y @ w)[:starts] for w in W])  # (n_weights, k)
+    seed_idx = np.stack([np.argsort(Y @ w)[:_ENVELOPE_STARTS] for w in W])  # (n_weights, k)
     k = seed_idx.shape[1]
     sols, vals = _lockstep_descent(f, problem.projector(), np.repeat(W, k, axis=0), U[seed_idx.ravel()])
     best = np.argmin(vals.reshape(-1, k), axis=1)

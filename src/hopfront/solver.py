@@ -7,8 +7,10 @@ function measuring violation of the full optimality system safeguards every
 step: the dual step and the primal step are damped until the merit is
 non-increasing, so recorded merit values never rise.
 
-Each iterate is evaluated once (``evaluate``): the merit, the multipliers, the
-stop test, the next dual step and the next inner solve all read that record.
+Each point is evaluated once (``evaluate``): the merit, the multipliers, the
+stop test, the next dual step and the next inner solve all read that record,
+and the inner solve returns its last point's record for the LM polish and
+the candidate at that point.
 
 The primal refinement is chosen from the inputs, not from an option: a
 smooth scalarizer over an unconstrained problem or a constraint set with a
@@ -105,13 +107,15 @@ class Evaluation:
     Jk: Optional[np.ndarray] = None
 
 
-def evaluate(f, k, u) -> Evaluation:
+def evaluate(f, k, u, ell=None) -> Evaluation:
     """The one evaluation of the objective (and constraint) maps at u that
-    every solver step at u reads."""
-    u = as_vector(u, f.dim_u, "u")
+    every solver step at u reads; ``ell``, when the caller already holds
+    ell(u), is taken as it is."""
+    u = np.asarray(u, dtype=float)  # f.jacobian validates it
+    ell = f.value(u) if ell is None else ell
     if k is None or k.dim_con == 0:
-        return Evaluation(u, f.value(u), f.jacobian(u))
-    return Evaluation(u, f.value(u), f.jacobian(u), k.value(u), k.jacobian(u))
+        return Evaluation(u, ell, f.jacobian(u))
+    return Evaluation(u, ell, f.jacobian(u), k.value(u), k.jacobian(u))
 
 
 def dual_update_pi(g, ell, pi, params, rho):
@@ -250,7 +254,7 @@ def _inner_projected_gradient(f, g, k, pt, pi_new, params, cfg):
     # Full inner solve of the shifted scalarization over K (or all of R^d when
     # k is None) from the evaluated point pt: projected gradient descent,
     # preconditioned in the two-metric sense, with Armijo backtracking and a
-    # plain-gradient arc fallback.
+    # plain-gradient arc fallback. Returns the evaluation of its last point.
     E = params.dual_shift(pi_new)
     stiff = params.mu + params.alpha * params.c
     cx = params.c * params.x
@@ -263,25 +267,21 @@ def _inner_projected_gradient(f, g, k, pt, pi_new, params, cfg):
         # the composite at u from its objective vector ell = ell(u)
         return g.value(ell + E) + 0.5 * stiff * float(u @ u) - float(cx @ u)
 
-    u, ell, J, kv, Jk = pt.u, pt.ell, pt.J, pt.kv, pt.Jk
-    fu = val(u, ell)
+    fu = val(pt.u, pt.ell)
     res = np.inf
     t_warm = 1.0  # accepted step carries over; curvature mismatch is persistent
-    for it in range(_MAXIT_U):
-        if it > 0:
-            J = f.jacobian(u)
-        gvec = J.T @ g.gradient(ell + E) + stiff * u - cx
+    for _ in range(_MAXIT_U):
+        u = pt.u
+        gvec = pt.J.T @ g.gradient(pt.ell + E) + stiff * u - cx
         res = float(np.linalg.norm(u - project(u - gamma * gvec))) / gamma
         if res <= res_tol:
             break
         if k is not None:
-            if it > 0:
-                Jk, kv = k.jacobian(u), k.value(u)
-            active = kv <= _ACTIVE_THRESHOLD
-            B = preconditioner(J, params, Jk[active])
-            primary = _two_metric_step(k, u, gvec, B, Jk, active)
+            active = pt.kv <= _ACTIVE_THRESHOLD
+            B = preconditioner(pt.J, params, pt.Jk[active])
+            primary = _two_metric_step(k, u, gvec, B, pt.Jk, active)
         else:
-            primary = spd_solve(preconditioner(J, params), gvec)
+            primary = spd_solve(preconditioner(pt.J, params), gvec)
         cand = fc = None
         for attempt, direction in enumerate((primary, gamma * gvec)):
             t = min(1.0, t_warm / _LS_BETA) if attempt == 0 else 1.0
@@ -301,11 +301,10 @@ def _inner_projected_gradient(f, g, k, pt, pi_new, params, cfg):
                 break
         if cand is None:
             break
-        move = float(np.linalg.norm(cand - u))
-        u, fu, ell = cand, fc, ell_c
-        if move <= move_tol:
+        pt, fu = evaluate(f, k, cand, ell_c), fc
+        if float(np.linalg.norm(cand - u)) <= move_tol:
             break
-    return u, res
+    return pt, res
 
 
 def _refine_lm(f, k, pt, pi, nu, params, eta, cfg, projector, nu_of=None, maxit=_MAXIT_INNER):
@@ -388,15 +387,12 @@ def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None) -> S
     value_descent = g.smooth and (m == 0 or projector is not None)
 
     def inner_solve(pt_, pi_, nu_):
-        u_in, res_in = _inner_projected_gradient(f, g, k if m > 0 else None, pt_, pi_, params, cfg)
+        pt_in, res_in = _inner_projected_gradient(f, g, k if m > 0 else None, pt_, pi_, params, cfg)
         if m == 0 and res_in > 0.05 * cfg.eps:
             # LM polish: value descent bottoms out at the rounding floor
             # of the composite, the residual does not
-            u_in = _refine_lm(f, k, evaluate(f, k, u_in), pi_, nu_, params, 1.0, cfg,
-                              projector, maxit=10).u
-        # the full step u + (u_in - u) rounds differently from u_in; the
-        # candidates below are relaxations of this rounded point
-        return pt_.u + (u_in - pt_.u)
+            pt_in = _refine_lm(f, k, pt_in, pi_, nu_, params, 1.0, cfg, projector, maxit=10)
+        return pt_in
 
     pt = evaluate(f, k, u)
     psi = merit_psi(g, pt, pi, params, cfg.rho, nu, cfg.sigma)
@@ -425,14 +421,14 @@ def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None) -> S
 
             # one inner solve per dual candidate, which eta only relaxes;
             # LM steps are recomputed for each eta
-            u_in = inner_solve(pt, pi_cand, nu_seed) if value_descent else None
+            pt_in = inner_solve(pt, pi_cand, nu_seed) if value_descent else None
             eta = cfg.eta
             for _ in range(_ETA_TRIALS):
                 if value_descent:
-                    u_cand = pt.u + eta * (u_in - pt.u)
-                    # a candidate that did not move keeps its evaluation
-                    same = u_cand.tobytes() == pt.u.tobytes()
-                    pt_cand = pt if same else evaluate(f, k, u_cand)
+                    u_cand = pt.u + eta * (pt_in.u - pt.u)
+                    # a candidate at an evaluated point keeps its evaluation
+                    known = {pt.u.tobytes(): pt, pt_in.u.tobytes(): pt_in}
+                    pt_cand = known.get(u_cand.tobytes()) or evaluate(f, k, u_cand)
                 else:
                     nu_of = (lambda p: multiplier_estimate(p, pi_cand, params)) if use_estimate else None
                     pt_cand = _refine_lm(f, k, pt, pi_cand, nu_seed, params, eta, cfg, projector, nu_of)

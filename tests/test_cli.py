@@ -258,6 +258,14 @@ class TestCheckCommand:
         assert out.count("PASS") == 6
         assert "FAIL" not in out
 
+    def test_check_fails_on_nan(self, capsys, monkeypatch):
+        monkeypatch.setattr(SoftMax, "prox_conjugate", lambda self, v, rho: np.full(self.dim_obj, np.nan))
+        code = run(["check"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "FAIL moreau-identity" in out
+        assert "FAIL prox-extreme-scale" in out
+
     def test_no_color_respected(self, capsys, monkeypatch):
         monkeypatch.setenv("NO_COLOR", "1")
         run(["check"])

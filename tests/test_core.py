@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from hopfront.core import (
@@ -212,6 +214,19 @@ class TestProxCalculus:
             assert abs(p.sum() - 1.0) <= 1e-8 + tol
             resid = np.linalg.norm(p + rho * g.prox_scaled(v / rho, rho) - v)
             assert resid <= tol
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=1000)
+    @given(
+        v=st.integers(2, 5).flatmap(lambda n: st.lists(st.floats(-1e307, 1e307), min_size=n, max_size=n)),
+        eps=st.floats(1e-3, 10.0),
+        rho=st.floats(1e-10, 1e3),
+    )
+    def test_entropic_weights_finite_when_v_over_rho_overflows(self, v, eps, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = SoftMax(eps, len(v)).prox_conjugate(v, rho)
+        assert np.all(np.isfinite(p)) and np.all(p >= 0.0)
+        assert abs(p.sum() - 1.0) <= 1e-12
 
     def test_sharp_softmax_tie_splits_evenly(self):
         g = SoftMax(1e-6, 3)

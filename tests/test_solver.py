@@ -230,6 +230,52 @@ class TestSolve:
                             constraints=prob.constraints)
                 assert res.objectives.tobytes() == prob.objective.value(res.u_star).tobytes()
 
+    @pytest.mark.parametrize("pid", ["ex1", "ex2b", "ex3b"])
+    def test_no_point_evaluated_twice_in_a_row(self, pid, monkeypatch):
+        from hopfront.problems import get_problem
+        from hopfront.sweep import TauPath
+
+        prob = get_problem(pid)
+        points = []
+        jacobian = VectorObjective.jacobian
+
+        def recording(self, u):
+            points.append(np.asarray(u).tobytes())
+            return jacobian(self, u)
+
+        monkeypatch.setattr(VectorObjective, "jacobian", recording)
+        for tau in TauPath(prob.tau_start, prob.tau_end, 8).points():
+            points.clear()
+            solve(prob.objective, prob.default_preference(), prob.params_for(tau),
+                  constraints=prob.constraints)
+            assert points
+            assert sum(a == b for a, b in zip(points, points[1:])) == 0
+
+    @pytest.mark.parametrize("pid", ["ex1", "ex2b", "ex3b"])
+    def test_inner_solve_returns_its_last_points_evaluation(self, pid, monkeypatch):
+        from hopfront import solver
+        from hopfront.problems import get_problem
+        from hopfront.sweep import TauPath
+
+        prob = get_problem(pid)
+        calls = []
+        inner = solver._inner_projected_gradient
+
+        def recording(f, g, k, pt, pi_new, params, cfg):
+            pt_in, res = inner(f, g, k, pt, pi_new, params, cfg)
+            calls.append((f, k, pt_in))
+            return pt_in, res
+
+        monkeypatch.setattr(solver, "_inner_projected_gradient", recording)
+        for tau in TauPath(prob.tau_start, prob.tau_end, 3).points():
+            solve(prob.objective, prob.default_preference(), prob.params_for(tau),
+                  constraints=prob.constraints)
+        assert calls
+        for f, k, pt_in in calls:
+            fresh = evaluate(f, k, pt_in.u)
+            for name in ("u", "ell", "J", "kv", "Jk"):
+                assert getattr(pt_in, name).tobytes() == getattr(fresh, name).tobytes(), name
+
     def test_extreme_tau_keeps_pi_on_the_simplex(self):
         # at |ell + E| ~ 1e20 and beyond, the Moreau form of the conjugate prox cancels to 0
         from hopfront.problems import get_problem
