@@ -223,9 +223,6 @@ def _add_common(p):
     p.add_argument("--alpha", type=float, help="default: the problem's")
     p.add_argument("--c", type=float, help="default: the problem's")
     p.add_argument("--mu", type=float, help="default: the problem's")
-    p.add_argument("--rho", type=float, default=defaults.rho)
-    p.add_argument("--sigma", type=float, default=defaults.sigma)
-    p.add_argument("--eta", type=float, default=defaults.eta)
     p.add_argument("--eps", type=float, default=defaults.eps)
     p.add_argument("--maxit", dest="maxit_outer", type=int, default=defaults.maxit_outer)
     p.add_argument("--pref-eps", type=float, default=0.1, help="softmax sharpness")

@@ -40,12 +40,15 @@ class BenchmarkProblem:
         return SoftMax(0.1, self.objective.dim_obj)
 
     def projector(self):
-        """Euclidean projection onto the feasible set; maps a point ``(d,)``
-        or a stack ``(n, d)`` of points row by row."""
-        if self.constraints is not None and self.constraints.projector is not None:
-            return self.constraints.projector
-        lo, hi = self.feasible_box
-        return lambda u: np.clip(u, lo, hi)
+        """Euclidean projection onto the feasible set (``feasible_box`` when
+        there are no constraints); maps a point ``(d,)`` or a stack ``(n, d)``
+        of points row by row."""
+        if self.constraints is None:
+            lo, hi = self.feasible_box
+            return lambda u: np.clip(u, lo, hi)
+        if self.constraints.projector is None:
+            raise ValueError(f"problem {self.id!r} has constraints but no projector")
+        return self.constraints.projector
 
 
 def _stack_last(cols):

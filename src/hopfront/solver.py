@@ -21,7 +21,6 @@ damped Levenberg-Marquardt steps on the stationarity residual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -38,8 +37,11 @@ from .core import (
 # without masking genuine increases.
 _MERIT_SLACK = 1e-15
 
-# Inner-loop limits and line-search constants. No run sets them, so they are
-# fixed here rather than carried in SolverConfig.
+# Step sizes, inner-loop limits and line-search constants. No run sets them,
+# so they are fixed here rather than carried in SolverConfig.
+_RHO = 0.5  # dual prox step
+_ETA = 1.0  # first primal damping of each safeguard trial
+_SIGMA = 0.5  # multiplier ascent step
 _MAXIT_INNER = 50  # LM refinement steps per outer iteration
 _THETAS = (1.0, 0.5, 0.25, 0.125, 0.0)  # dual step damping per safeguard trial
 _BACKTRACK_FACTOR = 0.5  # primal step damping per safeguard trial
@@ -53,23 +55,16 @@ _LS_C1 = 1e-4  # Armijo sufficient-decrease constant
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The solver parameters a run sets: dual step ``rho``, primal damping
-    ``eta``, tolerance ``eps``, outer iteration limit ``maxit_outer`` and
-    multiplier ascent step ``sigma``."""
+    """The solver parameters a run sets: tolerance ``eps`` and outer
+    iteration limit ``maxit_outer``."""
 
-    rho: float = 0.5
-    eta: float = 1.0
     eps: float = 1e-5
     maxit_outer: int = 100
-    sigma: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 < self.eta <= 1.0):
-            raise ValueError("eta must lie in (0, 1]")
-        for name in ("rho", "eps", "sigma"):
-            # the chained comparison is False for NaN as well
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        # the chained comparison is False for NaN as well
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError("eps must be positive and finite")
         if self.maxit_outer < 1:
             raise ValueError("maxit_outer must be positive")
 
@@ -92,7 +87,6 @@ class SolveResult:
     nu_star: np.ndarray = field(default_factory=lambda: np.zeros(0))
     complementarity: float = 0.0
     feasibility_violation: float = 0.0
-    gap_certificate: Optional[float] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +112,7 @@ def evaluate(f, k, u, ell=None) -> Evaluation:
     return Evaluation(u, ell, f.jacobian(u), k.value(u), k.jacobian(u))
 
 
-def dual_update_pi(g, ell, pi, params, rho):
+def dual_update_pi(g, ell, pi, params):
     """One dual step from the objective vector ``ell`` = ell(u): returns
     (pi_next, E) with E = c (tau + alpha pi).
 
@@ -130,17 +124,15 @@ def dual_update_pi(g, ell, pi, params, rho):
     if g.smooth:
         pi_next = g.gradient(y)
     else:
-        pi_next = g.prox_conjugate(np.asarray(pi, dtype=float) + rho * y, rho)
+        pi_next = g.prox_conjugate(np.asarray(pi, dtype=float) + _RHO * y, _RHO)
     return pi_next, E
 
 
-def dual_update_nu(k_vals, nu, sigma):
+def dual_update_nu(k_vals, nu):
     """Projected ascent in the constraint channel: [nu + sigma (-k)]_+."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     k_vals = np.asarray(k_vals, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    return np.maximum(nu + sigma * (-k_vals), 0.0)
+    return np.maximum(nu + _SIGMA * (-k_vals), 0.0)
 
 
 def stationarity_residual(J, u, pi, params, Jk=None, nu=None):
@@ -155,19 +147,11 @@ def stationarity_residual(J, u, pi, params, Jk=None, nu=None):
     return r
 
 
-@lru_cache(maxsize=None)
-def _identity(d):
-    # np.eye costs more than the rest of a 2x2 preconditioner, which is
-    # built once per inner iteration; the shared copy is made read-only
-    eye = np.eye(d)
-    eye.flags.writeable = False
-    return eye
-
-
 def preconditioner(J, params, Jk=None):
     """(mu + alpha c) I + J^T J, plus Jk^T Jk when ``Jk`` holds the Jacobian
     rows of the nearly active constraints; positive definite for any u."""
-    B = (params.mu + params.alpha * params.c) * _identity(J.shape[1]) + J.T @ J
+    B = J.T @ J
+    B.flat[:: J.shape[1] + 1] += params.mu + params.alpha * params.c
     if Jk is not None and Jk.shape[0] > 0:
         B = B + Jk.T @ Jk
     return B
@@ -185,7 +169,7 @@ def spd_solve(B, r):
     return x
 
 
-def merit_psi(g, pt, pi, params, rho, nu=None, sigma=0.5) -> float:
+def merit_psi(g, pt, pi, params, *, nu=None) -> float:
     """Violation of the optimality system at the evaluated point ``pt``;
     zero exactly at its solutions.
 
@@ -194,18 +178,16 @@ def merit_psi(g, pt, pi, params, rho, nu=None, sigma=0.5) -> float:
     When ``pt`` carries constraint values, the residual carries the multiplier
     term and a third block adds the ascent displacement of ``nu``.
     """
-    if rho <= 0 or sigma <= 0:
-        raise ValueError("rho and sigma must be positive")
     pi = as_vector(pi, pt.ell.shape[0], "pi")
     r = stationarity_residual(pt.J, pt.u, pi, params, pt.Jk, nu)
     term1 = 0.5 * float(r @ spd_solve(preconditioner(pt.J, params), r))
     E = params.dual_shift(pi)
-    disp = g.prox_conjugate(pi + rho * (pt.ell + E), rho) - pi
-    term2 = float(disp @ disp) / (2.0 * rho * rho)
+    disp = g.prox_conjugate(pi + _RHO * (pt.ell + E), _RHO) - pi
+    term2 = float(disp @ disp) / (2.0 * _RHO * _RHO)
     if pt.kv is None:
         return term1 + term2
-    nu_disp = dual_update_nu(pt.kv, nu, sigma) - nu
-    return term1 + term2 + float(nu_disp @ nu_disp) / (2.0 * sigma * sigma)
+    nu_disp = dual_update_nu(pt.kv, nu) - nu
+    return term1 + term2 + float(nu_disp @ nu_disp) / (2.0 * _SIGMA * _SIGMA)
 
 
 def multiplier_estimate(pt, pi, params):
@@ -395,7 +377,7 @@ def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None) -> S
         return pt_in
 
     pt = evaluate(f, k, u)
-    psi = merit_psi(g, pt, pi, params, cfg.rho, nu, cfg.sigma)
+    psi = merit_psi(g, pt, pi, params, nu=nu)
     psi_floor = cfg.eps**2 * max(1.0, psi)
     merit_history = [psi]
     residual_history: List[float] = []
@@ -405,9 +387,9 @@ def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None) -> S
     # The safeguard damps both channels: the dual step by theta, the primal
     # step by eta, accepting the first merit-nonincreasing combination.
     for iterations in range(1, cfg.maxit_outer + 1):
-        pi_new, _ = dual_update_pi(g, pt.ell, pi, params, cfg.rho)
+        pi_new, _ = dual_update_pi(g, pt.ell, pi, params)
         # projector-less constraint sets ascend in nu, projected ones estimate it
-        nu_asc = dual_update_nu(pt.kv, nu, cfg.sigma) if m > 0 and not use_estimate else nu
+        nu_asc = dual_update_nu(pt.kv, nu) if m > 0 and not use_estimate else nu
 
         accepted = None
         for theta in _THETAS:
@@ -422,7 +404,7 @@ def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None) -> S
             # one inner solve per dual candidate, which eta only relaxes;
             # LM steps are recomputed for each eta
             pt_in = inner_solve(pt, pi_cand, nu_seed) if value_descent else None
-            eta = cfg.eta
+            eta = _ETA
             for _ in range(_ETA_TRIALS):
                 if value_descent:
                     u_cand = pt.u + eta * (pt_in.u - pt.u)
@@ -434,7 +416,7 @@ def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None) -> S
                     pt_cand = _refine_lm(f, k, pt, pi_cand, nu_seed, params, eta, cfg, projector, nu_of)
                 eta *= _BACKTRACK_FACTOR
                 nu_cand = multiplier_estimate(pt_cand, pi_cand, params) if use_estimate else nu_seed
-                psi_cand = merit_psi(g, pt_cand, pi_cand, params, cfg.rho, nu_cand, cfg.sigma)
+                psi_cand = merit_psi(g, pt_cand, pi_cand, params, nu=nu_cand)
                 if np.isfinite(psi_cand) and psi_cand <= psi + _MERIT_SLACK * max(1.0, psi):
                     accepted = (pt_cand, pi_cand, nu_cand, psi_cand)
                     break
@@ -507,9 +489,11 @@ def gap_and_bound(f, g, result, params, cloud):
 
     gap = g(ell(u*) + E) - min over the cloud of g(ell(u) + E); the bound is
     the Bregman divergence between u* and the regularizer's dual point p/mu.
+    The gap reads ell(u*) from ``result.objectives`` (``f`` is not called);
+    the bound reads ``result.u_star`` and ``result.p_bar``.
     """
     E = result.E_bar
-    value_at_star = g.value(f.value(result.u_star) + E)
+    value_at_star = g.value(result.objectives + E)
     m_hat = float(np.min(g.value_batch(cloud.points_obj + E)))
     gap = value_at_star - m_hat
     R = params.regularizer()
@@ -532,5 +516,4 @@ def certify_gap(f, g, result, params, cloud, tol=1e-6) -> float:
             lower=-tol,
             upper=bound + tol,
         )
-    result.gap_certificate = gap
     return gap

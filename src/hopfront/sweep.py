@@ -48,12 +48,9 @@ class FrontSample:
     objectives: np.ndarray
     pi: np.ndarray
     E: np.ndarray
-    p: np.ndarray
     residual: float
     iterations: int
     converged: bool
-    nu: Optional[np.ndarray] = None
-    merit: float = np.nan
     gap: Optional[float] = None
     bregman_bound: Optional[float] = None
 
@@ -110,12 +107,9 @@ def sweep(
                 objectives=res.objectives,
                 pi=res.pi_star,
                 E=res.E_bar,
-                p=res.p_bar,
                 residual=res.residual_history[-1] if res.residual_history else np.inf,
                 iterations=res.iterations,
                 converged=res.converged,
-                nu=res.nu_star,
-                merit=res.merit_history[-1] if res.merit_history else np.nan,
                 gap=gap,
                 bregman_bound=bound,
             )

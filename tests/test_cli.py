@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from hopfront.cli import build_parser, main, read_front_csv
-from hopfront.core import HopfLaxParams, SoftMax
+from hopfront.constrained import ConstraintSet
+from hopfront.core import HopfLaxParams, SoftMax, VectorObjective
+from hopfront.problems import PROBLEMS, BenchmarkProblem
 from hopfront.solver import SolverConfig
 
 
@@ -50,13 +52,11 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("flag, value, build", [
         ("--eps", "nan", lambda v: SolverConfig(eps=v)),
-        ("--sigma", "nan", lambda v: SolverConfig(sigma=v)),
-        ("--rho", "inf", lambda v: SolverConfig(rho=v)),
         ("--mu", "inf", lambda v: HopfLaxParams(x=[0.0], tau=[0.0], alpha=1.0, c=1.0, mu=v)),
         ("--c", "nan", lambda v: HopfLaxParams(x=[0.0], tau=[0.0], alpha=1.0, c=v, mu=1.0)),
         ("--alpha", "inf", lambda v: HopfLaxParams(x=[0.0], tau=[0.0], alpha=v, c=1.0, mu=1.0)),
         ("--pref-eps", "nan", lambda v: SoftMax(v, 2)),
-    ], ids=["eps-nan", "sigma-nan", "rho-inf", "mu-inf", "c-nan", "alpha-inf", "pref-eps-nan"])
+    ], ids=["eps-nan", "mu-inf", "c-nan", "alpha-inf", "pref-eps-nan"])
     def test_non_finite_parameters_are_rejected(self, capsys, flag, value, build):
         assert run(["solve", "--problem", "ex2a", "--tau", "0,0", flag, value]) == 1
         assert "error:" in capsys.readouterr().err
@@ -99,8 +99,8 @@ class TestSweepCommand:
     @pytest.mark.parametrize("flags", [
         [],
         ["--pref-eps", "0.05", "--c", "0.5", "--compare", "--grid", "40"],
-        ["--tau-start=-5,5", "--tau-end=5,-5", "--maxit", "80", "--rho", "0.4",
-         "--sigma", "0.6", "--eta", "0.9", "--eps", "2e-5", "--alpha", "1.5", "--mu", "0.02",
+        ["--tau-start=-5,5", "--tau-end=5,-5", "--maxit", "80", "--eps", "2e-5",
+         "--alpha", "1.5", "--mu", "0.02",
          "--pairs", "2:1", "--compare", "--mc", "3000", "--seed", "4", "--weights", "8"],
     ], ids=["default", "non-default", "every-flag"])
     def test_manifest_reproduces_csv_bit_for_bit(self, tmp_path, flags):
@@ -124,13 +124,20 @@ class TestSweepCommand:
     def test_config_with_unknown_params_is_rejected(self, tmp_path, capsys):
         run(["sweep", "--problem", "ex2a", "--n", "2", "--out", str(tmp_path / "a")])
         for key, value in (("pref", {"kind": "softmax", "eps": 0.05}), ("warm_start", True),
-                           ("safeguard", False)):
+                           ("safeguard", False), ("rho", 0.5), ("eta", 1.0), ("sigma", 0.5)):
             manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
             manifest["params"][key] = value
             config = tmp_path / "old.json"
             config.write_text(json.dumps(manifest))
             assert run(["sweep", "--config", str(config), "--out", str(tmp_path / "b")]) == 1
-            assert key in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "params are not sweep flags" in err and key in err
+
+    @pytest.mark.parametrize("flag, value", [("--rho", "0.4"), ("--eta", "0.9"), ("--sigma", "0.6")])
+    def test_step_size_flags_are_gone(self, tmp_path, capsys, flag, value):
+        assert run(["sweep", "--problem", "ex2a", "--n", "2", "--out", str(tmp_path), flag, value]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "front.csv").exists()
 
     def test_config_from_another_command_is_rejected(self, tmp_path, capsys):
         run(["oracle", "--problem", "ex2a", "--grid", "20", "--out", str(tmp_path / "a")])
@@ -248,6 +255,25 @@ class TestOracleCommand:
         code = run(["oracle", "--problem", "ex1", "--mc", "0"])
         assert code == 1
         assert "empty reference" in capsys.readouterr().err
+
+    def test_constraints_without_projector_exit_one(self, tmp_path, capsys, monkeypatch):
+        # ell(u) = -u on the unit disc: clipping to the bounding box would put
+        # the envelope at the infeasible corner (1, 1), dominating the disc
+        disc = ConstraintSet(2, 1, lambda u: np.array([1.0 - u @ u]), lambda u: np.array([-2.0 * u]))
+        prob = BenchmarkProblem(
+            id="disc",
+            objective=VectorObjective(2, 2, lambda u: -u, lambda u: -np.eye(2)),
+            constraints=disc,
+            feasible_box=(-np.ones(2), np.ones(2)),
+            alpha=1.0, c=0.1, mu=0.01, x=np.zeros(2),
+            tau_start=np.zeros(2), tau_end=np.ones(2),
+            label="disc",
+        )
+        monkeypatch.setitem(PROBLEMS, "disc", lambda: prob)
+        out = tmp_path / "orc"
+        assert run(["oracle", "--problem", "disc", "--mc", "2000", "--out", str(out)]) == 1
+        assert "'disc'" in capsys.readouterr().err
+        assert not (out / "envelope.csv").exists()
 
 
 class TestCheckCommand:

@@ -52,17 +52,13 @@ def constrained_residual(f, k, u, pi, nu, params):
 
 class TestDualUpdateNu:
     def test_strictly_feasible_clips_to_zero(self):
-        assert np.array_equal(dual_update_nu([1.0, 1.0], [0.0, 0.0], 1.0), [0.0, 0.0])
+        assert np.array_equal(dual_update_nu([1.0, 1.0], [0.0, 0.0]), [0.0, 0.0])
 
     def test_mixed_ascent(self):
-        assert np.allclose(dual_update_nu([-0.2, 0.3], [0.5, 0.0], 1.0), [0.7, 0.0])
+        assert np.allclose(dual_update_nu([-0.2, 0.3], [0.5, 0.0]), [0.6, 0.0])
 
     def test_active_constraints_leave_nu_fixed(self):
-        assert np.array_equal(dual_update_nu([0.0, 0.0], [1.0, 1.0], 7.3), [1.0, 1.0])
-
-    def test_sigma_validation(self):
-        with pytest.raises(ValueError):
-            dual_update_nu([0.0], [0.0], 0.0)
+        assert np.array_equal(dual_update_nu([0.0, 0.0], [1.0, 1.0]), [1.0, 1.0])
 
 
 class TestConstrainedResidual:
@@ -256,8 +252,8 @@ class TestMeritPsiK:
     def test_zero_at_bound_kkt_point(self):
         f = identity_objective()
         k = halfline_constraint()
-        psi = merit_psi(WeightedSum([1.0]), evaluate(f, k, [0.0]), np.array([1.0]), scalar_params(), 0.5,
-                        np.array([1.0]), 0.5)
+        psi = merit_psi(WeightedSum([1.0]), evaluate(f, k, [0.0]), np.array([1.0]), scalar_params(),
+                        nu=np.array([1.0]))
         assert psi == pytest.approx(0.0, abs=1e-28)
 
     def test_interior_zero_multiplier_matches_unconstrained(self, rng):
@@ -266,15 +262,15 @@ class TestMeritPsiK:
         g = SoftMax(0.1, 2)
         u = np.array([0.0, 1.0])
         pi = rng.dirichlet([1, 1])
-        psi_k = merit_psi(g, evaluate(prob.objective, prob.constraints, u), pi, params, 0.5, np.zeros(2), 0.5)
-        psi = merit_psi(g, evaluate(prob.objective, None, u), pi, params, 0.5)
+        psi_k = merit_psi(g, evaluate(prob.objective, prob.constraints, u), pi, params, nu=np.zeros(2))
+        psi = merit_psi(g, evaluate(prob.objective, None, u), pi, params)
         assert psi_k == psi
 
     def test_matches_independent_assembly(self, rng):
         prob = example1()
         params = ex1_params(tau=(1.0, -1.0))
         g = SoftMax(0.1, 2)
-        rho = sigma = 0.5
+        rho = sigma = 0.5  # the solver's dual prox and ascent steps
         for _ in range(10):
             u = rng.uniform(-1, 1, size=2)
             pi = rng.dirichlet([1, 1])
@@ -294,7 +290,7 @@ class TestMeritPsiK:
                 + float(disp @ disp) / (2 * rho**2)
                 + float(nu_disp @ nu_disp) / (2 * sigma**2)
             )
-            got = merit_psi(g, evaluate(prob.objective, prob.constraints, u), pi, params, rho, nu, sigma)
+            got = merit_psi(g, evaluate(prob.objective, prob.constraints, u), pi, params, nu=nu)
             assert got == pytest.approx(expected, rel=1e-9)
 
 

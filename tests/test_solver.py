@@ -42,7 +42,7 @@ class TestDualUpdate:
     def test_weighted_sum_returns_weights(self, rng):
         f = identity_objective()
         g = WeightedSum([1.0])
-        pi_next, E = dual_update_pi(g, f.value(np.array([0.7])), np.array([0.2]), scalar_params(), 0.5)
+        pi_next, E = dual_update_pi(g, f.value(np.array([0.7])), np.array([0.2]), scalar_params())
         assert pi_next == pytest.approx(1.0)
         assert E == pytest.approx(1.0 * (0.0 + 1.0 * 0.2))
 
@@ -51,13 +51,13 @@ class TestDualUpdate:
         f = VectorObjective(2, 2, lambda u: -scalar_E() * np.ones(2), lambda u: np.zeros((2, 2)))
         g = SoftMax(0.1, 2)
         params = HopfLaxParams(x=np.zeros(2), tau=np.zeros(2), alpha=1.0, c=1.0, mu=1.0)
-        pi_next, _ = dual_update_pi(g, f.value(np.zeros(2)), np.zeros(2), params, 0.5)
+        pi_next, _ = dual_update_pi(g, f.value(np.zeros(2)), np.zeros(2), params)
         assert np.allclose(pi_next, [0.5, 0.5])
 
     def test_softmax_singleton(self):
         f = identity_objective()
         g = SoftMax(0.1, 1)
-        pi_next, _ = dual_update_pi(g, f.value(np.array([0.3])), np.array([0.0]), scalar_params(), 0.5)
+        pi_next, _ = dual_update_pi(g, f.value(np.array([0.3])), np.array([0.0]), scalar_params())
         assert pi_next == pytest.approx(1.0)
 
     def test_prox_path_stays_in_simplex(self, rng):
@@ -67,7 +67,7 @@ class TestDualUpdate:
         params = HopfLaxParams(x=np.zeros(1), tau=np.array([3.0, -3.0]), alpha=1.0, c=0.1, mu=0.01)
         pi = np.zeros(2)
         for _ in range(20):
-            pi, _ = dual_update_pi(g, f.value(rng.normal(size=1)), pi, params, 0.5)
+            pi, _ = dual_update_pi(g, f.value(rng.normal(size=1)), pi, params)
             assert np.all(pi >= -1e-15)
             assert abs(pi.sum() - 1.0) <= 1e-9
 
@@ -136,30 +136,36 @@ class TestPrimalUpdate:
         u_next, _ = lm_step(f, u, pi, params)
         assert np.allclose(u_next, expected, atol=1e-12)
 
-    def test_eta_validation(self):
-        for eta in (0.0, 1.5):
-            with pytest.raises(ValueError):
-                SolverConfig(eta=eta)
+    @pytest.mark.parametrize("name", ["rho", "eta", "sigma"])
+    def test_step_sizes_are_not_config_fields(self, name):
+        with pytest.raises(TypeError):
+            SolverConfig(**{name: 0.5})
 
 
 class TestMerit:
     def test_zero_at_scalar_kkt_point(self):
         f = identity_objective()
         g = WeightedSum([1.0])
-        psi = merit_psi(g, evaluate(f, None, [0.0]), np.array([1.0]), scalar_params(x=1.0), 0.5)
+        psi = merit_psi(g, evaluate(f, None, [0.0]), np.array([1.0]), scalar_params(x=1.0))
         assert psi == pytest.approx(0.0, abs=1e-28)
 
     def test_positive_when_dual_displaced(self):
         f = identity_objective()
         g = WeightedSum([1.0])
-        psi = merit_psi(g, evaluate(f, None, [0.0]), np.array([0.4]), scalar_params(x=1.0), 0.5)
+        psi = merit_psi(g, evaluate(f, None, [0.0]), np.array([0.4]), scalar_params(x=1.0))
         assert psi > 1e-3
+
+    def test_nu_is_keyword_only(self):
+        # a positional fifth argument (a stale step size) must not become nu
+        f = identity_objective()
+        with pytest.raises(TypeError):
+            merit_psi(WeightedSum([1.0]), evaluate(f, None, [0.0]), np.array([1.0]), scalar_params(x=1.0), 0.5)
 
     def test_matches_independent_assembly(self, rng):
         f = ex2a_objective()
         g = SoftMax(0.1, 2)
         params = HopfLaxParams(x=np.zeros(2), tau=np.array([1.0, -1.0]), alpha=1.0, c=0.1, mu=0.01)
-        rho = 0.5
+        rho = 0.5  # the solver's dual prox step
         for _ in range(10):
             u = rng.uniform(0, 1, size=2)
             pi = rng.dirichlet([1.0, 1.0])
@@ -171,7 +177,7 @@ class TestMerit:
             E = 0.1 * (params.tau + pi)
             disp = g.prox_conjugate(pi + rho * (f.value(u) + E), rho) - pi
             expected = 0.5 * float(r @ (Binv @ r)) + float(disp @ disp) / (2 * rho**2)
-            assert merit_psi(g, evaluate(f, None, u), pi, params, rho) == pytest.approx(expected, rel=1e-9)
+            assert merit_psi(g, evaluate(f, None, u), pi, params) == pytest.approx(expected, rel=1e-9)
 
 
 class TestSolve:
@@ -293,8 +299,8 @@ class TestSolve:
         g = WeightedSum([1.0])
         params = scalar_params(x=1.0)
         res = solve(f, g, params, SolverConfig(eps=1e-10))
-        base = merit_psi(g, evaluate(f, None, res.u_star), res.pi_star, params, 0.5)
-        bumped = merit_psi(g, evaluate(f, None, res.u_star + 0.1), res.pi_star, params, 0.5)
+        base = merit_psi(g, evaluate(f, None, res.u_star), res.pi_star, params)
+        bumped = merit_psi(g, evaluate(f, None, res.u_star + 0.1), res.pi_star, params)
         assert base <= 1e-16
         assert bumped > 1e-4
 
@@ -390,7 +396,7 @@ class TestCertifyGap:
     def test_violation_raises_with_both_sides(self):
         f, g, params, cloud = self.quad_setup(x=1.0)
         res = solve(f, g, params, SolverConfig(eps=1e-10))
-        res.u_star = res.u_star + 1.0  # corrupt the certified point
+        res.objectives = res.objectives + 1.0  # the gap reads ell(u*) from here
         with pytest.raises(CertificationError) as err:
             certify_gap(f, g, res, params, cloud)
         assert err.value.gap > err.value.upper or err.value.gap < err.value.lower

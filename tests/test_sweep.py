@@ -72,7 +72,6 @@ class TestSweep:
         g = prob.default_preference()
         for s in front.samples:
             assert np.array_equal(s.E, prob.c * (s.tau + prob.alpha * s.pi))
-            assert np.array_equal(s.p, prob.c * (prob.x - prob.alpha * s.u))
 
     @pytest.mark.parametrize("pid", ["ex1", "ex2a", "ex2b", "ex3a-d10", "ex3b"])
     def test_samples_equal_lone_solves(self, pid):
