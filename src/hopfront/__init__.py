@@ -11,9 +11,7 @@ __version__ = "0.1.0"
 from .constrained import ConstraintSet, box_constraints
 from .core import (
     CertificationError,
-    Chebyshev,
     HopfLaxParams,
-    NondifferentiableError,
     NumericalError,
     PreferenceFunction,
     QuadraticRegularizer,
@@ -38,7 +36,6 @@ from .solver import (
     SolveResult,
     SolverConfig,
     certify_gap,
-    dual_update_nu,
     dual_update_pi,
     evaluate,
     gap_and_bound,

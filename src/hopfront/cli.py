@@ -255,14 +255,25 @@ def _vector_arg(vals, n, name):
     return vals
 
 
-def _reference(problem, args):
+class _Timings(dict):
+    """Seconds per layer; ``timed(layer, fn, ...)`` runs fn and adds its time."""
+
+    def __call__(self, layer, fn, *args, **kwargs):
+        start = time.perf_counter()
+        out = fn(*args, **kwargs)
+        self[layer] += time.perf_counter() - start
+        return out
+
+
+_LAYERS = ("sampling", "filter", "envelope", "certification_cloud", "solves", "certificates", "output")
+
+
+def _reference(problem, args, timed):
     """Base cloud, its strong nondominated subset and the convex envelope."""
-    if args.grid is not None:
-        base = sample_cloud(problem, grid=args.grid)
-    else:
-        base = sample_cloud(problem, mc=args.mc, seed=args.seed)
-    reference = greedy_pareto_filter(base, mode="strong")
-    envelope = convex_envelope_front(problem, n_weights=args.weights, base_cloud=base)
+    where = {"grid": args.grid} if args.grid is not None else {"mc": args.mc, "seed": args.seed}
+    base = timed("sampling", sample_cloud, problem, **where)
+    reference = timed("filter", greedy_pareto_filter, base, mode="strong")
+    envelope = timed("envelope", convex_envelope_front, problem, n_weights=args.weights, base_cloud=base)
     return base, reference, envelope
 
 
@@ -322,14 +333,15 @@ def cmd_sweep(args):
         print(f"error: output directory {outdir!r} not writable", file=sys.stderr)
         return 1
 
+    timed = _Timings.fromkeys(_LAYERS, 0.0)
     reference = envelope = cert_cloud = None
     if args.compare:
         t_ref = time.perf_counter()
-        _, reference, envelope = _reference(problem, args)
-        cert_cloud = certification_cloud(problem, mc=args.mc, seed=args.seed)
+        _, reference, envelope = _reference(problem, args, timed)
+        cert_cloud = timed("certification_cloud", certification_cloud, problem, mc=args.mc, seed=args.seed)
         if n_obj == 2:
             # shifted-scalarization minima live on the nondominated subset
-            cert_cloud = greedy_pareto_filter(cert_cloud, mode="strong")
+            cert_cloud = timed("filter", greedy_pareto_filter, cert_cloud, mode="strong")
         ref_seconds = time.perf_counter() - t_ref
 
     start = time.perf_counter()
@@ -344,6 +356,8 @@ def cmd_sweep(args):
         reference=cert_cloud,
     )
     duration = time.perf_counter() - start
+    timed.update(front.timings)
+    start_output = time.perf_counter()
 
     front_csv = os.path.join(outdir, "front.csv")
     write_front_csv(front_csv, front)
@@ -355,41 +369,26 @@ def cmd_sweep(args):
 
     for p, q in args.pairs:
         i, j = p - 1, q - 1
-        layers = []
-        if reference is not None:
-            order = np.argsort(reference.points_obj[:, i])
-            layers.append(
-                {"points": reference.points_obj[order][:, [i, j]], "label": "reference front",
-                 "style": "line", "color": "#222222"}
-            )
-        if envelope is not None:
-            order = np.argsort(envelope.points_obj[:, i])
-            layers.append(
-                {"points": envelope.points_obj[order][:, [i, j]], "label": "convex envelope",
-                 "style": "line", "color": "#cc2222", "dash": "6,3"}
-            )
+        layers = [
+            {"points": cloud.points_obj[np.argsort(cloud.points_obj[:, i])][:, [i, j]], "label": label,
+             "style": "line", **style}
+            for cloud, label, style in ((reference, "reference front", {"color": "#222222"}),
+                                        (envelope, "convex envelope", {"color": "#cc2222", "dash": "6,3"}))
+            if cloud is not None
+        ]
         if len(converged_pts):
-            layers.append(
-                {"points": converged_pts[:, [i, j]], "label": "solver front", "style": "colored"}
-            )
-        if not layers:
-            continue
-        name = "front.svg" if args.pairs == [[1, 2]] else f"front_{p}_{q}.svg"
-        write_scatter_svg(
-            os.path.join(outdir, name),
-            layers,
-            title=f"{problem.id}: traced front",
-            xlabel=f"objective {p}",
-            ylabel=f"objective {q}",
-        )
+            layers.append({"points": converged_pts[:, [i, j]], "label": "solver front", "style": "colored"})
+        if layers:
+            name = "front.svg" if args.pairs == [[1, 2]] else f"front_{p}_{q}.svg"
+            write_scatter_svg(os.path.join(outdir, name), layers, title=f"{problem.id}: traced front",
+                              xlabel=f"objective {p}", ylabel=f"objective {q}")
 
-    timings = {"reference_seconds": ref_seconds} if args.compare else {}
+    timed["output"] = time.perf_counter() - start_output
+    extra = {"reference_seconds": ref_seconds} if args.compare else {}
     _write_manifest(outdir, args, duration_s=duration, converged=front.converged_count(),
-                    total=len(front.samples), **timings)
-    print(
-        f"swept {len(front.samples)} samples ({front.converged_count()} converged) "
-        f"in {duration:.3f}s -> {front_csv}"
-    )
+                    total=len(front.samples), timings=dict(timed), **extra)
+    print(f"swept {len(front.samples)} samples ({front.converged_count()} converged) "
+          f"in {duration:.3f}s -> {front_csv}")
     return 0 if front.converged_count() else 2
 
 
@@ -400,7 +399,7 @@ def cmd_oracle(args):
     if args.grid is None and args.mc is None:
         print("error: empty reference (need --grid R or --mc COUNT > 0)", file=sys.stderr)
         return 1
-    base, reference, envelope = _reference(problem, args)
+    base, reference, envelope = _reference(problem, args, _Timings.fromkeys(_LAYERS, 0.0))
     write_cloud_csv(os.path.join(outdir, "reference.csv"), reference)
     write_cloud_csv(os.path.join(outdir, "envelope.csv"), envelope)
     _write_manifest(outdir, args, reference_size=len(reference), envelope_size=len(envelope),

@@ -24,7 +24,9 @@ class ConstraintSet:
     ``tangent_basis``, when provided, maps a point and an active-constraint
     mask to an orthonormal basis of the corresponding tangent subspace
     (columns); without it a small SVD computes the null space of the active
-    Jacobian rows.
+    Jacobian rows. ``batched`` declares that ``fn`` and ``projector`` also
+    accept ``(n, d)`` stacks; ``value_batch`` and ``project`` otherwise take
+    a stack point by point.
     """
 
     dim_u: int
@@ -56,7 +58,10 @@ class ConstraintSet:
     def project(self, u):
         if self.projector is None:
             raise ValueError("constraint set has no projector")
-        return np.asarray(self.projector(np.asarray(u, dtype=float)), dtype=float)
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 2 and not self.batched:
+            return np.array([self.project(p) for p in u]).reshape(u.shape)
+        return np.asarray(self.projector(u), dtype=float)
 
 
 def box_constraints(lo, hi) -> ConstraintSet:

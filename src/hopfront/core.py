@@ -12,10 +12,6 @@ import numpy as np
 from scipy.special import wrightomega
 
 
-class NondifferentiableError(ValueError):
-    """Gradient requested at a kink; callers must use the prox path instead."""
-
-
 class NumericalError(RuntimeError):
     """An iteration produced non-finite values or a linear solve failed."""
 
@@ -30,26 +26,28 @@ class CertificationError(RuntimeError):
         self.upper = upper
 
 
-# as_vector runs on every objective and scalarizer call; binding its two
-# ufuncs once saves their attribute lookups, about 0.25 us of a 3 us call
-_isfinite = np.isfinite
-_all_true = np.logical_and.reduce
-
 _FD_STEP = 1e-6  # central-difference step of Jacobians a user does not supply
 
 
 def as_vector(y, n=None, name="y"):
     """Coerce to a finite 1-D float array, optionally of fixed length."""
-    if isinstance(y, np.ndarray) and y.dtype == np.float64 and y.ndim == 1:
-        v = y
-    else:
-        v = np.atleast_1d(np.asarray(y, dtype=float))
-        if v.ndim != 1:
-            raise ValueError(f"{name} must be a vector, got shape {v.shape}")
+    v = np.atleast_1d(np.asarray(y, dtype=float))
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be a vector, got shape {v.shape}")
     if n is not None and v.shape[0] != n:
         raise ValueError(f"{name} must have length {n}, got {v.shape[0]}")
-    if not _all_true(_isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite")
+    return v
+
+
+def as_points(y, n, name="y"):
+    """Coerce to a finite float point ``(n,)`` or stack of points ``(k, n)``."""
+    v = np.asarray(y, dtype=float)
+    if v.ndim != 2:
+        return as_vector(v, n, name)
+    if v.shape[1] != n or not np.isfinite(v).all():
+        raise ValueError(f"{name} must be a finite stack of length-{n} rows, got shape {v.shape}")
     return v
 
 
@@ -134,9 +132,11 @@ def jacobian_check(f: VectorObjective, u, h: float = 1e-6) -> float:
 class PreferenceFunction:
     """Monotone convex scalarizer with conjugate-prox calculus.
 
-    Subclasses provide ``value``, ``gradient`` (where smooth), and
-    ``prox_scaled`` (the prox of ``g/rho``). ``prox_conjugate`` follows from
-    the Moreau identity and always lands in the domain of the conjugate.
+    Subclasses provide ``value``, ``gradient`` and ``prox_scaled`` (the prox
+    of ``g/rho``). ``prox_conjugate`` follows from the Moreau identity and
+    always lands in the domain of the conjugate. ``gradient``,
+    ``prox_scaled`` and ``prox_conjugate`` take a point ``(N,)`` or a stack
+    ``(k, N)``, row by row; the solver only accepts ``smooth`` scalarizers.
     """
 
     dim_obj: int
@@ -160,66 +160,79 @@ class PreferenceFunction:
         """prox of rho*g^* at v, via prox_{rho g*}(v) = v - rho prox_{g/rho}(v/rho)."""
         if rho <= 0:
             raise ValueError("rho must be positive")
-        v = as_vector(v, self.dim_obj, "v")
+        v = as_points(v, self.dim_obj, "v")
         return v - rho * self.prox_scaled(v / rho, rho)
 
 
 def _entropic_weights(v, eps, rho, tol=1e-13, maxit=200):
-    # Solves the stationarity system of prox_{g/rho} for the log-sum-exp g:
-    # weights s_i satisfy eps*log(s_i) + s_i/rho = v_i - theta with sum(s) = 1.
-    # Each s_i is a Wright-omega evaluation, leaving a monotone 1-D root-find
-    # in the multiplier theta. The weights do not change when v shifts by a
-    # constant; with max(v) shifted to 0, theta lies in [-1/rho, eps log n]
-    # however large |v| is, and so does the resolution its root-find needs.
-    # Entries whose shift overflows to -inf get weight wrightomega(-inf) = 0.
+    # Solves the stationarity system of prox_{g/rho} for the log-sum-exp g at
+    # every row of the stack v: weights s_i satisfy eps*log(s_i) + s_i/rho =
+    # v_i - theta with sum(s) = 1. Each s_i is a Wright-omega evaluation,
+    # leaving a monotone 1-D root-find in the row's multiplier theta. The
+    # weights do not change when v shifts by a constant; with max(v) shifted
+    # to 0, theta lies in [-1/rho, eps log n] however large |v| is, and so
+    # does the resolution its root-find needs. Entries whose shift overflows
+    # to -inf get weight wrightomega(-inf) = 0. The rows bracket and refine
+    # their own theta in lock step, each leaving at its own stop test.
     with np.errstate(over="ignore"):
-        base = (v - v.max()) / eps - np.log(eps * rho)
+        base = (v - v.max(axis=1, keepdims=True)) / eps - np.log(eps * rho)
 
-    def weights(theta):
-        return eps * rho * wrightomega(base - theta / eps)
+    def weights(rows, theta):
+        return eps * rho * wrightomega(base[rows] - theta[:, None] / eps)
 
-    def h(theta):
-        return float(np.sum(weights(theta))) - 1.0
+    def h(rows, theta):
+        return weights(rows, theta).sum(axis=1) - 1.0
 
     scale = max(1.0, eps, 1.0 / rho)
-    theta = 0.0
-    step = max(1.0, eps)
-    lo = hi = theta
-    val = h(theta)
-    while val > 0.0:
-        lo = hi
-        hi += step
-        step *= 2.0
-        val = h(hi)
-        if step > 1e12 * scale:
+    rows = np.arange(v.shape[0])
+    lo, hi = np.zeros(rows.size), np.zeros(rows.size)
+    step = np.full(rows.size, max(1.0, eps))
+    up = rows[h(rows, hi) > 0.0]
+    while up.size:
+        lo[up] = hi[up]
+        hi[up] += step[up]
+        step[up] *= 2.0
+        val = h(up, hi[up])
+        if (step[up] > 1e12 * scale).any():
             raise NumericalError("entropic prox bracketing failed (upper)")
-    if hi == lo:
-        step = max(1.0, eps)
-        while h(lo) <= 0.0:
-            hi = lo
-            lo -= step
-            step *= 2.0
-            if step > 1e12 * scale:
-                raise NumericalError("entropic prox bracketing failed (lower)")
+        up = up[val > 0.0]
+    down = rows[hi == lo]
+    step[down] = max(1.0, eps)
+    while down.size:
+        down = down[h(down, lo[down]) <= 0.0]
+        hi[down] = lo[down]
+        lo[down] -= step[down]
+        step[down] *= 2.0
+        if (step[down] > 1e12 * scale).any():
+            raise NumericalError("entropic prox bracketing failed (lower)")
     theta = 0.5 * (lo + hi)
+    out = np.empty_like(base)
+    live = rows
     for _ in range(maxit):
-        s = weights(theta)
-        val = float(np.sum(s)) - 1.0
-        if abs(val) <= tol:
-            return s
-        if val > 0.0:
-            lo = theta
-        else:
-            hi = theta
+        if not live.size:
+            break
+        s = weights(live, theta[live])
+        val = s.sum(axis=1) - 1.0
+        done = np.abs(val) <= tol
+        out[live[done]] = s[done]
+        live, s, val, th = live[~done], s[~done], val[~done], theta[live[~done]]
+        pos = val > 0.0
+        lo[live[pos]] = th[pos]
+        hi[live[~pos]] = th[~pos]
         omega = s / (eps * rho)
-        deriv = -rho * float(np.sum(omega / (1.0 + omega)))
-        theta_new = theta - val / deriv if deriv != 0.0 else 0.5 * (lo + hi)
-        if not (lo < theta_new < hi):
-            theta_new = 0.5 * (lo + hi)
-        if abs(theta_new - theta) <= 1e-16 * scale:
-            return weights(theta_new)
-        theta = theta_new
-    raise NumericalError("entropic prox root-find did not converge")
+        deriv = -rho * (omega / (1.0 + omega)).sum(axis=1)
+        mid = 0.5 * (lo[live] + hi[live])
+        new = mid.copy()
+        newton = deriv != 0.0
+        new[newton] = th[newton] - val[newton] / deriv[newton]
+        new = np.where((lo[live] < new) & (new < hi[live]), new, mid)
+        fin = np.abs(new - th) <= 1e-16 * scale
+        out[live[fin]] = weights(live[fin], new[fin])
+        theta[live] = new
+        live = live[~fin]
+    if live.size:
+        raise NumericalError("entropic prox root-find did not converge")
+    return out
 
 
 class SoftMax(PreferenceFunction):
@@ -241,31 +254,38 @@ class SoftMax(PreferenceFunction):
 
     def value_batch(self, Y):
         Y = np.asarray(Y, dtype=float).reshape(-1, self.dim_obj)
-        z = Y / self.eps
-        m = z.max(axis=1, keepdims=True)
-        return self.eps * (m[:, 0] + np.log(np.exp(z - m).sum(axis=1)))
+        if self.dim_obj >= 8:
+            # from 8 terms on, numpy's row sum is pairwise with 8 accumulators
+            z = Y / self.eps
+            m = z.max(axis=1, keepdims=True)
+            return self.eps * (m[:, 0] + np.log(np.exp(z - m).sum(axis=1)))
+        # a shorter row sum runs left to right, as this sum over the rows of
+        # the transposed stack does, bit for bit and several times faster
+        z = np.ascontiguousarray(Y.T) / self.eps
+        m = z.max(axis=0)
+        return self.eps * (m + np.log(np.exp(z - m).sum(axis=0)))
 
     def gradient(self, y):
-        y = as_vector(y, self.dim_obj)
-        z = (y - y.max()) / self.eps
+        y = as_points(y, self.dim_obj)
+        z = (y - y.max(axis=-1, keepdims=True)) / self.eps
         w = np.exp(z)
-        return w / w.sum()
+        return w / w.sum(axis=-1, keepdims=True)
 
     def prox_scaled(self, v, rho):
         if rho <= 0:
             raise ValueError("rho must be positive")
-        v = as_vector(v, self.dim_obj, "v")
-        s = _entropic_weights(v, self.eps, rho)
-        return v - s / rho
+        v = as_points(v, self.dim_obj, "v")
+        return v - _entropic_weights(np.atleast_2d(v), self.eps, rho).reshape(v.shape) / rho
 
     def prox_conjugate(self, v, rho):
         # The Moreau form v - rho prox_{g/rho}(v/rho) returns exactly these
         # weights, but cancels to 0 for large |v|.
         if rho <= 0:
             raise ValueError("rho must be positive")
-        v = as_vector(v, self.dim_obj, "v")
+        v = as_points(v, self.dim_obj, "v")
         with np.errstate(over="ignore"):
-            return _entropic_weights((v - v.max()) / rho, self.eps, rho)
+            shifted = (v - v.max(axis=-1, keepdims=True)) / rho
+            return _entropic_weights(np.atleast_2d(shifted), self.eps, rho).reshape(v.shape)
 
 
 class WeightedSum(PreferenceFunction):
@@ -288,90 +308,18 @@ class WeightedSum(PreferenceFunction):
         return Y @ self.weights
 
     def gradient(self, y):
-        as_vector(y, self.dim_obj)
-        return self.weights.copy()
+        return np.broadcast_to(self.weights, as_points(y, self.dim_obj).shape).copy()
 
     def prox_scaled(self, v, rho):
         if rho <= 0:
             raise ValueError("rho must be positive")
-        return as_vector(v, self.dim_obj, "v") - self.weights / rho
+        return as_points(v, self.dim_obj, "v") - self.weights / rho
 
     def prox_conjugate(self, v, rho):
         # The conjugate is the indicator of {weights}.
         if rho <= 0:
             raise ValueError("rho must be positive")
-        as_vector(v, self.dim_obj, "v")
-        return self.weights.copy()
-
-
-def _project_weighted_simplex(v, a):
-    # Euclidean projection onto {pi >= 0 : a . pi = 1} by exact breakpoint
-    # search; pi = max(v - theta*a, 0).
-    r = v / a
-    order = np.argsort(-r)
-    av = a * v
-    aa = a * a
-    cum_av = np.cumsum(av[order])
-    cum_aa = np.cumsum(aa[order])
-    r_sorted = r[order]
-    n = v.size
-    theta = None
-    for k in range(n):
-        t = (cum_av[k] - 1.0) / cum_aa[k]
-        upper_ok = t < r_sorted[k]
-        lower_ok = (k == n - 1) or (t >= r_sorted[k + 1])
-        if upper_ok and lower_ok:
-            theta = t
-            break
-    if theta is None:
-        theta = (cum_av[-1] - 1.0) / cum_aa[-1]
-    return np.maximum(v - theta * a, 0.0)
-
-
-class Chebyshev(PreferenceFunction):
-    """Weighted max scalarizer max_i w_i y_i."""
-
-    smooth = False
-
-    def __init__(self, weights):
-        w = as_vector(weights, name="weights")
-        if np.any(w <= 0):
-            raise ValueError("weights must be strictly positive")
-        self.weights = w
-        self.dim_obj = w.size
-
-    def value(self, y):
-        return float(np.max(self.weights * as_vector(y, self.dim_obj)))
-
-    def value_batch(self, Y):
-        Y = np.asarray(Y, dtype=float).reshape(-1, self.dim_obj)
-        return (Y * self.weights).max(axis=1)
-
-    def gradient(self, y):
-        y = as_vector(y, self.dim_obj)
-        scaled = self.weights * y
-        top = np.flatnonzero(scaled == np.max(scaled))
-        if top.size != 1:
-            raise NondifferentiableError(
-                "weighted max is tied at %d coordinates; use the prox path" % top.size
-            )
-        grad = np.zeros(self.dim_obj)
-        grad[top[0]] = self.weights[top[0]]
-        return grad
-
-    def prox_conjugate(self, v, rho):
-        # The conjugate is the indicator of {pi >= 0 : sum_i pi_i / w_i = 1},
-        # so the prox is a rho-independent projection.
-        if rho <= 0:
-            raise ValueError("rho must be positive")
-        v = as_vector(v, self.dim_obj, "v")
-        return _project_weighted_simplex(v, 1.0 / self.weights)
-
-    def prox_scaled(self, v, rho):
-        if rho <= 0:
-            raise ValueError("rho must be positive")
-        v = as_vector(v, self.dim_obj, "v")
-        return v - _project_weighted_simplex(rho * v, 1.0 / self.weights) / rho
+        return np.broadcast_to(self.weights, as_points(v, self.dim_obj, "v").shape).copy()
 
 
 @dataclass(frozen=True)
@@ -404,7 +352,10 @@ class QuadraticRegularizer:
 @dataclass(frozen=True, eq=False)
 class HopfLaxParams:
     """Per-solve parameter bundle: state (x, tau), horizon weight alpha,
-    quadratic terminal-cost weight c, and regularization strength mu."""
+    quadratic terminal-cost weight c, and regularization strength mu.
+
+    ``tau`` may be a stack ``(n, N)``, one row per solve of a batch; the
+    maps then act row by row on stacks of ``pi`` and ``u``."""
 
     x: np.ndarray
     tau: np.ndarray
@@ -414,7 +365,12 @@ class HopfLaxParams:
 
     def __post_init__(self):
         object.__setattr__(self, "x", as_vector(self.x, name="x"))
-        object.__setattr__(self, "tau", as_vector(self.tau, name="tau"))
+        tau = np.asarray(self.tau, dtype=float)
+        if tau.ndim != 2:
+            tau = as_vector(tau, name="tau")
+        elif not np.isfinite(tau).all():
+            raise ValueError("tau must be finite")
+        object.__setattr__(self, "tau", tau)
         for name in ("alpha", "c", "mu"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -425,7 +381,11 @@ class HopfLaxParams:
 
     @property
     def dim_obj(self):
-        return self.tau.shape[0]
+        return self.tau.shape[-1]
+
+    def take(self, rows):
+        """The parameters of the given rows of a stacked ``tau``."""
+        return HopfLaxParams(self.x, self.tau[rows], self.alpha, self.c, self.mu)
 
     def dual_shift(self, pi):
         """E = c (tau + alpha pi)."""

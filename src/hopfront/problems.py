@@ -7,6 +7,7 @@ the CLI and output manifests: ex1, ex2a, ex2b, ex3a-d{N}, ex3b.
 """
 from __future__ import annotations
 
+import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -72,13 +73,14 @@ def _stack_jac(u, rows):
 
 
 def _power(u):
-    # ``**`` for Jacobian coefficients at the points u. On one point it is
-    # libm's pow on numpy scalars. numpy's SIMD power loop differs from that
-    # in the last bit on a few percent of inputs, so a stack takes libm's pow
-    # element by element and matches the scalar Jacobian bit for bit.
+    # ``**`` on per-point scalars of the points u. On one point it is libm's
+    # pow on numpy scalars. numpy's power loop differs from that in the last
+    # bit on a few percent of inputs (even squares, rarely), so a stack takes
+    # libm's pow element by element and its values and Jacobians match the
+    # single point's bit for bit.
     if u.ndim == 1:
         return operator.pow
-    return lambda x, k: np.array([v**k for v in x.tolist()])
+    return lambda x, k: np.fromiter(map(pow, x.tolist(), itertools.repeat(float(k))), float, x.size)
 
 
 def example1() -> BenchmarkProblem:
@@ -176,9 +178,10 @@ def example2_case1() -> BenchmarkProblem:
 
     def ell(u):
         u1, u2 = u[..., 0], u[..., 1]
-        penalty = lam * (u2 - u1) ** 2
+        pw = _power(u)
+        penalty = lam * pw(u2 - u1, 2)
         l1 = u1 + penalty
-        l2 = 1.0 - u1 + a * (u1 - 0.5) ** 4 - b * (u1 - 0.5) ** 2 + penalty
+        l2 = 1.0 - u1 + a * pw(u1 - 0.5, 4) - b * pw(u1 - 0.5, 2) + penalty
         return _stack_last([l1, l2])
 
     def jac(u):
@@ -201,9 +204,10 @@ def example2_case2() -> BenchmarkProblem:
 
     def ell(u):
         u1, u2 = u[..., 0], u[..., 1]
-        pen = (u2 - u1) ** 2
+        pw = _power(u)
+        pen = pw(u2 - u1, 2)
         l1 = u1 + g1 * np.sin(4.0 * np.pi * u1) + b1 * pen
-        l2 = (u1 - 0.25) ** 4 * (u1 - 0.75) ** 2 + eta * (1.0 - u1) + b2 * pen
+        l2 = pw(u1 - 0.25, 4) * pw(u1 - 0.75, 2) + eta * (1.0 - u1) + b2 * pen
         return _stack_last([l1, l2])
 
     def jac(u):
@@ -250,8 +254,9 @@ def example3_case1(d: int) -> BenchmarkProblem:
 
     def ell(u):
         s, r2 = _mean_spread(u)
+        pw = _power(u)
         l1 = s + g1 * np.sin(2.0 * np.pi * s) + b1 * r2
-        l2 = 1.0 - s + a * (s - 0.5) ** 4 - b * (s - 0.5) ** 2 + b2 * r2
+        l2 = 1.0 - s + a * pw(s - 0.5, 4) - b * pw(s - 0.5, 2) + b2 * r2
         return _stack_last([l1, l2])
 
     spread = np.array([b1, b2])
@@ -279,11 +284,12 @@ def example3_case2() -> BenchmarkProblem:
 
     def ell(u):
         s, r2 = _mean_spread(u)
+        pw = _power(u)
         l1 = s + g1 * np.sin(2.0 * np.pi * s) + b1 * r2
-        l2 = 1.0 - s + a * (s - 0.5) ** 4 - b * (s - 0.5) ** 2 + b2 * r2
-        l3 = (s - 0.2) ** 2 + c3 * r2
-        l4 = (s - 0.8) ** 2 + c4 * r2
-        l5 = 0.5 * s**2 + g5 * np.sin(4.0 * np.pi * s) + c5 * r2
+        l2 = 1.0 - s + a * pw(s - 0.5, 4) - b * pw(s - 0.5, 2) + b2 * r2
+        l3 = pw(s - 0.2, 2) + c3 * r2
+        l4 = pw(s - 0.8, 2) + c4 * r2
+        l5 = 0.5 * pw(s, 2) + g5 * np.sin(4.0 * np.pi * s) + c5 * r2
         return _stack_last([l1, l2, l3, l4, l5])
 
     spread = np.array([b1, b2, c3, c4, c5])

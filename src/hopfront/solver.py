@@ -1,22 +1,27 @@
 """Primal-dual solver for the Hopf-Lax optimality system, with or without
-inequality constraints k(u) >= 0.
+inequality constraints k(u) >= 0, run in lock step over a batch of tau.
 
-One outer iteration updates the dual weights pi, re-estimates (or ascends)
-the constraint multipliers nu, and refines the primal point u. A merit
-function measuring violation of the full optimality system safeguards every
-step: the dual step and the primal step are damped until the merit is
-non-increasing, so recorded merit values never rise.
+One outer iteration takes the dual step in the weights pi, estimates the
+constraint multipliers nu from stationarity, and refines the primal point u
+by minimizing the shifted scalarization over the constraint set (projected
+value descent). A merit function measuring violation of the full optimality
+system safeguards every step: the dual step and the primal step are damped
+until the merit is non-increasing, so recorded merit values never rise.
+
+A stack of tau (``HopfLaxParams.tau`` of shape ``(n, N)``) is solved as one
+batch, one row per tau; a single tau is the batch of one. Each row keeps its
+state in stacked arrays. Every nesting level -- outer iteration, dual
+damping trial, inner descent step, Armijo halving, primal damping trial --
+keeps the index array of its live rows and makes one batched objective,
+Jacobian and projection call per step, and a row leaves a level when it
+stops there. Each row does exactly the arithmetic of a lone solve, so its
+result does not depend on the batch it ran in. The Cholesky solves (LAPACK,
+whose rounding no stacked form reproduces), the multiplier estimates and
+the steps next to an active constraint go row by row.
 
 Each point is evaluated once (``evaluate``): the merit, the multipliers, the
-stop test, the next dual step and the next inner solve all read that record,
-and the inner solve returns its last point's record for the LM polish and
-the candidate at that point.
-
-The primal refinement is chosen from the inputs, not from an option: a
-smooth scalarizer over an unconstrained problem or a constraint set with a
-projector gets the inner minimization of the shifted scalarization (value
-descent); a non-smooth scalarizer or a projector-less constraint set gets
-damped Levenberg-Marquardt steps on the stationarity residual.
+stop test, the next dual step and the next inner solve all read that
+record, and the inner solve returns its last point's record.
 """
 from __future__ import annotations
 
@@ -29,6 +34,7 @@ from scipy.optimize import nnls
 
 from .core import (
     CertificationError,
+    HopfLaxParams,
     NumericalError,
     as_vector,
 )
@@ -41,8 +47,6 @@ _MERIT_SLACK = 1e-15
 # so they are fixed here rather than carried in SolverConfig.
 _RHO = 0.5  # dual prox step
 _ETA = 1.0  # first primal damping of each safeguard trial
-_SIGMA = 0.5  # multiplier ascent step
-_MAXIT_INNER = 50  # LM refinement steps per outer iteration
 _THETAS = (1.0, 0.5, 0.25, 0.125, 0.0)  # dual step damping per safeguard trial
 _BACKTRACK_FACTOR = 0.5  # primal step damping per safeguard trial
 _ETA_TRIALS = 5  # primal damping trials per dual candidate
@@ -51,6 +55,7 @@ _MAXIT_U = 200  # value-descent steps per inner solve
 _TOL_U = 1e-4  # value-descent move tolerance, tightened to 0.01 eps when smaller
 _LS_BETA = 0.5  # Armijo step reduction
 _LS_C1 = 1e-4  # Armijo sufficient-decrease constant
+_MAXIT_POLISH = 10  # LM polish steps after an unconstrained inner solve
 
 
 @dataclass(frozen=True)
@@ -89,69 +94,97 @@ class SolveResult:
     feasibility_violation: float = 0.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Evaluation:
-    """ell(u) and Jac[ell](u), plus k(u) and Jac[k](u) when there are
-    constraints (``kv`` and ``Jk`` are None otherwise)."""
+    """ell(u) and Jac[ell](u) at a point u ``(d,)`` or at every row of a
+    stack ``(n, d)``, plus k(u) when there are constraints (``kv`` is None
+    otherwise). ``k`` is kept for Jac[k], which only the rows next to an
+    active constraint read (``jk``)."""
 
     u: np.ndarray
     ell: np.ndarray
     J: np.ndarray
     kv: Optional[np.ndarray] = None
-    Jk: Optional[np.ndarray] = None
+    k: object = None
+
+    def take(self, rows):
+        """The evaluation at the given rows."""
+        kv = None if self.kv is None else self.kv[rows]
+        return Evaluation(self.u[rows], self.ell[rows], self.J[rows], kv, self.k)
+
+    def put(self, rows, other):
+        """Overwrite the given rows with the rows of ``other``."""
+        self.u[rows], self.ell[rows], self.J[rows] = other.u, other.ell, other.J
+        if self.kv is not None:
+            self.kv[rows] = other.kv
+
+    def jk(self, row=()):
+        """Jac[k] at the point, or at one row of the stack."""
+        return self.k.jacobian(self.u[row])
 
 
 def evaluate(f, k, u, ell=None) -> Evaluation:
-    """The one evaluation of the objective (and constraint) maps at u that
-    every solver step at u reads; ``ell``, when the caller already holds
-    ell(u), is taken as it is."""
-    u = np.asarray(u, dtype=float)  # f.jacobian validates it
-    ell = f.value(u) if ell is None else ell
+    """The one evaluation of the objective (and constraint) maps at a point
+    or a stack u that every solver step there reads; ``ell``, when the
+    caller already holds ell(u), is taken as it is."""
+    u = np.asarray(u, dtype=float)  # f.jacobian validates a point
+    one = u.ndim == 1
+    if ell is None:
+        ell = f.value(u) if one else f.value_batch(u)
+    J = f.jacobian(u) if one else f.jacobian_batch(u)
     if k is None or k.dim_con == 0:
-        return Evaluation(u, ell, f.jacobian(u))
-    return Evaluation(u, ell, f.jacobian(u), k.value(u), k.jacobian(u))
+        return Evaluation(u, ell, J)
+    return Evaluation(u, ell, J, k.value(u) if one else k.value_batch(u), k)
+
+
+def _tmv(A, x):
+    # A^T x row by row, (..., p, q) and (..., p) -> (..., q); a stack makes
+    # the same BLAS call per row that one matrix does
+    return np.matmul(np.swapaxes(A, -1, -2), x[..., None])[..., 0]
+
+
+def _dot(a, b):
+    # row-wise a . b, the BLAS dot that a @ b is on one row
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _norm(a):
+    # row-wise np.linalg.norm, which is sqrt(a @ a) on a vector
+    return np.sqrt(_dot(a, a))
+
+
+def _rows(mask):
+    # the index of each true entry of a row mask: (i,) on a stack, () on a point
+    return [i for i in np.ndindex(mask.shape) if mask[i]]
 
 
 def dual_update_pi(g, ell, pi, params):
-    """One dual step from the objective vector ``ell`` = ell(u): returns
-    (pi_next, E) with E = c (tau + alpha pi).
-
-    Differentiable scalarizers take the gradient shortcut
-    pi_next = grad g(ell + E); otherwise a proximal step on the conjugate.
-    """
+    """One dual step from the objective vector ``ell`` = ell(u), or from a
+    stack of them: returns (pi_next, E) with E = c (tau + alpha pi) and the
+    gradient shortcut pi_next = grad g(ell + E)."""
     E = params.dual_shift(pi)
-    y = ell + E
-    if g.smooth:
-        pi_next = g.gradient(y)
-    else:
-        pi_next = g.prox_conjugate(np.asarray(pi, dtype=float) + _RHO * y, _RHO)
-    return pi_next, E
-
-
-def dual_update_nu(k_vals, nu):
-    """Projected ascent in the constraint channel: [nu + sigma (-k)]_+."""
-    k_vals = np.asarray(k_vals, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    return np.maximum(nu + _SIGMA * (-k_vals), 0.0)
+    return g.gradient(ell + E), E
 
 
 def stationarity_residual(J, u, pi, params, Jk=None, nu=None):
-    """J^T pi + mu u - c (x - alpha u) - Jk^T nu.
+    """J^T pi + mu u - c (x - alpha u) - Jk^T nu, at a point or row by row.
 
     ``J`` is Jac[ell](u) and ``Jk`` is Jac[k](u), both already evaluated; the
     constraint term is left out when ``Jk`` is None.
     """
-    r = J.T @ np.asarray(pi, dtype=float) + params.mu * u - params.dual_momentum(u)
+    r = _tmv(J, np.asarray(pi, dtype=float)) + params.mu * u - params.dual_momentum(u)
     if Jk is not None:
-        r = r - Jk.T @ np.asarray(nu, dtype=float)
+        r = r - _tmv(Jk, np.asarray(nu, dtype=float))
     return r
 
 
 def preconditioner(J, params, Jk=None):
-    """(mu + alpha c) I + J^T J, plus Jk^T Jk when ``Jk`` holds the Jacobian
-    rows of the nearly active constraints; positive definite for any u."""
-    B = J.T @ J
-    B.flat[:: J.shape[1] + 1] += params.mu + params.alpha * params.c
+    """(mu + alpha c) I + J^T J, row by row on a stack of J, plus Jk^T Jk
+    when ``Jk`` holds the Jacobian rows of one point's nearly active
+    constraints; positive definite for any u."""
+    B = np.matmul(np.swapaxes(J, -1, -2), J)
+    diag = np.arange(J.shape[-1])
+    B[..., diag, diag] += params.mu + params.alpha * params.c
     if Jk is not None and Jk.shape[0] > 0:
         B = B + Jk.T @ Jk
     return B
@@ -161,6 +194,9 @@ def spd_solve(B, r):
     # The LAPACK pair behind cho_factor/cho_solve, called directly: for the
     # small systems solved here, the wrappers' argument checks cost several
     # times the factorization. A non-finite B or r shows up in the solution.
+    # A stack goes row by row: no stacked factorization has LAPACK's rounding.
+    if B.ndim == 3:
+        return np.array([spd_solve(b, x) for b, x in zip(B, r)]).reshape(r.shape)
     c, info = dpotrf(B, lower=1, clean=0)
     if info == 0:
         x, info = dpotrs(c, r, lower=1)
@@ -169,42 +205,40 @@ def spd_solve(B, r):
     return x
 
 
-def merit_psi(g, pt, pi, params, *, nu=None) -> float:
-    """Violation of the optimality system at the evaluated point ``pt``;
-    zero exactly at its solutions.
+def merit_psi(g, pt, pi, params, *, nu=None):
+    """Violation of the optimality system at the evaluated point ``pt``, or
+    at every row of an evaluated stack; zero exactly at its solutions.
 
-    First block: squared stationarity residual in the inverse-preconditioner
-    norm. Second block: squared fixed-point displacement of the dual prox.
-    When ``pt`` carries constraint values, the residual carries the multiplier
-    term and a third block adds the ascent displacement of ``nu``.
+    First block: squared stationarity residual, with the multiplier term
+    when ``nu`` is given, in the inverse-preconditioner norm. Second block:
+    squared fixed-point displacement of the dual prox.
     """
-    pi = as_vector(pi, pt.ell.shape[0], "pi")
-    r = stationarity_residual(pt.J, pt.u, pi, params, pt.Jk, nu)
-    term1 = 0.5 * float(r @ spd_solve(preconditioner(pt.J, params), r))
+    pi = np.asarray(pi, dtype=float)
+    r = stationarity_residual(pt.J, pt.u, pi, params)
+    if nu is not None:
+        for i in _rows(nu.any(axis=-1)):  # Jk^T nu vanishes on the other rows
+            r[i] = r[i] - _tmv(pt.jk(i), nu[i])
+    term1 = 0.5 * _dot(r, spd_solve(preconditioner(pt.J, params), r))
     E = params.dual_shift(pi)
     disp = g.prox_conjugate(pi + _RHO * (pt.ell + E), _RHO) - pi
-    term2 = float(disp @ disp) / (2.0 * _RHO * _RHO)
-    if pt.kv is None:
-        return term1 + term2
-    nu_disp = dual_update_nu(pt.kv, nu) - nu
-    return term1 + term2 + float(nu_disp @ nu_disp) / (2.0 * _SIGMA * _SIGMA)
+    return term1 + _dot(disp, disp) / (2.0 * _RHO * _RHO)
 
 
 def multiplier_estimate(pt, pi, params):
     """Nonnegative least-squares multipliers over the nearly active set of
-    the evaluated point ``pt``.
+    the evaluated point ``pt``, or of every row of an evaluated stack.
 
     Exact projection zeroes the ascent signal on active constraints, so the
     multipliers are recovered from stationarity instead: minimize
     ||Jac[k]_A^T nu - F|| over nu >= 0 supported on the active set A.
     """
-    nu = np.zeros(pt.kv.shape[0])
-    active = np.flatnonzero(pt.kv <= _ACTIVE_THRESHOLD)
-    if active.size == 0:
-        return nu
-    F = stationarity_residual(pt.J, pt.u, pi, params)
-    sol, _ = nnls(pt.Jk[active].T, F)
-    nu[active] = sol
+    nu = np.zeros(pt.kv.shape)
+    active = pt.kv <= _ACTIVE_THRESHOLD
+    pi = np.asarray(pi, dtype=float)
+    for i in _rows(active.any(axis=-1)):
+        on = np.flatnonzero(active[i])
+        F = stationarity_residual(pt.J[i], pt.u[i], pi[i], params)
+        nu[i][on] = nnls(pt.jk(i)[on].T, F)[0]
     return nu
 
 
@@ -215,29 +249,39 @@ def _null_basis(A):
     return vt[rank:].T
 
 
-def _two_metric_step(k, u, gvec, B, Jk, active):
-    # Preconditioning a projected-gradient step can rotate the descent
-    # direction across the tangent space of a curved active constraint, so the
-    # inverse preconditioner is applied within that tangent space only; the
-    # normal component keeps the plain gradient, conservatively scaled.
-    if not np.any(active):
+def _direction(k, pt, gvec, params):
+    # The preconditioned descent direction of every row of the evaluated
+    # stack pt. Next to an active constraint, preconditioning a projected-
+    # gradient step can rotate the direction across the tangent space of a
+    # curved constraint, so such a row applies the inverse preconditioner
+    # within that tangent space only; the normal component keeps the plain
+    # gradient, conservatively scaled (the two-metric step).
+    B = preconditioner(pt.J, params)
+    if k is None:
         return spd_solve(B, gvec)
-    Jk_a = Jk[active]
-    Q = k.tangent_basis(u, active) if k.tangent_basis is not None else _null_basis(Jk_a)
-    lam_hi = B.trace()
-    if Q.size == 0:
-        return gvec / lam_hi
-    tangential = Q @ spd_solve(Q.T @ B @ Q, Q.T @ gvec)
-    normal = gvec - Q @ (Q.T @ gvec)
-    return tangential + normal / lam_hi
+    active = pt.kv <= _ACTIVE_THRESHOLD
+    near = active.any(axis=1)
+    out = np.empty_like(gvec)
+    out[~near] = spd_solve(B[~near], gvec[~near])
+    for i in np.flatnonzero(near):
+        Jk_a = pt.jk(i)[active[i]]
+        Bi, gi = B[i] + Jk_a.T @ Jk_a, gvec[i]
+        Q = k.tangent_basis(pt.u[i], active[i]) if k.tangent_basis is not None else _null_basis(Jk_a)
+        if Q.size == 0:
+            out[i] = gi / Bi.trace()
+        else:
+            out[i] = Q @ spd_solve(Q.T @ Bi @ Q, Q.T @ gi) + (gi - Q @ (Q.T @ gi)) / Bi.trace()
+    return out
 
 
-def _inner_projected_gradient(f, g, k, pt, pi_new, params, cfg):
-    # Full inner solve of the shifted scalarization over K (or all of R^d when
-    # k is None) from the evaluated point pt: projected gradient descent,
-    # preconditioned in the two-metric sense, with Armijo backtracking and a
-    # plain-gradient arc fallback. Returns the evaluation of its last point.
-    E = params.dual_shift(pi_new)
+def _inner_solve(f, g, k, pt, pi, params, cfg):
+    # Inner solve of the shifted scalarization over K (or all of R^d when k
+    # is None) from every row of the evaluated stack pt, in lock step:
+    # projected gradient descent, preconditioned in the two-metric sense,
+    # with Armijo backtracking and a plain-gradient arc fallback, then an LM
+    # polish of unconstrained rows. Returns the evaluation of each row's last
+    # point.
+    E = params.dual_shift(pi)
     stiff = params.mu + params.alpha * params.c
     cx = params.c * params.x
     gamma = 1.0 / stiff
@@ -245,83 +289,76 @@ def _inner_projected_gradient(f, g, k, pt, pi_new, params, cfg):
     res_tol = 0.05 * cfg.eps
     project = k.project if k is not None else (lambda u_: u_)
 
-    def val(u, ell):
-        # the composite at u from its objective vector ell = ell(u)
-        return g.value(ell + E) + 0.5 * stiff * float(u @ u) - float(cx @ u)
+    def val(rows, u, ell):
+        # the composite at the points u of the given rows from ell = ell(u)
+        return g.value_batch(ell + E[rows]) + 0.5 * stiff * _dot(u, u) - _dot(cx, u)
 
-    fu = val(pt.u, pt.ell)
-    res = np.inf
-    t_warm = 1.0  # accepted step carries over; curvature mismatch is persistent
+    n = pt.u.shape[0]
+    pt = pt.take(np.arange(n))  # a copy, updated row by row
+    fu = val(slice(None), pt.u, pt.ell)
+    res = np.full(n, np.inf)
+    t_warm = np.ones(n)  # accepted step carries over; curvature mismatch is persistent
+    live = np.arange(n)
     for _ in range(_MAXIT_U):
-        u = pt.u
-        gvec = pt.J.T @ g.gradient(pt.ell + E) + stiff * u - cx
-        res = float(np.linalg.norm(u - project(u - gamma * gvec))) / gamma
-        if res <= res_tol:
+        if not live.size:
             break
-        if k is not None:
-            active = pt.kv <= _ACTIVE_THRESHOLD
-            B = preconditioner(pt.J, params, pt.Jk[active])
-            primary = _two_metric_step(k, u, gvec, B, pt.Jk, active)
-        else:
-            primary = spd_solve(preconditioner(pt.J, params), gvec)
-        cand = fc = None
-        for attempt, direction in enumerate((primary, gamma * gvec)):
-            t = min(1.0, t_warm / _LS_BETA) if attempt == 0 else 1.0
+        cur = pt.take(live)
+        gvec = _tmv(cur.J, g.gradient(cur.ell + E[live])) + stiff * cur.u - cx
+        res[live] = _norm(cur.u - project(cur.u - gamma * gvec)) / gamma
+        go = np.flatnonzero(~(res[live] <= res_tol))
+        live, cur, gvec = live[go], cur.take(go), gvec[go]
+        u = cur.u
+        found = np.zeros(live.size, dtype=bool)
+        cand, ell_c, fc = np.empty_like(u), np.empty_like(cur.ell), np.empty(live.size)
+        for attempt, direction in enumerate((_direction(k, cur, gvec, params), gamma * gvec)):
+            todo = np.flatnonzero(~found)
+            t = np.minimum(1.0, t_warm[live] / _LS_BETA) if attempt == 0 else np.ones(live.size)
             for _ in range(30):
-                trial = project(u - t * direction)
-                ell_t = f.value(trial)
-                ft = val(trial, ell_t)
-                step = trial - u
-                # projection-arc form of the Armijo sufficient decrease
-                if ft <= fu - _LS_C1 * float(step @ step) / max(t, 1e-300):
-                    cand, fc, ell_c = trial, ft, ell_t
-                    if attempt == 0:
-                        t_warm = t
+                if not todo.size:
                     break
-                t *= _LS_BETA
-            if cand is not None:
-                break
-        if cand is None:
-            break
-        pt, fu = evaluate(f, k, cand, ell_c), fc
-        if float(np.linalg.norm(cand - u)) <= move_tol:
-            break
-    return pt, res
+                trial = project(u[todo] - t[todo, None] * direction[todo])
+                ell_t = f.value_batch(trial)
+                ft = val(live[todo], trial, ell_t)
+                step = trial - u[todo]
+                # projection-arc form of the Armijo sufficient decrease
+                ok = ft <= fu[live[todo]] - _LS_C1 * _dot(step, step) / np.maximum(t[todo], 1e-300)
+                hit = todo[ok]
+                cand[hit], ell_c[hit], fc[hit], found[hit] = trial[ok], ell_t[ok], ft[ok], True
+                if attempt == 0:
+                    t_warm[live[hit]] = t[hit]
+                todo = todo[~ok]
+                t[todo] *= _LS_BETA
+        # a row that accepts no step stops where it is
+        hit = np.flatnonzero(found)
+        if hit.size:
+            pt.put(live[hit], evaluate(f, k, cand[hit], ell_c[hit]))
+            fu[live[hit]] = fc[hit]
+        live = live[hit[~(_norm(cand[hit] - u[hit]) <= move_tol)]]
+    if k is None:
+        # LM polish, row by row: value descent bottoms out at the rounding
+        # floor of the composite, the residual does not
+        for i in np.flatnonzero(res > 0.05 * cfg.eps):
+            pt.put(i, _polish(f, pt.take(i), pi[i], params, cfg))
+    return pt
 
 
-def _refine_lm(f, k, pt, pi, nu, params, eta, cfg, projector, nu_of=None, maxit=_MAXIT_INNER):
-    # Damped LM steps at frozen pi from the evaluated point pt until the
-    # residual target is met or the iterate stalls; returns the evaluation of
-    # the final iterate. ``nu_of`` re-estimates the multipliers at every
-    # iterate so the step tracks the active manifold; otherwise nu stays frozen.
+def _polish(f, pt, pi, params, cfg):
+    # Damped LM steps on the stationarity residual at frozen pi from the
+    # evaluated unconstrained point pt until the residual target is met or
+    # the iterate stalls; returns the evaluation of the final iterate.
     target = 0.05 * cfg.eps
-
-    def residual(pt_):
-        nu_ = nu_of(pt_) if nu_of is not None else nu
-        return stationarity_residual(pt_.J, pt_.u, pi, params, pt_.Jk, nu_)
-
-    r_cur = residual(pt)
-    for _ in range(maxit):
-        Jk_active = pt.Jk[pt.kv <= _ACTIVE_THRESHOLD] if pt.kv is not None else None
-        B = preconditioner(pt.J, params, Jk_active)
-        if projector is None:
-            res_here = float(np.linalg.norm(r_cur))
-        else:
-            gamma = 1.0 / (params.mu + params.alpha * params.c)
-            res_here = float(np.linalg.norm(pt.u - projector(pt.u - gamma * r_cur))) / gamma
-        if res_here <= target:
-            return pt
-        step = eta * spd_solve(B, r_cur)
+    r_cur = stationarity_residual(pt.J, pt.u, pi, params)
+    for _ in range(_MAXIT_POLISH):
         r_norm = float(np.linalg.norm(r_cur))
-        frac = 1.0
+        if r_norm <= target:
+            return pt
+        step, frac = spd_solve(preconditioner(pt.J, params), r_cur), 1.0
         for _ in range(25):
             u_next = pt.u - step
-            if projector is not None:
-                u_next = projector(u_next)
             if not np.all(np.isfinite(u_next)):
                 raise NumericalError("primal update produced non-finite iterate")
-            pt_next = evaluate(f, k, u_next)
-            r_next = residual(pt_next)
+            pt_next = evaluate(f, None, u_next)
+            r_next = stationarity_residual(pt_next.J, pt_next.u, pi, params)
             # damping: the Gauss-Newton model can understate curvature and
             # equal-norm mirror steps would cycle; the required decrease
             # scales with the damping so short steps stay acceptable
@@ -337,143 +374,124 @@ def _refine_lm(f, k, pt, pi, nu, params, eta, cfg, projector, nu_of=None, maxit=
     return pt
 
 
-def run_primal_dual(f, g, params, cfg, constraints=None, u0=None, pi0=None) -> SolveResult:
-    """The outer loop behind ``solve``; inputs are assumed consistent."""
-    k = constraints
-    m = 0 if k is None else k.dim_con
-    projector = None if k is None else k.projector
-    use_estimate = m > 0 and projector is not None
+def _candidates(f, k, u, inner, base):
+    # The evaluation at every row of u; a candidate at the inner solve's or
+    # at the base's point, bit for bit, keeps that point's evaluation.
+    bits = np.ascontiguousarray(u).view(np.int64)
+    cand = base.take(np.arange(u.shape[0]))
+    at_inner = (bits == inner.u.view(np.int64)).all(axis=1)
+    cand.put(at_inner, inner.take(at_inner))
+    fresh = ~at_inner & ~(bits == base.u.view(np.int64)).all(axis=1)
+    if fresh.any():
+        cand.put(fresh, evaluate(f, k, u[fresh]))
+    return cand
 
-    u = as_vector(u0, f.dim_u, "u0") if u0 is not None else params.x / max(params.alpha, 1.0)
-    if k is not None:
-        if projector is not None:
-            u = k.project(u)
-        elif not k.is_feasible(u):
-            raise ValueError("infeasible start and no projector available")
-    pi = as_vector(pi0, f.dim_obj, "pi0") if pi0 is not None else np.zeros(f.dim_obj)
-    nu = np.zeros(m)
 
-    def stop_residual(pt_, pi_, nu_):
-        if not use_estimate:
-            return float(np.linalg.norm(stationarity_residual(pt_.J, pt_.u, pi_, params, pt_.Jk, nu_)))
-        F = stationarity_residual(pt_.J, pt_.u, pi_, params)
-        gamma = 1.0 / (params.mu + params.alpha * params.c)
-        return float(np.linalg.norm(pt_.u - projector(pt_.u - gamma * F))) / gamma
-
-    # Smooth scalarizers get the value-descent inner solve whenever iterates
-    # can be kept feasible: the residual-only LM refinement cannot cross
-    # residual ridges of nonconvex composites, and its Gauss-Newton model
-    # misses the penalty-coupling curvature on valley floors and oscillates
-    # against box faces. LM steps remain for non-smooth scalarizers, which
-    # have no gradient to descend, and for projector-less constraint sets.
-    value_descent = g.smooth and (m == 0 or projector is not None)
-
-    def inner_solve(pt_, pi_, nu_):
-        pt_in, res_in = _inner_projected_gradient(f, g, k if m > 0 else None, pt_, pi_, params, cfg)
-        if m == 0 and res_in > 0.05 * cfg.eps:
-            # LM polish: value descent bottoms out at the rounding floor
-            # of the composite, the residual does not
-            pt_in = _refine_lm(f, k, pt_in, pi_, nu_, params, 1.0, cfg, projector, maxit=10)
-        return pt_in
-
-    pt = evaluate(f, k, u)
-    psi = merit_psi(g, pt, pi, params, nu=nu)
-    psi_floor = cfg.eps**2 * max(1.0, psi)
-    merit_history = [psi]
-    residual_history: List[float] = []
-    converged = False
-    iterations = 0
+def _primal_dual(f, g, k, params, cfg, U, PI) -> List[SolveResult]:
+    # The outer loop behind ``solve``, one row per row of params.tau, from
+    # the feasible starts U and dual starts PI; inputs are assumed consistent.
+    n, m = U.shape[0], 0 if k is None else k.dim_con
+    gamma = 1.0 / (params.mu + params.alpha * params.c)
+    pt = evaluate(f, k, U)
+    nu = np.zeros((n, m))
+    psi = merit_psi(g, pt, PI, params, nu=nu)
+    psi_floor = cfg.eps**2 * np.maximum(1.0, psi)
+    merit_history = [[float(p)] for p in psi]
+    residual_history: List[List[float]] = [[] for _ in range(n)]
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    live = np.arange(n)
 
     # The safeguard damps both channels: the dual step by theta, the primal
     # step by eta, accepting the first merit-nonincreasing combination.
-    for iterations in range(1, cfg.maxit_outer + 1):
-        pi_new, _ = dual_update_pi(g, pt.ell, pi, params)
-        # projector-less constraint sets ascend in nu, projected ones estimate it
-        nu_asc = dual_update_nu(pt.kv, nu) if m > 0 and not use_estimate else nu
-
-        accepted = None
-        for theta in _THETAS:
-            if theta == 1.0:
-                pi_cand = pi_new
-            elif theta == 0.0:
-                pi_cand = pi
-            else:
-                pi_cand = pi + theta * (pi_new - pi)
-            nu_seed = nu_asc if theta > 0.0 else nu
-
-            # one inner solve per dual candidate, which eta only relaxes;
-            # LM steps are recomputed for each eta
-            pt_in = inner_solve(pt, pi_cand, nu_seed) if value_descent else None
-            eta = _ETA
-            for _ in range(_ETA_TRIALS):
-                if value_descent:
-                    u_cand = pt.u + eta * (pt_in.u - pt.u)
-                    # a candidate at an evaluated point keeps its evaluation
-                    known = {pt.u.tobytes(): pt, pt_in.u.tobytes(): pt_in}
-                    pt_cand = known.get(u_cand.tobytes()) or evaluate(f, k, u_cand)
-                else:
-                    nu_of = (lambda p: multiplier_estimate(p, pi_cand, params)) if use_estimate else None
-                    pt_cand = _refine_lm(f, k, pt, pi_cand, nu_seed, params, eta, cfg, projector, nu_of)
-                eta *= _BACKTRACK_FACTOR
-                nu_cand = multiplier_estimate(pt_cand, pi_cand, params) if use_estimate else nu_seed
-                psi_cand = merit_psi(g, pt_cand, pi_cand, params, nu=nu_cand)
-                if np.isfinite(psi_cand) and psi_cand <= psi + _MERIT_SLACK * max(1.0, psi):
-                    accepted = (pt_cand, pi_cand, nu_cand, psi_cand)
-                    break
-            if accepted is not None:
-                break
-        if accepted is None:
-            iterations -= 1
-            break  # merit stalled at its numerical floor
-
-        pt_next, pi_next, nu_next, psi_next = accepted
-        res = stop_residual(pt_next, pi_next, nu_next)
-        pi_disp = float(np.linalg.norm(pi_next - pi))
-        nu_disp = float(np.linalg.norm(nu_next - nu))
-        u_disp = float(np.linalg.norm(pt_next.u - pt.u))
-        pt, pi, nu, psi = pt_next, pi_next, nu_next, psi_next
-        residual_history.append(res)
-        merit_history.append(psi)
-        if not (np.isfinite(res) and np.isfinite(psi)):
-            raise NumericalError("iteration diverged to non-finite values")
-        if res <= cfg.eps and pi_disp <= cfg.eps and nu_disp <= cfg.eps and psi <= psi_floor:
-            converged = True
+    for it in range(1, cfg.maxit_outer + 1):
+        if not live.size:
             break
-        stagnant = max(pi_disp, nu_disp, u_disp) <= 1e-14 * (1.0 + float(np.linalg.norm(pt.u)))
-        if stagnant:
-            break  # fixed point reached at the solver's numerical resolution
+        iterations[live] = it
+        P, cur, pi = params.take(live), pt.take(live), PI[live]
+        pi_new, _ = dual_update_pi(g, cur.ell, pi, P)
+        nxt, pi_next, nu_next, psi_next = cur.take(np.arange(live.size)), pi.copy(), nu[live], psi[live]
+        accepted = np.zeros(live.size, dtype=bool)
+        for theta in _THETAS:
+            rows = np.flatnonzero(~accepted)
+            if not rows.size:
+                break
+            if theta == 1.0:
+                pi_cand = pi_new[rows]
+            elif theta == 0.0:
+                pi_cand = pi[rows]
+            else:
+                pi_cand = pi[rows] + theta * (pi_new[rows] - pi[rows])
+            base, P_rows = cur.take(rows), P.take(rows)
+            # one inner solve per dual candidate, which eta only relaxes
+            inner = _inner_solve(f, g, k, base, pi_cand, P_rows, cfg)
+            eta = _ETA
+            trying = np.arange(rows.size)
+            for _ in range(_ETA_TRIALS):
+                if not trying.size:
+                    break
+                b = base.u[trying]
+                cand = _candidates(f, k, b + eta * (inner.u[trying] - b), inner.take(trying), base.take(trying))
+                eta *= _BACKTRACK_FACTOR
+                P_try, pi_try = P_rows.take(trying), pi_cand[trying]
+                nu_cand = multiplier_estimate(cand, pi_try, P_try) if m else np.zeros((trying.size, 0))
+                psi_cand = merit_psi(g, cand, pi_try, P_try, nu=nu_cand)
+                psi_now = psi[live[rows[trying]]]
+                ok = np.isfinite(psi_cand) & (psi_cand <= psi_now + _MERIT_SLACK * np.maximum(1.0, psi_now))
+                hit = rows[trying[ok]]
+                nxt.put(hit, cand.take(ok))
+                pi_next[hit], nu_next[hit], psi_next[hit], accepted[hit] = pi_try[ok], nu_cand[ok], psi_cand[ok], True
+                trying = trying[~ok]
+        iterations[live[~accepted]] -= 1  # merit stalled at its numerical floor
 
-    complementarity = feasibility = 0.0
-    if use_estimate:
-        nu = multiplier_estimate(pt, pi, params)
-    if m > 0:
-        complementarity = float(np.max(np.abs(nu * pt.kv)))
-        feasibility = max(0.0, -float(pt.kv.min()))
-    return SolveResult(
-        u_star=pt.u,
-        pi_star=pi,
-        p_bar=params.dual_momentum(pt.u),
-        E_bar=params.dual_shift(pi),
-        objectives=pt.ell,
-        iterations=iterations,
-        converged=converged,
-        residual_history=residual_history,
-        merit_history=merit_history,
-        nu_star=nu,
-        complementarity=complementarity,
-        feasibility_violation=feasibility,
-    )
+        a = np.flatnonzero(accepted)
+        rows = live[a]
+        nxt, pi_next, nu_next, psi_next = nxt.take(a), pi_next[a], nu_next[a], psi_next[a]
+        # the stationarity residual; with constraints, the projected
+        # (variational-inequality) residual
+        F = stationarity_residual(nxt.J, nxt.u, pi_next, params)
+        res = _norm(F) if k is None else _norm(nxt.u - k.project(nxt.u - gamma * F)) / gamma
+        pi_disp = _norm(pi_next - PI[rows])
+        nu_disp = _norm(nu_next - nu[rows])
+        u_disp = _norm(nxt.u - pt.u[rows])
+        pt.put(rows, nxt)
+        PI[rows], nu[rows], psi[rows] = pi_next, nu_next, psi_next
+        for j, row in enumerate(rows):
+            residual_history[row].append(float(res[j]))
+            merit_history[row].append(float(psi_next[j]))
+        if not (np.isfinite(res).all() and np.isfinite(psi_next).all()):
+            raise NumericalError("iteration diverged to non-finite values")
+        done = (res <= cfg.eps) & (pi_disp <= cfg.eps) & (nu_disp <= cfg.eps) & (psi_next <= psi_floor[rows])
+        converged[rows[done]] = True
+        # a fixed point reached at the solver's numerical resolution stops too
+        stagnant = np.maximum(np.maximum(pi_disp, nu_disp), u_disp) <= 1e-14 * (1.0 + _norm(nxt.u))
+        live = rows[~done & ~stagnant]
+
+    complementarity = feasibility = np.zeros(n)
+    if m:
+        nu = multiplier_estimate(pt, PI, params)
+        complementarity = np.abs(nu * pt.kv).max(axis=1)
+        feasibility = np.maximum(0.0, -pt.kv.min(axis=1))
+    p_bar, E_bar = params.dual_momentum(pt.u), params.dual_shift(PI)
+    return [
+        SolveResult(pt.u[i], PI[i], p_bar[i], E_bar[i], pt.ell[i], int(iterations[i]), bool(converged[i]),
+                    residual_history[i], merit_history[i], nu[i], float(complementarity[i]),
+                    float(feasibility[i]))
+        for i in range(n)
+    ]
 
 
-def solve(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None) -> SolveResult:
+def solve(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None):
     """Run the primal-dual iteration from u0 = x / max(alpha, 1), pi0 = 0 and
-    zero multipliers.
+    zero multipliers; returns a SolveResult, or a list of them, one per row,
+    when ``params.tau`` is a stack (all rows run as one lock-step batch).
 
-    ``constraints`` (a ConstraintSet k(u) >= 0) adds the multiplier channel;
-    without it the problem is unconstrained. Stops when the (projected)
-    stationarity residual, the dual displacements, and the merit target are
-    all below tolerance. Non-convergence within ``maxit_outer`` is reported
-    through ``converged=False``, not an exception; non-finite iterates raise
+    ``constraints`` (a ConstraintSet k(u) >= 0 with a projector) adds the
+    multiplier channel; without it the problem is unconstrained. The
+    scalarizer must be smooth. Stops when the (projected) stationarity
+    residual, the dual displacements, and the merit target are all below
+    tolerance. Non-convergence within ``maxit_outer`` is reported through
+    ``converged=False``, not an exception; non-finite iterates raise
     NumericalError.
     """
     cfg = cfg or SolverConfig()
@@ -481,7 +499,22 @@ def solve(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None) -> Sol
         raise ValueError("dimension mismatch between objective, scalarizer, and params")
     if constraints is not None and constraints.dim_u != f.dim_u:
         raise ValueError("constraint set dimension mismatch")
-    return run_primal_dual(f, g, params, cfg, constraints, u0, pi0)
+    if not g.smooth:
+        raise ValueError("the solver needs a smooth scalarizer; SoftMax with a small eps approximates a max")
+    k = constraints if constraints is not None and constraints.dim_con > 0 else None
+    if k is not None and k.projector is None:
+        raise ValueError("constraint set has no projector")
+    one = params.tau.ndim == 1
+    if one:
+        params = HopfLaxParams(params.x, params.tau[None], params.alpha, params.c, params.mu)
+    n = params.tau.shape[0]
+    u = as_vector(u0, f.dim_u, "u0") if u0 is not None else params.x / max(params.alpha, 1.0)
+    U = np.tile(u, (n, 1))
+    if k is not None:
+        U = k.project(U)
+    pi = as_vector(pi0, f.dim_obj, "pi0") if pi0 is not None else np.zeros(f.dim_obj)
+    results = _primal_dual(f, g, k, params, cfg, U, np.tile(pi, (n, 1)))
+    return results[0] if one else results
 
 
 def gap_and_bound(f, g, result, params, cloud):

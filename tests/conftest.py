@@ -104,6 +104,57 @@ def scalar_envelope(problem, n_weights=16, starts=16, seed=0, base_cloud=None):
     return greedy_pareto_filter(cloud, mode="strong")
 
 
+def scalar_entropic_weights(v, eps, rho, tol=1e-13, maxit=200):
+    """One row's weights of the entropic conjugate prox, by the scalar
+    bracketing and safeguarded Newton root-find on its multiplier theta; the
+    reference the library's lock-step stacked root-find is checked against."""
+    from scipy.special import wrightomega
+
+    with np.errstate(over="ignore"):
+        base = (v - v.max()) / eps - np.log(eps * rho)
+
+    def weights(theta):
+        return eps * rho * wrightomega(base - theta / eps)
+
+    def h(theta):
+        return float(np.sum(weights(theta))) - 1.0
+
+    scale = max(1.0, eps, 1.0 / rho)
+    step = max(1.0, eps)
+    lo = hi = 0.0
+    val = h(0.0)
+    while val > 0.0:
+        lo = hi
+        hi += step
+        step *= 2.0
+        val = h(hi)
+    if hi == lo:
+        step = max(1.0, eps)
+        while h(lo) <= 0.0:
+            hi = lo
+            lo -= step
+            step *= 2.0
+    theta = 0.5 * (lo + hi)
+    for _ in range(maxit):
+        s = weights(theta)
+        val = float(np.sum(s)) - 1.0
+        if abs(val) <= tol:
+            return s
+        if val > 0.0:
+            lo = theta
+        else:
+            hi = theta
+        omega = s / (eps * rho)
+        deriv = -rho * float(np.sum(omega / (1.0 + omega)))
+        theta_new = theta - val / deriv if deriv != 0.0 else 0.5 * (lo + hi)
+        if not (lo < theta_new < hi):
+            theta_new = 0.5 * (lo + hi)
+        if abs(theta_new - theta) <= 1e-16 * scale:
+            return weights(theta_new)
+        theta = theta_new
+    raise AssertionError("reference root-find did not converge")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -84,6 +84,20 @@ class TestSweepCommand:
         assert manifest["total"] == 8
         ET.parse(out / "front.svg")
 
+    @pytest.mark.parametrize("compare", [False, True])
+    def test_manifest_records_layer_timings(self, tmp_path, compare):
+        out = tmp_path / "run"
+        flags = ["--compare", "--mc", "2000"] if compare else []
+        assert run(["sweep", "--problem", "ex2a", "--n", "6", "--out", str(out), *flags]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        timings = manifest["timings"]
+        assert set(timings) == {"sampling", "filter", "envelope", "certification_cloud",
+                                "solves", "certificates", "output"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+        assert (timings["envelope"] > 0.0) == compare
+        assert timings["solves"] > 0.0
+        assert manifest["duration_s"] >= 0.0 and ("reference_seconds" in manifest) == compare
+
     def test_csv_round_trip_full_precision(self, tmp_path):
         out = tmp_path / "run"
         run(["sweep", "--problem", "ex2a", "--n", "5", "--out", str(out)])

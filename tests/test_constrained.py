@@ -14,7 +14,6 @@ from hopfront.core import HopfLaxParams, SoftMax, VectorObjective, WeightedSum
 from hopfront.problems import example1
 from hopfront.solver import (
     SolverConfig,
-    dual_update_nu,
     evaluate,
     merit_psi,
     multiplier_estimate,
@@ -48,17 +47,6 @@ def ex1_params(tau=(0.0, 0.0)):
 
 def constrained_residual(f, k, u, pi, nu, params):
     return stationarity_residual(f.jacobian(u), u, pi, params, k.jacobian(u), nu)
-
-
-class TestDualUpdateNu:
-    def test_strictly_feasible_clips_to_zero(self):
-        assert np.array_equal(dual_update_nu([1.0, 1.0], [0.0, 0.0]), [0.0, 0.0])
-
-    def test_mixed_ascent(self):
-        assert np.allclose(dual_update_nu([-0.2, 0.3], [0.5, 0.0]), [0.6, 0.0])
-
-    def test_active_constraints_leave_nu_fixed(self):
-        assert np.array_equal(dual_update_nu([0.0, 0.0], [1.0, 1.0]), [1.0, 1.0])
 
 
 class TestConstrainedResidual:
@@ -270,7 +258,7 @@ class TestMeritPsiK:
         prob = example1()
         params = ex1_params(tau=(1.0, -1.0))
         g = SoftMax(0.1, 2)
-        rho = sigma = 0.5  # the solver's dual prox and ascent steps
+        rho = 0.5  # the solver's dual prox step
         for _ in range(10):
             u = rng.uniform(-1, 1, size=2)
             pi = rng.dirichlet([1, 1])
@@ -283,13 +271,7 @@ class TestMeritPsiK:
             Binv = np.array([[B[1, 1], -B[0, 1]], [-B[1, 0], B[0, 0]]]) / det
             E = params.dual_shift(pi)
             disp = g.prox_conjugate(pi + rho * (prob.objective.value(u) + E), rho) - pi
-            kv = prob.constraints.value(u)
-            nu_disp = np.maximum(nu - sigma * kv, 0.0) - nu
-            expected = (
-                0.5 * float(r @ (Binv @ r))
-                + float(disp @ disp) / (2 * rho**2)
-                + float(nu_disp @ nu_disp) / (2 * sigma**2)
-            )
+            expected = 0.5 * float(r @ (Binv @ r)) + float(disp @ disp) / (2 * rho**2)
             got = merit_psi(g, evaluate(prob.objective, prob.constraints, u), pi, params, nu=nu)
             assert got == pytest.approx(expected, rel=1e-9)
 
@@ -351,16 +333,23 @@ class TestSolveConstrained:
         with pytest.raises(ValueError):
             solve(f, WeightedSum([1.0]), scalar_params(x=0.0), u0=np.array([-1.0]), constraints=k)
 
-    def test_dual_ascent_path_without_projector(self):
-        # feasible start, no projector: the ascent channel carries nu
-        f = identity_objective()
+    def test_constraint_set_without_projector_rejected(self):
+        # even from a feasible start: only projected value descent is left
         k = ConstraintSet(1, 1, lambda u: u.copy(), lambda u: np.array([[1.0]]))
-        res = solve(f, WeightedSum([1.0]), scalar_params(x=0.0), SolverConfig(eps=1e-7),
-                    u0=np.array([2.0]), constraints=k)
-        assert res.converged
-        assert abs(res.u_star[0]) <= 1e-5
-        assert res.nu_star[0] == pytest.approx(1.0, abs=1e-5)
-        assert np.all(res.nu_star >= 0)
+        with pytest.raises(ValueError, match="projector"):
+            solve(identity_objective(), WeightedSum([1.0]), scalar_params(x=0.0), u0=np.array([2.0]),
+                  constraints=k)
+
+    def test_unbatched_projector_takes_stack_row_by_row(self):
+        calls = []
+
+        def project(u):
+            calls.append(u.shape)
+            return np.maximum(u, 0.0)
+
+        k = ConstraintSet(1, 1, lambda u: u.copy(), lambda u: np.array([[1.0]]), projector=project)
+        assert np.array_equal(k.project(np.array([[-1.0], [2.0]])), [[0.0], [2.0]])
+        assert calls == [(1,), (1,)]
 
     def test_iterates_stay_feasible_under_projection(self):
         # every objective evaluation during an ex1 solve is at a feasible point

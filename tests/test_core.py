@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from hopfront.core import (
-    Chebyshev,
     HopfLaxParams,
-    NondifferentiableError,
     QuadraticRegularizer,
     SoftMax,
     VectorObjective,
@@ -53,9 +51,6 @@ class TestPreferenceValues:
         g = WeightedSum([0.5, 0.5])
         assert g.value([1.0, 3.0]) == 2.0
 
-    def test_chebyshev(self):
-        assert Chebyshev([1.0, 1.0]).value([2.0, 5.0]) == 5.0
-
     def test_softmax_overflow_safe(self):
         g = SoftMax(0.1, 2)
         v = g.value([1e4, -1e4])
@@ -69,14 +64,14 @@ class TestPreferenceValues:
             g.gradient([np.inf, 0.0])
 
     def test_value_batch_matches_value(self, rng):
-        for g in (SoftMax(0.1, 3), WeightedSum([0.2, 0.3, 0.5]), Chebyshev([1.0, 2.0, 0.5])):
+        for g in (SoftMax(0.1, 3), WeightedSum([0.2, 0.3, 0.5])):
             Y = rng.normal(size=(20, 3))
             batch = g.value_batch(Y)
             single = [g.value(y) for y in Y]
             assert np.allclose(batch, single, atol=1e-14)
 
     def test_monotone_in_coordinatewise_order(self, rng):
-        gs = (SoftMax(0.1, 3), WeightedSum([0.2, 0.3, 0.5]), Chebyshev([1.0, 2.0, 0.5]))
+        gs = (SoftMax(0.1, 3), WeightedSum([0.2, 0.3, 0.5]))
         for _ in range(200):
             y = rng.normal(scale=2.0, size=3)
             delta = rng.uniform(0.0, 1.0, size=3)
@@ -84,7 +79,7 @@ class TestPreferenceValues:
                 assert g.value(y + delta) >= g.value(y) - 1e-12
 
     def test_midpoint_convexity_probe(self, rng):
-        gs = (SoftMax(0.1, 3), WeightedSum([0.2, 0.3, 0.5]), Chebyshev([1.0, 2.0, 0.5]))
+        gs = (SoftMax(0.1, 3), WeightedSum([0.2, 0.3, 0.5]))
         for _ in range(200):
             y1 = rng.normal(scale=3.0, size=3)
             y2 = rng.normal(scale=3.0, size=3)
@@ -118,16 +113,6 @@ class TestGradients:
         w = np.array([0.3, 0.7])
         g = WeightedSum(w)
         assert np.array_equal(g.gradient(rng.normal(size=2)), w)
-
-    def test_chebyshev_gradient_off_ties(self):
-        g = Chebyshev([1.0, 2.0])
-        assert np.allclose(g.gradient([5.0, 1.0]), [1.0, 0.0])
-        assert np.allclose(g.gradient([0.0, 1.0]), [0.0, 2.0])
-
-    def test_chebyshev_tie_raises(self):
-        g = Chebyshev([1.0, 1.0])
-        with pytest.raises(NondifferentiableError):
-            g.gradient([2.0, 2.0])
 
 
 class TestProxCalculus:
@@ -169,7 +154,7 @@ class TestProxCalculus:
         assert gaps[-1] <= 1e-4
 
     def test_moreau_identity(self, rng):
-        for g in (SoftMax(0.1, 3), SoftMax(0.5, 3), Chebyshev([1.0, 0.5, 2.0]), WeightedSum([1.0, 2.0, 3.0])):
+        for g in (SoftMax(0.1, 3), SoftMax(0.5, 3), WeightedSum([1.0, 2.0, 3.0])):
             worst = 0.0
             for _ in range(100):
                 v = rng.normal(scale=3.0, size=3)
@@ -177,21 +162,6 @@ class TestProxCalculus:
                 res = g.prox_conjugate(v, rho) + rho * g.prox_scaled(v / rho, rho) - v
                 worst = max(worst, float(np.linalg.norm(res)))
             assert worst <= 1e-10
-
-    def test_chebyshev_prox_conjugate_is_projection(self, rng):
-        w = np.array([1.0, 2.0])
-        g = Chebyshev(w)
-        a = 1.0 / w
-        for _ in range(50):
-            v = rng.normal(scale=2.0, size=2)
-            p = g.prox_conjugate(v, float(rng.uniform(0.1, 3.0)))
-            assert np.all(p >= -1e-14)
-            assert a @ p == pytest.approx(1.0, abs=1e-12)
-            # no sampled feasible point is closer to v
-            t = rng.uniform(0.0, 1.0, size=400)
-            samples = np.stack([t * w[0], (1 - t) * w[1]], axis=1)
-            best = np.min(np.linalg.norm(samples - v, axis=1))
-            assert np.linalg.norm(p - v) <= best + 1e-6
 
     def test_prox_rho_validation(self):
         g = SoftMax(0.1, 2)
@@ -232,6 +202,69 @@ class TestProxCalculus:
         g = SoftMax(1e-6, 3)
         p = g.prox_conjugate(np.array([1.0, 1.0, -5.0]), 0.5)
         assert np.allclose(p, [0.5, 0.5, 0.0], atol=1e-9)
+
+
+class TestStackedKernels:
+    """Every stacked scalarizer kernel equals its per-row form bit for bit."""
+
+    @pytest.mark.parametrize("N", [2, 5, 9])
+    def test_softmax_value_batch_equals_row_form(self, N, rng):
+        g = SoftMax(0.1, N)
+        Y = rng.normal(scale=3.0, size=(3000, N)) * 10.0 ** rng.integers(-3, 3, size=(3000, 1))
+        z = Y / g.eps
+        m = z.max(axis=1, keepdims=True)
+        rows = g.eps * (m[:, 0] + np.log(np.exp(z - m).sum(axis=1)))
+        assert g.value_batch(Y).tobytes() == rows.tobytes()
+        assert g.value_batch(Y[:50]).tolist() == [g.value(y) for y in Y[:50]]
+
+    @staticmethod
+    def extreme_rows(rng, N):
+        # ordinary rows, rows near the overflow of v / rho, and ties
+        scales = 10.0 ** np.array([0.0, 1.0, 5.0, 100.0, 300.0, 307.0])
+        V = rng.normal(size=(6 * 40, N)) * np.repeat(scales, 40)[:, None]
+        V[::7] = V[::7, :1]  # every entry tied
+        return V
+
+    @pytest.mark.parametrize("N", [2, 5])
+    def test_softmax_gradient_stack_equals_rows(self, N, rng):
+        g = SoftMax(0.1, N)
+        V = self.extreme_rows(rng, N) / 1e8  # keep y / eps finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = g.gradient(V)
+        for v, row in zip(V, stacked):
+            w = np.exp((v - v.max()) / g.eps)
+            assert row.tobytes() == (w / w.sum()).tobytes()
+            assert row.tobytes() == g.gradient(v).tobytes()
+
+    @pytest.mark.parametrize("N", [2, 5])
+    @pytest.mark.parametrize("rho", [1e-10, 0.5, 5.0])
+    def test_softmax_prox_conjugate_stack_equals_rows(self, N, rho, rng):
+        from conftest import scalar_entropic_weights
+
+        g = SoftMax(0.1, N)
+        V = self.extreme_rows(rng, N)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = g.prox_conjugate(V, rho)
+            for v, row in zip(V, stacked):
+                with np.errstate(over="ignore"):
+                    ref = scalar_entropic_weights((v - v.max()) / rho, g.eps, rho)
+                assert row.tobytes() == ref.tobytes()
+                assert row.tobytes() == g.prox_conjugate(v, rho).tobytes()
+
+    def test_weighted_sum_stacks(self, rng):
+        g = WeightedSum([0.2, 0.8])
+        V = rng.normal(size=(4, 2))
+        assert np.array_equal(g.gradient(V), np.tile(g.weights, (4, 1)))
+        assert np.array_equal(g.prox_conjugate(V, 0.5), np.tile(g.weights, (4, 1)))
+
+    def test_stack_validation(self):
+        g = SoftMax(0.1, 2)
+        with pytest.raises(ValueError):
+            g.gradient(np.array([[0.0, np.nan]]))
+        with pytest.raises(ValueError):
+            g.prox_conjugate(np.zeros((3, 3)), 0.5)
 
 
 class TestRegularizer:
@@ -334,6 +367,18 @@ class TestHopfLaxParams:
         u = np.array([1.0, -1.0])
         assert np.allclose(params.dual_shift(pi), 0.1 * (params.tau + 2.0 * pi))
         assert np.allclose(params.dual_momentum(u), 0.1 * (params.x - 2.0 * u))
+
+    def test_stacked_tau_acts_row_by_row(self, rng):
+        taus = rng.normal(size=(4, 2))
+        params = HopfLaxParams(x=np.array([1.0, 2.0]), tau=taus, alpha=2.0, c=0.1, mu=0.01)
+        pi = rng.normal(size=(4, 2))
+        assert params.dim_obj == 2
+        for i in range(4):
+            one = HopfLaxParams(x=np.array([1.0, 2.0]), tau=taus[i], alpha=2.0, c=0.1, mu=0.01)
+            assert params.dual_shift(pi)[i].tobytes() == one.dual_shift(pi[i]).tobytes()
+        assert np.array_equal(params.take([1, 3]).tau, taus[[1, 3]])
+        with pytest.raises(ValueError):
+            HopfLaxParams(x=np.zeros(2), tau=np.full((2, 2), np.inf), alpha=1.0, c=1.0, mu=1.0)
 
     def test_positivity_validation(self):
         with pytest.raises(ValueError):

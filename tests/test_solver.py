@@ -3,7 +3,6 @@ import pytest
 
 from hopfront.core import (
     CertificationError,
-    Chebyshev,
     HopfLaxParams,
     SoftMax,
     VectorObjective,
@@ -59,17 +58,6 @@ class TestDualUpdate:
         g = SoftMax(0.1, 1)
         pi_next, _ = dual_update_pi(g, f.value(np.array([0.3])), np.array([0.0]), scalar_params())
         assert pi_next == pytest.approx(1.0)
-
-    def test_prox_path_stays_in_simplex(self, rng):
-        # a non-smooth scalarizer takes the proximal step on the conjugate
-        f = VectorObjective(1, 2, lambda u: np.array([u[0], -u[0]]), lambda u: np.array([[1.0], [-1.0]]))
-        g = Chebyshev([1.0, 1.0])
-        params = HopfLaxParams(x=np.zeros(1), tau=np.array([3.0, -3.0]), alpha=1.0, c=0.1, mu=0.01)
-        pi = np.zeros(2)
-        for _ in range(20):
-            pi, _ = dual_update_pi(g, f.value(rng.normal(size=1)), pi, params)
-            assert np.all(pi >= -1e-15)
-            assert abs(pi.sum() - 1.0) <= 1e-9
 
 
 def scalar_E():
@@ -237,23 +225,23 @@ class TestSolve:
                 assert res.objectives.tobytes() == prob.objective.value(res.u_star).tobytes()
 
     @pytest.mark.parametrize("pid", ["ex1", "ex2b", "ex3b"])
-    def test_no_point_evaluated_twice_in_a_row(self, pid, monkeypatch):
+    def test_no_point_evaluated_twice_in_a_row(self, pid):
+        from dataclasses import replace
+
         from hopfront.problems import get_problem
         from hopfront.sweep import TauPath
 
         prob = get_problem(pid)
         points = []
-        jacobian = VectorObjective.jacobian
 
-        def recording(self, u):
-            points.append(np.asarray(u).tobytes())
-            return jacobian(self, u)
+        def recording(u):
+            points.extend(row.tobytes() for row in np.atleast_2d(u))
+            return prob.objective.jac(u)
 
-        monkeypatch.setattr(VectorObjective, "jacobian", recording)
+        f = replace(prob.objective, jac=recording)
         for tau in TauPath(prob.tau_start, prob.tau_end, 8).points():
             points.clear()
-            solve(prob.objective, prob.default_preference(), prob.params_for(tau),
-                  constraints=prob.constraints)
+            solve(f, prob.default_preference(), prob.params_for(tau), constraints=prob.constraints)
             assert points
             assert sum(a == b for a, b in zip(points, points[1:])) == 0
 
@@ -265,22 +253,25 @@ class TestSolve:
 
         prob = get_problem(pid)
         calls = []
-        inner = solver._inner_projected_gradient
+        inner = solver._inner_solve
 
-        def recording(f, g, k, pt, pi_new, params, cfg):
-            pt_in, res = inner(f, g, k, pt, pi_new, params, cfg)
+        def recording(f, g, k, pt, pi, params, cfg):
+            pt_in = inner(f, g, k, pt, pi, params, cfg)
             calls.append((f, k, pt_in))
-            return pt_in, res
+            return pt_in
 
-        monkeypatch.setattr(solver, "_inner_projected_gradient", recording)
-        for tau in TauPath(prob.tau_start, prob.tau_end, 3).points():
-            solve(prob.objective, prob.default_preference(), prob.params_for(tau),
-                  constraints=prob.constraints)
+        monkeypatch.setattr(solver, "_inner_solve", recording)
+        path = TauPath(prob.tau_start, prob.tau_end, 3)
+        sweep_params = prob.params_for(prob.tau_start)
+        solve(prob.objective, prob.default_preference(),
+              solver.HopfLaxParams(sweep_params.x, np.stack(path.points()), prob.alpha, prob.c, prob.mu),
+              constraints=prob.constraints)
         assert calls
         for f, k, pt_in in calls:
-            fresh = evaluate(f, k, pt_in.u)
-            for name in ("u", "ell", "J", "kv", "Jk"):
-                assert getattr(pt_in, name).tobytes() == getattr(fresh, name).tobytes(), name
+            for i in range(pt_in.u.shape[0]):
+                fresh = evaluate(f, k, pt_in.u[i])
+                for name in ("u", "ell", "J", "kv"):
+                    assert getattr(pt_in, name)[i].tobytes() == getattr(fresh, name).tobytes(), name
 
     def test_extreme_tau_keeps_pi_on_the_simplex(self):
         # at |ell + E| ~ 1e20 and beyond, the Moreau form of the conjugate prox cancels to 0
@@ -304,18 +295,12 @@ class TestSolve:
         assert base <= 1e-16
         assert bumped > 1e-4
 
-    def test_chebyshev_scalarizer_runs_through_prox_path(self):
-        f = VectorObjective(1, 2, lambda u: np.array([u[0] ** 2, (u[0] - 1.0) ** 2]),
-                            lambda u: np.array([[2.0 * u[0]], [2.0 * (u[0] - 1.0)]]))
-        g = Chebyshev([1.0, 1.0])
-        params = HopfLaxParams(x=np.zeros(1), tau=np.zeros(2), alpha=1.0, c=0.1, mu=0.01)
-        res = solve(f, g, params, SolverConfig())
-        assert res.converged
-        assert np.all(res.pi_star >= -1e-12)
-        assert res.pi_star.sum() == pytest.approx(1.0, abs=1e-9)
-        # weighted-max balance: both scaled objectives meet at the solution
-        vals = f.value(res.u_star) + res.E_bar
-        assert abs(vals[0] - vals[1]) <= 1e-3
+    def test_nonsmooth_scalarizer_rejected(self):
+        class Kinked(WeightedSum):
+            smooth = False
+
+        with pytest.raises(ValueError, match="smooth"):
+            solve(identity_objective(), Kinked([1.0]), scalar_params())
 
     def test_nonconvergence_is_flagged_not_raised(self):
         res = solve(identity_objective(), WeightedSum([1.0]), scalar_params(x=1.0),
@@ -360,6 +345,50 @@ class TestSolve:
                     SolverConfig(eps=1e-10))
         assert base.converged and rot.converged
         assert np.allclose(rot.u_star, Q.T @ base.u_star, atol=1e-8)
+
+
+class TestStackedKernels:
+    """Every stacked solver kernel equals its per-row form bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 20])
+    def test_spd_solve_stack_matches_lapack(self, d, rng):
+        from scipy.linalg.lapack import dpotrf, dpotrs
+
+        J = rng.normal(size=(40, 3, d)) * 10.0 ** rng.uniform(-2, 2, size=(40, 1, 1))
+        B = np.matmul(np.swapaxes(J, 1, 2), J) + 0.11 * np.eye(d)
+        R = rng.normal(size=(40, d))
+        X = spd_solve(B, R)
+        for b, r, x in zip(B, R, X):
+            ref = dpotrs(dpotrf(b, lower=1, clean=0)[0], r, lower=1)[0]
+            assert x.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("pid", ["ex1", "ex2b", "ex3b"])
+    def test_residual_preconditioner_merit_multipliers(self, pid, rng):
+        from hopfront.problems import get_problem
+        from hopfront.solver import multiplier_estimate
+
+        prob = get_problem(pid)
+        f, k, g = prob.objective, prob.constraints, prob.default_preference()
+        U = k.project(rng.uniform(*prob.feasible_box, size=(30, f.dim_u)))
+        U[:10] = k.project(U[:10] - 5.0)  # on the boundary: active constraints
+        taus = rng.normal(scale=5.0, size=(30, f.dim_obj))
+        PI = rng.dirichlet(np.ones(f.dim_obj), size=30)
+        params = HopfLaxParams(prob.x, taus, prob.alpha, prob.c, prob.mu)
+        pts = evaluate(f, k, U)
+        R = stationarity_residual(pts.J, pts.u, PI, params)
+        B = preconditioner(pts.J, params)
+        NU = multiplier_estimate(pts, PI, params)
+        PSI = merit_psi(g, pts, PI, params, nu=NU)
+        assert NU[:10].any()
+        for i in range(30):
+            pt, one = evaluate(f, k, U[i]), prob.params_for(taus[i])
+            for stacked, name in ((pts.ell, "ell"), (pts.J, "J"), (pts.kv, "kv")):
+                assert stacked[i].tobytes() == getattr(pt, name).tobytes()
+            assert R[i].tobytes() == stationarity_residual(pt.J, pt.u, PI[i], one).tobytes()
+            assert B[i].tobytes() == preconditioner(pt.J, one).tobytes()
+            nu = multiplier_estimate(pt, PI[i], one)
+            assert NU[i].tobytes() == nu.tobytes()
+            assert PSI[i] == merit_psi(g, pt, PI[i], one, nu=nu)
 
 
 class TestCertifyGap:

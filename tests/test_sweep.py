@@ -21,6 +21,15 @@ def linear_problem():
     )
 
 
+def assert_equals_lone_solve(prob, g, s):
+    lone = solve(prob.objective, g, prob.params_for(s.tau), constraints=prob.constraints)
+    assert s.u.tobytes() == lone.u_star.tobytes()
+    assert s.pi.tobytes() == lone.pi_star.tobytes()
+    assert s.objectives.tobytes() == lone.objectives.tobytes()
+    assert s.residual == lone.residual_history[-1]
+    assert s.iterations == lone.iterations
+
+
 class TestTauPath:
     def test_uniform_interpolation(self):
         path = TauPath(np.array([0.0, 1.0]), np.array([1.0, -1.0]), 3)
@@ -79,10 +88,46 @@ class TestSweep:
         g = prob.default_preference()
         front = sweep(prob, g, n_samples=8)
         for s in front.samples:
-            lone = solve(prob.objective, g, prob.params_for(s.tau), constraints=prob.constraints)
-            assert np.array_equal(s.u, lone.u_star)
-            assert np.array_equal(s.pi, lone.pi_star)
-            assert s.iterations == lone.iterations
+            assert_equals_lone_solve(prob, g, s)
+
+    @pytest.mark.parametrize("pid, indices", [
+        # each list holds the sample with the most Jacobian rows (843 on ex1, 288 on ex2b)
+        ("ex1", [0, 9, 20, 21, 37, 50, 63, 84, 85, 99]),
+        ("ex2b", [0, 12, 25, 33, 50, 61, 75, 86, 88, 99]),
+    ])
+    def test_full_sweep_samples_equal_lone_solves(self, pid, indices):
+        prob = get_problem(pid)
+        g = prob.default_preference()
+        front = sweep(prob, g, n_samples=100)
+        for i in indices:
+            assert_equals_lone_solve(prob, g, front.samples[i])
+
+    @pytest.mark.parametrize("pid", ["ex1", "ex2b", "ex3b"])
+    def test_evaluation_rows_equal_lone_solves(self, pid):
+        # the rows reaching the user's fn and jac (the leading dimension of
+        # each call) over a sweep add up to those of its lone solves
+        from dataclasses import replace
+
+        prob = get_problem(pid)
+        rows = {"fn": 0, "jac": 0}
+
+        def counted(name, call):
+            def wrapper(u):
+                rows[name] += 1 if u.ndim == 1 else u.shape[0]
+                return call(u)
+
+            return wrapper
+
+        f = prob.objective
+        prob = replace(prob, objective=replace(f, fn=counted("fn", f.fn), jac=counted("jac", f.jac)))
+        g = prob.default_preference()
+        front = sweep(prob, g, n_samples=12)
+        swept = dict(rows)
+        rows.update(fn=0, jac=0)
+        for s in front.samples:
+            solve(prob.objective, g, prob.params_for(s.tau), constraints=prob.constraints)
+        assert swept == rows
+        assert swept["jac"] > 12
 
     def test_gap_certificates_recorded_with_reference(self):
         from hopfront.oracle import sample_cloud
