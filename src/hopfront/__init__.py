@@ -42,6 +42,7 @@ from .solver import (
     merit_psi,
     multiplier_estimate,
     solve,
+    solve_batch,
     stationarity_residual,
 )
 from .sweep import FrontSample, ParetoFront, TauPath, sweep

@@ -185,8 +185,7 @@ def _entropic_weights(v, eps, rho, tol=1e-13, maxit=200):
 
     scale = max(1.0, eps, 1.0 / rho)
     rows = np.arange(v.shape[0])
-    lo, hi = np.zeros(rows.size), np.zeros(rows.size)
-    step = np.full(rows.size, max(1.0, eps))
+    lo, hi, step = np.zeros(rows.size), np.zeros(rows.size), np.full(rows.size, max(1.0, eps))
     up = rows[h(rows, hi) > 0.0]
     while up.size:
         lo[up] = hi[up]
@@ -263,7 +262,7 @@ class SoftMax(PreferenceFunction):
         # the transposed stack does, bit for bit and several times faster
         z = np.ascontiguousarray(Y.T) / self.eps
         m = z.max(axis=0)
-        return self.eps * (m + np.log(np.exp(z - m).sum(axis=0)))
+        return self.eps * (m + np.log(np.exp(z - m, out=z).sum(axis=0)))
 
     def gradient(self, y):
         y = as_points(y, self.dim_obj)

@@ -73,11 +73,10 @@ def _stack_jac(u, rows):
 
 
 def _power(u):
-    # ``**`` on per-point scalars of the points u. On one point it is libm's
-    # pow on numpy scalars. numpy's power loop differs from that in the last
-    # bit on a few percent of inputs (even squares, rarely), so a stack takes
-    # libm's pow element by element and its values and Jacobians match the
-    # single point's bit for bit.
+    # ``**`` on per-point scalars of the points u: libm's pow on one point's
+    # numpy scalars. numpy's power loop differs from that in the last bit on
+    # some inputs (squares too), so a stack takes libm's pow element by element
+    # and its values and Jacobians match the single point's bit for bit.
     if u.ndim == 1:
         return operator.pow
     return lambda x, k: np.fromiter(map(pow, x.tolist(), itertools.repeat(float(k))), float, x.size)

@@ -8,8 +8,8 @@ value descent). A merit function measuring violation of the full optimality
 system safeguards every step: the dual step and the primal step are damped
 until the merit is non-increasing, so recorded merit values never rise.
 
-A stack of tau (``HopfLaxParams.tau`` of shape ``(n, N)``) is solved as one
-batch, one row per tau; a single tau is the batch of one. Each row keeps its
+``solve_batch`` solves a stack of tau (``HopfLaxParams.tau`` of shape
+``(n, N)``) as one batch, one row per tau; ``solve`` is the batch of one. Each row keeps its
 state in stacked arrays. Every nesting level -- outer iteration, dual
 damping trial, inner descent step, Armijo halving, primal damping trial --
 keeps the index array of its live rows and makes one batched objective,
@@ -119,8 +119,8 @@ class Evaluation:
             self.kv[rows] = other.kv
 
     def jk(self, row=()):
-        """Jac[k] at the point, or at one row of the stack."""
-        return self.k.jacobian(self.u[row])
+        """Jac[k] at the point, or at one row of the stack (k.jac direct)."""
+        return np.asarray(self.k.jac(self.u[row]), dtype=float).reshape(self.k.dim_con, -1)
 
 
 def evaluate(f, k, u, ell=None) -> Evaluation:
@@ -159,9 +159,8 @@ def _rows(mask):
 
 
 def dual_update_pi(g, ell, pi, params):
-    """One dual step from the objective vector ``ell`` = ell(u), or from a
-    stack of them: returns (pi_next, E) with E = c (tau + alpha pi) and the
-    gradient shortcut pi_next = grad g(ell + E)."""
+    """One dual step from ell = ell(u), or from a stack of them: returns
+    (pi_next, E) with E = c (tau + alpha pi) and pi_next = grad g(ell + E)."""
     E = params.dual_shift(pi)
     return g.gradient(ell + E), E
 
@@ -183,8 +182,8 @@ def preconditioner(J, params, Jk=None):
     when ``Jk`` holds the Jacobian rows of one point's nearly active
     constraints; positive definite for any u."""
     B = np.matmul(np.swapaxes(J, -1, -2), J)
-    diag = np.arange(J.shape[-1])
-    B[..., diag, diag] += params.mu + params.alpha * params.c
+    d = J.shape[-1]
+    B.reshape(B.shape[:-2] + (d * d,))[..., :: d + 1] += params.mu + params.alpha * params.c
     if Jk is not None and Jk.shape[0] > 0:
         B = B + Jk.T @ Jk
     return B
@@ -207,12 +206,10 @@ def spd_solve(B, r):
 
 def merit_psi(g, pt, pi, params, *, nu=None):
     """Violation of the optimality system at the evaluated point ``pt``, or
-    at every row of an evaluated stack; zero exactly at its solutions.
-
-    First block: squared stationarity residual, with the multiplier term
-    when ``nu`` is given, in the inverse-preconditioner norm. Second block:
-    squared fixed-point displacement of the dual prox.
-    """
+    at every row of an evaluated stack; zero exactly at its solutions. The
+    squared stationarity residual (with the multiplier term when ``nu`` is
+    given) in the inverse-preconditioner norm, plus the squared fixed-point
+    displacement of the dual prox."""
     pi = np.asarray(pi, dtype=float)
     r = stationarity_residual(pt.J, pt.u, pi, params)
     if nu is not None:
@@ -260,12 +257,13 @@ def _direction(k, pt, gvec, params):
     if k is None:
         return spd_solve(B, gvec)
     active = pt.kv <= _ACTIVE_THRESHOLD
-    near = active.any(axis=1)
     out = np.empty_like(gvec)
-    out[~near] = spd_solve(B[~near], gvec[~near])
-    for i in np.flatnonzero(near):
+    for i, gi in enumerate(gvec):
+        if not active[i].any():
+            out[i] = spd_solve(B[i], gi)
+            continue
         Jk_a = pt.jk(i)[active[i]]
-        Bi, gi = B[i] + Jk_a.T @ Jk_a, gvec[i]
+        Bi = B[i] + Jk_a.T @ Jk_a
         Q = k.tangent_basis(pt.u[i], active[i]) if k.tangent_basis is not None else _null_basis(Jk_a)
         if Q.size == 0:
             out[i] = gi / Bi.trace()
@@ -387,9 +385,10 @@ def _candidates(f, k, u, inner, base):
     return cand
 
 
-def _primal_dual(f, g, k, params, cfg, U, PI) -> List[SolveResult]:
-    # The outer loop behind ``solve``, one row per row of params.tau, from
-    # the feasible starts U and dual starts PI; inputs are assumed consistent.
+def run_primal_dual(f, g, k, params, cfg, U, PI) -> List[SolveResult]:
+    """The outer loop behind ``solve_batch``, one row per row of params.tau,
+    from the feasible starts U and dual starts PI; inputs are assumed
+    consistent."""
     n, m = U.shape[0], 0 if k is None else k.dim_con
     gamma = 1.0 / (params.mu + params.alpha * params.c)
     pt = evaluate(f, k, U)
@@ -481,10 +480,9 @@ def _primal_dual(f, g, k, params, cfg, U, PI) -> List[SolveResult]:
     ]
 
 
-def solve(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None):
+def solve(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None) -> SolveResult:
     """Run the primal-dual iteration from u0 = x / max(alpha, 1), pi0 = 0 and
-    zero multipliers; returns a SolveResult, or a list of them, one per row,
-    when ``params.tau`` is a stack (all rows run as one lock-step batch).
+    zero multipliers: ``solve_batch`` on the one tau of ``params``.
 
     ``constraints`` (a ConstraintSet k(u) >= 0 with a projector) adds the
     multiplier channel; without it the problem is unconstrained. The
@@ -494,6 +492,14 @@ def solve(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None):
     ``converged=False``, not an exception; non-finite iterates raise
     NumericalError.
     """
+    one = HopfLaxParams(params.x, params.tau[None], params.alpha, params.c, params.mu)
+    return solve_batch(f, g, one, cfg, u0, pi0, constraints=constraints)[0]
+
+
+def solve_batch(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None) -> List[SolveResult]:
+    """``solve`` at every row of the stacked ``params.tau`` ``(n, N)``, all
+    rows in one lock-step batch; returns one result per row, each equal bit
+    for bit to the lone solve at its tau."""
     cfg = cfg or SolverConfig()
     if f.dim_obj != g.dim_obj or params.dim_u != f.dim_u or params.dim_obj != f.dim_obj:
         raise ValueError("dimension mismatch between objective, scalarizer, and params")
@@ -504,17 +510,13 @@ def solve(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None):
     k = constraints if constraints is not None and constraints.dim_con > 0 else None
     if k is not None and k.projector is None:
         raise ValueError("constraint set has no projector")
-    one = params.tau.ndim == 1
-    if one:
-        params = HopfLaxParams(params.x, params.tau[None], params.alpha, params.c, params.mu)
     n = params.tau.shape[0]
     u = as_vector(u0, f.dim_u, "u0") if u0 is not None else params.x / max(params.alpha, 1.0)
     U = np.tile(u, (n, 1))
     if k is not None:
         U = k.project(U)
     pi = as_vector(pi0, f.dim_obj, "pi0") if pi0 is not None else np.zeros(f.dim_obj)
-    results = _primal_dual(f, g, k, params, cfg, U, np.tile(pi, (n, 1)))
-    return results[0] if one else results
+    return run_primal_dual(f, g, k, params, cfg, U, np.tile(pi, (n, 1)))
 
 
 def gap_and_bound(f, g, result, params, cloud):

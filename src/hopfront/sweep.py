@@ -4,7 +4,7 @@ Holding x and alpha fixed while tau moves along a line traces continuous
 curves of converged points. Each tau fixes one shifted scalarization, so every
 sample is an independent solve from the default start: no sample depends on
 its neighbor, and identical inputs give identical fronts. All samples run as
-one lock-step batch (see ``solver``), and each equals a lone ``solve`` at its
+one lock-step batch (``solve_batch``), and each equals a lone ``solve`` at its
 tau bit for bit. Gap certificates are a separate pass over the converged
 samples.
 """
@@ -17,7 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from .core import HopfLaxParams, as_vector
-from .solver import SolverConfig, gap_and_bound, solve
+from .solver import SolverConfig, gap_and_bound, solve_batch
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +101,7 @@ def sweep(
 
     start = time.perf_counter()
     params = HopfLaxParams(x=problem.x, tau=np.stack(path.points()), alpha=alpha, c=c, mu=mu)
-    results = solve(problem.objective, g, params, cfg, constraints=problem.constraints)
+    results = solve_batch(problem.objective, g, params, cfg, constraints=problem.constraints)
     front = ParetoFront(problem_id=problem.id)
     for i, (t, res) in enumerate(zip(path.parameters(), results)):
         residual = res.residual_history[-1] if res.residual_history else np.inf

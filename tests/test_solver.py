@@ -261,11 +261,10 @@ class TestSolve:
             return pt_in
 
         monkeypatch.setattr(solver, "_inner_solve", recording)
-        path = TauPath(prob.tau_start, prob.tau_end, 3)
-        sweep_params = prob.params_for(prob.tau_start)
-        solve(prob.objective, prob.default_preference(),
-              solver.HopfLaxParams(sweep_params.x, np.stack(path.points()), prob.alpha, prob.c, prob.mu),
-              constraints=prob.constraints)
+        taus = np.stack(TauPath(prob.tau_start, prob.tau_end, 3).points())
+        solver.solve_batch(prob.objective, prob.default_preference(),
+                           HopfLaxParams(prob.x, taus, prob.alpha, prob.c, prob.mu),
+                           constraints=prob.constraints)
         assert calls
         for f, k, pt_in in calls:
             for i in range(pt_in.u.shape[0]):
