@@ -260,9 +260,9 @@ class SoftMax(PreferenceFunction):
             return self.eps * (m[:, 0] + np.log(np.exp(z - m).sum(axis=1)))
         # a shorter row sum runs left to right, as this sum over the rows of
         # the transposed stack does, bit for bit and several times faster
-        z = np.ascontiguousarray(Y.T) / self.eps
+        z = np.divide(Y.T, self.eps, order="C")  # the one stack-sized array
         m = z.max(axis=0)
-        return self.eps * (m + np.log(np.exp(z - m, out=z).sum(axis=0)))
+        return self.eps * (m + np.log(np.exp(np.subtract(z, m, out=z), out=z).sum(axis=0)))
 
     def gradient(self, y):
         y = as_points(y, self.dim_obj)
