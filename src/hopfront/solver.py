@@ -9,15 +9,15 @@ system safeguards every step: the dual step and the primal step are damped
 until the merit is non-increasing, so recorded merit values never rise.
 
 ``solve_batch`` solves a stack of tau (``HopfLaxParams.tau`` of shape
-``(n, N)``) as one batch, one row per tau; ``solve`` is the batch of one. Each row keeps its
-state in stacked arrays. Every nesting level -- outer iteration, dual
-damping trial, inner descent step, Armijo halving, primal damping trial --
-keeps the index array of its live rows and makes one batched objective,
-Jacobian and projection call per step, and a row leaves a level when it
-stops there. Each row does exactly the arithmetic of a lone solve, so its
-result does not depend on the batch it ran in. The Cholesky solves (LAPACK,
-whose rounding no stacked form reproduces), the multiplier estimates and
-the steps next to an active constraint go row by row.
+``(n, N)``) as one batch, one row per tau; ``solve`` is the batch of one.
+Each row keeps its state in stacked arrays. Every nesting level -- outer
+iteration, dual damping trial, inner descent step, Armijo halving, primal
+damping trial -- keeps the index array of its live rows and makes one
+batched objective, Jacobian and projection call per step; a row leaves a
+level when it stops there. Each row does exactly the arithmetic of a lone
+solve, so its result does not depend on the batch. The Cholesky solves
+(LAPACK, whose rounding no stacked form reproduces), the multiplier
+estimates and the steps next to an active constraint go row by row.
 
 Each point is evaluated once (``evaluate``): the merit, the multipliers, the
 stop test, the next dual step and the next inner solve all read that
@@ -210,7 +210,6 @@ def merit_psi(g, pt, pi, params, *, nu=None):
     squared stationarity residual (with the multiplier term when ``nu`` is
     given) in the inverse-preconditioner norm, plus the squared fixed-point
     displacement of the dual prox."""
-    pi = np.asarray(pi, dtype=float)
     r = stationarity_residual(pt.J, pt.u, pi, params)
     if nu is not None:
         for i in _rows(nu.any(axis=-1)):  # Jk^T nu vanishes on the other rows
@@ -450,8 +449,7 @@ def run_primal_dual(f, g, k, params, cfg, U, PI) -> List[SolveResult]:
         # (variational-inequality) residual
         F = stationarity_residual(nxt.J, nxt.u, pi_next, params)
         res = _norm(F) if k is None else _norm(nxt.u - k.project(nxt.u - gamma * F)) / gamma
-        pi_disp = _norm(pi_next - PI[rows])
-        nu_disp = _norm(nu_next - nu[rows])
+        pi_disp, nu_disp = _norm(pi_next - PI[rows]), _norm(nu_next - nu[rows])
         u_disp = _norm(nxt.u - pt.u[rows])
         pt.put(rows, nxt)
         PI[rows], nu[rows], psi[rows] = pi_next, nu_next, psi_next
@@ -510,6 +508,8 @@ def solve_batch(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None) 
     k = constraints if constraints is not None and constraints.dim_con > 0 else None
     if k is not None and k.projector is None:
         raise ValueError("constraint set has no projector")
+    if params.tau.ndim != 2:
+        raise ValueError("solve_batch takes a stack of tau, shape (n, N); solve takes one")
     n = params.tau.shape[0]
     u = as_vector(u0, f.dim_u, "u0") if u0 is not None else params.x / max(params.alpha, 1.0)
     U = np.tile(u, (n, 1))

@@ -301,6 +301,19 @@ class TestSolve:
         with pytest.raises(ValueError, match="smooth"):
             solve(identity_objective(), Kinked([1.0]), scalar_params())
 
+    def test_solve_batch_takes_a_stack_and_solve_one_tau(self):
+        from hopfront.solver import solve_batch
+
+        with pytest.raises(ValueError, match="stack"):
+            solve_batch(identity_objective(), WeightedSum([1.0]), scalar_params())
+        stacked = HopfLaxParams(x=np.array([1.0]), tau=np.array([[0.0], [2.0]]), alpha=1.0, c=1.0, mu=1.0)
+        results = solve_batch(identity_objective(), WeightedSum([1.0]), stacked)
+        assert [r.u_star.tobytes() for r in results] == [
+            solve(identity_objective(), WeightedSum([1.0]), scalar_params(x=1.0, tau=t)).u_star.tobytes()
+            for t in (0.0, 2.0)]
+        with pytest.raises(ValueError):
+            solve(identity_objective(), WeightedSum([1.0]), stacked)
+
     def test_nonconvergence_is_flagged_not_raised(self):
         res = solve(identity_objective(), WeightedSum([1.0]), scalar_params(x=1.0),
                     SolverConfig(maxit_outer=1, eps=1e-14))
