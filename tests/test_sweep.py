@@ -82,23 +82,17 @@ class TestSweep:
         for s in front.samples:
             assert np.array_equal(s.E, prob.c * (s.tau + prob.alpha * s.pi))
 
-    @pytest.mark.parametrize("pid", ["ex1", "ex2a", "ex2b", "ex3a-d10", "ex3b"])
-    def test_samples_equal_lone_solves(self, pid):
-        prob = get_problem(pid)
-        g = prob.default_preference()
-        front = sweep(prob, g, n_samples=8)
-        for s in front.samples:
-            assert_equals_lone_solve(prob, g, s)
-
-    @pytest.mark.parametrize("pid, indices", [
-        # each list holds the sample with the most Jacobian rows (843 on ex1, 288 on ex2b)
-        ("ex1", [0, 9, 20, 21, 37, 50, 63, 84, 85, 99]),
-        ("ex2b", [0, 12, 25, 33, 50, 61, 75, 86, 88, 99]),
+    @pytest.mark.parametrize("pid, n_samples, indices", [
+        *(pytest.param(pid, 8, range(8), id=pid) for pid in ("ex1", "ex2a", "ex2b", "ex3a-d10", "ex3b")),
+        # full sweeps, each index list holding the sample with the most
+        # Jacobian rows (843 on ex1, 288 on ex2b)
+        pytest.param("ex1", 100, [0, 9, 20, 21, 37, 50, 63, 84, 85, 99], id="ex1-full"),
+        pytest.param("ex2b", 100, [0, 12, 25, 33, 50, 61, 75, 86, 88, 99], id="ex2b-full"),
     ])
-    def test_full_sweep_samples_equal_lone_solves(self, pid, indices):
+    def test_samples_equal_lone_solves(self, pid, n_samples, indices):
         prob = get_problem(pid)
         g = prob.default_preference()
-        front = sweep(prob, g, n_samples=100)
+        front = sweep(prob, g, n_samples=n_samples)
         for i in indices:
             assert_equals_lone_solve(prob, g, front.samples[i])
 
