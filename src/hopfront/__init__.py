@@ -33,6 +33,7 @@ from .oracle import (
 )
 from .problems import BenchmarkProblem, get_problem, problem_ids, register_problem
 from .solver import (
+    BatchResult,
     SolveResult,
     SolverConfig,
     certify_gap,

@@ -386,7 +386,8 @@ def cmd_sweep(args):
     timed["output"] = time.perf_counter() - start_output
     extra = {"reference_seconds": ref_seconds} if args.compare else {}
     _write_manifest(outdir, args, duration_s=duration, converged=front.converged_count(),
-                    total=len(front.samples), timings=dict(timed), **extra)
+                    total=len(front.samples), timings=dict(timed), inner_steps=front.inner_steps,
+                    inner_row_steps=front.inner_row_steps, **extra)
     print(f"swept {len(front.samples)} samples ({front.converged_count()} converged) "
           f"in {duration:.3f}s -> {front_csv}")
     return 0 if front.converged_count() else 2

@@ -24,9 +24,11 @@ class ConstraintSet:
     ``tangent_basis``, when provided, maps a point and an active-constraint
     mask to an orthonormal basis of the corresponding tangent subspace
     (columns); without it a small SVD computes the null space of the active
-    Jacobian rows. ``batched`` declares that ``fn`` and ``projector`` also
-    accept ``(n, d)`` stacks; ``value_batch`` and ``project`` otherwise take
-    a stack point by point.
+    Jacobian rows. ``batched`` declares that ``fn``, ``jac``, ``projector``
+    and ``tangent_basis`` also accept ``(n, d)`` stacks (the stack sharing
+    one active mask), where ``jac`` and ``tangent_basis`` may return one
+    matrix that holds for every row. The ``*_batch`` methods and ``project``
+    otherwise take a stack point by point.
     """
 
     dim_u: int
@@ -51,6 +53,21 @@ class ConstraintSet:
     def jacobian(self, u):
         u = as_vector(u, self.dim_u, "u")
         return np.asarray(self.jac(u), dtype=float).reshape(self.dim_con, self.dim_u)
+
+    def jacobian_batch(self, U):
+        """Jacobians at a stack of points, as an array that broadcasts to
+        ``(n, dim_con, dim_u)``."""
+        U = np.asarray(U, dtype=float).reshape(-1, self.dim_u)
+        if self.batched:
+            return np.asarray(self.jac(U), dtype=float)
+        return np.stack([self.jacobian(u) for u in U])
+
+    def tangent_batch(self, U, active):
+        """Tangent bases at a stack of points that share the active-constraint
+        mask ``active``, as an array that broadcasts to ``(n, dim_u, f)``."""
+        if self.batched:
+            return np.asarray(self.tangent_basis(U, active), dtype=float)
+        return np.stack([self.tangent_basis(u, active) for u in U])
 
     def is_feasible(self, u) -> bool:
         return bool(self.value(u).min(initial=np.inf) >= -self.membership_tol)

@@ -98,7 +98,7 @@ def example1() -> BenchmarkProblem:
         return _stack_last([-(u1**2) + u2, -u1 - 2.0 * u2 + 3.0])
 
     def kjac(u):
-        return np.array([[-2.0 * u[0], 1.0], [-1.0, -2.0]])
+        return _stack_jac(u, [[-2.0 * u.T[0], 1.0], [-1.0, -2.0]])
 
     def boundary(n):
         # Front candidates live on the parabola arc; add the halfspace edge.
@@ -110,11 +110,13 @@ def example1() -> BenchmarkProblem:
         return np.concatenate([arc, edge])
 
     def tangent(u, active):
+        # at a point, or at each point of a stack that shares the mask
         if active.all():
-            return np.zeros((2, 0))
+            return np.zeros(u.shape + (0,))
         if active[0]:  # parabola boundary
-            t = np.array([1.0, 2.0 * u[0]])
-            return (t / np.linalg.norm(t)).reshape(2, 1)
+            t = _stack_last([np.ones_like(u[..., 0]), 2.0 * u[..., 0]])
+            # sqrt(t . t) by BLAS dot, as np.linalg.norm takes it on one point
+            return (t / np.sqrt(t[..., None, :] @ t[..., :, None])[..., 0])[..., None]
         if active[1]:  # halfspace edge
             return (np.array([2.0, -1.0]) / np.sqrt(5.0)).reshape(2, 1)
         return np.eye(2)

@@ -8,16 +8,26 @@ value descent). A merit function measuring violation of the full optimality
 system safeguards every step: the dual step and the primal step are damped
 until the merit is non-increasing, so recorded merit values never rise.
 
+The inner descent preconditions with the Gauss-Newton matrix, which lacks
+the scalarizer's and the constraints' curvature and so can overshoot the
+inner minimizer several times over. Its Armijo backtracking therefore does
+not halve a failed step length t: it takes the minimizer of the quadratic
+through the composite's value and slope at 0 and its value at t, kept within
+[0.1 t, 0.5 t] (Nocedal & Wright, Numerical Optimization, 2nd ed., sec.
+3.5).
+
 ``solve_batch`` solves a stack of tau (``HopfLaxParams.tau`` of shape
 ``(n, N)``) as one batch, one row per tau; ``solve`` is the batch of one.
 Each row keeps its state in stacked arrays. Every nesting level -- outer
-iteration, dual damping trial, inner descent step, Armijo halving, primal
+iteration, dual damping trial, inner descent step, Armijo trial, primal
 damping trial -- keeps the index array of its live rows and makes one
 batched objective, Jacobian and projection call per step; a row leaves a
-level when it stops there. Each row does exactly the arithmetic of a lone
-solve, so its result does not depend on the batch. The Cholesky solves
-(LAPACK, whose rounding no stacked form reproduces), the multiplier
-estimates and the steps next to an active constraint go row by row.
+level when it stops there. The batch reports its inner work
+(``BatchResult``). Each row does exactly the arithmetic of a lone solve, so
+its result does not depend on the batch. Rows next to the same active
+constraints take their two-metric step as one stack. The Cholesky solves
+of more than one unknown (LAPACK, whose rounding no stacked form
+reproduces) and the multiplier estimates go row by row.
 
 Each point is evaluated once (``evaluate``): the merit, the multipliers, the
 stop test, the next dual step and the next inner solve all read that
@@ -53,7 +63,8 @@ _ETA_TRIALS = 5  # primal damping trials per dual candidate
 _ACTIVE_THRESHOLD = 1e-3  # k(u) below this counts as nearly active
 _MAXIT_U = 200  # value-descent steps per inner solve
 _TOL_U = 1e-4  # value-descent move tolerance, tightened to 0.01 eps when smaller
-_LS_BETA = 0.5  # Armijo step reduction
+_LS_BETA = 0.5  # after a failed Armijo trial, the next step is at most this share of it
+_LS_FLOOR = 0.1  # and at least this share; a warm start grows by 1 / _LS_BETA
 _LS_C1 = 1e-4  # Armijo sufficient-decrease constant
 _MAXIT_POLISH = 10  # LM polish steps after an unconstrained inner solve
 
@@ -92,6 +103,15 @@ class SolveResult:
     nu_star: np.ndarray = field(default_factory=lambda: np.zeros(0))
     complementarity: float = 0.0
     feasibility_violation: float = 0.0
+
+
+class BatchResult(list):
+    """The results of ``solve_batch`` in row order, plus the inner work of its
+    lock-step loop: ``inner_steps`` descent steps taken together and
+    ``inner_row_steps`` live rows summed over those steps."""
+
+    inner_steps = 0
+    inner_row_steps = 0
 
 
 @dataclass(eq=False)
@@ -141,6 +161,11 @@ def _tmv(A, x):
     # A^T x row by row, (..., p, q) and (..., p) -> (..., q); a stack makes
     # the same BLAS call per row that one matrix does
     return np.matmul(np.swapaxes(A, -1, -2), x[..., None])[..., 0]
+
+
+def _mv(A, x):
+    # A x row by row, (..., p, q) and (..., q) -> (..., p)
+    return np.matmul(A, x[..., None])[..., 0]
 
 
 def _dot(a, b):
@@ -193,7 +218,17 @@ def spd_solve(B, r):
     # The LAPACK pair behind cho_factor/cho_solve, called directly: for the
     # small systems solved here, the wrappers' argument checks cost several
     # times the factorization. A non-finite B or r shows up in the solution.
-    # A stack goes row by row: no stacked factorization has LAPACK's rounding.
+    # A stack goes row by row: no stacked factorization has LAPACK's rounding,
+    # except for 1 x 1 systems, solved at once with dpotrf/dpotrs's arithmetic
+    # (l = sqrt(a), then one multiply by 1/l per triangular solve).
+    if B.shape[-1] == 1:
+        if not (B > 0.0).all():
+            raise NumericalError("preconditioner factorization failed (info=1)")
+        inv = 1.0 / np.sqrt(B[..., 0])
+        x = r * inv * inv
+        if not np.isfinite(x).all():
+            raise NumericalError("preconditioner factorization failed (info=0)")
+        return x
     if B.ndim == 3:
         return np.array([spd_solve(b, x) for b, x in zip(B, r)]).reshape(r.shape)
     c, info = dpotrf(B, lower=1, clean=0)
@@ -251,33 +286,68 @@ def _direction(k, pt, gvec, params):
     # gradient step can rotate the direction across the tangent space of a
     # curved constraint, so such a row applies the inverse preconditioner
     # within that tangent space only; the normal component keeps the plain
-    # gradient, conservatively scaled (the two-metric step).
+    # gradient, conservatively scaled (the two-metric step). Rows next to
+    # the same active constraints take that step as one stack.
     B = preconditioner(pt.J, params)
     if k is None:
         return spd_solve(B, gvec)
     active = pt.kv <= _ACTIVE_THRESHOLD
+    is_near = active.any(axis=1)
+    near = np.flatnonzero(is_near)
     out = np.empty_like(gvec)
-    for i, gi in enumerate(gvec):
-        if not active[i].any():
-            out[i] = spd_solve(B[i], gi)
-            continue
-        Jk_a = pt.jk(i)[active[i]]
-        Bi = B[i] + Jk_a.T @ Jk_a
-        Q = k.tangent_basis(pt.u[i], active[i]) if k.tangent_basis is not None else _null_basis(Jk_a)
-        if Q.size == 0:
-            out[i] = gi / Bi.trace()
-        else:
-            out[i] = Q @ spd_solve(Q.T @ Bi @ Q, Q.T @ gi) + (gi - Q @ (Q.T @ gi)) / Bi.trace()
+    if near.size < len(gvec):
+        out[~is_near] = spd_solve(B[~is_near], gvec[~is_near])
+    if k.tangent_basis is None or near.size < 2:
+        groups = [near[i:i + 1] for i in range(near.size)]  # a null basis has its row's own rank
+    else:
+        # the rows sorted by their packed mask, cut where it changes
+        keys = np.packbits(active[near], axis=1)
+        order = np.lexsort(keys.T[::-1])
+        keys, near = keys[order], near[order]
+        groups = np.split(near, np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1)
+    for rows in groups:
+        out[rows] = _two_metric_step(k, pt.u[rows], B[rows], gvec[rows], active[rows[0]])
     return out
+
+
+def _two_metric_step(k, u, B, gvec, mask):
+    # The two-metric direction at a stack of points u with preconditioners B
+    # and gradients gvec, all next to the constraints of one active mask.
+    # Jk and Q may be one matrix shared by every row; the products broadcast
+    Jk = k.jacobian_batch(u)[..., mask, :]
+    B += np.matmul(np.swapaxes(Jk, -1, -2), Jk)  # B is the caller's copy
+    trace = np.trace(B, axis1=-2, axis2=-1)[:, None]
+    Q = k.tangent_batch(u, mask) if k.tangent_basis is not None else _null_basis(Jk.reshape(-1, *Jk.shape[-2:])[0])
+    if Q.shape[-1] == 0:
+        return gvec / trace
+    Qg = _tmv(Q, gvec)
+    y = spd_solve(np.matmul(np.matmul(np.swapaxes(Q, -1, -2), B), Q), Qg)
+    return _mv(Q, y) + (gvec - _mv(Q, Qg)) / trace
+
+
+def _interpolated_step(t, f0, slope, ft):
+    # The next Armijo trial of rows whose trial at t failed: the minimizer of
+    # the quadratic in the step length through the composite's value f0 and
+    # slope at 0 and its value ft at t, kept within [0.1 t, 0.5 t]; half of t
+    # where that quadratic has no minimizer (Nocedal & Wright, Numerical
+    # Optimization, 2nd ed., sec. 3.5).
+    curv = (ft - f0 - slope * t) / (t * t)
+    fit = (slope < 0.0) & (curv > 0.0)
+    nxt = _LS_BETA * t
+    nxt[fit] = np.clip(-slope[fit] / (2.0 * curv[fit]), _LS_FLOOR * t[fit], nxt[fit])
+    return nxt
 
 
 def _inner_solve(f, g, k, pt, pi, params, cfg):
     # Inner solve of the shifted scalarization over K (or all of R^d when k
     # is None) from every row of the evaluated stack pt, in lock step:
     # projected gradient descent, preconditioned in the two-metric sense,
-    # with Armijo backtracking and a plain-gradient arc fallback, then an LM
-    # polish of unconstrained rows. Returns the evaluation of each row's last
-    # point.
+    # with Armijo backtracking along the projection arc and a plain-gradient
+    # arc fallback, then an LM polish of unconstrained rows. A failed trial's
+    # next step length interpolates (``_interpolated_step``) from the trial's
+    # value and the slope gvec . s / t of its realized step s. Returns the
+    # evaluation of each row's last point and the number of descent steps
+    # each row took.
     E = params.dual_shift(pi)
     stiff = params.mu + params.alpha * params.c
     cx = params.c * params.x
@@ -295,6 +365,7 @@ def _inner_solve(f, g, k, pt, pi, params, cfg):
     fu = val(slice(None), pt.u, pt.ell)
     res = np.full(n, np.inf)
     t_warm = np.ones(n)  # accepted step carries over; curvature mismatch is persistent
+    steps = np.zeros(n, dtype=int)
     live = np.arange(n)
     for _ in range(_MAXIT_U):
         if not live.size:
@@ -304,6 +375,9 @@ def _inner_solve(f, g, k, pt, pi, params, cfg):
         res[live] = _norm(cur.u - project(cur.u - gamma * gvec)) / gamma
         go = np.flatnonzero(~(res[live] <= res_tol))
         live, cur, gvec = live[go], cur.take(go), gvec[go]
+        if not live.size:
+            break
+        steps[live] += 1
         u = cur.u
         found = np.zeros(live.size, dtype=bool)
         cand, ell_c, fc = np.empty_like(u), np.empty_like(cur.ell), np.empty(live.size)
@@ -323,8 +397,9 @@ def _inner_solve(f, g, k, pt, pi, params, cfg):
                 cand[hit], ell_c[hit], fc[hit], found[hit] = trial[ok], ell_t[ok], ft[ok], True
                 if attempt == 0:
                     t_warm[live[hit]] = t[hit]
-                todo = todo[~ok]
-                t[todo] *= _LS_BETA
+                todo, miss = todo[~ok], ~ok
+                slope = _dot(gvec[todo], step[miss]) / t[todo]
+                t[todo] = _interpolated_step(t[todo], fu[live[todo]], slope, ft[miss])
         # a row that accepts no step stops where it is
         hit = np.flatnonzero(found)
         if hit.size:
@@ -336,7 +411,7 @@ def _inner_solve(f, g, k, pt, pi, params, cfg):
         # floor of the composite, the residual does not
         for i in np.flatnonzero(res > 0.05 * cfg.eps):
             pt.put(i, _polish(f, pt.take(i), pi[i], params, cfg))
-    return pt
+    return pt, steps
 
 
 def _polish(f, pt, pi, params, cfg):
@@ -384,10 +459,11 @@ def _candidates(f, k, u, inner, base):
     return cand
 
 
-def run_primal_dual(f, g, k, params, cfg, U, PI) -> List[SolveResult]:
+def run_primal_dual(f, g, k, params, cfg, U, PI) -> BatchResult:
     """The outer loop behind ``solve_batch``, one row per row of params.tau,
     from the feasible starts U and dual starts PI; inputs are assumed
     consistent."""
+    work = BatchResult()
     n, m = U.shape[0], 0 if k is None else k.dim_con
     gamma = 1.0 / (params.mu + params.alpha * params.c)
     pt = evaluate(f, k, U)
@@ -422,7 +498,11 @@ def run_primal_dual(f, g, k, params, cfg, U, PI) -> List[SolveResult]:
                 pi_cand = pi[rows] + theta * (pi_new[rows] - pi[rows])
             base, P_rows = cur.take(rows), P.take(rows)
             # one inner solve per dual candidate, which eta only relaxes
-            inner = _inner_solve(f, g, k, base, pi_cand, P_rows, cfg)
+            inner, steps = _inner_solve(f, g, k, base, pi_cand, P_rows, cfg)
+            # a row leaves the lock step for good, so the batch took as many
+            # steps as its longest row
+            work.inner_steps += int(steps.max(initial=0))
+            work.inner_row_steps += int(steps.sum())
             eta = _ETA
             trying = np.arange(rows.size)
             for _ in range(_ETA_TRIALS):
@@ -470,12 +550,13 @@ def run_primal_dual(f, g, k, params, cfg, U, PI) -> List[SolveResult]:
         complementarity = np.abs(nu * pt.kv).max(axis=1)
         feasibility = np.maximum(0.0, -pt.kv.min(axis=1))
     p_bar, E_bar = params.dual_momentum(pt.u), params.dual_shift(PI)
-    return [
+    work.extend(
         SolveResult(pt.u[i], PI[i], p_bar[i], E_bar[i], pt.ell[i], int(iterations[i]), bool(converged[i]),
                     residual_history[i], merit_history[i], nu[i], float(complementarity[i]),
                     float(feasibility[i]))
         for i in range(n)
-    ]
+    )
+    return work
 
 
 def solve(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None) -> SolveResult:
@@ -494,10 +575,10 @@ def solve(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None) -> Sol
     return solve_batch(f, g, one, cfg, u0, pi0, constraints=constraints)[0]
 
 
-def solve_batch(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None) -> List[SolveResult]:
+def solve_batch(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None) -> BatchResult:
     """``solve`` at every row of the stacked ``params.tau`` ``(n, N)``, all
     rows in one lock-step batch; returns one result per row, each equal bit
-    for bit to the lone solve at its tau."""
+    for bit to the lone solve at its tau, with the batch's inner work."""
     cfg = cfg or SolverConfig()
     if f.dim_obj != g.dim_obj or params.dim_u != f.dim_u or params.dim_obj != f.dim_obj:
         raise ValueError("dimension mismatch between objective, scalarizer, and params")

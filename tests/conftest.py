@@ -104,6 +104,29 @@ def scalar_envelope(problem, n_weights=16, starts=16, seed=0, base_cloud=None):
     return greedy_pareto_filter(cloud, mode="strong")
 
 
+def rowwise_direction(k, pt, gvec, params):
+    """The solver's preconditioned descent direction, one row at a time, with
+    the two-metric step next to active constraints; the reference the
+    solver's stacked step is checked against."""
+    from hopfront.solver import _ACTIVE_THRESHOLD, _null_basis, preconditioner, spd_solve
+
+    B = preconditioner(pt.J, params)
+    active = pt.kv <= _ACTIVE_THRESHOLD
+    out = np.empty_like(gvec)
+    for i, gi in enumerate(gvec):
+        if not active[i].any():
+            out[i] = spd_solve(B[i], gi)
+            continue
+        Jk_a = pt.jk(i)[active[i]]
+        Bi = B[i] + Jk_a.T @ Jk_a
+        Q = k.tangent_basis(pt.u[i], active[i]) if k.tangent_basis is not None else _null_basis(Jk_a)
+        if Q.size == 0:
+            out[i] = gi / Bi.trace()
+        else:
+            out[i] = Q @ spd_solve(Q.T @ Bi @ Q, Q.T @ gi) + (gi - Q @ (Q.T @ gi)) / Bi.trace()
+    return out
+
+
 def scalar_entropic_weights(v, eps, rho, tol=1e-13, maxit=200):
     """One row's weights of the entropic conjugate prox, by the scalar
     bracketing and safeguarded Newton root-find on its multiplier theta; the

@@ -98,6 +98,16 @@ class TestSweepCommand:
         assert timings["solves"] > 0.0
         assert manifest["duration_s"] >= 0.0 and ("reference_seconds" in manifest) == compare
 
+    def test_manifest_records_inner_work(self, tmp_path):
+        import hopfront as hf
+
+        out = tmp_path / "run"
+        assert run(["sweep", "--problem", "ex1", "--n", "12", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        front = hf.sweep(hf.get_problem("ex1"), n_samples=12)
+        assert 0 < front.inner_steps <= front.inner_row_steps
+        assert (manifest["inner_steps"], manifest["inner_row_steps"]) == (front.inner_steps, front.inner_row_steps)
+
     def test_csv_round_trip_full_precision(self, tmp_path):
         out = tmp_path / "run"
         run(["sweep", "--problem", "ex2a", "--n", "5", "--out", str(out)])

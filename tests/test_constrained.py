@@ -351,6 +351,22 @@ class TestSolveConstrained:
         assert np.array_equal(k.project(np.array([[-1.0], [2.0]])), [[0.0], [2.0]])
         assert calls == [(1,), (1,)]
 
+    @pytest.mark.parametrize("which", ["ex1", "box"])
+    def test_batch_jacobian_and_tangent_match_points(self, which, rng):
+        from dataclasses import replace
+
+        k = example1().constraints if which == "ex1" else box_constraints(np.zeros(3), np.ones(3))
+        U = rng.uniform(-1.0, 1.0, size=(7, k.dim_u))
+        masks = ([[True, False], [False, True], [True, True]] if which == "ex1"
+                 else [[True, False, False, False, False, True], [True] * 3 + [False] * 3])
+        for batched in (k, replace(k, batched=False)):
+            J = np.broadcast_to(batched.jacobian_batch(U), (7, k.dim_con, k.dim_u))
+            assert J.tobytes() == np.stack([k.jacobian(u) for u in U]).tobytes()
+            for mask in np.array(masks):
+                ref = np.stack([k.tangent_basis(u, mask) for u in U])
+                Q = np.broadcast_to(batched.tangent_batch(U, mask), ref.shape)
+                assert Q.tobytes() == ref.tobytes()
+
     def test_iterates_stay_feasible_under_projection(self):
         # every objective evaluation during an ex1 solve is at a feasible point
         prob = example1()

@@ -256,9 +256,9 @@ class TestSolve:
         inner = solver._inner_solve
 
         def recording(f, g, k, pt, pi, params, cfg):
-            pt_in = inner(f, g, k, pt, pi, params, cfg)
+            pt_in, steps = inner(f, g, k, pt, pi, params, cfg)
             calls.append((f, k, pt_in))
-            return pt_in
+            return pt_in, steps
 
         monkeypatch.setattr(solver, "_inner_solve", recording)
         taus = np.stack(TauPath(prob.tau_start, prob.tau_end, 3).points())
@@ -374,6 +374,14 @@ class TestStackedKernels:
             ref = dpotrs(dpotrf(b, lower=1, clean=0)[0], r, lower=1)[0]
             assert x.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("B", [[[0.0]], [[[1.0]], [[-1.0]]], [[[np.nan]]], [[1.0, 2.0], [2.0, 1.0]]])
+    def test_spd_solve_rejects_a_matrix_that_is_not_positive_definite(self, B):
+        from hopfront.core import NumericalError
+
+        B = np.array(B)
+        with pytest.raises(NumericalError):
+            spd_solve(B, np.ones(B.shape[:-1]))
+
     @pytest.mark.parametrize("pid", ["ex1", "ex2b", "ex3b"])
     def test_residual_preconditioner_merit_multipliers(self, pid, rng):
         from hopfront.problems import get_problem
@@ -401,6 +409,190 @@ class TestStackedKernels:
             nu = multiplier_estimate(pt, PI[i], one)
             assert NU[i].tobytes() == nu.tobytes()
             assert PSI[i] == merit_psi(g, pt, PI[i], one, nu=nu)
+
+    @pytest.mark.parametrize("pid", ["ex1", "ex2b", "ex3a-d10", "ex3b", "disc", "halfplane"])
+    def test_two_metric_direction_matches_rowwise(self, pid, rng):
+        from conftest import rowwise_direction
+
+        from hopfront.constrained import ConstraintSet
+        from hopfront.problems import get_problem
+        from hopfront.solver import _direction
+
+        # without a tangent basis, the SVD null space, row by row: a disc
+        # taking one point at a time, and a batched halfplane whose jac
+        # returns one matrix for every row
+        box = (-np.ones(2), np.ones(2))
+        if pid == "disc":
+            prob = get_problem("ex2a")
+            k = ConstraintSet(2, 1, lambda u: np.array([1.0 - u @ u]), lambda u: np.array([-2.0 * u]),
+                              projector=lambda u: u / max(1.0, float(np.linalg.norm(u))))
+        elif pid == "halfplane":
+            prob = get_problem("ex2a")
+            k = ConstraintSet(2, 1, lambda u: 0.5 - u.sum(axis=-1), lambda u: np.array([[-1.0, -1.0]]),
+                              projector=lambda u: u - np.maximum(0.0, u.sum(axis=-1, keepdims=True) - 0.5) / 2.0,
+                              batched=True)
+        else:
+            prob = get_problem(pid)
+            k, box = prob.constraints, prob.feasible_box
+        f = prob.objective
+        U = k.project(rng.uniform(*box, size=(60, f.dim_u)))
+        U[:20] = k.project(U[:20] - 5.0)  # on the boundary: active constraints
+        U[20:30] = k.project(U[20:30] + 5.0)
+        if pid == "ex1":
+            U[30:34] = [[1.0, 1.0], [-1.5, 2.25], [1.0, 1.0], [-1.5, 2.25]]  # both active
+        elif pid not in ("disc", "halfplane"):  # some box faces active: tangent systems of 1 to d - 1 unknowns
+            half = f.dim_u // 2
+            U[30:40, :half] = box[0][:half]
+            U[40:50, -1] = box[1][-1]
+        taus = rng.normal(scale=5.0, size=(60, f.dim_obj))
+        params = HopfLaxParams(prob.x, taus, prob.alpha, prob.c, prob.mu)
+        pts = evaluate(f, k, U)
+        G = rng.normal(size=U.shape)
+        D = _direction(k, pts, G, params)
+        assert D.tobytes() == rowwise_direction(k, pts, G, params).tobytes()
+        for i in (0, 25, 32, 59):  # a row alone takes the step it takes in the stack
+            assert D[i].tobytes() == _direction(k, pts.take([i]), G[[i]], params.take([i]))[0].tobytes()
+
+
+class TestInnerLineSearch:
+    """The Armijo backtracking of the inner solve: a failed trial's next step
+    length is the minimizer of the quadratic fitted along the projected arc,
+    safeguarded to [0.1 t, 0.5 t]."""
+
+    def test_step_rule(self):
+        from hopfront.solver import _interpolated_step
+
+        t = np.array([1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 0.2])
+        f0 = np.zeros(7)
+        slope = np.array([-1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0])
+        # quadratics f0 + slope s + c s^2 through ft at t: minimizers 0.25,
+        # 1/2.2 (inside), 1/100 and 1/2 (clipped), no minimizer (c <= 0,
+        # slope >= 0), a non-finite trial
+        c = np.array([2.0, 1.1, 50.0, 0.5, 1.0, -1.0, 0.0])
+        ft = f0 + slope * t + c * t * t
+        ft[6] = np.inf
+        nxt = _interpolated_step(t, f0, slope, ft)
+        expect = [0.25, 1.0 / 2.2, 0.05, 0.5, 0.5, 0.5, 0.02]
+        np.testing.assert_allclose(nxt, expect, rtol=1e-14)
+        nan = _interpolated_step(np.ones(1), np.zeros(1), -np.ones(1), np.array([np.nan]))
+        assert nan[0] == 0.5
+
+    def test_underestimated_curvature(self, monkeypatch):
+        # g(z) = 1/2 z^T diag(q) z on ell(u) = u: the preconditioner
+        # (mu + alpha c) I + J^T J = 2 I sees the curvature 1 + q = (8, 2)
+        # as 2, so it underestimates the stiff axis 4x and every preconditioned
+        # step overshoots there
+        from hopfront import solver
+        from hopfront.core import PreferenceFunction
+
+        q = np.array([7.0, 1.0])
+
+        class Quadratic(PreferenceFunction):
+            dim_obj, smooth = 2, True
+
+            def value(self, y):
+                return 0.5 * float(y @ (q * y))
+
+            def gradient(self, y):
+                return q * np.asarray(y, dtype=float)
+
+        f = VectorObjective(2, 2, lambda u: u, lambda u: np.eye(2), batched=False)
+        params = HopfLaxParams(np.zeros(2), np.array([[1.0, 0.5], [-2.0, 0.3]]), alpha=1.0, c=0.5, mu=0.5)
+        pi = np.zeros((2, 2))
+        E = params.dual_shift(pi)
+        H = np.diag(1.0 + q)
+
+        def phi(i, u):  # the composite; the stiffness mu + alpha c is 1 and x = 0
+            return 0.5 * (u + E[i]) @ (q * (u + E[i])) + 0.5 * u @ u
+
+        trials, accepted = [], []
+        step, ev = solver._interpolated_step, solver.evaluate
+
+        def spy_step(t, f0, slope, ft):
+            out = step(t, f0, slope, ft)
+            trials.append((t.copy(), f0.copy(), slope.copy(), ft.copy(), out.copy()))
+            return out
+
+        def spy_evaluate(f_, k_, u, ell=None):
+            accepted.append(np.array(u))
+            return ev(f_, k_, u, ell)
+
+        monkeypatch.setattr(solver, "_interpolated_step", spy_step)
+        monkeypatch.setattr(solver, "evaluate", spy_evaluate)
+        U = np.array([[2.0, 0.1], [0.3, -1.5]])
+        for i in range(2):  # lone rows, so every accepted point is that row's
+            trials.clear()
+            accepted.clear()
+            pt, steps = solver._inner_solve(f, Quadratic(), None, ev(f, None, U[[i]]), pi[[i]],
+                                            params.take([i]), SolverConfig())
+            assert trials and 1 < steps[0] < 40
+            for t, f0, slope, ft, nxt in trials:
+                assert ((0.1 * t <= nxt) & (nxt <= 0.5 * t)).all()
+                c = (ft - f0 - slope * t) / t**2
+                np.testing.assert_allclose(nxt, np.clip(-slope / (2.0 * c), 0.1 * t, 0.5 * t), rtol=1e-12)
+            # the composite is quadratic, so the fit is exact: the first
+            # failed trial (t = 1) lands on the minimizer along the ray
+            g0 = H @ U[i] + q * E[i]
+            d = g0 / 2.0
+            assert trials[0][0][0] == 1.0
+            assert trials[0][4][0] == pytest.approx((g0 @ d) / (d @ H @ d), rel=1e-12)
+            # every accepted step passes the Armijo test at its step length
+            # (unconstrained, so the step is -t d with d = B^-1 gvec)
+            path = [U[i]] + [a[0] for a in accepted if a.ndim == 2]  # the LM polish evaluates points
+            assert len(path) == steps[0] + 1
+            for u0, u1 in zip(path, path[1:]):
+                s = u1 - u0
+                d = (H @ u0 + q * E[i]) / 2.0
+                t_acc = -(s @ d) / (d @ d)
+                assert phi(i, u1) <= phi(i, u0) - solver._LS_C1 * (s @ s) / t_acc
+            np.testing.assert_allclose(pt.u[0], -np.linalg.solve(H, q * E[i]), atol=1e-8)
+
+
+class TestInnerDepth:
+    """ex1's parabola boundary, where halving backtracking zig-zags across the
+    inner minimizer and lone inner solves ran into the step cap."""
+
+    def test_ex1_sweep_inner_steps(self, monkeypatch):
+        from hopfront import solver
+        from hopfront.problems import get_problem
+        from hopfront.sweep import sweep
+
+        direction, counted = solver._direction, []
+
+        def counting(k, pt, gvec, params):
+            counted.append(len(gvec))
+            return direction(k, pt, gvec, params)
+
+        monkeypatch.setattr(solver, "_direction", counting)
+        front = sweep(get_problem("ex1"), n_samples=100)
+        assert front.converged_count() == 100
+        assert front.inner_steps <= 150  # 910 with halving backtracking
+        # the recorded work is the descent steps the batch actually took
+        assert front.inner_steps == sum(1 for c in counted if c)
+        assert front.inner_row_steps == sum(counted)
+
+    def test_ex1_sample_21_stays_below_the_step_cap(self, monkeypatch):
+        from hopfront import solver
+        from hopfront.problems import get_problem
+        from hopfront.sweep import TauPath
+
+        prob = get_problem("ex1")
+        tau = TauPath(prob.tau_start, prob.tau_end, 100).points()[21]
+        inner, direction, depth = solver._inner_solve, solver._direction, []
+
+        def counting_inner(*args):
+            depth.append(0)
+            return inner(*args)
+
+        def counting_direction(k, pt, gvec, params):
+            depth[-1] += len(gvec) > 0  # a lone solve: one row per descent step
+            return direction(k, pt, gvec, params)
+
+        monkeypatch.setattr(solver, "_inner_solve", counting_inner)
+        monkeypatch.setattr(solver, "_direction", counting_direction)
+        res = solve(prob.objective, prob.default_preference(), prob.params_for(tau), constraints=prob.constraints)
+        assert res.converged
+        assert depth and max(depth) < solver._MAXIT_U  # four inner solves hit it with halving
 
 
 class TestCertifyGap:
