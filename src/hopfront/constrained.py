@@ -8,7 +8,6 @@ Combettes, Convex Analysis and Monotone Operator Theory, 2nd ed., Thm 3.16).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -112,88 +111,85 @@ def box_constraints(lo, hi) -> ConstraintSet:
 # Projection machinery for the parabola-epigraph / halfspace intersection
 
 
-def _cbrt(v):
-    return math.copysign(abs(v) ** (1.0 / 3.0), v)
-
-
-def _real_cubic_roots(p, q):
-    # Real roots of x^3 + p x + q = 0 (Cardano / trigonometric form).
-    disc = 0.25 * q * q + (p / 3.0) ** 3
-    if disc > 0.0:
-        sq = math.sqrt(disc)
-        return [_cbrt(-0.5 * q + sq) + _cbrt(-0.5 * q - sq)]
-    if p == 0.0:
-        return [0.0]
-    m = 2.0 * math.sqrt(-p / 3.0)
-    arg = min(1.0, max(-1.0, -4.0 * q / (m * m * m)))
-    a = math.acos(arg)
-    return [m * math.cos((a + 2.0 * math.pi * k) / 3.0) for k in range(3)]
-
-
 _NEWTON_TOL = 1e-6  # Newton polish tolerance on the cubic's residual
 _VERTICES = np.array([[1.0, 1.0], [-1.5, 2.25]])  # parabola meets the halfspace edge
 
 
 def _parabola_root(a, b):
-    # Argmin over x of (x-a)^2 + (x^2-b)^2; the first-order condition is the
-    # cubic 2x^3 + (1-2b)x - a = 0, Newton-polished to _NEWTON_TOL.
-    roots = _real_cubic_roots((1.0 - 2.0 * b) / 2.0, -a / 2.0)
-    x = min(roots, key=lambda t: (t - a) ** 2 + (t * t - b) ** 2)
+    # Argmin over x of (x-a)^2 + (x^2-b)^2 at every entry of the arrays a and
+    # b. The first-order condition is the cubic x^3 + p x + q = 0 with
+    # p = (1-2b)/2, q = -a/2: one real root by Cardano's formula where its
+    # discriminant is positive, else the closest of the three of the
+    # trigonometric form (0 when p = 0); then Newton-polished to _NEWTON_TOL.
+    lin = 1.0 - 2.0 * b
+    p, q = lin / 2.0, -a / 2.0
+    disc = 0.25 * q * q + (p / 3.0) ** 3
+    one = disc > 0.0
+    with np.errstate(invalid="ignore"):  # the other rows' square roots
+        sq = np.sqrt(disc)
+        x = np.where(one, np.cbrt(-0.5 * q + sq) + np.cbrt(-0.5 * q - sq), 0.0)
+    three = np.flatnonzero(~one & (p != 0.0))
+    if three.size:
+        m = 2.0 * np.sqrt(-p[three] / 3.0)
+        ang = np.arccos(np.minimum(1.0, np.maximum(-1.0, -4.0 * q[three] / (m * m * m))))
+        roots = m[:, None] * np.cos((ang[:, None] + 2.0 * np.pi * np.arange(3)) / 3.0)
+        dist = (roots - a[three, None]) ** 2 + (roots * roots - b[three, None]) ** 2
+        x[three] = roots[np.arange(three.size), dist.argmin(axis=1)]
     for _ in range(60):
-        psi = 2.0 * x * x * x + (1.0 - 2.0 * b) * x - a
-        if abs(psi) <= _NEWTON_TOL:
+        psi = 2.0 * x * x * x + lin * x - a
+        go = ~(np.abs(psi) <= _NEWTON_TOL)
+        if not go.any():
             return x
-        dpsi = 6.0 * x * x + (1.0 - 2.0 * b)
-        if dpsi <= 0.0:
+        dpsi = 6.0 * x * x + lin
+        if (dpsi[go] <= 0.0).any():
             raise NumericalError("epigraph projection root-find stalled")
-        x -= psi / dpsi
+        x = x - np.divide(psi, dpsi, out=np.zeros_like(x), where=go)
     raise NumericalError("epigraph projection root-find did not converge")
 
 
 def project_parabola_epigraph(point):
     """Euclidean projection onto {(x, y) : y >= x^2} via the cubic
-    first-order condition along the boundary."""
-    a = float(point[0])
-    b = float(point[1])
-    if b >= a * a:
-        return np.array([a, b])
-    x = _parabola_root(a, b)
-    return np.array([x, x * x])
+    first-order condition along the boundary, of a point or of each row of
+    an ``(n, 2)`` stack."""
+    out = np.array(point, dtype=float)
+    P = out.reshape(-1, 2)
+    a, b = P[:, 0], P[:, 1]
+    below = ~(b >= a * a)
+    if below.any():
+        x = _parabola_root(a[below], b[below])
+        P[below] = np.stack([x, x * x], axis=1)
+    return out
 
 
 def project_halfspace(point, normal=(1.0, 2.0), offset=3.0):
-    """Euclidean projection onto {u : normal . u <= offset}."""
+    """Euclidean projection onto {u : normal . u <= offset}, of a point or of
+    each row of a stack."""
     point = np.asarray(point, dtype=float)
     normal = np.asarray(normal, dtype=float)
-    over = float(normal @ point) - offset
-    if over <= 0.0:
-        return point.copy()
-    return point - (over / float(normal @ normal)) * normal
+    over = np.maximum(point @ normal - offset, 0.0)
+    return point - (over / float(normal @ normal))[..., None] * normal
 
 
 def project_epigraph_halfspace(u):
-    """Euclidean projection onto {u2 >= u1^2} intersect {u1 + 2 u2 <= 3}.
+    """Euclidean projection onto {u2 >= u1^2} intersect {u1 + 2 u2 <= 3}, of
+    a point or of each row of an ``(n, 2)`` stack.
 
     For two closed convex sets, a projection onto one that lands in the other
     is the projection onto the intersection; otherwise both constraints are
     active at the answer, which in 2-D makes it one of the two vertices.
-    An ``(n, 2)`` stack is projected row by row.
     """
-    if np.ndim(u) == 2:
-        return np.array([project_epigraph_halfspace(p) for p in u]).reshape(-1, 2)
-    a, b = float(u[0]), float(u[1])
-    if b >= a * a and a + 2.0 * b <= 3.0:
-        return np.array([a, b])
-    p = project_parabola_epigraph((a, b))
-    if p[0] + 2.0 * p[1] <= 3.0:
-        return p
-    if a + 2.0 * b > 3.0:
-        h = project_halfspace((a, b))
+    u = np.asarray(u, dtype=float)
+    U = u.reshape(-1, 2)
+    out = project_parabola_epigraph(U)  # a point of the epigraph is its own
+    rows = np.flatnonzero(~(out[:, 0] + 2.0 * out[:, 1] <= 3.0))
+    if rows.size:
+        a, b = U[rows, 0], U[rows, 1]
+        h = project_halfspace(U[rows])
         # Put h exactly on the edge: 3 - 2 h[1] is exact for h[1] in [0.75, 3]
         # (Sterbenz), a span that holds the edge's part inside the epigraph,
         # so h passes the membership test above and projects to itself.
-        h[0] = 3.0 - 2.0 * h[1]
-        if h[1] >= h[0] * h[0]:
-            return h
-    d2 = ((_VERTICES - (a, b)) ** 2).sum(axis=1)
-    return _VERTICES[int(np.argmin(d2))].copy()
+        h[:, 0] = 3.0 - 2.0 * h[:, 1]
+        edge = (a + 2.0 * b > 3.0) & (h[:, 1] >= h[:, 0] * h[:, 0])
+        d2 = ((_VERTICES - U[rows, None]) ** 2).sum(axis=2)
+        out[rows] = np.where(edge[:, None], h, _VERTICES[d2.argmin(axis=1)])
+    return out.reshape(u.shape)

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import wrightomega
 
 
 class NumericalError(RuntimeError):
@@ -27,6 +26,7 @@ class CertificationError(RuntimeError):
 
 
 _FD_STEP = 1e-6  # central-difference step of Jacobians a user does not supply
+_DBL_EPSILON = float(np.finfo(float).eps)
 
 
 def as_vector(y, n=None, name="y"):
@@ -164,47 +164,57 @@ class PreferenceFunction:
         return v - rho * self.prox_scaled(v / rho, rho)
 
 
+def _fsc_step(x, w):
+    # One Fritsch-Shafer-Crowley step towards the root of w + log(w) = x;
+    # returns the new iterate, the residual and w + 1 at the old one.
+    r = x - w - np.log(w)
+    wp1 = w + 1.0
+    t = 2.0 * wp1 * (wp1 + 2.0 / 3.0 * r)
+    return w * (1.0 + r / wp1 * (t - r) / (t - 2.0 * r)), r, wp1
+
+
+def _wright_omega(x):
+    # The Wright omega function at real x, elementwise: the w with
+    # w + log(w) = x. Lawrence, Corless & Jeffrey, "Algorithm 917: complex
+    # double-precision evaluation of the Wright omega function", ACM TOMS
+    # 2012, restricted to real arguments: an initial guess on three
+    # intervals, one FSC step and a second one where its error bound asks
+    # for it; exp(x) below -50, x above 1e20, 0 at -inf. Every branch is
+    # computed on every entry and the right one picked, so no branch's
+    # overflow or log of a negative number is an error.
+    with np.errstate(all="ignore"):
+        ex, lx = np.exp(x), np.log(x)
+        w = np.where(x < -2.0, ex, np.where(x < 1.0, np.exp(2.0 * (x - 1.0) / 3.0), x - lx + lx / x))
+        w, r, wp1 = _fsc_step(x, w)
+        r2, wp2 = r * r, wp1 * wp1
+        again = np.abs((2.0 * w * w - 8.0 * w - 1.0) * (r2 * r2)) >= (72.0 * _DBL_EPSILON) * (wp2 * wp2 * wp2)
+        w = np.where(again, _fsc_step(x, w)[0], w)
+        return np.where(x < -50.0, ex, np.where(x > 1e20, x, w))
+
+
 def _entropic_weights(v, eps, rho, tol=1e-13, maxit=200):
     # Solves the stationarity system of prox_{g/rho} for the log-sum-exp g at
     # every row of the stack v: weights s_i satisfy eps*log(s_i) + s_i/rho =
     # v_i - theta with sum(s) = 1. Each s_i is a Wright-omega evaluation,
     # leaving a monotone 1-D root-find in the row's multiplier theta. The
     # weights do not change when v shifts by a constant; with max(v) shifted
-    # to 0, theta lies in [-1/rho, eps log n] however large |v| is, and so
-    # does the resolution its root-find needs. Entries whose shift overflows
-    # to -inf get weight wrightomega(-inf) = 0. The rows bracket and refine
+    # to 0, theta lies in [-1/rho, eps log n] however large |v| is: at -1/rho
+    # the max entry's weight is 1, at eps log n every weight is below 1/n.
+    # sum(s) - 1 is convex and decreasing in theta (omega is convex), so
+    # Newton from the bracket's lower end climbs to the root from below; the
+    # bracket, narrowed as theta moves, still safeguards it. Entries whose
+    # shift overflows to -inf get weight omega(-inf) = 0. The rows refine
     # their own theta in lock step, each leaving at its own stop test.
     with np.errstate(over="ignore"):
         base = (v - v.max(axis=1, keepdims=True)) / eps - np.log(eps * rho)
 
     def weights(rows, theta):
-        return eps * rho * wrightomega(base[rows] - theta[:, None] / eps)
-
-    def h(rows, theta):
-        return weights(rows, theta).sum(axis=1) - 1.0
+        return eps * rho * _wright_omega(base[rows] - theta[:, None] / eps)
 
     scale = max(1.0, eps, 1.0 / rho)
     rows = np.arange(v.shape[0])
-    lo, hi, step = np.zeros(rows.size), np.zeros(rows.size), np.full(rows.size, max(1.0, eps))
-    up = rows[h(rows, hi) > 0.0]
-    while up.size:
-        lo[up] = hi[up]
-        hi[up] += step[up]
-        step[up] *= 2.0
-        val = h(up, hi[up])
-        if (step[up] > 1e12 * scale).any():
-            raise NumericalError("entropic prox bracketing failed (upper)")
-        up = up[val > 0.0]
-    down = rows[hi == lo]
-    step[down] = max(1.0, eps)
-    while down.size:
-        down = down[h(down, lo[down]) <= 0.0]
-        hi[down] = lo[down]
-        lo[down] -= step[down]
-        step[down] *= 2.0
-        if (step[down] > 1e12 * scale).any():
-            raise NumericalError("entropic prox bracketing failed (lower)")
-    theta = 0.5 * (lo + hi)
+    lo, hi = np.full(rows.size, -1.0 / rho), np.full(rows.size, eps * np.log(v.shape[1]))
+    theta = lo.copy()
     out = np.empty_like(base)
     live = rows
     for _ in range(maxit):
@@ -226,7 +236,8 @@ def _entropic_weights(v, eps, rho, tol=1e-13, maxit=200):
         new[newton] = th[newton] - val[newton] / deriv[newton]
         new = np.where((lo[live] < new) & (new < hi[live]), new, mid)
         fin = np.abs(new - th) <= 1e-16 * scale
-        out[live[fin]] = weights(live[fin], new[fin])
+        if fin.any():
+            out[live[fin]] = weights(live[fin], new[fin])
         theta[live] = new
         live = live[~fin]
     if live.size:

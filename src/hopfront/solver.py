@@ -25,9 +25,9 @@ batched objective, Jacobian and projection call per step; a row leaves a
 level when it stops there. The batch reports its inner work
 (``BatchResult``). Each row does exactly the arithmetic of a lone solve, so
 its result does not depend on the batch. Rows next to the same active
-constraints take their two-metric step as one stack. The Cholesky solves
-of more than one unknown (LAPACK, whose rounding no stacked form
-reproduces) and the multiplier estimates go row by row.
+constraints take their two-metric step as one stack. Linear systems are
+solved as one stack (``spd_solve``), and the multiplier estimates of rows
+whose active constraints are orthogonal, as on a box, in closed form.
 
 Each point is evaluated once (``evaluate``): the merit, the multipliers, the
 stop test, the next dual step and the next inner solve all read that
@@ -36,11 +36,10 @@ record, and the inner solve returns its last point's record.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import nnls
 
 from .core import (
     CertificationError,
@@ -215,27 +214,26 @@ def preconditioner(J, params, Jk=None):
 
 
 def spd_solve(B, r):
-    # The LAPACK pair behind cho_factor/cho_solve, called directly: for the
-    # small systems solved here, the wrappers' argument checks cost several
-    # times the factorization. A non-finite B or r shows up in the solution.
-    # A stack goes row by row: no stacked factorization has LAPACK's rounding,
-    # except for 1 x 1 systems, solved at once with dpotrf/dpotrs's arithmetic
-    # (l = sqrt(a), then one multiply by 1/l per triangular solve).
+    """x with B x = r for a symmetric positive definite B ``(d, d)``, or row by
+    row on a stack ``(n, d, d)``; NumericalError when a B is not positive
+    definite or the solution is not finite."""
+    # 1 x 1 systems in closed form (l = sqrt(a), then one multiply by 1/l per
+    # triangular solve). Larger ones: a Cholesky factorization rejects an
+    # indefinite B, then LAPACK's LU solve, which takes a stack in one call
+    # and solves each of its rows exactly as it solves that row alone.
     if B.shape[-1] == 1:
         if not (B > 0.0).all():
             raise NumericalError("preconditioner factorization failed (info=1)")
         inv = 1.0 / np.sqrt(B[..., 0])
         x = r * inv * inv
-        if not np.isfinite(x).all():
-            raise NumericalError("preconditioner factorization failed (info=0)")
-        return x
-    if B.ndim == 3:
-        return np.array([spd_solve(b, x) for b, x in zip(B, r)]).reshape(r.shape)
-    c, info = dpotrf(B, lower=1, clean=0)
-    if info == 0:
-        x, info = dpotrs(c, r, lower=1)
-    if info != 0 or not np.isfinite(x).all():
-        raise NumericalError(f"preconditioner factorization failed (info={info})")
+    else:
+        try:
+            np.linalg.cholesky(B)
+        except np.linalg.LinAlgError:
+            raise NumericalError("preconditioner factorization failed (not positive definite)") from None
+        x = np.linalg.solve(B, r[..., None])[..., 0]
+    if not np.isfinite(x).all():
+        raise NumericalError("preconditioner factorization failed (non-finite solution)")
     return x
 
 
@@ -262,15 +260,61 @@ def multiplier_estimate(pt, pi, params):
     Exact projection zeroes the ascent signal on active constraints, so the
     multipliers are recovered from stationarity instead: minimize
     ||Jac[k]_A^T nu - F|| over nu >= 0 supported on the active set A.
+    Where the active rows a_j are pairwise orthogonal or opposite (a box,
+    any one active constraint) the minimizer is max(0, a_j . F) / |a_j|^2
+    for every row of the stack at once; other rows take ``_nnls_subsets``.
     """
+    if pt.kv.ndim == 1:  # a point is the stack of one
+        stack = Evaluation(pt.u[None], pt.ell[None], pt.J[None], pt.kv[None], pt.k)
+        return multiplier_estimate(stack, np.asarray(pi, dtype=float)[None], params)[0]
     nu = np.zeros(pt.kv.shape)
     active = pt.kv <= _ACTIVE_THRESHOLD
-    pi = np.asarray(pi, dtype=float)
-    for i in _rows(active.any(axis=-1)):
-        on = np.flatnonzero(active[i])
-        F = stationarity_residual(pt.J[i], pt.u[i], pi[i], params)
-        nu[i][on] = nnls(pt.jk(i)[on].T, F)[0]
+    rows = np.flatnonzero(active.any(axis=1))
+    if not rows.size:
+        return nu
+    cols = np.flatnonzero(active[rows].any(axis=0))  # the constraints some row needs
+    on = active[np.ix_(rows, cols)]
+    # a shared Jacobian (p, d) stays one matrix, so its Gram matrix is one
+    # too; b and |a_j|^2 are row-wise dots, so a row's multipliers do not
+    # depend on the other rows of the stack
+    Jk = pt.k.jacobian_batch(pt.u[rows])[..., cols, :]
+    F = stationarity_residual(pt.J[rows], pt.u[rows], np.asarray(pi, dtype=float)[rows], params)
+    b, aa = _dot(Jk, F[:, None, :]), _dot(Jk, Jk)
+    x = np.divide(np.maximum(b, 0.0), aa, out=np.zeros_like(b), where=on & (aa > 0.0))
+    # the closed form is exact where every pair of active rows is orthogonal
+    # or opposite; a row with an active pair of another kind is re-solved
+    G, norm = np.matmul(Jk, np.swapaxes(Jk, -1, -2)), np.sqrt(aa)
+    apart = (G == 0.0) | (G == -norm[..., :, None] * norm[..., None, :]) | np.eye(cols.size, dtype=bool)
+    if not apart.all():
+        tangled = (on[:, :, None] & on[:, None, :] & ~apart).any(axis=(1, 2))
+        for group in _mask_groups(on, np.flatnonzero(tangled)):
+            c = np.flatnonzero(on[group[0]])
+            Gg = np.broadcast_to(G, (rows.size,) + G.shape[-2:])[group]  # one matrix per row
+            x[np.ix_(group, c)] = _nnls_subsets(Gg[:, c[:, None], c], b[np.ix_(group, c)])
+    nu[np.ix_(rows, cols)] = x
     return nu
+
+
+def _nnls_subsets(G, b):
+    # min ||A x - F|| over x >= 0 at every row of a stack that shares the
+    # columns of A, from the Gram matrices G = A^T A and b = A^T F. The
+    # optimum is the unconstrained minimizer on its own support, and there
+    # ||A x - F||^2 = |F|^2 - x . b, so it is the nonnegative subset solution
+    # with the largest x . b (Lawson & Hanson, Solving Least Squares
+    # Problems, 1974, ch. 23). Enumerating the 2^p - 1 supports is exact and
+    # meant for the few non-orthogonal active constraints of one point (two
+    # at ex1's corners); pinv keeps a rank-deficient support a candidate.
+    n, p = b.shape
+    x, gain = np.zeros((n, p)), np.zeros(n)
+    for size in range(1, p + 1):
+        for S in map(list, combinations(range(p), size)):
+            xs = _mv(np.linalg.pinv(G[:, S][:, :, S]), b[:, S])
+            xb = _dot(xs, b[:, S])
+            best = (xs >= 0.0).all(axis=1) & (xb > gain)
+            x[best] = 0.0
+            x[np.ix_(best, S)] = xs[best]
+            gain[best] = xb[best]
+    return x
 
 
 def _null_basis(A):
@@ -297,17 +341,24 @@ def _direction(k, pt, gvec, params):
     out = np.empty_like(gvec)
     if near.size < len(gvec):
         out[~is_near] = spd_solve(B[~is_near], gvec[~is_near])
-    if k.tangent_basis is None or near.size < 2:
+    if k.tangent_basis is None:
         groups = [near[i:i + 1] for i in range(near.size)]  # a null basis has its row's own rank
     else:
-        # the rows sorted by their packed mask, cut where it changes
-        keys = np.packbits(active[near], axis=1)
-        order = np.lexsort(keys.T[::-1])
-        keys, near = keys[order], near[order]
-        groups = np.split(near, np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1)
+        groups = _mask_groups(active, near)
     for rows in groups:
         out[rows] = _two_metric_step(k, pt.u[rows], B[rows], gvec[rows], active[rows[0]])
     return out
+
+
+def _mask_groups(masks, rows):
+    # the given rows of a stack of boolean masks, sorted by their packed
+    # mask and cut where it changes: the groups of rows that share one mask
+    if rows.size < 2:
+        return [rows] if rows.size else []
+    keys = np.packbits(masks[rows], axis=1)
+    order = np.lexsort(keys.T[::-1])
+    keys, rows = keys[order], rows[order]
+    return np.split(rows, np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1)
 
 
 def _two_metric_step(k, u, B, gvec, mask):
@@ -315,11 +366,13 @@ def _two_metric_step(k, u, B, gvec, mask):
     # and gradients gvec, all next to the constraints of one active mask.
     # Jk and Q may be one matrix shared by every row; the products broadcast
     Jk = k.jacobian_batch(u)[..., mask, :]
-    B += np.matmul(np.swapaxes(Jk, -1, -2), Jk)  # B is the caller's copy
-    trace = np.trace(B, axis1=-2, axis2=-1)[:, None]
     Q = k.tangent_batch(u, mask) if k.tangent_basis is not None else _null_basis(Jk.reshape(-1, *Jk.shape[-2:])[0])
     if Q.shape[-1] == 0:
-        return gvec / trace
+        # only the trace of B + Jk^T Jk is read
+        trace = np.trace(B, axis1=-2, axis2=-1) + (Jk**2).sum(axis=(-2, -1))
+        return gvec / trace[:, None]
+    B += np.matmul(np.swapaxes(Jk, -1, -2), Jk)  # B is the caller's copy
+    trace = np.trace(B, axis1=-2, axis2=-1)[:, None]
     Qg = _tmv(Q, gvec)
     y = spd_solve(np.matmul(np.matmul(np.swapaxes(Q, -1, -2), B), Q), Qg)
     return _mv(Q, y) + (gvec - _mv(Q, Qg)) / trace

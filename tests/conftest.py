@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -120,8 +122,8 @@ def rowwise_direction(k, pt, gvec, params):
         Jk_a = pt.jk(i)[active[i]]
         Bi = B[i] + Jk_a.T @ Jk_a
         Q = k.tangent_basis(pt.u[i], active[i]) if k.tangent_basis is not None else _null_basis(Jk_a)
-        if Q.size == 0:
-            out[i] = gi / Bi.trace()
+        if Q.size == 0:  # the trace of B + Jk^T Jk, summed by parts
+            out[i] = gi / (B[i].trace() + (Jk_a**2).sum())
         else:
             out[i] = Q @ spd_solve(Q.T @ Bi @ Q, Q.T @ gi) + (gi - Q @ (Q.T @ gi)) / Bi.trace()
     return out
@@ -129,35 +131,20 @@ def rowwise_direction(k, pt, gvec, params):
 
 def scalar_entropic_weights(v, eps, rho, tol=1e-13, maxit=200):
     """One row's weights of the entropic conjugate prox, by the scalar
-    bracketing and safeguarded Newton root-find on its multiplier theta; the
-    reference the library's lock-step stacked root-find is checked against."""
-    from scipy.special import wrightomega
+    safeguarded Newton root-find on its multiplier theta in the bracket
+    [-1/rho, eps log n], from its lower end; the reference the library's
+    lock-step stacked root-find is checked against."""
+    from hopfront.core import _wright_omega
 
     with np.errstate(over="ignore"):
         base = (v - v.max()) / eps - np.log(eps * rho)
 
     def weights(theta):
-        return eps * rho * wrightomega(base - theta / eps)
-
-    def h(theta):
-        return float(np.sum(weights(theta))) - 1.0
+        return eps * rho * _wright_omega(base - theta / eps)
 
     scale = max(1.0, eps, 1.0 / rho)
-    step = max(1.0, eps)
-    lo = hi = 0.0
-    val = h(0.0)
-    while val > 0.0:
-        lo = hi
-        hi += step
-        step *= 2.0
-        val = h(hi)
-    if hi == lo:
-        step = max(1.0, eps)
-        while h(lo) <= 0.0:
-            hi = lo
-            lo -= step
-            step *= 2.0
-    theta = 0.5 * (lo + hi)
+    lo, hi = -1.0 / rho, eps * np.log(v.size)
+    theta = lo
     for _ in range(maxit):
         s = weights(theta)
         val = float(np.sum(s)) - 1.0
@@ -176,6 +163,59 @@ def scalar_entropic_weights(v, eps, rho, tol=1e-13, maxit=200):
             return weights(theta_new)
         theta = theta_new
     raise AssertionError("reference root-find did not converge")
+
+
+def _pointwise_parabola_root(a, b):
+    # Cardano or the trigonometric form in scalar math, the closest real
+    # root, then Newton to the library's tolerance.
+    from hopfront.constrained import _NEWTON_TOL
+
+    p, q = (1.0 - 2.0 * b) / 2.0, -a / 2.0
+    disc = 0.25 * q * q + (p / 3.0) ** 3
+    if disc > 0.0:
+        sq = math.sqrt(disc)
+        roots = [math.copysign(abs(v) ** (1.0 / 3.0), v) for v in (-0.5 * q + sq, -0.5 * q - sq)]
+        roots = [roots[0] + roots[1]]
+    elif p == 0.0:
+        roots = [0.0]
+    else:
+        m = 2.0 * math.sqrt(-p / 3.0)
+        ang = math.acos(min(1.0, max(-1.0, -4.0 * q / (m * m * m))))
+        roots = [m * math.cos((ang + 2.0 * math.pi * k) / 3.0) for k in range(3)]
+    x = min(roots, key=lambda t: (t - a) ** 2 + (t * t - b) ** 2)
+    for _ in range(60):
+        psi = 2.0 * x * x * x + (1.0 - 2.0 * b) * x - a
+        if abs(psi) <= _NEWTON_TOL:
+            return x
+        dpsi = 6.0 * x * x + (1.0 - 2.0 * b)
+        assert dpsi > 0.0, "reference root-find stalled"
+        x -= psi / dpsi
+    raise AssertionError("reference root-find did not converge")
+
+
+def pointwise_epigraph_halfspace(u):
+    """Projection of one point onto {u2 >= u1^2} intersect {u1 + 2 u2 <= 3}
+    in scalar arithmetic: the parabola projection if it lands in the
+    halfspace, else the halfspace projection put on the edge if it lands in
+    the epigraph, else the nearer vertex; the reference the library's
+    stacked projection is checked against."""
+    a, b = float(u[0]), float(u[1])
+    if b >= a * a and a + 2.0 * b <= 3.0:
+        return np.array([a, b])
+    if b < a * a:
+        x = _pointwise_parabola_root(a, b)
+        p = np.array([x, x * x])
+    else:
+        p = np.array([a, b])
+    if p[0] + 2.0 * p[1] <= 3.0:
+        return p
+    if a + 2.0 * b > 3.0:
+        h1 = b - 2.0 * ((a + 2.0 * b - 3.0) / 5.0)
+        h0 = 3.0 - 2.0 * h1
+        if h1 >= h0 * h0:
+            return np.array([h0, h1])
+    vertices = np.array([[1.0, 1.0], [-1.5, 2.25]])
+    return vertices[int(np.argmin(((vertices - (a, b)) ** 2).sum(axis=1)))].copy()
 
 
 @pytest.fixture

@@ -1,7 +1,10 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,3 +323,23 @@ class TestCheckCommand:
         monkeypatch.setenv("NO_COLOR", "1")
         run(["check"])
         assert "\x1b[" not in capsys.readouterr().out
+
+
+class TestNumpyOnlyRuntime:
+    def test_cli_runs_load_no_scipy(self, tmp_path):
+        # a fresh interpreter, so no other test's import of scipy counts
+        script = "\n".join([
+            "import sys",
+            "import hopfront",
+            "from hopfront import cli",
+            f"argv = ['sweep', '--problem', 'ex1', '--compare', '--n', '3', '--mc', '500', '--out', {str(tmp_path)!r}]",
+            "assert cli.main(argv) == 0",
+            "assert cli.main(['check']) == 0",
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        ])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=300, check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "front.csv").is_file()

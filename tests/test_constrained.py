@@ -205,6 +205,18 @@ class TestProjections:
         assert stacked.shape == (300, 2)
         assert np.array_equal(stacked, np.stack([project_epigraph_halfspace(p) for p in points]))
 
+    def test_stack_matches_pointwise_reference(self, rng):
+        from conftest import pointwise_epigraph_halfspace
+
+        points = np.concatenate([rng.uniform(-6, 6, size=(50_000, 2)),
+                                 rng.normal(scale=[1.0, 2.0], size=(30_000, 2)),
+                                 10.0 ** rng.uniform(-3, 3, size=(20_000, 1)) * rng.normal(size=(20_000, 2))])
+        stacked = project_epigraph_halfspace(points)
+        ref = np.stack([pointwise_epigraph_halfspace(p) for p in points])
+        assert (np.abs(stacked - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref))).all()
+        assert example1().constraints.value_batch(stacked).min() >= 0.0
+        assert np.array_equal(project_epigraph_halfspace(stacked), stacked)
+
     @settings(derandomize=True, deadline=None, database=None)
     @given(u=ex1_plane_points())
     def test_exact_projection_properties(self, u):
@@ -234,6 +246,85 @@ class TestMultiplierEstimate:
         assert nu[0] == pytest.approx(max(F[0], 0.0))   # lower face row is +e_0
         assert nu[3 + 2] == pytest.approx(max(-F[2], 0.0))  # upper face row is -e_2
         assert np.all(nu >= 0)
+
+
+def nnls_reference(pt, pi, params):
+    """The multipliers by scipy's NNLS, row by row over each row's nearly
+    active constraints."""
+    from scipy.optimize import nnls
+
+    from hopfront.solver import _ACTIVE_THRESHOLD
+
+    nu = np.zeros(pt.kv.shape)
+    for i in np.flatnonzero((pt.kv <= _ACTIVE_THRESHOLD).any(axis=1)):
+        on = np.flatnonzero(pt.kv[i] <= _ACTIVE_THRESHOLD)
+        F = stationarity_residual(pt.J[i], pt.u[i], pi[i], params)
+        nu[i, on] = nnls(pt.jk(i)[on].T, F)[0]
+    return nu
+
+
+class TestMultiplierNNLS:
+    """The numpy multiplier estimate against scipy's NNLS: closed form for
+    orthogonal or opposite active rows, supports enumerated otherwise."""
+
+    @staticmethod
+    def assert_matches_nnls(f, k, U, rng):
+        n = U.shape[0]
+        params = HopfLaxParams(rng.normal(size=f.dim_u), rng.normal(scale=3.0, size=(n, f.dim_obj)),
+                               1.0, 0.5, 0.1)
+        PI = rng.dirichlet(np.ones(f.dim_obj), size=n)
+        pts = evaluate(f, k, U)
+        nu, ref = multiplier_estimate(pts, PI, params), nnls_reference(pts, PI, params)
+        assert (np.abs(nu - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))).all()
+        return pts, nu
+
+    def test_box_stacks(self, rng):
+        d = 4
+        lo, hi = -np.ones(d), np.ones(d)
+        hi[1] = lo[1] + 5e-4  # both faces of this coordinate are always nearly active
+        k = box_constraints(lo, hi)
+        A = rng.normal(size=(2, d))
+        f = VectorObjective(d, 2, lambda u: u @ A.T + 0.1 * (u**2).sum(axis=-1, keepdims=True),
+                            lambda u: A + 0.2 * u[..., None, :], batched=True)
+        U = rng.uniform(lo, hi, size=(400, d))
+        faces = rng.random(size=U.shape) < 0.4
+        U[faces] = np.where(rng.random(size=U.shape) < 0.5, lo, hi)[faces]
+        near = rng.random(size=U.shape) < 0.2
+        U[near] = (lo + 1e-4 * rng.random(size=U.shape))[near]
+        pts, nu = self.assert_matches_nnls(f, k, k.project(U), rng)
+        assert nu[:, 1].any() or nu[:, d + 1].any()
+
+    def test_ex1_at_and_near_the_corners(self, rng):
+        prob = example1()
+        vertices = np.array([[1.0, 1.0], [-1.5, 2.25]])
+        U = np.repeat(vertices, 150, axis=0)
+        U[2::3] += rng.normal(scale=2e-4, size=U[2::3].shape)  # the rest sit on the vertices
+        U = prob.constraints.project(U)
+        pts, nu = self.assert_matches_nnls(prob.objective, prob.constraints, U, rng)
+        both = (pts.kv <= 1e-3).all(axis=1)
+        assert both.sum() >= 200 and (nu[both] > 0.0).any()
+
+    def test_single_active_rows(self, rng):
+        prob = example1()
+        a = rng.uniform(-1.4, 0.9, size=200)
+        U = np.concatenate([np.stack([a, a * a], axis=1), np.stack([a, (3.0 - a) / 2.0], axis=1)])
+        U = U[(prob.constraints.value_batch(U) >= 0.0).all(axis=1)]
+        pts, _ = self.assert_matches_nnls(prob.objective, prob.constraints, U, rng)
+        assert ((pts.kv <= 1e-3).sum(axis=1) == 1).all()
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_supports_against_nnls(self, p, rng):
+        from scipy.optimize import nnls
+
+        from hopfront.solver import _nnls_subsets
+
+        A = rng.normal(size=(300, 4, p))
+        A[:100, :, 1] = A[:100, :, 0] * rng.uniform(-1.0, 1.0, size=(100, 1)) + 0.1 * A[:100, :, 1]
+        F = rng.normal(size=(300, 4))
+        x = _nnls_subsets(np.matmul(np.swapaxes(A, 1, 2), A), np.matmul(np.swapaxes(A, 1, 2), F[..., None])[..., 0])
+        for xi, Ai, Fi in zip(x, A, F):
+            ref = nnls(Ai, Fi)[0]
+            assert np.abs(xi - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 class TestMeritPsiK:

@@ -204,6 +204,29 @@ class TestProxCalculus:
         assert np.allclose(p, [0.5, 0.5, 0.0], atol=1e-9)
 
 
+class TestWrightOmega:
+    """The numpy Wright omega behind the soft-max prox, against scipy's."""
+
+    def test_matches_scipy(self):
+        from scipy.special import wrightomega
+
+        from hopfront.core import _wright_omega
+
+        branch = np.array([-2.0, 1.0, -50.0, 1e20])
+        near = np.concatenate([branch, np.nextafter(branch, -np.inf), np.nextafter(branch, np.inf),
+                               (branch[:, None] * (1.0 + np.array([-1e-12, 1e-12]))).ravel()])
+        x = np.concatenate([-np.logspace(3, -12, 4000), [0.0], np.logspace(-12, 20, 8000), near])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = _wright_omega(x)
+            edge = _wright_omega(np.array([-np.inf, np.inf]))
+        ref = wrightomega(x)
+        assert np.array_equal(w[ref == 0.0], ref[ref == 0.0])  # exp(x) underflows below -745
+        pos = ref > 0.0
+        assert (np.abs(w[pos] - ref[pos]) <= 1e-15 * ref[pos]).all()
+        assert edge[0] == 0.0 and edge[1] == np.inf
+
+
 class TestStackedKernels:
     """Every stacked scalarizer kernel equals its per-row form bit for bit."""
 
