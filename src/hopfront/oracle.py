@@ -3,9 +3,10 @@
 Grid / Monte Carlo sampling, nondominated filtering, weighted-sum envelope
 baselines, and set distances. These are the validation oracles the solver
 results are checked against, so everything here is deliberately simple and
-deterministic. The envelope runs its projected-gradient descents, one per
-weight and start, in lock step as one batch: each row keeps its own step
-and stopping test, and leaves the batch when it stops.
+deterministic. The N > 2 filter screens with the front of a subsample and
+compares one objective at a time. The envelope runs its projected-gradient
+descents, one per weight and start, in lock step as one batch: each row
+keeps its own step and stopping test, and leaves the batch when it stops.
 """
 from __future__ import annotations
 
@@ -31,6 +32,8 @@ class SampleCloud:
 
 
 _BLOCK = 64  # points compared per vectorised step of the N != 2 filter
+_SCREEN = 256  # subsample size of the N != 2 filter's screen, used from 2 * _SCREEN points
+_PLANE = 1 << 18  # bytes per boolean plane of the screen
 _ENVELOPE_STARTS = 16  # descents per envelope weight, from its best cloud points
 
 
@@ -53,23 +56,38 @@ def _dominated_mask_2d(P, strong):
     return mask
 
 
+def _dominated_by(C, Xt, strong):
+    # Whether a row of C dominates each column (point) of Xt, plane by plane.
+    merge = np.logical_or if strong else np.logical_and
+    le, lt = C[:, 0, None] <= Xt[0], C[:, 0, None] < Xt[0]
+    for j in range(1, Xt.shape[0]):
+        le &= C[:, j, None] <= Xt[j]
+        merge(lt, C[:, j, None] < Xt[j], out=lt)
+    return (le & lt if strong else lt).any(axis=0)
+
+
 def _dominated_mask_sorted(P, strong):
+    n, Pt = P.shape[0], np.ascontiguousarray(P.T)
+    dominated = np.zeros(n, dtype=bool)
+    if n >= 2 * _SCREEN:
+        # Screen: drop what the front of a strided subsample dominates. This
+        # is exact by transitivity: a survivor's dominators are survivors.
+        sub = P[:: n // _SCREEN]
+        front = sub[~_dominated_mask_sorted(sub, strong)]
+        step = _PLANE // len(front) + 1
+        for start in range(0, n, step):
+            dominated[start : start + step] = _dominated_by(front, Pt[:, start : start + step], strong)
+    alive = np.flatnonzero(~dominated)
     # A dominator sorts lexicographically before what it dominates (it is
     # smaller where they first differ). By transitivity a dominated point is
     # then dominated by an earlier kept point or one in its own block, so each
     # block is compared with the kept set and itself: O(n log n + n k N).
-    order = np.lexsort(P.T[::-1])
-    dominated = np.empty(P.shape[0], dtype=bool)
+    order = alive[np.lexsort(Pt[::-1, alive])]
     kept = P[:0]
     for start in range(0, len(order), _BLOCK):
         idx = order[start : start + _BLOCK]
         block = P[idx]
-        C = np.concatenate([kept, block])[:, None, :]  # (k + b, 1, N) against (b, N)
-        if strong:
-            dom = np.all(C <= block, axis=2) & np.any(C < block, axis=2)
-        else:
-            dom = np.all(C < block, axis=2)
-        dominated[idx] = dom.any(axis=0)
+        dominated[idx] = _dominated_by(np.concatenate([kept, block]), Pt[:, idx], strong)
         kept = np.concatenate([kept, block[~dominated[idx]]])
     return dominated
 

@@ -45,6 +45,7 @@ from .core import (
     CertificationError,
     HopfLaxParams,
     NumericalError,
+    SoftMax,
     as_vector,
 )
 
@@ -66,6 +67,8 @@ _LS_BETA = 0.5  # after a failed Armijo trial, the next step is at most this sha
 _LS_FLOOR = 0.1  # and at least this share; a warm start grows by 1 / _LS_BETA
 _LS_C1 = 1e-4  # Armijo sufficient-decrease constant
 _MAXIT_POLISH = 10  # LM polish steps after an unconstrained inner solve
+_CERT_CHUNK = 1024  # cloud rows per screening product in _cloud_minima: 1024 x samples doubles
+_CERT_FLOOR = 1e-150  # smallest screened exp factor; the product of two stays a normal number
 
 
 @dataclass(frozen=True)
@@ -653,21 +656,56 @@ def solve_batch(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None) 
     return run_primal_dual(f, g, k, params, cfg, U, np.tile(pi, (n, 1)))
 
 
-def gap_and_bound(f, g, result, params, cloud):
-    """Duality-gap sample and its admissible upper bound.
+def _cloud_minima(g, Y, E):
+    """float(np.min(g.value_batch(Y + E_i))) for every row E_i of ``E``.
 
-    gap = g(ell(u*) + E) - min over the cloud of g(ell(u) + E); the bound is
-    the Bregman divergence between u* and the regularizer's dual point p/mu.
-    The gap reads ell(u*) from ``result.objectives`` (``f`` is not called);
-    the bound reads ``result.u_star`` and ``result.p_bar``.
+    For ``SoftMax`` only candidate rows take that formula, which leaves each
+    minimum bit for bit the same. With A = exp(Y/eps - max Y/eps) and
+    B_i = exp(E_i/eps - max E_i/eps), S_ri = A_r . B_i is exp(v_ri/eps) times
+    a constant, for the exact soft max v_ri of Y_r + E_i. Let u = 2^-53 and
+    M_i = (max|Y| + max|E_i|)/eps. In log S the screen errs by at most
+    d_S = u (3 M_i + N + 4): 3 u M_i in the exp arguments, 2 u in each exp,
+    u in the products and (N - 1) u in the positive sum. In v/eps the direct
+    formula errs by at most d_V = u (6 M_i + 4 N + 1), the |m_hat|/eps scale:
+    rounding (Y + E_i)/eps and its shift move the 1-Lipschitz log-sum-exp by
+    4 u M_i, exp, sum and log add (N + 1 + log N) u, and m + log and * eps
+    2 u (M_i + log N). A row attaining the direct minimum thus has
+    S_r <= S_min exp(2 d_S + 2 d_V), and the candidates are the rows with
+    S_r <= S_min (1 + 2 margin), margin = 64 u (M_i + N + 1). S is taken in
+    row chunks, for each column's minimum and then for its candidates. The
+    bound needs normal numbers, so a column with an entry of A or B_i below
+    _CERT_FLOOR, like any other g, takes the whole cloud.
     """
-    E = result.E_bar
-    value_at_star = g.value(result.objectives + E)
-    m_hat = float(np.min(g.value_batch(cloud.points_obj + E)))
-    gap = value_at_star - m_hat
+    cand = {}
+    if isinstance(g, SoftMax) and len(Y):
+        with np.errstate(over="ignore", invalid="ignore"):
+            A, zE = Y / g.eps, E / g.eps  # A is the one cloud-sized array
+            np.exp(np.subtract(A, A.max(), out=A), out=A)
+            B = np.exp(zE - zE.max(axis=1, keepdims=True))
+            margin = 64 * 2.0**-53 * ((max(Y.max(), -Y.min()) + np.abs(E).max(axis=1)) / g.eps + Y.shape[1] + 1)
+        cols = np.flatnonzero((B.min(axis=1) >= _CERT_FLOOR) & (A.min() >= _CERT_FLOOR))
+        starts, Bt = range(0, len(Y), _CERT_CHUNK), B[cols].T
+        if cols.size:
+            s_min = np.min([(A[s : s + _CERT_CHUNK] @ Bt).min(axis=0) for s in starts], axis=0)
+            for s in starts:
+                for r, k in zip(*np.nonzero(A[s : s + _CERT_CHUNK] @ Bt <= s_min * (1 + 2 * margin[cols]))):
+                    cand.setdefault(int(cols[k]), []).append(s + r)
+    return [float(np.min(g.value_batch((Y[cand[i]] if i in cand else Y) + e))) for i, e in enumerate(E)]
+
+
+def gap_certificates(g, results, params, cloud):
+    """(gap, bound) per result: gap = g(ell(u*) + E) - min over the cloud of
+    g(ell(u) + E), with ell(u*) from ``result.objectives`` and the minima in
+    one ``_cloud_minima`` pass; bound = D_R(u*, p/mu) from ``u_star``, ``p_bar``."""
     R = params.regularizer()
-    bound = R.bregman(result.u_star, R.conjugate_gradient(result.p_bar))
-    return gap, bound
+    E = np.reshape([r.E_bar for r in results], (len(results), cloud.points_obj.shape[1]))
+    return [(g.value(r.objectives + r.E_bar) - m, R.bregman(r.u_star, R.conjugate_gradient(r.p_bar)))
+            for r, m in zip(results, _cloud_minima(g, cloud.points_obj, E))]
+
+
+def gap_and_bound(f, g, result, params, cloud):
+    """``gap_certificates`` of one result (``f`` is not called)."""
+    return gap_certificates(g, [result], params, cloud)[0]
 
 
 def certify_gap(f, g, result, params, cloud, tol=1e-6) -> float:

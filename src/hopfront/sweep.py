@@ -5,8 +5,8 @@ curves of converged points. Each tau fixes one shifted scalarization, so every
 sample is an independent solve from the default start: no sample depends on
 its neighbor, and identical inputs give identical fronts. All samples run as
 one lock-step batch (``solve_batch``), and each equals a lone ``solve`` at its
-tau bit for bit. Gap certificates are a separate pass over the converged
-samples.
+tau bit for bit. Gap certificates are one separate pass over the converged
+samples (``gap_certificates``), which screens the cloud for all of them.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from .core import HopfLaxParams, as_vector
-from .solver import SolverConfig, gap_and_bound, solve_batch
+from .solver import SolverConfig, gap_certificates, solve_batch
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,8 +112,8 @@ def sweep(
                                          res.E_bar, residual, res.iterations, res.converged))
     solved = time.perf_counter()
     if reference is not None:
-        for s, res in zip(front.samples, results):
-            if res.converged:
-                s.gap, s.bregman_bound = gap_and_bound(problem.objective, g, res, params, reference)
+        done = [i for i, res in enumerate(results) if res.converged]
+        for i, cert in zip(done, gap_certificates(g, [results[i] for i in done], params, reference)):
+            front.samples[i].gap, front.samples[i].bregman_bound = cert
     front.timings = {"solves": solved - start, "certificates": time.perf_counter() - solved}
     return front

@@ -123,6 +123,43 @@ def tie_heavy_clouds(draw):
     return draw(arrays(np.float64, (n, n_obj), elements=st.integers(-2, 2).map(float)))
 
 
+@st.composite
+def screened_clouds(draw):
+    # past the filter's subsample screen (512 points): integer coordinates
+    # on a few levels, so that ties and duplicates occur
+    n, n_obj, levels = draw(st.integers(600, 3000)), draw(st.integers(3, 8)), draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(0, levels, (n, n_obj)).astype(float)
+
+
+EDGE_CASES = [
+    # the two rows' float sums tie although the second dominates the first
+    [[1e16, 1.0, 0.0], [1e16, 0.0, 0.0]],
+    [[1e16, 0.0, 0.0], [1e16, 1.0, 0.0]],
+    [[1e16, 1.0, 1.0], [1e16, 0.0, 0.0], [0.0, 1e16, 0.0]],
+    [[3.0], [1.0], [2.0], [1.0]],
+    [[0.5, 0.5, 0.5]],
+    [[2.0, 1.0, 0.0]] * 70,
+    [[1.0, 2.0]] * 5,
+    [[-0.0, 1.0, 0.0], [0.0, 1.0, -0.0], [0.0, 1.0, 1.0]],
+    [[-0.0, 1.0], [0.0, 1.0], [0.0, 2.0], [1.0, -0.0]],
+]
+EDGE_IDS = ["sum-tie", "sum-tie-reversed", "sum-tie-three", "one-objective", "one-point",
+            "duplicates-3d", "duplicates-2d", "signed-zero-3d", "signed-zero-2d"]
+
+
+def padded(points):
+    # the points ahead of and behind 600 rows that never dominate them, so
+    # that the filter's screen and block pass both meet them: rows above
+    # every point (half of them) and rows below in one objective only
+    P = np.asarray(points, dtype=float)
+    n_obj, hi = P.shape[1], 2 * np.abs(P).max() + 1
+    pad = hi + np.random.default_rng(0).integers(0, 3, size=(600, n_obj))
+    if n_obj > 1:
+        pad[np.arange(300, 600), np.arange(300) % n_obj] = -hi
+    return np.concatenate([P, pad, P])
+
+
 class TestNondominatedMask:
     @pytest.mark.parametrize("mode", ["strong", "weak"])
     def test_ex3b_cloud_matches_all_pairs(self, mode):
@@ -130,21 +167,15 @@ class TestNondominatedMask:
         assert np.array_equal(nondominated_mask(P, mode), all_pairs_filter(P, mode))
 
     @pytest.mark.parametrize("mode", ["strong", "weak"])
-    @pytest.mark.parametrize("points", [
-        # the two rows' float sums tie although the second dominates the first
-        [[1e16, 1.0, 0.0], [1e16, 0.0, 0.0]],
-        [[1e16, 0.0, 0.0], [1e16, 1.0, 0.0]],
-        [[1e16, 1.0, 1.0], [1e16, 0.0, 0.0], [0.0, 1e16, 0.0]],
-        [[3.0], [1.0], [2.0], [1.0]],
-        [[0.5, 0.5, 0.5]],
-        [[2.0, 1.0, 0.0]] * 70,
-        [[1.0, 2.0]] * 5,
-        [[-0.0, 1.0, 0.0], [0.0, 1.0, -0.0], [0.0, 1.0, 1.0]],
-        [[-0.0, 1.0], [0.0, 1.0], [0.0, 2.0], [1.0, -0.0]],
-    ], ids=["sum-tie", "sum-tie-reversed", "sum-tie-three", "one-objective", "one-point",
-            "duplicates-3d", "duplicates-2d", "signed-zero-3d", "signed-zero-2d"])
+    @pytest.mark.parametrize("points", EDGE_CASES, ids=EDGE_IDS)
     def test_edge_cases_match_all_pairs(self, points, mode):
         P = np.array(points)
+        assert np.array_equal(nondominated_mask(P, mode), all_pairs_filter(P, mode))
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    @pytest.mark.parametrize("points", EDGE_CASES, ids=EDGE_IDS)
+    def test_padded_edge_cases_match_all_pairs(self, points, mode):
+        P = padded(points)
         assert np.array_equal(nondominated_mask(P, mode), all_pairs_filter(P, mode))
 
     @pytest.mark.parametrize("mode", ["strong", "weak"])
@@ -167,6 +198,11 @@ class TestNondominatedMask:
     @given(P=tie_heavy_clouds(), mode=st.sampled_from(["strong", "weak"]))
     def test_exact_on_tie_heavy_clouds(self, P, mode):
         assert np.array_equal(nondominated_mask(P, mode), brute_force_filter(P, mode))
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=30)
+    @given(P=screened_clouds(), mode=st.sampled_from(["strong", "weak"]))
+    def test_exact_on_screened_clouds(self, P, mode):
+        assert np.array_equal(nondominated_mask(P, mode), all_pairs_filter(P, mode))
 
 
 class TestReferenceFront:

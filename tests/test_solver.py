@@ -8,9 +8,11 @@ from hopfront.core import (
     VectorObjective,
     WeightedSum,
 )
-from hopfront.oracle import SampleCloud
+from hopfront.oracle import SampleCloud, certification_cloud, greedy_pareto_filter
+from hopfront.problems import get_problem
 from hopfront.solver import (
     SolverConfig,
+    _cloud_minima,
     certify_gap,
     dual_update_pi,
     evaluate,
@@ -18,6 +20,7 @@ from hopfront.solver import (
     merit_psi,
     preconditioner,
     solve,
+    solve_batch,
     spd_solve,
     stationarity_residual,
 )
@@ -646,3 +649,70 @@ class TestCertifyGap:
         res = solve(f, g, params, SolverConfig(maxit_outer=1, eps=1e-16))
         with pytest.raises(ValueError):
             certify_gap(f, g, res, params, cloud)
+
+
+def direct_minima(g, Y, E):
+    return [float(np.min(g.value_batch(Y + e))) for e in E]
+
+
+def screened_minima(g, Y, E):
+    """``_cloud_minima`` and the row count of each ``g.value_batch`` call it made."""
+    rows, call = [], g.value_batch
+    g.value_batch = lambda Z: (rows.append(len(Z)), call(Z))[1]
+    try:
+        return _cloud_minima(g, Y, E), rows
+    finally:
+        del g.value_batch
+
+
+class TestCloudMinima:
+    @pytest.mark.parametrize("pid", ["ex1", "ex2b", "ex3b"])
+    def test_screen_equals_direct_on_certification_clouds(self, pid):
+        # the clouds and shifts of `hopfront sweep --compare --mc 10000`
+        prob = get_problem(pid)
+        cloud = certification_cloud(prob, mc=10000, seed=0)
+        if prob.objective.dim_obj == 2:
+            cloud = greedy_pareto_filter(cloud, mode="strong")
+        g = SoftMax(0.1, prob.objective.dim_obj)
+        tau = np.linspace(prob.tau_start, prob.tau_end, 100)
+        params = HopfLaxParams(x=prob.x, tau=tau, alpha=prob.alpha, c=prob.c, mu=prob.mu)
+        E = np.stack([r.E_bar for r in solve_batch(prob.objective, g, params, constraints=prob.constraints)])
+        Y = cloud.points_obj
+        minima, rows = screened_minima(g, Y, E)
+        assert minima == direct_minima(g, Y, E)
+        assert rows == [1] * 100  # every column was screened down to one row
+
+    def test_near_tie_and_duplicates_return_direct_minimum(self):
+        g = SoftMax(0.1, 3)
+        E = np.array([[0.37, -0.21, 0.05]])
+        a = np.array([100.12210840646743, 100.61510817729423, 100.40122430789297])
+        b = (a + E[0])[[2, 0, 1]] - E[0]  # the same shifted soft max in exact arithmetic
+        va, vb = g.value_batch(np.stack([a, b]) + E[0])
+        assert vb - va == np.spacing(va)  # one ulp apart as computed; the screen's S ranks b first
+        pad = a.max() - 0.01 * np.random.default_rng(0).random((500, 3))  # worse rows below max a
+        Y = np.concatenate([pad[:250], [b, a, b, a], pad[250:]])
+        minima, rows = screened_minima(g, Y, E)
+        assert minima == direct_minima(g, Y, E) == [va]
+        assert rows == [4]  # both tied rows and their duplicates, nothing else
+
+    def test_range_beyond_exponent_range_takes_direct_path(self):
+        rng = np.random.default_rng(1)
+        g = SoftMax(0.1, 3)
+        Y = rng.random((3000, 3))
+        E = rng.random((4, 3))
+        E[1, 2] = 100.0  # exp(-1000) underflows in B: this column takes the whole cloud
+        minima, rows = screened_minima(g, Y, E)
+        assert minima == direct_minima(g, Y, E)
+        assert sorted(rows) == [1, 1, 1, 3000]
+        Y[7] = [0.0, 100.0, 0.0]  # and in A: every column does
+        minima, rows = screened_minima(g, Y, E)
+        assert minima == direct_minima(g, Y, E)
+        assert rows == [3000] * 4
+
+    def test_weighted_sum_takes_direct_path(self):
+        rng = np.random.default_rng(2)
+        g = WeightedSum([1.0, 2.0, 0.5])
+        Y, E = rng.random((2000, 3)), rng.random((3, 3))
+        minima, rows = screened_minima(g, Y, E)
+        assert minima == direct_minima(g, Y, E)
+        assert rows == [2000] * 3
