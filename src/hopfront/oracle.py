@@ -4,9 +4,11 @@ Grid / Monte Carlo sampling, nondominated filtering, weighted-sum envelope
 baselines, and set distances. These are the validation oracles the solver
 results are checked against, so everything here is deliberately simple and
 deterministic. The N > 2 filter screens with the front of a subsample and
-compares one objective at a time. The envelope runs its projected-gradient
-descents, one per weight and start, in lock step as one batch: each row
-keeps its own step and stopping test, and leaves the batch when it stops.
+compares one objective at a time. The envelope runs its spectral
+projected-gradient descents (SPG; Birgin, Martinez & Raydan 2000, with the
+nonmonotone test of Grippo, Lampariello & Lucidi 1986), one per weight and
+start, in lock step as one batch: each row keeps its own step and stopping
+test, and leaves the batch when it stops.
 """
 from __future__ import annotations
 
@@ -35,6 +37,8 @@ _BLOCK = 64  # points compared per vectorised step of the N != 2 filter
 _SCREEN = 256  # subsample size of the N != 2 filter's screen, used from 2 * _SCREEN points
 _PLANE = 1 << 18  # bytes per boolean plane of the screen
 _ENVELOPE_STARTS = 16  # descents per envelope weight, from its best cloud points
+_GLL_MEMORY = 10  # accepted values the envelope's nonmonotone Armijo test looks back on
+_BB_MIN, _BB_MAX = 1e-6, 1e6  # clip bounds of the envelope's Barzilai-Borwein step
 
 
 def _dominated_mask_2d(P, strong):
@@ -219,15 +223,19 @@ def certification_cloud(problem, mc=20000, seed=0, enrich=20000) -> SampleCloud:
 
 
 def _lockstep_descent(f, project, W, U0, maxit=200, tol=1e-9):
-    """Projected-gradient descent on w_r . ell from ``U0[r]`` for every row r
-    of ``W``; returns the final points and their weighted values.
+    """Spectral projected gradient (SPG; Birgin, Martinez & Raydan, SIAM J.
+    Optim. 10, 2000) on w_r . ell from ``U0[r]`` for every row r of ``W``;
+    returns the final points and their weighted values.
 
-    Each row takes the Armijo rule along the projection arc (Bertsekas, IEEE
-    TAC 21, 1976): from t = 1, halve t at most 40 times until
-    f(P(u - t g)) <= f(u) + 1e-4 g . (P(u - t g) - u). A row stops after a
-    step shorter than ``tol``, when no step is accepted, or after ``maxit``
-    iterations. The rows share one batched objective, Jacobian and
-    projection call per iteration and halving.
+    Each row searches the projection arc (Bertsekas, IEEE TAC 21, 1976), from
+    t = 1, then from the Barzilai-Borwein step s.s / s.y of its last move (IMA
+    J. Numer. Anal. 8, 1988; 1e6 where s.y <= 0, clipped to [1e-6, 1e6]). It
+    halves t at most 40 times until f(u_t) <= F + 1e-4 g . (u_t - u) for
+    u_t = P(u - t g), F the largest of its last 10 accepted values: the
+    nonmonotone test of Grippo, Lampariello & Lucidi (SIAM J. Numer. Anal. 23,
+    1986). A row stops after a step shorter than ``tol``, when no step is
+    accepted, or after ``maxit`` iterations. The rows share one batched
+    objective, Jacobian and projection call per iteration and halving.
     """
 
     def weighted(V, w):
@@ -235,22 +243,32 @@ def _lockstep_descent(f, project, W, U0, maxit=200, tol=1e-9):
 
     U = project(U0)
     FU = weighted(U, W)
+    recent = np.full((U.shape[0], _GLL_MEMORY), -np.inf)  # last accepted values
+    recent[:, 0] = FU
+    S, G = np.zeros_like(U), np.zeros_like(U)  # each row's last step and gradient
     live = np.arange(U.shape[0])
-    for _ in range(maxit):
+    for it in range(maxit):
         if live.size == 0:
             break
-        u, fu, w = U[live], FU[live], W[live]
+        u, w = U[live], W[live]
         g = (f.jacobian_batch(u) * w[:, :, None]).sum(axis=1)
         t = np.ones(live.size)
+        if it:
+            s, sy = S[live], (S[live] * (g - G[live])).sum(axis=1)
+            t = np.divide((s * s).sum(axis=1), sy, out=np.full(live.size, _BB_MAX), where=sy > 0)
+            t = np.clip(t, _BB_MIN, _BB_MAX)
+        G[live] = g
+        fmax = recent[live].max(axis=1)
         stop = np.zeros(live.size, dtype=bool)
         todo = np.arange(live.size)  # rows still halving their step
         for _ in range(40):
             cand = project(u[todo] - t[todo, None] * g[todo])
             fc = weighted(cand, w[todo])
             step = cand - u[todo]
-            ok = fc <= fu[todo] + 1e-4 * (g[todo] * step).sum(axis=1)
-            done = todo[ok]
-            U[live[done]], FU[live[done]] = cand[ok], fc[ok]
+            ok = fc <= fmax[todo] + 1e-4 * (g[todo] * step).sum(axis=1)
+            done, rows = todo[ok], live[todo[ok]]
+            U[rows], FU[rows], S[rows] = cand[ok], fc[ok], step[ok]
+            recent[rows, (it + 1) % _GLL_MEMORY] = fc[ok]
             stop[done] = np.linalg.norm(step[ok], axis=1) <= tol
             todo = todo[~ok]
             if todo.size == 0:
@@ -259,6 +277,12 @@ def _lockstep_descent(f, project, W, U0, maxit=200, tol=1e-9):
         stop[todo] = True  # no step accepted
         live = live[~stop]
     return U, FU
+
+
+def _smallest(scores, k):
+    # indices of the k smallest scores, ordered by (score, index)
+    idx = np.argpartition(scores, k - 1)[:k]
+    return idx[np.lexsort((idx, scores[idx]))]
 
 
 def convex_envelope_front(problem, n_weights=16, seed=0, base_cloud=None):
@@ -291,8 +315,8 @@ def convex_envelope_front(problem, n_weights=16, seed=0, base_cloud=None):
         W = np.concatenate([np.eye(N), rng.dirichlet(np.ones(N), size=max(0, n_weights - N))])
     W = np.maximum(W, 1e-12)
 
-    seed_idx = np.stack([np.argsort(Y @ w)[:_ENVELOPE_STARTS] for w in W])  # (n_weights, k)
-    k = seed_idx.shape[1]
+    k = min(_ENVELOPE_STARTS, len(Y))
+    seed_idx = np.stack([_smallest(Y @ w, k) for w in W])  # (n_weights, k)
     sols, vals = _lockstep_descent(f, problem.projector(), np.repeat(W, k, axis=0), U[seed_idx.ravel()])
     best = np.argmin(vals.reshape(-1, k), axis=1)
     sols_u = sols.reshape(-1, k, f.dim_u)[np.arange(len(W)), best]

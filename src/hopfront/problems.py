@@ -7,8 +7,6 @@ the CLI and output manifests: ex1, ex2a, ex2b, ex3a-d{N}, ex3b.
 """
 from __future__ import annotations
 
-import itertools
-import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -70,16 +68,6 @@ def _stack_jac(u, rows):
         for j, entry in enumerate(row):
             J[:, i, j] = entry
     return J
-
-
-def _power(u):
-    # ``**`` on per-point scalars of the points u: libm's pow on one point's
-    # numpy scalars. numpy's power loop differs from that in the last bit on
-    # some inputs (squares too), so a stack takes libm's pow element by element
-    # and its values and Jacobians match the single point's bit for bit.
-    if u.ndim == 1:
-        return operator.pow
-    return lambda x, k: np.fromiter(map(pow, x.tolist(), itertools.repeat(float(k))), float, x.size)
 
 
 def example1() -> BenchmarkProblem:
@@ -179,18 +167,17 @@ def example2_case1() -> BenchmarkProblem:
 
     def ell(u):
         u1, u2 = u[..., 0], u[..., 1]
-        pw = _power(u)
-        penalty = lam * pw(u2 - u1, 2)
+        v, x = u2 - u1, u1 - 0.5
+        penalty = lam * (v * v)
         l1 = u1 + penalty
-        l2 = 1.0 - u1 + a * pw(u1 - 0.5, 4) - b * pw(u1 - 0.5, 2) + penalty
+        l2 = 1.0 - u1 + a * ((x * x) * (x * x)) - b * (x * x) + penalty
         return _stack_last([l1, l2])
 
     def jac(u):
         u1, u2 = u.T
-        pw = _power(u)
         dp = 2.0 * lam * (u2 - u1)
         x = u1 - 0.5
-        return _stack_jac(u, [[1.0 - dp, dp], [-1.0 + 4.0 * a * pw(x, 3) - 2.0 * b * x - dp, dp]])
+        return _stack_jac(u, [[1.0 - dp, dp], [-1.0 + 4.0 * a * (x * x * x) - 2.0 * b * x - dp, dp]])
 
     return _box_problem(
         "ex2a", ell, jac, 2, 2, 1.0, 0.1, 0.01,
@@ -205,19 +192,18 @@ def example2_case2() -> BenchmarkProblem:
 
     def ell(u):
         u1, u2 = u[..., 0], u[..., 1]
-        pw = _power(u)
-        pen = pw(u2 - u1, 2)
+        v, x, y = u2 - u1, u1 - 0.25, u1 - 0.75
+        pen = v * v
         l1 = u1 + g1 * np.sin(4.0 * np.pi * u1) + b1 * pen
-        l2 = pw(u1 - 0.25, 4) * pw(u1 - 0.75, 2) + eta * (1.0 - u1) + b2 * pen
+        l2 = ((x * x) * (x * x)) * (y * y) + eta * (1.0 - u1) + b2 * pen
         return _stack_last([l1, l2])
 
     def jac(u):
         u1, u2 = u.T
-        pw = _power(u)
         dpen = 2.0 * (u2 - u1)
         d1 = 1.0 + 4.0 * np.pi * g1 * np.cos(4.0 * np.pi * u1) - b1 * dpen
         x, y = u1 - 0.25, u1 - 0.75
-        d2 = 4.0 * pw(x, 3) * pw(y, 2) + 2.0 * pw(x, 4) * y - eta - b2 * dpen
+        d2 = 4.0 * (x * x * x) * (y * y) + 2.0 * ((x * x) * (x * x)) * y - eta - b2 * dpen
         return _stack_jac(u, [[d1, b1 * dpen], [d2, b2 * dpen]])
 
     return _box_problem(
@@ -255,18 +241,18 @@ def example3_case1(d: int) -> BenchmarkProblem:
 
     def ell(u):
         s, r2 = _mean_spread(u)
-        pw = _power(u)
+        x = s - 0.5
         l1 = s + g1 * np.sin(2.0 * np.pi * s) + b1 * r2
-        l2 = 1.0 - s + a * pw(s - 0.5, 4) - b * pw(s - 0.5, 2) + b2 * r2
+        l2 = 1.0 - s + a * ((x * x) * (x * x)) - b * (x * x) + b2 * r2
         return _stack_last([l1, l2])
 
     spread = np.array([b1, b2])
 
     def jac(u):
         s = u.mean(axis=-1)
-        pw = _power(u)
+        x = s - 0.5
         coef = _stack_last([1.0 + 2.0 * np.pi * g1 * np.cos(2.0 * np.pi * s),
-                            -1.0 + 4.0 * a * pw(s - 0.5, 3) - 2.0 * b * (s - 0.5)])
+                            -1.0 + 4.0 * a * (x * x * x) - 2.0 * b * x])
         return _mean_spread_jac(u, s, coef, spread)
 
     scale = 10.0 * d
@@ -285,23 +271,23 @@ def example3_case2() -> BenchmarkProblem:
 
     def ell(u):
         s, r2 = _mean_spread(u)
-        pw = _power(u)
+        x, y, z = s - 0.5, s - 0.2, s - 0.8
         l1 = s + g1 * np.sin(2.0 * np.pi * s) + b1 * r2
-        l2 = 1.0 - s + a * pw(s - 0.5, 4) - b * pw(s - 0.5, 2) + b2 * r2
-        l3 = pw(s - 0.2, 2) + c3 * r2
-        l4 = pw(s - 0.8, 2) + c4 * r2
-        l5 = 0.5 * pw(s, 2) + g5 * np.sin(4.0 * np.pi * s) + c5 * r2
+        l2 = 1.0 - s + a * ((x * x) * (x * x)) - b * (x * x) + b2 * r2
+        l3 = y * y + c3 * r2
+        l4 = z * z + c4 * r2
+        l5 = 0.5 * (s * s) + g5 * np.sin(4.0 * np.pi * s) + c5 * r2
         return _stack_last([l1, l2, l3, l4, l5])
 
     spread = np.array([b1, b2, c3, c4, c5])
 
     def jac(u):
         s = u.mean(axis=-1)
-        pw = _power(u)
+        x = s - 0.5
         coef = _stack_last(
             [
                 1.0 + 2.0 * np.pi * g1 * np.cos(2.0 * np.pi * s),
-                -1.0 + 4.0 * a * pw(s - 0.5, 3) - 2.0 * b * (s - 0.5),
+                -1.0 + 4.0 * a * (x * x * x) - 2.0 * b * x,
                 2.0 * (s - 0.2),
                 2.0 * (s - 0.8),
                 s + 4.0 * np.pi * g5 * np.cos(4.0 * np.pi * s),

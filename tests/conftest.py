@@ -44,19 +44,27 @@ def all_pairs_filter(points, mode="strong"):
 
 
 def _projected_descent(grad_fn, val_fn, u0, project, maxit=200, tol=1e-9):
+    # Spectral projected gradient: Barzilai-Borwein first trials clipped to
+    # [1e-6, 1e6], halved under the nonmonotone Armijo test against the
+    # largest of the last 10 accepted values.
     u = project(np.array(u0, dtype=float))
-    fu = val_fn(u)
+    accepted = [val_fn(u)]
+    t, s, g_prev = 1.0, None, None
     for _ in range(maxit):
         g = grad_fn(u)
-        t = 1.0
+        if s is not None:
+            sy = float(s @ (g - g_prev))
+            t = min(max(float(s @ s) / sy, 1e-6), 1e6) if sy > 0.0 else 1e6
+        f_ref = max(accepted[-10:])
         moved = False
         for _ in range(40):
             cand = project(u - t * g)
             fc = val_fn(cand)
-            if fc <= fu + 1e-4 * float(g @ (cand - u)):
+            if fc <= f_ref + 1e-4 * float(g @ (cand - u)):
                 if np.linalg.norm(cand - u) <= tol:
                     return cand
-                u, fu = cand, fc
+                s, g_prev, u = cand - u, g, cand
+                accepted.append(fc)
                 moved = True
                 break
             t *= 0.5
@@ -66,9 +74,9 @@ def _projected_descent(grad_fn, val_fn, u0, project, maxit=200, tol=1e-9):
 
 
 def scalar_envelope(problem, n_weights=16, starts=16, seed=0, base_cloud=None):
-    """Weighted-sum envelope with one scalar projected-gradient descent per
-    weight and start, without dropping duplicate rows; the reference the
-    library's lock-step batched envelope is checked against."""
+    """Weighted-sum envelope with one scalar spectral projected-gradient
+    descent per weight and start, without dropping duplicate rows; the
+    reference the library's lock-step batched envelope is checked against."""
     from hopfront.oracle import SampleCloud, greedy_pareto_filter, sample_cloud
 
     f = problem.objective

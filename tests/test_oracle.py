@@ -330,6 +330,32 @@ class TestConvexEnvelope:
         assert np.abs(env.points_obj - ref.points_obj[first]).max() <= 1e-7
         assert np.abs(env.points_u - ref.points_u[first]).max() <= 1e-7
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("pid", ["ex1", "ex2a", "ex2b", "ex3a-d10", "ex3a-d100", "ex3b"])
+    def test_descents_converge(self, pid, seed, monkeypatch):
+        # At each weight's chosen point the projected-gradient residual
+        # |P(u - grad(w . ell)) - u| vanishes.
+        import hopfront.oracle as oracle
+
+        runs = []
+
+        def recorded(f, project, W, U0):
+            U, FU = descent(f, project, W, U0)
+            runs.append((W, U, FU))
+            return U, FU
+
+        descent = oracle._lockstep_descent
+        monkeypatch.setattr(oracle, "_lockstep_descent", recorded)
+        prob = get_problem(pid)
+        convex_envelope_front(prob, seed=seed, base_cloud=sample_cloud(prob, mc=4000, seed=seed))
+        [(W, U, FU)] = runs
+        k = oracle._ENVELOPE_STARTS
+        project, f = prob.projector(), prob.objective
+        for start in range(0, len(W), k):
+            r = start + int(np.argmin(FU[start : start + k]))
+            u, w = U[r], W[r]
+            assert np.linalg.norm(project(u - f.jacobian(u).T @ w) - u) <= 1e-7
+
 
 class TestFrontDistance:
     def test_identical_sets(self):

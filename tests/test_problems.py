@@ -118,6 +118,16 @@ class TestJacobians:
             u = rng.uniform(lo, hi)
             assert jacobian_check(prob.objective, u) <= 1e-5
 
+    @pytest.mark.parametrize("pid", ["ex1", "ex2a", "ex2b", "ex3a-d10", "ex3a-d100", "ex3b"])
+    def test_stack_rows_equal_single_points_bit_for_bit(self, pid, rng):
+        # The solver and the envelope evaluate stacks; each row must be what
+        # the point alone gives, to the last bit.
+        prob = get_problem(pid)
+        f, (lo, hi) = prob.objective, prob.feasible_box
+        U = rng.uniform(lo, hi, size=(20000, f.dim_u))
+        assert f.value_batch(U).tobytes() == np.stack([f.value(u) for u in U]).tobytes()
+        assert f.jacobian_batch(U).tobytes() == np.stack([f.jacobian(u) for u in U]).tobytes()
+
 
 class TestRegistry:
     def test_ids_resolve(self):
