@@ -393,6 +393,11 @@ class HopfLaxParams:
     def dim_obj(self):
         return self.tau.shape[-1]
 
+    @property
+    def stiffness(self):
+        """mu + alpha c, the curvature of the quadratic terms in u."""
+        return self.mu + self.alpha * self.c
+
     def take(self, rows):
         """The parameters of the given rows of a stacked ``tau``."""
         return HopfLaxParams(self.x, self.tau[rows], self.alpha, self.c, self.mu)

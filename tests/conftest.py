@@ -116,25 +116,26 @@ def scalar_envelope(problem, n_weights=16, starts=16, seed=0, base_cloud=None):
 
 def rowwise_direction(k, pt, gvec, params):
     """The solver's preconditioned descent direction, one row at a time, with
-    the two-metric step next to active constraints; the reference the
-    solver's stacked step is checked against."""
-    from hopfront.solver import _ACTIVE_THRESHOLD, _null_basis, preconditioner, spd_solve
+    the two-metric step next to active constraints, from the dense
+    preconditioner B = (mu + alpha c) I + J^T J (+ Jk^T Jk on the active
+    rows Jk); the reference the solver's low-rank stacked step is checked
+    against. Returns the directions and each row's spectral norm |B|."""
+    from hopfront.solver import _ACTIVE_THRESHOLD, _null_basis
 
-    B = preconditioner(pt.J, params)
+    d = pt.u.shape[-1]
     active = pt.kv <= _ACTIVE_THRESHOLD
-    out = np.empty_like(gvec)
+    out, B_norm = np.empty_like(gvec), np.empty(len(gvec))
     for i, gi in enumerate(gvec):
-        if not active[i].any():
-            out[i] = spd_solve(B[i], gi)
-            continue
-        Jk_a = pt.jk(i)[active[i]]
-        Bi = B[i] + Jk_a.T @ Jk_a
-        Q = k.tangent_basis(pt.u[i], active[i]) if k.tangent_basis is not None else _null_basis(Jk_a)
-        if Q.size == 0:  # the trace of B + Jk^T Jk, summed by parts
-            out[i] = gi / (B[i].trace() + (Jk_a**2).sum())
+        B = params.stiffness * np.eye(d) + pt.J[i].T @ pt.J[i]
+        if active[i].any():
+            Jk_a = k.jacobian(pt.u[i])[active[i]]
+            B += Jk_a.T @ Jk_a
+            Q = k.tangent_basis(pt.u[i], active[i]) if k.tangent_basis is not None else _null_basis(Jk_a)
+            out[i] = Q @ np.linalg.solve(Q.T @ B @ Q, Q.T @ gi) + (gi - Q @ (Q.T @ gi)) / B.trace()
         else:
-            out[i] = Q @ spd_solve(Q.T @ Bi @ Q, Q.T @ gi) + (gi - Q @ (Q.T @ gi)) / Bi.trace()
-    return out
+            out[i] = np.linalg.solve(B, gi)
+        B_norm[i] = np.linalg.norm(B, 2)
+    return out, B_norm
 
 
 def scalar_entropic_weights(v, eps, rho, tol=1e-13, maxit=200):

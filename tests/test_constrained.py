@@ -17,7 +17,6 @@ from hopfront.solver import (
     evaluate,
     merit_psi,
     multiplier_estimate,
-    preconditioner,
     solve,
     stationarity_residual,
 )
@@ -76,32 +75,6 @@ class TestConstrainedResidual:
         expected = Jl.T @ pi - Jk.T @ nu + 0.01 * u - 0.1 * (np.zeros(2) - u)
         got = constrained_residual(prob.objective, prob.constraints, u, pi, nu, params)
         assert np.allclose(got, expected, atol=1e-14)
-
-
-class TestConstrainedPreconditioner:
-    def test_inactive_equals_unconstrained(self):
-        prob = example1()
-        params = ex1_params()
-        u = np.array([0.0, 1.0])  # k = (1, 1): inactive
-        J = prob.objective.jacobian(u)
-        active = prob.constraints.value(u) <= 1e-3
-        B = preconditioner(J, params, prob.constraints.jacobian(u)[active])
-        assert not active.any()
-        assert np.array_equal(B, preconditioner(J, params))
-
-    def test_all_active_three_term_sum(self):
-        prob = example1()
-        params = ex1_params()
-        u = np.array([1.0, 1.0])  # both constraints active
-        J = prob.objective.jacobian(u)
-        Jk = prob.constraints.jacobian(u)
-        expected = 0.11 * np.eye(2) + J.T @ J + Jk.T @ Jk
-        active = prob.constraints.value(u) <= 1e-3
-        assert active.all()
-        B = preconditioner(J, params, Jk[active])
-        assert np.allclose(B, expected, atol=1e-14)
-        eigs = np.linalg.eigvalsh(B)
-        assert eigs.min() >= 0.11 - 1e-12
 
 
 def _parabola_arc(s):
@@ -259,7 +232,7 @@ def nnls_reference(pt, pi, params):
     for i in np.flatnonzero((pt.kv <= _ACTIVE_THRESHOLD).any(axis=1)):
         on = np.flatnonzero(pt.kv[i] <= _ACTIVE_THRESHOLD)
         F = stationarity_residual(pt.J[i], pt.u[i], pi[i], params)
-        nu[i, on] = nnls(pt.jk(i)[on].T, F)[0]
+        nu[i, on] = nnls(pt.k.jacobian(pt.u[i])[on].T, F)[0]
     return nu
 
 

@@ -18,7 +18,6 @@ from hopfront.solver import (
     evaluate,
     gap_and_bound,
     merit_psi,
-    preconditioner,
     solve,
     solve_batch,
     spd_solve,
@@ -91,11 +90,12 @@ class TestStationarityResidual:
 
 
 def lm_step(f, u, pi, params):
-    # one undamped Levenberg-Marquardt step u - B^-1 r, built from the
-    # residual and preconditioner the solver's LM refinement uses
+    # one undamped Levenberg-Marquardt step u - B^-1 r with
+    # B = (mu + alpha c) I + J^T J, built from the residual and solve the
+    # solver's LM refinement uses
     J = f.jacobian(u)
     r = stationarity_residual(J, u, pi, params)
-    return u - spd_solve(preconditioner(J, params), r), float(np.linalg.norm(r))
+    return u - spd_solve(params.stiffness, J, r), float(np.linalg.norm(r))
 
 
 class TestPrimalUpdate:
@@ -365,32 +365,48 @@ class TestSolve:
 class TestStackedKernels:
     """Every stacked solver kernel equals its per-row form bit for bit."""
 
-    @pytest.mark.parametrize("d", [1, 2, 5, 20])
+    @pytest.mark.parametrize("d", [1, 2, 5, 20, 200])
     def test_spd_solve_stack_matches_lapack(self, d, rng):
-        from scipy.linalg.lapack import dpotrf, dpotrs
+        # the low-rank solve of s I + L^T L against LAPACK's dense solve, for
+        # one L per row and for one L shared by every row
+        s = 0.11
+        for m in (1, 3, 5):
+            scale = 10.0 ** rng.uniform(-2, 2, size=(40, 1, 1))
+            for L in (rng.normal(size=(40, m, d)) * scale, rng.normal(size=(m, d)) * scale[0]):
+                R = rng.normal(size=(40, d))
+                X = spd_solve(s, L, R)
+                for i, (r, x) in enumerate(zip(R, X)):
+                    Li = L[i] if L.ndim == 3 else L
+                    b = s * np.eye(d) + Li.T @ Li
+                    ref = np.linalg.solve(b, r)
+                    # a stacked row is the lone solve. The low-rank form
+                    # recovers x from r - L^T y, whose rounding is relative
+                    # to |B| / s, the condition number of B when d > m and a
+                    # bound on it otherwise; these B reach 1e7
+                    assert x.tobytes() == spd_solve(s, Li, r).tobytes()
+                    assert np.abs(x - ref).max() <= 1e-14 * np.linalg.norm(b, 2) / s * np.abs(ref).max()
 
-        J = rng.normal(size=(40, 3, d)) * 10.0 ** rng.uniform(-2, 2, size=(40, 1, 1))
-        B = np.matmul(np.swapaxes(J, 1, 2), J) + 0.11 * np.eye(d)
-        R = rng.normal(size=(40, d))
-        X = spd_solve(B, R)
-        for b, r, x in zip(B, R, X):
-            ref = dpotrs(dpotrf(b, lower=1, clean=0)[0], r, lower=1)[0]
-            if d == 1:  # the closed form does LAPACK's arithmetic
-                assert x.tobytes() == ref.tobytes()
-            else:
-                # a stacked row is the lone solve, and LAPACK's Cholesky pair
-                # is the oracle: two backward-stable solves differ by up to
-                # about cond(B) eps, and these B reach cond 1e6
-                assert x.tobytes() == spd_solve(b, r).tobytes()
-                assert np.abs(x - ref).max() <= 1e-14 * np.linalg.cond(b) * np.abs(ref).max()
+    def test_spd_solve_empty_tangent_space(self, rng):
+        # L = J Q with Q of no columns: the solve of a 0 x 0 system is empty
+        x = spd_solve(0.11, rng.normal(size=(4, 3, 0)), np.zeros((4, 0)))
+        assert x.shape == (4, 0)
 
-    @pytest.mark.parametrize("B", [[[0.0]], [[[1.0]], [[-1.0]]], [[[np.nan]]], [[1.0, 2.0], [2.0, 1.0]]])
-    def test_spd_solve_rejects_a_matrix_that_is_not_positive_definite(self, B):
+    def test_spd_solve_rejects_a_system_singular_in_rounding(self):
+        # equal rows of L with |L|^2 beyond 2^53 s: s is lost in s I + L L^T
         from hopfront.core import NumericalError
 
-        B = np.array(B)
         with pytest.raises(NumericalError):
-            spd_solve(B, np.ones(B.shape[:-1]))
+            spd_solve(0.11, np.full((2, 2), 1e9), np.ones(2))
+
+    @pytest.mark.parametrize("where", ["L", "r"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_spd_solve_rejects_non_finite_input(self, where, value, rng):
+        from hopfront.core import NumericalError
+
+        args = {"L": rng.normal(size=(3, 2, 4)), "r": rng.normal(size=(3, 4))}
+        args[where][1, -1] = value
+        with pytest.raises(NumericalError):
+            spd_solve(0.11, args["L"], args["r"])
 
     @pytest.mark.parametrize("pid", ["ex1", "ex2b", "ex3b"])
     def test_residual_preconditioner_merit_multipliers(self, pid, rng):
@@ -406,7 +422,7 @@ class TestStackedKernels:
         params = HopfLaxParams(prob.x, taus, prob.alpha, prob.c, prob.mu)
         pts = evaluate(f, k, U)
         R = stationarity_residual(pts.J, pts.u, PI, params)
-        B = preconditioner(pts.J, params)
+        X = spd_solve(params.stiffness, pts.J, R)
         NU = multiplier_estimate(pts, PI, params)
         PSI = merit_psi(g, pts, PI, params, nu=NU)
         assert NU[:10].any()
@@ -415,7 +431,7 @@ class TestStackedKernels:
             for stacked, name in ((pts.ell, "ell"), (pts.J, "J"), (pts.kv, "kv")):
                 assert stacked[i].tobytes() == getattr(pt, name).tobytes()
             assert R[i].tobytes() == stationarity_residual(pt.J, pt.u, PI[i], one).tobytes()
-            assert B[i].tobytes() == preconditioner(pt.J, one).tobytes()
+            assert X[i].tobytes() == spd_solve(one.stiffness, pt.J, R[i]).tobytes()
             nu = multiplier_estimate(pt, PI[i], one)
             assert NU[i].tobytes() == nu.tobytes()
             assert PSI[i] == merit_psi(g, pt, PI[i], one, nu=nu)
@@ -459,9 +475,51 @@ class TestStackedKernels:
         pts = evaluate(f, k, U)
         G = rng.normal(size=U.shape)
         D = _direction(k, pts, G, params)
-        assert D.tobytes() == rowwise_direction(k, pts, G, params).tobytes()
+        ref, B_norm = rowwise_direction(k, pts, G, params)
+        # the low-rank solve's rounding is relative to |B| / s, which bounds
+        # cond(B) and the condition number of its tangent system
+        err = np.abs(D - ref).max(axis=1)
+        assert (err <= 1e-14 * B_norm / params.stiffness * np.abs(ref).max(axis=1)).all()
         for i in (0, 25, 32, 59):  # a row alone takes the step it takes in the stack
             assert D[i].tobytes() == _direction(k, pts.take([i]), G[[i]], params.take([i]))[0].tobytes()
+
+
+def diagonal_quadratic(q):
+    """The smooth preference g(z) = 1/2 z^T diag(q) z."""
+    from hopfront.core import PreferenceFunction
+
+    class Quadratic(PreferenceFunction):
+        dim_obj, smooth = len(q), True
+
+        def value(self, y):
+            return 0.5 * float(y @ (q * y))
+
+        def gradient(self, y):
+            return q * np.asarray(y, dtype=float)
+
+    return Quadratic()
+
+
+class TestLowRankMemory:
+    def test_peak_memory_does_not_grow_with_d_squared_per_row(self):
+        # every preconditioner is s I + L^T L with L of N <= 5 rows, solved
+        # without forming it: at d = 1000 a dense (d, d) stack costs 8 MB per
+        # row and per copy (about 15.6 MB per row in one outer iteration)
+        import tracemalloc
+
+        prob = get_problem("ex3a-d1000")
+        peaks = []
+        for n in (2, 8):
+            taus = np.linspace(prob.tau_start, prob.tau_end, n)
+            params = HopfLaxParams(prob.x, taus, prob.alpha, prob.c, prob.mu)
+            tracemalloc.start()
+            try:
+                solve_batch(prob.objective, prob.default_preference(), params, SolverConfig(maxit_outer=1),
+                            constraints=prob.constraints)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 6 < 2**20
 
 
 class TestInnerLineSearch:
@@ -470,7 +528,7 @@ class TestInnerLineSearch:
     safeguarded to [0.1 t, 0.5 t]."""
 
     def test_step_rule(self):
-        from hopfront.solver import _interpolated_step
+        from hopfront.solver import _fitted_minimizer, _interpolated_step
 
         t = np.array([1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 0.2])
         f0 = np.zeros(7)
@@ -481,10 +539,11 @@ class TestInnerLineSearch:
         c = np.array([2.0, 1.1, 50.0, 0.5, 1.0, -1.0, 0.0])
         ft = f0 + slope * t + c * t * t
         ft[6] = np.inf
-        nxt = _interpolated_step(t, f0, slope, ft)
+        nxt = _interpolated_step(t, _fitted_minimizer(t, f0, slope, ft))
         expect = [0.25, 1.0 / 2.2, 0.05, 0.5, 0.5, 0.5, 0.02]
         np.testing.assert_allclose(nxt, expect, rtol=1e-14)
-        nan = _interpolated_step(np.ones(1), np.zeros(1), -np.ones(1), np.array([np.nan]))
+        one = np.ones(1)
+        nan = _interpolated_step(one, _fitted_minimizer(one, np.zeros(1), -one, np.array([np.nan])))
         assert nan[0] == 0.5
 
     def test_underestimated_curvature(self, monkeypatch):
@@ -493,19 +552,8 @@ class TestInnerLineSearch:
         # as 2, so it underestimates the stiff axis 4x and every preconditioned
         # step overshoots there
         from hopfront import solver
-        from hopfront.core import PreferenceFunction
 
         q = np.array([7.0, 1.0])
-
-        class Quadratic(PreferenceFunction):
-            dim_obj, smooth = 2, True
-
-            def value(self, y):
-                return 0.5 * float(y @ (q * y))
-
-            def gradient(self, y):
-                return q * np.asarray(y, dtype=float)
-
         f = VectorObjective(2, 2, lambda u: u, lambda u: np.eye(2), batched=False)
         params = HopfLaxParams(np.zeros(2), np.array([[1.0, 0.5], [-2.0, 0.3]]), alpha=1.0, c=0.5, mu=0.5)
         pi = np.zeros((2, 2))
@@ -515,25 +563,32 @@ class TestInnerLineSearch:
         def phi(i, u):  # the composite; the stiffness mu + alpha c is 1 and x = 0
             return 0.5 * (u + E[i]) @ (q * (u + E[i])) + 0.5 * u @ u
 
-        trials, accepted = [], []
-        step, ev = solver._interpolated_step, solver.evaluate
+        fits, trials, accepted = [], [], []
+        fit, step, ev = solver._fitted_minimizer, solver._interpolated_step, solver.evaluate
 
-        def spy_step(t, f0, slope, ft):
-            out = step(t, f0, slope, ft)
-            trials.append((t.copy(), f0.copy(), slope.copy(), ft.copy(), out.copy()))
+        def spy_fit(t, f0, slope, ft):
+            fits.append((t.copy(), f0.copy(), slope.copy(), ft.copy()))
+            return fit(t, f0, slope, ft)
+
+        def spy_step(t, t_fit):
+            out = step(t, t_fit)
+            if t.size:  # a lone row: the trial that failed is the one fitted last
+                assert fits[-1][0].tobytes() == t.tobytes()
+                trials.append(fits[-1] + (out.copy(),))
             return out
 
         def spy_evaluate(f_, k_, u, ell=None):
             accepted.append(np.array(u))
             return ev(f_, k_, u, ell)
 
+        monkeypatch.setattr(solver, "_fitted_minimizer", spy_fit)
         monkeypatch.setattr(solver, "_interpolated_step", spy_step)
         monkeypatch.setattr(solver, "evaluate", spy_evaluate)
         U = np.array([[2.0, 0.1], [0.3, -1.5]])
         for i in range(2):  # lone rows, so every accepted point is that row's
             trials.clear()
             accepted.clear()
-            pt, steps = solver._inner_solve(f, Quadratic(), None, ev(f, None, U[[i]]), pi[[i]],
+            pt, steps = solver._inner_solve(f, diagonal_quadratic(q), None, ev(f, None, U[[i]]), pi[[i]],
                                             params.take([i]), SolverConfig())
             assert trials and 1 < steps[0] < 40
             for t, f0, slope, ft, nxt in trials:
@@ -556,6 +611,27 @@ class TestInnerLineSearch:
                 t_acc = -(s @ d) / (d @ d)
                 assert phi(i, u1) <= phi(i, u0) - solver._LS_C1 * (s @ s) / t_acc
             np.testing.assert_allclose(pt.u[0], -np.linalg.solve(H, q * E[i]), atol=1e-8)
+
+    @pytest.mark.parametrize("ratio", [1.75, 1.9, 1.95])
+    def test_mirror_overshoot_ends_in_few_steps(self, ratio):
+        # the isotropic case of the quadratic above, q = (2 ratio - 1) (1, 1):
+        # the composite's curvature is `ratio` times the preconditioner's 2,
+        # so the unit step overshoots to near the mirror point across the
+        # minimizer and Armijo accepts it. Doubling the next first trial
+        # back to 1 would repeat that zig-zag, shrinking the distance only
+        # by ratio - 1 per step (58, 159 and 200 capped steps); starting it
+        # at the accepted step's fitted minimizer lands on the minimizer.
+        from hopfront import solver
+
+        q = np.full(2, 2.0 * ratio - 1.0)
+        f = VectorObjective(2, 2, lambda u: u, lambda u: np.eye(2), batched=False)
+        params = HopfLaxParams(np.zeros(2), np.array([[1.0, 0.5], [-2.0, 0.3]]), alpha=1.0, c=0.5, mu=0.5)
+        pi = np.zeros((2, 2))
+        U = np.array([[2.0, 0.1], [0.3, -1.5]])
+        pt, steps = solver._inner_solve(f, diagonal_quadratic(q), None, evaluate(f, None, U), pi, params,
+                                        SolverConfig())
+        assert (steps <= 5).all()
+        np.testing.assert_allclose(pt.u, -(q * params.dual_shift(pi)) / (1.0 + q), atol=1e-8)
 
 
 class TestInnerDepth:
