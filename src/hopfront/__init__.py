@@ -24,6 +24,7 @@ from .oracle import (
     SampleCloud,
     certification_cloud,
     convex_envelope_front,
+    enrich_cloud,
     front_distance,
     greedy_pareto_filter,
     nonconvexity_witness,

@@ -27,7 +27,8 @@ class ConstraintSet:
     and ``tangent_basis`` also accept ``(n, d)`` stacks (the stack sharing
     one active mask), where ``jac`` and ``tangent_basis`` may return one
     matrix that holds for every row. The ``*_batch`` methods and ``project``
-    otherwise take a stack point by point.
+    otherwise take a stack point by point. ``bounds`` is ``(lo, hi)`` for
+    the sets ``box_constraints`` builds and ``None`` for any other.
     """
 
     dim_u: int
@@ -38,6 +39,7 @@ class ConstraintSet:
     membership_tol: float = 1e-8
     tangent_basis: Optional[Callable[[np.ndarray], np.ndarray]] = None
     batched: bool = False
+    bounds: Optional[tuple] = None
 
     def value(self, u):
         u = as_vector(u, self.dim_u, "u")
@@ -104,6 +106,7 @@ def box_constraints(lo, hi) -> ConstraintSet:
         membership_tol=1e-9,
         tangent_basis=tangent_basis,
         batched=True,
+        bounds=(lo, hi),
     )
 
 

@@ -156,8 +156,9 @@ class PreferenceFunction:
         """prox of g/rho at v."""
         raise NotImplementedError
 
-    def prox_conjugate(self, v, rho: float) -> np.ndarray:
-        """prox of rho*g^* at v, via prox_{rho g*}(v) = v - rho prox_{g/rho}(v/rho)."""
+    def prox_conjugate(self, v, rho: float, *, start=None) -> np.ndarray:
+        """prox of rho*g^* at v, via prox_{rho g*}(v) = v - rho prox_{g/rho}(v/rho).
+        ``start``, a guess of the answer for an iterative prox, is ignored."""
         if rho <= 0:
             raise ValueError("rho must be positive")
         v = as_points(v, self.dim_obj, "v")
@@ -192,7 +193,7 @@ def _wright_omega(x):
         return np.where(x < -50.0, ex, np.where(x > 1e20, x, w))
 
 
-def _entropic_weights(v, eps, rho, tol=1e-13, maxit=200):
+def _entropic_weights(v, eps, rho, tol=1e-13, maxit=200, start=None):
     # Solves the stationarity system of prox_{g/rho} for the log-sum-exp g at
     # every row of the stack v: weights s_i satisfy eps*log(s_i) + s_i/rho =
     # v_i - theta with sum(s) = 1. Each s_i is a Wright-omega evaluation,
@@ -202,9 +203,14 @@ def _entropic_weights(v, eps, rho, tol=1e-13, maxit=200):
     # the max entry's weight is 1, at eps log n every weight is below 1/n.
     # sum(s) - 1 is convex and decreasing in theta (omega is convex), so
     # Newton from the bracket's lower end climbs to the root from below; the
-    # bracket, narrowed as theta moves, still safeguards it. Entries whose
-    # shift overflows to -inf get weight omega(-inf) = 0. The rows refine
-    # their own theta in lock step, each leaving at its own stop test.
+    # bracket, narrowed as theta moves, still safeguards it. A guess
+    # ``start`` of the weights gives each entry the theta_i at which its
+    # weight equals the guess; at the least of them every weight is at least
+    # its guess, so for a guess on the simplex the sum is at least 1 and
+    # Newton starts below the root there. Rows whose least theta_i is not
+    # finite start at the bracket's lower end. Entries whose shift
+    # overflows to -inf get weight omega(-inf) = 0. The rows refine their
+    # own theta in lock step, each leaving at its own stop test.
     with np.errstate(over="ignore"):
         base = (v - v.max(axis=1, keepdims=True)) / eps - np.log(eps * rho)
 
@@ -215,6 +221,11 @@ def _entropic_weights(v, eps, rho, tol=1e-13, maxit=200):
     rows = np.arange(v.shape[0])
     lo, hi = np.full(rows.size, -1.0 / rho), np.full(rows.size, eps * np.log(v.shape[1]))
     theta = lo.copy()
+    if start is not None:
+        with np.errstate(all="ignore"):
+            omega = np.asarray(start, dtype=float) / (eps * rho)
+            guess = (eps * (base - omega - np.log(omega))).min(axis=1)
+        theta = np.where(np.isfinite(guess), np.clip(guess, lo, hi), lo)
     out = np.empty_like(base)
     live = rows
     for _ in range(maxit):
@@ -287,15 +298,16 @@ class SoftMax(PreferenceFunction):
         v = as_points(v, self.dim_obj, "v")
         return v - _entropic_weights(np.atleast_2d(v), self.eps, rho).reshape(v.shape) / rho
 
-    def prox_conjugate(self, v, rho):
+    def prox_conjugate(self, v, rho, *, start=None):
         # The Moreau form v - rho prox_{g/rho}(v/rho) returns exactly these
-        # weights, but cancels to 0 for large |v|.
+        # weights, but cancels to 0 for large |v|. ``start`` warm-starts the
+        # root-find in theta.
         if rho <= 0:
             raise ValueError("rho must be positive")
         v = as_points(v, self.dim_obj, "v")
         with np.errstate(over="ignore"):
             shifted = (v - v.max(axis=-1, keepdims=True)) / rho
-            return _entropic_weights(np.atleast_2d(shifted), self.eps, rho).reshape(v.shape)
+            return _entropic_weights(np.atleast_2d(shifted), self.eps, rho, start=start).reshape(v.shape)
 
 
 class WeightedSum(PreferenceFunction):
@@ -325,7 +337,7 @@ class WeightedSum(PreferenceFunction):
             raise ValueError("rho must be positive")
         return as_points(v, self.dim_obj, "v") - self.weights / rho
 
-    def prox_conjugate(self, v, rho):
+    def prox_conjugate(self, v, rho, *, start=None):
         # The conjugate is the indicator of {weights}.
         if rho <= 0:
             raise ValueError("rho must be positive")

@@ -39,6 +39,7 @@ _PLANE = 1 << 18  # bytes per boolean plane of the screen
 _ENVELOPE_STARTS = 16  # descents per envelope weight, from its best cloud points
 _GLL_MEMORY = 10  # accepted values the envelope's nonmonotone Armijo test looks back on
 _BB_MIN, _BB_MAX = 1e-6, 1e6  # clip bounds of the envelope's Barzilai-Borwein step
+_CERT_ENRICH = 20000  # optimal-manifold samples of a certification cloud
 
 
 def _dominated_mask_2d(P, strong):
@@ -150,11 +151,11 @@ def greedy_pareto_filter(cloud: SampleCloud, mode="strong", epsilon=0.0) -> Samp
 
 
 def _feasible_mask(problem, U):
-    if problem.constraints is None:
+    k, (lo, hi) = problem.constraints, problem.feasible_box
+    # points drawn in the box lie in a constraint box that holds it
+    if k is None or k.bounds is not None and (k.bounds[0] <= lo).all() and (hi <= k.bounds[1]).all():
         return np.ones(U.shape[0], dtype=bool)
-    tol = problem.constraints.membership_tol
-    K = problem.constraints.value_batch(U)
-    return K.min(axis=1) >= -tol
+    return k.value_batch(U).min(axis=1) >= -k.membership_tol
 
 
 def sample_cloud(problem, grid=None, mc=None, seed=0, enrich=0) -> SampleCloud:
@@ -197,12 +198,19 @@ def sample_cloud(problem, grid=None, mc=None, seed=0, enrich=0) -> SampleCloud:
                 raise ValueError("empty reference: rejection sampling failed")
         U = np.concatenate(chunks)[:mc]
         source = f"monte_carlo({mc},seed={seed})"
-    if enrich and problem.optimal_manifold is not None:
-        extra = problem.optimal_manifold(enrich)
-        U = np.concatenate([U, extra])
-        source += f"|enriched({extra.shape[0]})"
-    Y = problem.objective.value_batch(U)
-    return SampleCloud(points_u=U, points_obj=Y, source=source)
+    cloud = SampleCloud(points_u=U, points_obj=problem.objective.value_batch(U), source=source)
+    return enrich_cloud(problem, cloud, enrich)
+
+
+def enrich_cloud(problem, cloud, n) -> SampleCloud:
+    """``cloud`` followed by ``n`` samples of the problem's known optimal
+    manifold, when it declares one and ``n > 0``; otherwise ``cloud`` itself."""
+    if not n or problem.optimal_manifold is None:
+        return cloud
+    extra = problem.optimal_manifold(n)
+    return SampleCloud(points_u=np.concatenate([cloud.points_u, extra]),
+                       points_obj=np.concatenate([cloud.points_obj, problem.objective.value_batch(extra)]),
+                       source=cloud.source + f"|enriched({extra.shape[0]})")
 
 
 def reference_front(problem, grid=None, mc=None, seed=0) -> SampleCloud:
@@ -211,13 +219,15 @@ def reference_front(problem, grid=None, mc=None, seed=0) -> SampleCloud:
     return greedy_pareto_filter(cloud, mode="strong")
 
 
-def certification_cloud(problem, mc=20000, seed=0, enrich=20000) -> SampleCloud:
+def certification_cloud(problem, mc=20000, seed=0, enrich=_CERT_ENRICH) -> SampleCloud:
     """Feasible cloud for duality-gap certificates.
 
     Monte Carlo base plus optimal-manifold enrichment where the problem
     provides one, so the sampled minimum of shifted scalarizations tracks the
     true minimum tightly. For box problems on a 2-D grid the plain grid is
-    already adequate; this helper targets the sampled cases.
+    already adequate; this helper targets the sampled cases. It equals
+    ``enrich_cloud`` of ``sample_cloud(problem, mc=mc, seed=seed)``, so a
+    caller holding that cloud enriches it instead of drawing it again.
     """
     return sample_cloud(problem, mc=mc, seed=seed, enrich=enrich)
 

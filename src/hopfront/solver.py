@@ -238,7 +238,7 @@ def merit_psi(g, pt, pi, params, *, nu=None):
             R[rows] -= _tmv(pt.k.jacobian_batch(U[rows]), NU[rows])
     term1 = 0.5 * _dot(r, spd_solve(params.stiffness, pt.J, r))
     E = params.dual_shift(pi)
-    disp = g.prox_conjugate(pi + _RHO * (pt.ell + E), _RHO) - pi
+    disp = g.prox_conjugate(pi + _RHO * (pt.ell + E), _RHO, start=pi) - pi  # pi is its fixed point
     return term1 + _dot(disp, disp) / (2.0 * _RHO * _RHO)
 
 
@@ -664,7 +664,8 @@ def _cloud_minima(g, Y, E):
     2 u (M_i + log N). A row attaining the direct minimum thus has
     S_r <= S_min exp(2 d_S + 2 d_V), and the candidates are the rows with
     S_r <= S_min (1 + 2 margin), margin = 64 u (M_i + N + 1). S is taken in
-    row chunks, for each column's minimum and then for its candidates. The
+    row chunks for each column's minimum, and again for the candidates only
+    in the chunks whose own minimum of some column is within its bound. The
     bound needs normal numbers, so a column with an entry of A or B_i below
     _CERT_FLOOR, like any other g, takes the whole cloud.
     """
@@ -678,9 +679,10 @@ def _cloud_minima(g, Y, E):
         cols = np.flatnonzero((B.min(axis=1) >= _CERT_FLOOR) & (A.min() >= _CERT_FLOOR))
         starts, Bt = range(0, len(Y), _CERT_CHUNK), B[cols].T
         if cols.size:
-            s_min = np.min([(A[s : s + _CERT_CHUNK] @ Bt).min(axis=0) for s in starts], axis=0)
-            for s in starts:
-                for r, k in zip(*np.nonzero(A[s : s + _CERT_CHUNK] @ Bt <= s_min * (1 + 2 * margin[cols]))):
+            chunk_min = np.array([(A[s : s + _CERT_CHUNK] @ Bt).min(axis=0) for s in starts])
+            bound = chunk_min.min(axis=0) * (1 + 2 * margin[cols])
+            for s in np.array(starts)[(chunk_min <= bound).any(axis=1)]:
+                for r, k in zip(*np.nonzero(A[s : s + _CERT_CHUNK] @ Bt <= bound)):
                     cand.setdefault(int(cols[k]), []).append(s + r)
     return [float(np.min(g.value_batch((Y[cand[i]] if i in cand else Y) + e))) for i, e in enumerate(E)]
 

@@ -111,6 +111,23 @@ class TestSweepCommand:
         assert 0 < front.inner_steps <= front.inner_row_steps
         assert (manifest["inner_steps"], manifest["inner_row_steps"]) == (front.inner_steps, front.inner_row_steps)
 
+    @pytest.mark.parametrize("pid", ["ex1", "ex3b"])
+    def test_gaps_are_certificates_against_a_fresh_certification_cloud(self, tmp_path, pid):
+        # the CLI reuses its base cloud; the gaps must be those of the cloud drawn anew
+        import hopfront as hf
+
+        out = tmp_path / "run"
+        assert run(["sweep", "--problem", pid, "--compare", "--n", "10", "--mc", "3000", "--seed", "2",
+                    "--out", str(out)]) == 0
+        prob = hf.get_problem(pid)
+        cloud = hf.certification_cloud(prob, mc=3000, seed=2)
+        if prob.objective.dim_obj == 2:
+            cloud = hf.greedy_pareto_filter(cloud, mode="strong")
+        front = hf.sweep(prob, n_samples=10, reference=cloud)
+        _, rows = read_front_csv(out / "front.csv")
+        assert all(s.converged for s in front.samples)
+        assert [rec["gap"] for rec in rows] == [s.gap for s in front.samples]
+
     def test_csv_round_trip_full_precision(self, tmp_path):
         out = tmp_path / "run"
         run(["sweep", "--problem", "ex2a", "--n", "5", "--out", str(out)])
@@ -312,7 +329,7 @@ class TestCheckCommand:
         assert "FAIL" not in out
 
     def test_check_fails_on_nan(self, capsys, monkeypatch):
-        monkeypatch.setattr(SoftMax, "prox_conjugate", lambda self, v, rho: np.full(self.dim_obj, np.nan))
+        monkeypatch.setattr(SoftMax, "prox_conjugate", lambda self, v, rho, start=None: np.full(self.dim_obj, np.nan))
         code = run(["check"])
         out = capsys.readouterr().out
         assert code == 2

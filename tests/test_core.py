@@ -227,6 +227,79 @@ class TestWrightOmega:
         assert edge[0] == 0.0 and edge[1] == np.inf
 
 
+def counted_omega(monkeypatch):
+    import hopfront.core as core
+
+    calls, omega = [], core._wright_omega
+    monkeypatch.setattr(core, "_wright_omega", lambda x: (calls.append(1), omega(x))[1])
+    return calls
+
+
+class TestWarmProx:
+    """A guess ``start`` of the soft-max prox's weights only moves where Newton starts."""
+
+    @staticmethod
+    def hints(rng, exact):
+        n, N = exact.shape
+        zero_entry = rng.dirichlet(np.ones(N), size=n)
+        zero_entry[:, 0] = 0.0
+        return {
+            "simplex": rng.dirichlet(np.ones(N), size=n),
+            "zero entry": zero_entry / zero_entry.sum(axis=1, keepdims=True),
+            "vertex": np.eye(N)[rng.integers(0, N, n)],
+            "zeros": np.zeros((n, N)),
+            "perturbed": np.clip(exact + 1e-3 * rng.normal(size=exact.shape), 0.0, None),
+            "exact": exact,
+        }
+
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    @pytest.mark.parametrize("rho", [1e-10, 0.5, 5.0])
+    @pytest.mark.parametrize("eps", [1e-3, 0.1, 2.0])
+    def test_warm_start_meets_the_stop_test_and_matches_cold(self, N, rho, eps, rng):
+        g = SoftMax(eps, N)
+        V = rng.normal(size=(200, N)) * np.repeat(10.0 ** np.array([0.0, 1.0, 5.0, 100.0, 300.0]), 40)[:, None]
+        V[::7] = V[::7, :1]  # every entry tied
+        cold = g.prox_conjugate(V, rho)
+        for name, hint in self.hints(rng, cold).items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                warm = g.prox_conjugate(V, rho, start=hint)
+            assert np.all(warm >= 0.0), name
+            assert np.abs(warm.sum(axis=1) - 1.0).max() <= 1e-13, name
+            assert np.abs(warm - cold).max() <= 1e-12, name
+
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    def test_exact_answer_takes_at_most_two_evaluations(self, N, rng, monkeypatch):
+        g = SoftMax(0.1, N)
+        V = rng.normal(size=(200, N)) * 10.0 ** rng.uniform(0, 300, size=(200, 1))
+        for rho in (1e-10, 0.5, 5.0):
+            exact = g.prox_conjugate(V, rho)
+            calls = counted_omega(monkeypatch)
+            for v, p in zip(V, exact):
+                calls.clear()
+                g.prox_conjugate(v, rho, start=p)
+                assert len(calls) <= 2
+            calls.clear()
+            g.prox_conjugate(V, rho, start=exact)  # the stack, in lock step
+            assert len(calls) <= 2
+
+    def test_merit_warm_start_cuts_omega_calls_of_an_ex1_sweep(self, monkeypatch):
+        from hopfront import get_problem, sweep
+
+        calls = counted_omega(monkeypatch)
+        front = sweep(get_problem("ex1"), n_samples=100)
+        assert front.converged_count() == 100
+        assert len(calls) <= 0.6 * 290  # 290 when every prox starts at the bracket end
+
+    def test_point_hint_and_weighted_sum(self):
+        v = np.array([0.3, -1.2, 0.4])
+        g = SoftMax(0.1, 3)
+        p = g.prox_conjugate(v, 0.5)
+        assert np.abs(g.prox_conjugate(v, 0.5, start=[0.2, 0.3, 0.5]) - p).max() <= 1e-12
+        w = WeightedSum([0.2, 0.3, 0.5])
+        assert np.array_equal(w.prox_conjugate(v, 0.5, start=[1.0, 0.0, 0.0]), w.weights)
+
+
 class TestStackedKernels:
     """Every stacked scalarizer kernel equals its per-row form bit for bit."""
 

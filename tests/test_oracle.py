@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,9 @@ from conftest import all_pairs_filter, brute_force_filter, scalar_envelope
 
 from hopfront.oracle import (
     SampleCloud,
+    certification_cloud,
     convex_envelope_front,
+    enrich_cloud,
     front_distance,
     greedy_pareto_filter,
     nonconvexity_witness,
@@ -16,6 +20,7 @@ from hopfront.oracle import (
     reference_front,
     sample_cloud,
 )
+from hopfront.constrained import box_constraints
 from hopfront.problems import example1, example2_case1, get_problem
 
 
@@ -250,6 +255,62 @@ class TestReferenceFront:
             sample_cloud(prob, mc=0)
         with pytest.raises(ValueError):
             sample_cloud(prob, grid=100, mc=100)
+
+
+def same_cloud(a, b):
+    return a.points_u.tobytes() == b.points_u.tobytes() and a.points_obj.tobytes() == b.points_obj.tobytes()
+
+
+BUILT_IN = ["ex1", "ex2a", "ex2b", "ex3b", "ex3a-d10", "ex3a-d100"]
+
+
+class TestCloudReuse:
+    @pytest.mark.parametrize("pid", BUILT_IN)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_enriched_base_is_the_certification_cloud(self, pid, seed):
+        prob = get_problem(pid)
+        base = sample_cloud(prob, mc=4000, seed=seed)
+        cert = certification_cloud(prob, mc=4000, seed=seed)
+        assert same_cloud(enrich_cloud(prob, base, 20000), cert)
+        # and the one pass over base + enrichment that certification_cloud used to make
+        U = np.concatenate([base.points_u, prob.optimal_manifold(20000)])
+        assert same_cloud(cert, SampleCloud(U, prob.objective.value_batch(U), "one pass"))
+
+    def test_enrich_without_manifold_or_count_is_identity(self):
+        prob = dataclasses.replace(get_problem("ex2a"), optimal_manifold=None)
+        base = sample_cloud(prob, mc=500, seed=0)
+        assert enrich_cloud(prob, base, 100) is base
+        assert enrich_cloud(get_problem("ex2a"), base, 0) is base
+
+    @pytest.mark.parametrize("pid", ["ex1", "ex2a", "ex2b", "ex3a-d10"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_filtering_reference_plus_enrichment_is_filtering_the_cloud(self, pid, seed):
+        # ND(ND(A) + B) = ND(A + B) by transitivity, in the same order
+        prob = get_problem(pid)
+        reference = greedy_pareto_filter(sample_cloud(prob, mc=4000, seed=seed))
+        reused = greedy_pareto_filter(enrich_cloud(prob, reference, 20000))
+        assert same_cloud(reused, greedy_pareto_filter(certification_cloud(prob, mc=4000, seed=seed)))
+
+    @pytest.mark.parametrize("pid", ["ex2a", "ex2b", "ex3a-d10", "ex3b"])
+    def test_box_membership_skips_the_constraint_map(self, pid):
+        prob = get_problem(pid)
+        evaluated = dataclasses.replace(prob, constraints=dataclasses.replace(prob.constraints, bounds=None))
+        for seed in (0, 1):
+            assert same_cloud(sample_cloud(prob, mc=3000, seed=seed), sample_cloud(evaluated, mc=3000, seed=seed))
+        if prob.objective.dim_u == 2:
+            assert same_cloud(sample_cloud(prob, grid=60), sample_cloud(evaluated, grid=60))
+
+        def untouched(u):
+            raise AssertionError("k evaluated on points drawn in its own box")
+
+        fast = dataclasses.replace(prob, constraints=dataclasses.replace(prob.constraints, fn=untouched))
+        assert same_cloud(sample_cloud(fast, mc=500, seed=2), sample_cloud(prob, mc=500, seed=2))
+
+    def test_box_narrower_than_the_drawing_box_is_evaluated(self):
+        prob = get_problem("ex2a")
+        narrow = dataclasses.replace(prob, constraints=box_constraints([0.0, 0.0], [1.0, 0.5]))
+        cloud = sample_cloud(narrow, mc=2000, seed=0)
+        assert len(cloud) == 2000 and cloud.points_u[:, 1].max() <= 0.5
 
 
 class TestConvexEnvelope:

@@ -771,6 +771,33 @@ class TestCloudMinima:
         assert minima == direct_minima(g, Y, E) == [va]
         assert rows == [4]  # both tied rows and their duplicates, nothing else
 
+    def test_column_minima_in_different_chunks(self):
+        # each column's minimum sits in its own 1024-row chunk, none in the first
+        g = SoftMax(0.1, 3)
+        Y = 0.2 + 0.8 * np.random.default_rng(3).random((4000, 3))
+        best = {1500: [0.0, 0.3, 0.3], 2100: [0.3, 0.0, 0.3], 3900: [0.3, 0.3, 0.0]}
+        for r, y in best.items():
+            Y[r] = y
+        E = 0.5 * np.eye(3)
+        minima, rows = screened_minima(g, Y, E)
+        assert minima == direct_minima(g, Y, E)
+        assert minima == [float(g.value_batch(Y[r] + e)[0]) for r, e in zip(best, E)]
+        assert rows == [1, 1, 1]
+
+    def test_near_tie_straddling_a_chunk_boundary(self):
+        g = SoftMax(0.1, 3)
+        E = np.array([[0.37, -0.21, 0.05]])
+        a = np.array([100.12210840646743, 100.61510817729423, 100.40122430789297])
+        b = (a + E[0])[[2, 0, 1]] - E[0]
+        va, vb = g.value_batch(np.stack([a, b]) + E[0])
+        assert vb - va == np.spacing(va)
+        pad = a.max() - 0.01 * np.random.default_rng(4).random((3000, 3))
+        for first, second in ((a, b), (b, a)):
+            Y = np.concatenate([pad[:1023], [first, second], pad[1023:]])  # rows 1023 and 1024
+            minima, rows = screened_minima(g, Y, E)
+            assert minima == direct_minima(g, Y, E) == [va]
+            assert rows == [2]
+
     def test_range_beyond_exponent_range_takes_direct_path(self):
         rng = np.random.default_rng(1)
         g = SoftMax(0.1, 3)
