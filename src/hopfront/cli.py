@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .core import HopfLaxParams, SoftMax
 from .oracle import (
-    _CERT_ENRICH,
     certification_cloud,
     convex_envelope_front,
     enrich_cloud,
@@ -350,7 +349,7 @@ def cmd_sweep(args):
             cert_cloud = timed("certification_cloud", certification_cloud, problem, mc=args.mc, seed=args.seed)
         else:
             base = reference if n_obj == 2 else base
-            cert_cloud = timed("certification_cloud", enrich_cloud, problem, base, _CERT_ENRICH)
+            cert_cloud = timed("certification_cloud", enrich_cloud, problem, base)
         if n_obj == 2:
             cert_cloud = timed("filter", greedy_pareto_filter, cert_cloud, mode="strong")
         ref_seconds = time.perf_counter() - t_ref

@@ -20,15 +20,14 @@ from .core import NumericalError, as_vector
 class ConstraintSet:
     """Inequality constraints k_i(u) >= 0 with Jacobian and optional projector.
 
-    ``tangent_basis``, when provided, maps a point and an active-constraint
-    mask to an orthonormal basis of the corresponding tangent subspace
-    (columns); without it a small SVD computes the null space of the active
-    Jacobian rows. ``batched`` declares that ``fn``, ``jac``, ``projector``
-    and ``tangent_basis`` also accept ``(n, d)`` stacks (the stack sharing
-    one active mask), where ``jac`` and ``tangent_basis`` may return one
-    matrix that holds for every row. The ``*_batch`` methods and ``project``
-    otherwise take a stack point by point. ``bounds`` is ``(lo, hi)`` for
-    the sets ``box_constraints`` builds and ``None`` for any other.
+    ``batched`` declares that ``fn``, ``jac`` and ``projector`` also accept
+    ``(n, d)`` stacks, where ``jac`` may return one matrix that holds for
+    every row. The ``*_batch`` methods and ``project`` otherwise take a stack
+    point by point. The solver works out the tangent space of the active
+    constraints from the active rows of ``jacobian_batch``. ``bounds`` is
+    ``(lo, hi)`` for the sets ``box_constraints`` builds and ``None`` for any
+    other; the solver then reads the box's faces from it and never calls
+    ``jac``.
     """
 
     dim_u: int
@@ -37,7 +36,6 @@ class ConstraintSet:
     jac: Callable[[np.ndarray], np.ndarray]
     projector: Optional[Callable[[np.ndarray], np.ndarray]] = None
     membership_tol: float = 1e-8
-    tangent_basis: Optional[Callable[[np.ndarray], np.ndarray]] = None
     batched: bool = False
     bounds: Optional[tuple] = None
 
@@ -63,13 +61,6 @@ class ConstraintSet:
             return np.asarray(self.jac(U), dtype=float)
         return np.stack([self.jacobian(u) for u in U])
 
-    def tangent_batch(self, U, active):
-        """Tangent bases at a stack of points that share the active-constraint
-        mask ``active``, as an array that broadcasts to ``(n, dim_u, f)``."""
-        if self.batched:
-            return np.asarray(self.tangent_basis(U, active), dtype=float)
-        return np.stack([self.tangent_basis(u, active) for u in U])
-
     def is_feasible(self, u) -> bool:
         return bool(self.value(u).min(initial=np.inf) >= -self.membership_tol)
 
@@ -83,28 +74,23 @@ class ConstraintSet:
 
 
 def box_constraints(lo, hi) -> ConstraintSet:
-    """Axis-aligned box lo <= u <= hi with the clamp projector."""
+    """Axis-aligned box lo <= u <= hi with the clamp projector.
+
+    Its 2d constraints are u - lo, then hi - u: row i is the lower face of
+    coordinate i with gradient +e_i, row d + i its upper face with -e_i.
+    """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if lo.shape != hi.shape or np.any(lo >= hi):
+    if lo.shape != hi.shape or not (lo < hi).all():  # False for NaN too
         raise ValueError("box bounds must satisfy lo < hi componentwise")
     d = lo.size
-    eye = np.eye(d)
-    jac_rows = np.vstack([eye, -eye])
-
-    def tangent_basis(u, active):
-        # free coordinates: neither face active
-        free = ~(active[:d] | active[d:])
-        return eye[:, free]
-
     return ConstraintSet(
         dim_u=d,
         dim_con=2 * d,
         fn=lambda u: np.concatenate([u - lo, hi - u], axis=-1),
-        jac=lambda u: jac_rows,
+        jac=lambda u: np.vstack([np.eye(d), -np.eye(d)]),
         projector=lambda u: u.clip(lo, hi),
         membership_tol=1e-9,
-        tangent_basis=tangent_basis,
         batched=True,
         bounds=(lo, hi),
     )

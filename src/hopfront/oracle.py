@@ -158,14 +158,12 @@ def _feasible_mask(problem, U):
     return k.value_batch(U).min(axis=1) >= -k.membership_tol
 
 
-def sample_cloud(problem, grid=None, mc=None, seed=0, enrich=0) -> SampleCloud:
+def sample_cloud(problem, grid=None, mc=None, seed=0) -> SampleCloud:
     """Raw feasible samples of a problem (no filtering).
 
     Exactly one of ``grid`` (per-axis resolution, 2-D box problems only) or
     ``mc`` (feasible sample count, rejection-sampled from the bounding box)
-    must be given. ``enrich`` appends that many extra samples from the
-    problem's known optimal manifold when the problem declares one; this only
-    sharpens minima estimates, never biases them.
+    must be given.
     """
     if (grid is None) == (mc is None):
         raise ValueError("specify exactly one of grid= or mc=")
@@ -198,13 +196,13 @@ def sample_cloud(problem, grid=None, mc=None, seed=0, enrich=0) -> SampleCloud:
                 raise ValueError("empty reference: rejection sampling failed")
         U = np.concatenate(chunks)[:mc]
         source = f"monte_carlo({mc},seed={seed})"
-    cloud = SampleCloud(points_u=U, points_obj=problem.objective.value_batch(U), source=source)
-    return enrich_cloud(problem, cloud, enrich)
+    return SampleCloud(points_u=U, points_obj=problem.objective.value_batch(U), source=source)
 
 
-def enrich_cloud(problem, cloud, n) -> SampleCloud:
+def enrich_cloud(problem, cloud, n=_CERT_ENRICH) -> SampleCloud:
     """``cloud`` followed by ``n`` samples of the problem's known optimal
-    manifold, when it declares one and ``n > 0``; otherwise ``cloud`` itself."""
+    manifold, when it declares one and ``n > 0``; otherwise ``cloud`` itself.
+    The extra samples only sharpen minima estimates, never bias them."""
     if not n or problem.optimal_manifold is None:
         return cloud
     extra = problem.optimal_manifold(n)
@@ -219,17 +217,17 @@ def reference_front(problem, grid=None, mc=None, seed=0) -> SampleCloud:
     return greedy_pareto_filter(cloud, mode="strong")
 
 
-def certification_cloud(problem, mc=20000, seed=0, enrich=_CERT_ENRICH) -> SampleCloud:
+def certification_cloud(problem, mc=20000, seed=0) -> SampleCloud:
     """Feasible cloud for duality-gap certificates.
 
     Monte Carlo base plus optimal-manifold enrichment where the problem
     provides one, so the sampled minimum of shifted scalarizations tracks the
     true minimum tightly. For box problems on a 2-D grid the plain grid is
-    already adequate; this helper targets the sampled cases. It equals
-    ``enrich_cloud`` of ``sample_cloud(problem, mc=mc, seed=seed)``, so a
-    caller holding that cloud enriches it instead of drawing it again.
+    already adequate; this helper targets the sampled cases. A caller
+    holding ``sample_cloud(problem, mc=mc, seed=seed)`` enriches it instead
+    of drawing it again.
     """
-    return sample_cloud(problem, mc=mc, seed=seed, enrich=enrich)
+    return enrich_cloud(problem, sample_cloud(problem, mc=mc, seed=seed))
 
 
 def _lockstep_descent(f, project, W, U0, maxit=200, tol=1e-9):

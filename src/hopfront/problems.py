@@ -97,18 +97,6 @@ def example1() -> BenchmarkProblem:
         edge = np.stack([b, (3.0 - b) / 2.0], axis=1)
         return np.concatenate([arc, edge])
 
-    def tangent(u, active):
-        # at a point, or at each point of a stack that shares the mask
-        if active.all():
-            return np.zeros(u.shape + (0,))
-        if active[0]:  # parabola boundary
-            t = _stack_last([np.ones_like(u[..., 0]), 2.0 * u[..., 0]])
-            # sqrt(t . t) by BLAS dot, as np.linalg.norm takes it on one point
-            return (t / np.sqrt(t[..., None, :] @ t[..., :, None])[..., 0])[..., None]
-        if active[1]:  # halfspace edge
-            return (np.array([2.0, -1.0]) / np.sqrt(5.0)).reshape(2, 1)
-        return np.eye(2)
-
     constraints = ConstraintSet(
         dim_u=2,
         dim_con=2,
@@ -116,7 +104,6 @@ def example1() -> BenchmarkProblem:
         jac=kjac,
         projector=project_epigraph_halfspace,
         membership_tol=1e-6,
-        tangent_basis=tangent,
         batched=True,
     )
     return BenchmarkProblem(

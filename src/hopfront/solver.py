@@ -24,11 +24,11 @@ damping trial -- keeps the index array of its live rows and makes one
 batched objective, Jacobian and projection call per step; a row leaves a
 level when it stops there. The batch reports its inner work
 (``BatchResult``). Each row does exactly the arithmetic of a lone solve, so
-its result does not depend on the batch. Rows next to the same active
-constraints take their two-metric step as one stack. Linear systems are
-solved as one stack without a d x d matrix (``spd_solve``), and the
-multiplier estimates of rows whose active constraints are orthogonal, as on
-a box, in closed form.
+its result does not depend on the batch. Every row takes its two-metric
+step in one stacked solve, projected onto the tangent space of its active
+constraints. Linear systems are solved as one stack without a d x d matrix
+(``spd_solve``). A box (``ConstraintSet.bounds``) takes that projector and
+its multipliers from its faces in closed form and never forms Jac[k].
 
 Each point is evaluated once (``evaluate``): the merit, the multipliers, the
 stop test, the next dual step and the next inner solve all read that
@@ -126,8 +126,8 @@ class BatchResult(list):
 class Evaluation:
     """ell(u) and Jac[ell](u) at a point u ``(d,)`` or at every row of a
     stack ``(n, d)``, plus k(u) when there are constraints (``kv`` is None
-    otherwise). ``k`` is kept for Jac[k], which only the rows next to an
-    active constraint read."""
+    otherwise). ``k`` is kept for Jac[k] or a box's faces, which only the rows
+    next to an active constraint read."""
 
     u: np.ndarray
     ell: np.ndarray
@@ -234,7 +234,10 @@ def merit_psi(g, pt, pi, params, *, nu=None):
     if nu is not None:
         R, U, NU = np.atleast_2d(r, pt.u, nu)  # views; a point is the stack of one
         rows = np.flatnonzero(NU.any(axis=1))  # Jk^T nu vanishes on the other rows
-        if rows.size:
+        if rows.size and pt.k.bounds is not None:  # a box's Jk^T nu is nu_lo - nu_hi
+            lo, hi = _box_faces(NU[rows])
+            R[rows] -= lo - hi
+        elif rows.size:
             R[rows] -= _tmv(pt.k.jacobian_batch(U[rows]), NU[rows])
     term1 = 0.5 * _dot(r, spd_solve(params.stiffness, pt.J, r))
     E = params.dual_shift(pi)
@@ -250,8 +253,8 @@ def multiplier_estimate(pt, pi, params):
     multipliers are recovered from stationarity instead: minimize
     ||Jac[k]_A^T nu - F|| over nu >= 0 supported on the active set A.
     Where the active rows a_j are pairwise orthogonal or opposite (a box,
-    any one active constraint) the minimizer is max(0, a_j . F) / |a_j|^2
-    for every row of the stack at once; other rows take ``_nnls_subsets``.
+    any one active constraint) the minimizer is max(0, a_j . F) / |a_j|^2,
+    on a box max(0, +-F_i); other rows take ``_nnls_subsets``.
     """
     if pt.kv.ndim == 1:  # a point is the stack of one
         stack = Evaluation(pt.u[None], pt.ell[None], pt.J[None], pt.kv[None], pt.k)
@@ -261,13 +264,17 @@ def multiplier_estimate(pt, pi, params):
     rows = np.flatnonzero(active.any(axis=1))
     if not rows.size:
         return nu
+    F = stationarity_residual(pt.J[rows], pt.u[rows], np.asarray(pi, dtype=float)[rows], params)
+    if pt.k.bounds is not None:
+        for half, on, b in zip(_box_faces(nu), _box_faces(active[rows]), (F, -F)):
+            half[rows] = np.where(on, np.maximum(b, 0.0), 0.0)
+        return nu
     cols = np.flatnonzero(active[rows].any(axis=0))  # the constraints some row needs
     on = active[np.ix_(rows, cols)]
     # a shared Jacobian (p, d) stays one matrix, so its Gram matrix is one
     # too; b and |a_j|^2 are row-wise dots, so a row's multipliers do not
     # depend on the other rows of the stack
     Jk = pt.k.jacobian_batch(pt.u[rows])[..., cols, :]
-    F = stationarity_residual(pt.J[rows], pt.u[rows], np.asarray(pi, dtype=float)[rows], params)
     b, aa = _dot(Jk, F[:, None, :]), _dot(Jk, Jk)
     x = np.divide(np.maximum(b, 0.0), aa, out=np.zeros_like(b), where=on & (aa > 0.0))
     # the closed form is exact where every pair of active rows is orthogonal
@@ -306,39 +313,6 @@ def _nnls_subsets(G, b):
     return x
 
 
-def _null_basis(A):
-    # Orthonormal basis of null(A) for small dense A.
-    _, s, vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)))
-    return vt[rank:].T
-
-
-def _direction(k, pt, gvec, params):
-    # The preconditioned descent direction of every row of the evaluated
-    # stack pt. Next to an active constraint, preconditioning a projected-
-    # gradient step can rotate the direction across the tangent space of a
-    # curved constraint, so such a row applies the inverse preconditioner
-    # within that tangent space only; the normal component keeps the plain
-    # gradient, conservatively scaled (the two-metric step). Rows next to
-    # the same active constraints take that step as one stack.
-    s = params.stiffness
-    if k is None:
-        return spd_solve(s, pt.J, gvec)
-    active = pt.kv <= _ACTIVE_THRESHOLD
-    is_near = active.any(axis=1)
-    near = np.flatnonzero(is_near)
-    out = np.empty_like(gvec)
-    if near.size < len(gvec):
-        out[~is_near] = spd_solve(s, pt.J[~is_near], gvec[~is_near])
-    if k.tangent_basis is None:
-        groups = [near[i:i + 1] for i in range(near.size)]  # a null basis has its row's own rank
-    else:
-        groups = _mask_groups(active, near)
-    for rows in groups:
-        out[rows] = _two_metric_step(k, pt.u[rows], pt.J[rows], s, gvec[rows], active[rows[0]])
-    return out
-
-
 def _mask_groups(masks, rows):
     # the given rows of a stack of boolean masks, sorted by their packed
     # mask and cut where it changes: the groups of rows that share one mask
@@ -350,18 +324,46 @@ def _mask_groups(masks, rows):
     return np.split(rows, np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1)
 
 
-def _two_metric_step(k, u, J, s, gvec, mask):
-    # The two-metric direction for B = s I + J^T J + Jk^T Jk at a stack of
-    # points u with gradients gvec, all next to the constraints of one active
-    # mask. Q spans the null space of the active rows Jk, so the tangent
-    # system Q^T B Q is s I + (J Q)^T (J Q) and the normal component divides
-    # by trace(B) = s d + |J|_F^2 + |Jk|_F^2. Jk and Q may be one matrix
-    # shared by every row; the products broadcast
-    Jk = k.jacobian_batch(u)[..., mask, :]
-    Q = k.tangent_batch(u, mask) if k.tangent_basis is not None else _null_basis(Jk.reshape(-1, *Jk.shape[-2:])[0])
-    trace = s * u.shape[-1] + (J * J).sum(axis=(-2, -1)) + (Jk * Jk).sum(axis=(-2, -1))
-    Qg = _tmv(Q, gvec)
-    return _mv(Q, spd_solve(s, np.matmul(J, Q), Qg)) + (gvec - _mv(Q, Qg)) / trace[:, None]
+def _box_faces(x):
+    # the lower-face and upper-face halves, as views, of a box's constraint
+    # axis: its rows are +e_i, then -e_i (``box_constraints``)
+    d = x.shape[-1] // 2
+    return x[..., :d], x[..., d:]
+
+
+def _tangent_projector(k, u, active):
+    # The projector P onto the tangent space of each row's active
+    # constraints, as the map V -> V P on stacks (n, r, d), and |Jk_A|_F^2
+    # of each row's active Jacobian rows. A box zeroes the coordinates of
+    # its active faces (unit rows); any other set takes P = I - A^T (A A^T)^+ A
+    # for its Jacobian A with the inactive rows zeroed.
+    if k.bounds is not None:
+        free = ~np.logical_or(*_box_faces(active))[:, None, :]
+        return (lambda V: np.where(free, V, 0.0)), active.sum(axis=1)
+    A = np.where(active[..., None], k.jacobian_batch(u), 0.0)
+    At = np.swapaxes(A, -1, -2)
+    M = np.linalg.pinv(np.matmul(A, At), hermitian=True)
+    return (lambda V: V - np.matmul(np.matmul(np.matmul(V, At), M), A)), (A * A).sum(axis=(-2, -1))
+
+
+def _direction(k, pt, gvec, params):
+    # The preconditioned descent direction of every row of the evaluated
+    # stack pt, in one solve. Preconditioning a projected-gradient step can
+    # rotate it across the tangent space of a curved active constraint, so
+    # a row applies B = s I + J^T J + Jk_A^T Jk_A within that space only and
+    # divides the normal component by trace(B) = s d + |J|_F^2 + |Jk_A|_F^2
+    # (the two-metric step). With P the tangent projector and z = Q y for an
+    # orthonormal basis Q of its range, (s I + P J^T J P) z = P g is the
+    # tangent system Q^T B Q y = Q^T g. A row with no active constraint has
+    # P = I and takes the plain preconditioned step bit for bit.
+    s = params.stiffness
+    active = None if k is None else pt.kv <= _ACTIVE_THRESHOLD
+    if active is None or not active.any():  # P = I on every row
+        return spd_solve(s, pt.J, gvec)
+    project, kk = _tangent_projector(k, pt.u, active)
+    Pg = project(gvec[:, None, :])[:, 0]
+    trace = s * gvec.shape[-1] + (pt.J * pt.J).sum(axis=(-2, -1)) + kk
+    return spd_solve(s, project(pt.J), Pg) + (gvec - Pg) / trace[:, None]
 
 
 def _fitted_minimizer(t, f0, slope, ft):

@@ -118,9 +118,12 @@ def rowwise_direction(k, pt, gvec, params):
     """The solver's preconditioned descent direction, one row at a time, with
     the two-metric step next to active constraints, from the dense
     preconditioner B = (mu + alpha c) I + J^T J (+ Jk^T Jk on the active
-    rows Jk); the reference the solver's low-rank stacked step is checked
+    rows Jk) and a dense orthonormal basis Q of the null space of Jk; the
+    reference the solver's low-rank stacked projector step is checked
     against. Returns the directions and each row's spectral norm |B|."""
-    from hopfront.solver import _ACTIVE_THRESHOLD, _null_basis
+    from scipy.linalg import null_space
+
+    from hopfront.solver import _ACTIVE_THRESHOLD
 
     d = pt.u.shape[-1]
     active = pt.kv <= _ACTIVE_THRESHOLD
@@ -130,7 +133,7 @@ def rowwise_direction(k, pt, gvec, params):
         if active[i].any():
             Jk_a = k.jacobian(pt.u[i])[active[i]]
             B += Jk_a.T @ Jk_a
-            Q = k.tangent_basis(pt.u[i], active[i]) if k.tangent_basis is not None else _null_basis(Jk_a)
+            Q = null_space(Jk_a)
             out[i] = Q @ np.linalg.solve(Q.T @ B @ Q, Q.T @ gi) + (gi - Q @ (Q.T @ gi)) / B.trace()
         else:
             out[i] = np.linalg.solve(B, gi)

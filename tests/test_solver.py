@@ -387,7 +387,7 @@ class TestStackedKernels:
                     assert np.abs(x - ref).max() <= 1e-14 * np.linalg.norm(b, 2) / s * np.abs(ref).max()
 
     def test_spd_solve_empty_tangent_space(self, rng):
-        # L = J Q with Q of no columns: the solve of a 0 x 0 system is empty
+        # L of no columns: the solve in a space of dimension 0 is empty
         x = spd_solve(0.11, rng.normal(size=(4, 3, 0)), np.zeros((4, 0)))
         assert x.shape == (4, 0)
 
@@ -520,6 +520,51 @@ class TestLowRankMemory:
             finally:
                 tracemalloc.stop()
         assert (peaks[1] - peaks[0]) / 6 < 2**20
+
+    def test_box_kernels_form_no_dense_box_structure(self, rng):
+        # the multipliers, the merit and the direction read a box's faces
+        # from its bounds: one dense (2d, d) box Jacobian is 16 MB at d = 1000
+        import tracemalloc
+
+        from hopfront.solver import _direction, multiplier_estimate
+
+        prob = get_problem("ex3a-d1000")
+        f, k, g = prob.objective, prob.constraints, prob.default_preference()
+        lo, hi = prob.feasible_box
+        U = rng.uniform(lo, hi, size=(10, f.dim_u))
+        U[:5, :300], U[3:, -300:] = lo[:300], hi[-300:]  # active faces on every row
+        params = HopfLaxParams(prob.x, rng.normal(scale=5.0, size=(10, f.dim_obj)), prob.alpha, prob.c, prob.mu)
+        PI = rng.dirichlet(np.ones(f.dim_obj), size=10)
+        pts, G = evaluate(f, k, U), rng.normal(size=U.shape)
+        tracemalloc.start()
+        try:
+            nu = multiplier_estimate(pts, PI, params)
+            merit_psi(g, pts, PI, params, nu=nu)
+            _direction(k, pts, G, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nu.any()
+        assert peak < 4 * 2**20
+
+
+class TestBoxFaces:
+    @pytest.mark.parametrize("pid", ["ex2b", "ex3b", "ex3a-d10"])
+    def test_box_sweep_never_calls_the_box_jacobian(self, pid):
+        from dataclasses import replace
+
+        import hopfront as hf
+
+        prob = get_problem(pid)
+        calls = []
+
+        def jac(u):
+            calls.append(u.shape)
+            return prob.constraints.jac(u)
+
+        front = hf.sweep(replace(prob, constraints=replace(prob.constraints, jac=jac)), n_samples=20)
+        assert front.converged_count() > 0
+        assert calls == []
 
 
 class TestInnerLineSearch:
