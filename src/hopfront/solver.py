@@ -8,13 +8,20 @@ value descent). A merit function measuring violation of the full optimality
 system safeguards every step: the dual step and the primal step are damped
 until the merit is non-increasing, so recorded merit values never rise.
 
-The inner descent preconditions with the Gauss-Newton matrix, which lacks
-the scalarizer's and the constraints' curvature and so can overshoot the
-inner minimizer several times over. Its Armijo backtracking therefore does
-not halve a failed step length t: it takes the minimizer of the quadratic
-through the composite's value and slope at 0 and its value at t, kept within
-[0.1 t, 0.5 t] (Nocedal & Wright, Numerical Optimization, 2nd ed., sec.
-3.5). A step accepted near its mirror point starts the next one there.
+The inner descent preconditions with the Gauss-Newton matrix
+B0 = s I + J^T J, which lacks the scalarizer's and the constraints'
+curvature and so can overshoot the inner minimizer several times over. Away
+from active constraints each row adds a memoryless structured SR1 row from
+its last step h and gradient change y: B = B0 + r r^T / (r . h) with
+r = y - B0 h, so that B h = y, where r . h is safely positive (Dennis, Gay &
+Welsch, NL2SOL, ACM TOMS 1981; Conn, Gould & Toint, Math. Prog. 1991). It
+supplies the curvature B0 misses along ex2b's valley u2 = u1. Next to an
+active constraint a row keeps B0, which took fewer steps on ex1's curved
+set. The Armijo backtracking does not halve a failed step length t: it
+takes the minimizer of the quadratic through the composite's value and
+slope at 0 and its value at t, kept within [0.1 t, 0.5 t] (Nocedal &
+Wright, Numerical Optimization, 2nd ed., sec. 3.5). A step accepted near
+its mirror point starts the next one there.
 
 ``solve_batch`` solves a stack of tau (``HopfLaxParams.tau`` of shape
 ``(n, N)``) as one batch, one row per tau; ``solve`` is the batch of one.
@@ -335,35 +342,61 @@ def _tangent_projector(k, u, active):
     # The projector P onto the tangent space of each row's active
     # constraints, as the map V -> V P on stacks (n, r, d), and |Jk_A|_F^2
     # of each row's active Jacobian rows. A box zeroes the coordinates of
-    # its active faces (unit rows); any other set takes P = I - A^T (A A^T)^+ A
-    # for its Jacobian A with the inactive rows zeroed.
+    # its active faces (unit rows). Any other set takes P = I - W^T W for
+    # an orthonormal basis W of the row space of its Jacobian A with the
+    # inactive rows zeroed, by Gram-Schmidt over the rows of A. A remainder
+    # with |v|^2 <= 1e-15 |A|_F^2, pinv's cutoff on the Gram matrix, lies in
+    # the span of the earlier rows and is dropped, so P is pinv's
+    # I - A^T (A A^T)^+ A on parallel and zeroed rows as well.
     if k.bounds is not None:
         free = ~np.logical_or(*_box_faces(active))[:, None, :]
         return (lambda V: np.where(free, V, 0.0)), active.sum(axis=1)
     A = np.where(active[..., None], k.jacobian_batch(u), 0.0)
-    At = np.swapaxes(A, -1, -2)
-    M = np.linalg.pinv(np.matmul(A, At), hermitian=True)
-    return (lambda V: V - np.matmul(np.matmul(np.matmul(V, At), M), A)), (A * A).sum(axis=(-2, -1))
+    AA = (A * A).sum(axis=(-2, -1))
+    W = np.zeros(A.shape)
+    for j in range(A.shape[-2]):
+        v = A[:, j] - _tmv(W, _mv(W, A[:, j]))
+        vv = _dot(v, v)
+        keep = vv > 1e-15 * AA
+        W[:, j] = np.where(keep[:, None], v / np.sqrt(np.where(keep, vv, 1.0))[:, None], 0.0)
+    return (lambda V: V - np.matmul(np.matmul(V, np.swapaxes(W, -1, -2)), W)), AA
 
 
-def _direction(k, pt, gvec, params):
+def _secant_row(k, pt, step, dg, stiff):
+    # Each row's memoryless structured SR1 row x: with r = dg - B0 step for
+    # the Gauss-Newton matrix B0 = stiff I + J^T J at the row's point, x =
+    # r / sqrt(r . step), so B0 + x x^T maps the last step to the gradient
+    # change dg (the secant equation). Zero where r . step is not safely
+    # positive, keeping B positive definite, or a constraint is nearly active.
+    r = dg - stiff * step - _tmv(pt.J, _mv(pt.J, step))
+    rs = _dot(r, step)
+    ok = rs > 1e-12 * _norm(r) * _norm(step)
+    if k is not None:
+        ok &= ~(pt.kv <= _ACTIVE_THRESHOLD).any(axis=1)
+    return np.where(ok[:, None], r / np.sqrt(np.where(ok, rs, 1.0))[:, None], 0.0)
+
+
+def _direction(k, pt, gvec, params, x):
     # The preconditioned descent direction of every row of the evaluated
-    # stack pt, in one solve. Preconditioning a projected-gradient step can
-    # rotate it across the tangent space of a curved active constraint, so
-    # a row applies B = s I + J^T J + Jk_A^T Jk_A within that space only and
-    # divides the normal component by trace(B) = s d + |J|_F^2 + |Jk_A|_F^2
-    # (the two-metric step). With P the tangent projector and z = Q y for an
-    # orthonormal basis Q of its range, (s I + P J^T J P) z = P g is the
-    # tangent system Q^T B Q y = Q^T g. A row with no active constraint has
-    # P = I and takes the plain preconditioned step bit for bit.
+    # stack pt, in one solve, with B = s I + J^T J + x x^T for the row's
+    # secant row x (``_secant_row``). Preconditioning a projected-gradient
+    # step can rotate it across the tangent space of a curved active
+    # constraint, so a row applies B + Jk_A^T Jk_A within that space only and
+    # divides the normal component by its trace s d + |J|_F^2 + |x|^2 +
+    # |Jk_A|_F^2 (the two-metric step). With P the tangent projector and
+    # z = Q y for an orthonormal basis Q of its range, (s I + P L^T L P) z =
+    # P g for L = [J; x] is the tangent system Q^T B Q y = Q^T g. A row with
+    # no active constraint has P = I and takes the plain preconditioned step
+    # bit for bit.
     s = params.stiffness
+    L = np.concatenate((pt.J, x[:, None, :]), axis=1)
     active = None if k is None else pt.kv <= _ACTIVE_THRESHOLD
     if active is None or not active.any():  # P = I on every row
-        return spd_solve(s, pt.J, gvec)
+        return spd_solve(s, L, gvec)
     project, kk = _tangent_projector(k, pt.u, active)
     Pg = project(gvec[:, None, :])[:, 0]
-    trace = s * gvec.shape[-1] + (pt.J * pt.J).sum(axis=(-2, -1)) + kk
-    return spd_solve(s, project(pt.J), Pg) + (gvec - Pg) / trace[:, None]
+    trace = s * gvec.shape[-1] + (L * L).sum(axis=(-2, -1)) + kk
+    return spd_solve(s, project(L), Pg) + (gvec - Pg) / trace[:, None]
 
 
 def _fitted_minimizer(t, f0, slope, ft):
@@ -387,7 +420,10 @@ def _inner_solve(f, g, k, pt, pi, params, cfg):
     # is None) from every row of the evaluated stack pt, in lock step:
     # projected gradient descent, preconditioned in the two-metric sense,
     # with Armijo backtracking along the projection arc and a plain-gradient
-    # arc fallback, then an LM polish of unconstrained rows. A trial's value
+    # arc fallback, then an LM polish of unconstrained rows. From its second
+    # step on, a row away from active constraints adds the secant row of its
+    # last step and gradient change to the preconditioner (``_secant_row``);
+    # the pairs start afresh with each inner solve. A trial's value
     # and the slope gvec . s / t of its realized step s fit a quadratic in
     # the step length (``_fitted_minimizer``); a failed trial's next step
     # length is that fit's minimizer, safeguarded (``_interpolated_step``). A row's next step
@@ -410,12 +446,13 @@ def _inner_solve(f, g, k, pt, pi, params, cfg):
 
     n = pt.u.shape[0]
     pt = pt.take(np.arange(n))  # a copy, updated row by row
+    u_prev, g_prev = np.empty_like(pt.u), np.empty_like(pt.u)  # each row's last point and gradient
     fu = val(slice(None), pt.u, pt.ell)
     res = np.full(n, np.inf)
     t_first = np.ones(n)  # the first Armijo trial of each row's next step
     steps = np.zeros(n, dtype=int)
     live = np.arange(n)
-    for _ in range(_MAXIT_U):
+    for it in range(_MAXIT_U):
         if not live.size:
             break
         cur = pt.take(live)
@@ -427,9 +464,12 @@ def _inner_solve(f, g, k, pt, pi, params, cfg):
             break
         steps[live] += 1
         u = cur.u
+        # every row still live after the first step accepted its last one
+        x = np.zeros_like(u) if it == 0 else _secant_row(k, cur, u - u_prev[live], gvec - g_prev[live], stiff)
+        u_prev[live], g_prev[live] = u, gvec
         found = np.zeros(live.size, dtype=bool)
         cand, ell_c, fc = np.empty_like(u), np.empty_like(cur.ell), np.empty(live.size)
-        for attempt, direction in enumerate((_direction(k, cur, gvec, params), gamma * gvec)):
+        for attempt, direction in enumerate((_direction(k, cur, gvec, params, x), gamma * gvec)):
             todo = np.flatnonzero(~found)
             t = t_first[live] if attempt == 0 else np.ones(live.size)
             for _ in range(30):

@@ -114,13 +114,14 @@ def scalar_envelope(problem, n_weights=16, starts=16, seed=0, base_cloud=None):
     return greedy_pareto_filter(cloud, mode="strong")
 
 
-def rowwise_direction(k, pt, gvec, params):
+def rowwise_direction(k, pt, gvec, params, x):
     """The solver's preconditioned descent direction, one row at a time, with
     the two-metric step next to active constraints, from the dense
-    preconditioner B = (mu + alpha c) I + J^T J (+ Jk^T Jk on the active
-    rows Jk) and a dense orthonormal basis Q of the null space of Jk; the
-    reference the solver's low-rank stacked projector step is checked
-    against. Returns the directions and each row's spectral norm |B|."""
+    preconditioner B = (mu + alpha c) I + J^T J + x x^T for the row's secant
+    row x (+ Jk^T Jk on the active rows Jk) and a dense orthonormal basis Q of
+    the null space of Jk; the reference the solver's low-rank stacked
+    projector step is checked against. Returns the directions and each row's
+    spectral norm |B|."""
     from scipy.linalg import null_space
 
     from hopfront.solver import _ACTIVE_THRESHOLD
@@ -129,7 +130,7 @@ def rowwise_direction(k, pt, gvec, params):
     active = pt.kv <= _ACTIVE_THRESHOLD
     out, B_norm = np.empty_like(gvec), np.empty(len(gvec))
     for i, gi in enumerate(gvec):
-        B = params.stiffness * np.eye(d) + pt.J[i].T @ pt.J[i]
+        B = params.stiffness * np.eye(d) + pt.J[i].T @ pt.J[i] + np.outer(x[i], x[i])
         if active[i].any():
             Jk_a = k.jacobian(pt.u[i])[active[i]]
             B += Jk_a.T @ Jk_a

@@ -474,14 +474,100 @@ class TestStackedKernels:
         params = HopfLaxParams(prob.x, taus, prob.alpha, prob.c, prob.mu)
         pts = evaluate(f, k, U)
         G = rng.normal(size=U.shape)
-        D = _direction(k, pts, G, params)
-        ref, B_norm = rowwise_direction(k, pts, G, params)
+        X = rng.normal(size=U.shape) * rng.uniform(0.0, 3.0, size=(60, 1))  # secant rows
+        X[::3] = 0.0  # rows without one
+        D = _direction(k, pts, G, params, X)
+        ref, B_norm = rowwise_direction(k, pts, G, params, X)
         # the low-rank solve's rounding is relative to |B| / s, which bounds
         # cond(B) and the condition number of its tangent system
         err = np.abs(D - ref).max(axis=1)
         assert (err <= 1e-14 * B_norm / params.stiffness * np.abs(ref).max(axis=1)).all()
         for i in (0, 25, 32, 59):  # a row alone takes the step it takes in the stack
-            assert D[i].tobytes() == _direction(k, pts.take([i]), G[[i]], params.take([i]))[0].tobytes()
+            assert D[i].tobytes() == _direction(k, pts.take([i]), G[[i]], params.take([i]), X[[i]])[0].tobytes()
+
+
+class TestTangentProjector:
+    """The generic tangent projector, by Gram-Schmidt over the active
+    Jacobian rows, is pinv's I - A^T (A A^T)^+ A."""
+
+    @pytest.mark.parametrize("case", ["one", "independent", "parallel", "none", "ex1-corner"])
+    def test_matches_pinv(self, case, rng):
+        from hopfront.constrained import ConstraintSet
+        from hopfront.solver import _tangent_projector
+
+        if case == "ex1-corner":  # both constraints active at either vertex
+            k = get_problem("ex1").constraints
+            U = np.tile([[1.0, 1.0], [-1.5, 2.25]], (10, 1))
+        else:
+            n, d = 40, 5
+            Jk = rng.normal(size=(n, 2, d)) * 10.0 ** rng.uniform(-2, 2, size=(n, 1, 1))
+            if case == "parallel":
+                Jk[:, 1] = rng.choice([-3.0, 0.5, 2.0], size=(n, 1)) * Jk[:, 0]
+            k = ConstraintSet(d, 2, lambda U: np.zeros((len(U), 2)), lambda U: Jk, batched=True)
+            U = rng.normal(size=(n, d))
+        n, d = U.shape
+        active = np.full((n, 2), case != "none")
+        active[:, 1] &= case != "one"
+        project, kk = _tangent_projector(k, U, active)
+        A = np.where(active[..., None], k.jacobian_batch(U), 0.0)
+        At = np.swapaxes(A, -1, -2)
+        ref = np.eye(d) - At @ np.linalg.pinv(A @ At, hermitian=True) @ A
+        assert np.abs(project(np.tile(np.eye(d), (n, 1, 1))) - ref).max() <= 1e-12
+        assert np.array_equal(kk, (A * A).sum(axis=(-2, -1)))
+
+
+class TestSecantRow:
+    """The memoryless structured SR1 row x of the inner preconditioner
+    B = s I + J^T J + x x^T."""
+
+    @staticmethod
+    def interior_stack(rng, n=40):
+        # ex2b at points no closer than a fifth of the box to its faces
+        prob = get_problem("ex2b")
+        f, k = prob.objective, prob.constraints
+        lo, hi = prob.feasible_box
+        U = lo + (hi - lo) * rng.uniform(0.2, 0.8, size=(n, f.dim_u))
+        params = HopfLaxParams(prob.x, rng.normal(scale=5.0, size=(n, f.dim_obj)), prob.alpha, prob.c, prob.mu)
+        return k, evaluate(f, k, U), params
+
+    @staticmethod
+    def gradient_change(pts, S, R, s):
+        # y = B0 s + r for the Gauss-Newton matrix B0 = s I + J^T J
+        return s * S + np.einsum("nkd,nk->nd", pts.J, np.einsum("nkd,nd->nk", pts.J, S)) + R
+
+    def test_secant_equation(self, rng):
+        from hopfront.solver import _direction, _secant_row
+
+        k, pts, params = self.interior_stack(rng)
+        s = params.stiffness
+        S, R = rng.normal(size=pts.u.shape), rng.normal(size=pts.u.shape)
+        R *= np.sign((R * S).sum(axis=1))[:, None]  # r . s > 0
+        Y = self.gradient_change(pts, S, R, s)
+        X = _secant_row(k, pts, S, Y, s)
+        B = s * np.eye(2) + np.swapaxes(pts.J, -1, -2) @ pts.J + X[:, :, None] * X[:, None, :]
+        assert (np.linalg.eigvalsh(B) > 0.0).all()
+        BS = (B @ S[..., None])[..., 0]
+        assert (np.abs(BS - Y).max(axis=1) <= 1e-12 * np.abs(Y).max(axis=1)).all()
+        # the preconditioned direction of y is the step: B^-1 y = s
+        D = _direction(k, pts, Y, params, X)
+        B_norm = np.linalg.norm(B, 2, axis=(1, 2))
+        assert (np.abs(D - S).max(axis=1) <= 1e-13 * B_norm / s * np.abs(S).max(axis=1)).all()
+
+    def test_zero_row_next_to_a_constraint_or_without_positive_curvature(self, rng):
+        from hopfront.solver import _secant_row
+
+        k, pts, params = self.interior_stack(rng)
+        s = params.stiffness
+        S, R = rng.normal(size=pts.u.shape), rng.normal(size=pts.u.shape)
+        R *= np.sign((R * S).sum(axis=1))[:, None]  # r . s > 0
+        R[:10] *= -1.0  # r . s < 0
+        R[10:20] -= ((R * S).sum(axis=1) / (S * S).sum(axis=1))[10:20, None] * S[10:20]  # r . s = 0 up to rounding
+        U = pts.u.copy()
+        U[20:30, 0] = k.bounds[1][0]  # an upper face active
+        pts = evaluate(get_problem("ex2b").objective, k, U)
+        X = _secant_row(k, pts, S, self.gradient_change(pts, S, R, s), s)
+        assert (X[:30] == 0.0).all()
+        assert (X[30:] != 0.0).any(axis=1).all()
 
 
 def diagonal_quadratic(q):
@@ -540,7 +626,7 @@ class TestLowRankMemory:
         try:
             nu = multiplier_estimate(pts, PI, params)
             merit_psi(g, pts, PI, params, nu=nu)
-            _direction(k, pts, G, params)
+            _direction(k, pts, G, params, np.zeros_like(G))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -681,7 +767,19 @@ class TestInnerLineSearch:
 
 class TestInnerDepth:
     """ex1's parabola boundary, where halving backtracking zig-zags across the
-    inner minimizer and lone inner solves ran into the step cap."""
+    inner minimizer and lone inner solves ran into the step cap, and ex2b's
+    valley u2 = u1, where the Gauss-Newton matrix has no curvature along u2
+    and only the secant row stops the zig-zag."""
+
+    @pytest.mark.parametrize("pid, bound", [("ex1", 45), ("ex2a", 150), ("ex2b", 150), ("ex3b", 40)])
+    def test_sweep_inner_steps(self, pid, bound):
+        # lock-step steps of 100-sample sweeps without the secant row: ex1
+        # 42, ex2a 208, ex2b 295, ex3b 63
+        from hopfront.sweep import sweep
+
+        front = sweep(get_problem(pid), n_samples=100)
+        assert front.converged_count() == 100
+        assert front.inner_steps <= bound
 
     def test_ex1_sweep_inner_steps(self, monkeypatch):
         from hopfront import solver
@@ -690,9 +788,9 @@ class TestInnerDepth:
 
         direction, counted = solver._direction, []
 
-        def counting(k, pt, gvec, params):
+        def counting(k, pt, gvec, *args):
             counted.append(len(gvec))
-            return direction(k, pt, gvec, params)
+            return direction(k, pt, gvec, *args)
 
         monkeypatch.setattr(solver, "_direction", counting)
         front = sweep(get_problem("ex1"), n_samples=100)
@@ -715,9 +813,9 @@ class TestInnerDepth:
             depth.append(0)
             return inner(*args)
 
-        def counting_direction(k, pt, gvec, params):
+        def counting_direction(k, pt, gvec, *args):
             depth[-1] += len(gvec) > 0  # a lone solve: one row per descent step
-            return direction(k, pt, gvec, params)
+            return direction(k, pt, gvec, *args)
 
         monkeypatch.setattr(solver, "_inner_solve", counting_inner)
         monkeypatch.setattr(solver, "_direction", counting_direction)

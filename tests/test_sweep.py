@@ -88,6 +88,8 @@ class TestSweep:
         # Jacobian rows (843 on ex1, 288 on ex2b)
         pytest.param("ex1", 100, [0, 9, 20, 21, 37, 50, 63, 84, 85, 99], id="ex1-full"),
         pytest.param("ex2b", 100, [0, 12, 25, 33, 50, 61, 75, 86, 88, 99], id="ex2b-full"),
+        # 30-tau stacks whose rows carry secant rows of their own
+        *(pytest.param(pid, 30, range(30), id=f"{pid}-30") for pid in ("ex2b", "ex3b")),
     ])
     def test_samples_equal_lone_solves(self, pid, n_samples, indices):
         prob = get_problem(pid)
