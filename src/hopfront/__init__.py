@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .constrained import ConstraintSet, box_constraints
 from .core import (
-    CertificationError,
     HopfLaxParams,
     NumericalError,
     PreferenceFunction,
@@ -18,7 +17,6 @@ from .core import (
     SoftMax,
     VectorObjective,
     WeightedSum,
-    jacobian_check,
 )
 from .oracle import (
     SampleCloud,
@@ -27,20 +25,17 @@ from .oracle import (
     enrich_cloud,
     front_distance,
     greedy_pareto_filter,
-    nonconvexity_witness,
     nondominated_mask,
-    reference_front,
     sample_cloud,
 )
-from .problems import BenchmarkProblem, get_problem, problem_ids, register_problem
+from .problems import BenchmarkProblem, get_problem, problem_ids
 from .solver import (
     BatchResult,
     SolveResult,
     SolverConfig,
-    certify_gap,
     dual_update_pi,
     evaluate,
-    gap_and_bound,
+    gap_certificates,
     merit_psi,
     multiplier_estimate,
     solve,

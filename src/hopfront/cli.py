@@ -96,27 +96,6 @@ def write_front_csv(path, front):
     _write_csv(path, cols, rows)
 
 
-def read_front_csv(path):
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().strip().split(",")
-        rows = []
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            vals = line.split(",")
-            rec = {}
-            for key, val in zip(header, vals):
-                if key in ("sample_index", "iterations"):
-                    rec[key] = int(val)
-                elif key == "converged":
-                    rec[key] = val == "true"
-                else:
-                    rec[key] = float(val) if val else None
-            rows.append(rec)
-    return header, rows
-
-
 def write_cloud_csv(path, cloud):
     cols = (["sample_index"] + _columns("u", cloud.points_u.shape[1])
             + _columns("ell", cloud.points_obj.shape[1]))
@@ -273,7 +252,7 @@ def _reference(problem, args, timed):
     """Base cloud, its strong nondominated subset and the convex envelope."""
     where = {"grid": args.grid} if args.grid is not None else {"mc": args.mc, "seed": args.seed}
     base = timed("sampling", sample_cloud, problem, **where)
-    reference = timed("filter", greedy_pareto_filter, base, mode="strong")
+    reference = timed("filter", greedy_pareto_filter, base)
     envelope = timed("envelope", convex_envelope_front, problem, n_weights=args.weights, base_cloud=base)
     return base, reference, envelope
 
@@ -351,7 +330,7 @@ def cmd_sweep(args):
             base = reference if n_obj == 2 else base
             cert_cloud = timed("certification_cloud", enrich_cloud, problem, base)
         if n_obj == 2:
-            cert_cloud = timed("filter", greedy_pareto_filter, cert_cloud, mode="strong")
+            cert_cloud = timed("filter", greedy_pareto_filter, cert_cloud)
         ref_seconds = time.perf_counter() - t_ref
 
     start = time.perf_counter()
@@ -405,11 +384,14 @@ def cmd_sweep(args):
 
 def cmd_oracle(args):
     problem = get_problem(args.problem)
-    outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
     if args.grid is None and args.mc is None:
         print("error: empty reference (need --grid R or --mc COUNT > 0)", file=sys.stderr)
         return 1
+    if args.grid is not None and args.mc is not None:
+        # sweep reads --mc as the certification cloud's size; oracle has none
+        raise _UsageError("--grid and --mc each choose the reference cloud: give one")
+    outdir = args.out or "."
+    os.makedirs(outdir, exist_ok=True)
     base, reference, envelope = _reference(problem, args, _Timings.fromkeys(_LAYERS, 0.0))
     write_cloud_csv(os.path.join(outdir, "reference.csv"), reference)
     write_cloud_csv(os.path.join(outdir, "envelope.csv"), envelope)

@@ -61,9 +61,6 @@ class ConstraintSet:
             return np.asarray(self.jac(U), dtype=float)
         return np.stack([self.jacobian(u) for u in U])
 
-    def is_feasible(self, u) -> bool:
-        return bool(self.value(u).min(initial=np.inf) >= -self.membership_tol)
-
     def project(self, u):
         if self.projector is None:
             raise ValueError("constraint set has no projector")

@@ -15,16 +15,6 @@ class NumericalError(RuntimeError):
     """An iteration produced non-finite values or a linear solve failed."""
 
 
-class CertificationError(RuntimeError):
-    """A duality-gap certificate fell outside its admissible interval."""
-
-    def __init__(self, message, gap, lower, upper):
-        super().__init__(message)
-        self.gap = gap
-        self.lower = lower
-        self.upper = upper
-
-
 _FD_STEP = 1e-6  # central-difference step of Jacobians a user does not supply
 _DBL_EPSILON = float(np.finfo(float).eps)
 
@@ -103,7 +93,8 @@ class VectorObjective:
         return J
 
     def fd_jacobian(self, u, h):
-        """Central-difference Jacobian, also used as the audit reference."""
+        """Central-difference Jacobian with step ``h``, which ``jacobian`` uses
+        when no ``jac`` is given."""
         u = as_vector(u, self.dim_u, "u")
         J = np.empty((self.dim_obj, self.dim_u))
         for i in range(self.dim_u):
@@ -111,22 +102,9 @@ class VectorObjective:
             dn = u.copy()
             up[i] += h
             dn[i] -= h
-            # divide by the realized step so exactly linear maps audit to zero
+            # divide by the realized step so a linear map gives its exact slope
             J[:, i] = (self.value(up) - self.value(dn)) / (up[i] - dn[i])
         return J
-
-
-def jacobian_check(f: VectorObjective, u, h: float = 1e-6) -> float:
-    """Max relative gap between the stored Jacobian and central differences.
-
-    Relative to ``max(1, |entry|)`` so flat rows do not divide by zero.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    J = f.jacobian(u)
-    Jfd = f.fd_jacobian(as_vector(u, f.dim_u, "u"), h)
-    scale = np.maximum(1.0, np.abs(Jfd))
-    return float(np.max(np.abs(J - Jfd) / scale))
 
 
 class PreferenceFunction:

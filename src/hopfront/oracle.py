@@ -114,39 +114,13 @@ def nondominated_mask(points, mode="strong"):
     return ~_dominated_mask_sorted(P, strong)
 
 
-def greedy_pareto_filter(cloud: SampleCloud, mode="strong", epsilon=0.0) -> SampleCloud:
-    """Extract the nondominated subset, preserving input order.
-
-    ``epsilon > 0`` switches the strong mode to a sequential epsilon filter:
-    a point is dropped when some already-kept point q satisfies
-    q <= p + epsilon componentwise with q != p. With epsilon = 0 this is the
-    exact filter (equal to the all-pairs brute force).
-    """
-    P = np.asarray(cloud.points_obj, dtype=float)
-    if P.shape[0] == 0:
-        raise ValueError("empty cloud")
-    if epsilon > 0.0:
-        if mode != "strong":
-            raise ValueError("epsilon filtering is defined for strong mode")
-        kept = []
-        for i in range(P.shape[0]):
-            p = P[i]
-            drop = False
-            for j in kept:
-                q = P[j]
-                if np.all(q <= p + epsilon) and not np.array_equal(q, p):
-                    drop = True
-                    break
-            if not drop:
-                kept.append(i)
-        mask = np.zeros(P.shape[0], dtype=bool)
-        mask[kept] = True
-    else:
-        mask = nondominated_mask(P, mode)
+def greedy_pareto_filter(cloud: SampleCloud) -> SampleCloud:
+    """The strong nondominated subset (``nondominated_mask``), in input order."""
+    mask = nondominated_mask(cloud.points_obj)
     return SampleCloud(
         points_u=cloud.points_u[mask],
         points_obj=cloud.points_obj[mask],
-        source=cloud.source + f"|filtered({mode})",
+        source=cloud.source + "|filtered(strong)",
     )
 
 
@@ -199,22 +173,16 @@ def sample_cloud(problem, grid=None, mc=None, seed=0) -> SampleCloud:
     return SampleCloud(points_u=U, points_obj=problem.objective.value_batch(U), source=source)
 
 
-def enrich_cloud(problem, cloud, n=_CERT_ENRICH) -> SampleCloud:
-    """``cloud`` followed by ``n`` samples of the problem's known optimal
-    manifold, when it declares one and ``n > 0``; otherwise ``cloud`` itself.
-    The extra samples only sharpen minima estimates, never bias them."""
-    if not n or problem.optimal_manifold is None:
+def enrich_cloud(problem, cloud) -> SampleCloud:
+    """``cloud`` followed by ``_CERT_ENRICH`` samples of the problem's known
+    optimal manifold, when it declares one; otherwise ``cloud`` itself. The
+    extra samples only sharpen minima estimates, never bias them."""
+    if problem.optimal_manifold is None:
         return cloud
-    extra = problem.optimal_manifold(n)
+    extra = problem.optimal_manifold(_CERT_ENRICH)
     return SampleCloud(points_u=np.concatenate([cloud.points_u, extra]),
                        points_obj=np.concatenate([cloud.points_obj, problem.objective.value_batch(extra)]),
                        source=cloud.source + f"|enriched({extra.shape[0]})")
-
-
-def reference_front(problem, grid=None, mc=None, seed=0) -> SampleCloud:
-    """Brute-force reference front: sample feasibly, evaluate, filter (strong)."""
-    cloud = sample_cloud(problem, grid=grid, mc=mc, seed=seed)
-    return greedy_pareto_filter(cloud, mode="strong")
 
 
 def certification_cloud(problem, mc=20000, seed=0) -> SampleCloud:
@@ -332,8 +300,7 @@ def convex_envelope_front(problem, n_weights=16, seed=0, base_cloud=None):
     # Weights that share a minimizer give equal rows, which the strong
     # filter keeps; the first of each stands for them.
     first = np.sort(np.unique(sols_y, axis=0, return_index=True)[1])
-    cloud = SampleCloud(sols_u[first], sols_y[first], f"envelope({n_weights})")
-    return greedy_pareto_filter(cloud, mode="strong")
+    return greedy_pareto_filter(SampleCloud(sols_u[first], sols_y[first], f"envelope({n_weights})"))
 
 
 def front_distance(A, B):
@@ -352,30 +319,3 @@ def front_distance(A, B):
     backward = float(np.sqrt(d2.min(axis=0)).max())
     return forward, backward, max(forward, backward)
 
-
-def nonconvexity_witness(front, envelope, margin, tol=1e-9) -> int:
-    """Count front points sitting on a genuine nonconvex bulge.
-
-    A planar front point witnesses nonconvexity when it is nondominated
-    within the front, at least ``margin`` away from every envelope point, and
-    not dominated by any envelope point beyond ``tol``.
-    """
-    front = np.asarray(front, dtype=float)
-    if front.size == 0:
-        return 0
-    front = front.reshape(front.shape[0], -1)
-    envelope = np.asarray(envelope, dtype=float).reshape(-1, front.shape[1])
-    if front.shape[1] != 2:
-        raise ValueError("witness is defined for two objectives")
-    keep = nondominated_mask(front, "strong")
-    count = 0
-    for p in front[keep]:
-        dists = np.sqrt(((envelope - p) ** 2).sum(axis=1))
-        if dists.min() < margin:
-            continue
-        le = np.all(envelope <= p + tol, axis=1)
-        lt = np.any(envelope < p - tol, axis=1)
-        if np.any(le & lt):
-            continue
-        count += 1
-    return count

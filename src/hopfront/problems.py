@@ -303,13 +303,6 @@ PROBLEMS = {
 }
 
 
-def register_problem(pid: str, factory):
-    """Hook for user-defined problems; factory must return a BenchmarkProblem."""
-    if pid in PROBLEMS or _EX3A.match(pid):
-        raise ValueError(f"problem id {pid!r} is already taken")
-    PROBLEMS[pid] = factory
-
-
 def problem_ids():
     return sorted(PROBLEMS) + ["ex3a-d{N}"]
 

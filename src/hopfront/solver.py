@@ -49,13 +49,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import (
-    CertificationError,
-    HopfLaxParams,
-    NumericalError,
-    SoftMax,
-    as_vector,
-)
+from .core import HopfLaxParams, NumericalError, SoftMax, as_vector
 
 # Acceptance slack for the merit safeguard; absorbs rounding near the floor
 # without masking genuine increases.
@@ -190,10 +184,9 @@ def _norm(a):
 
 
 def dual_update_pi(g, ell, pi, params):
-    """One dual step from ell = ell(u), or from a stack of them: returns
-    (pi_next, E) with E = c (tau + alpha pi) and pi_next = grad g(ell + E)."""
-    E = params.dual_shift(pi)
-    return g.gradient(ell + E), E
+    """One dual step from ell = ell(u), or from a stack of them:
+    pi_next = grad g(ell + E) with E = c (tau + alpha pi)."""
+    return g.gradient(ell + params.dual_shift(pi))
 
 
 def stationarity_residual(J, u, pi, params, Jk=None, nu=None):
@@ -573,7 +566,7 @@ def run_primal_dual(f, g, k, params, cfg, U, PI) -> BatchResult:
             break
         iterations[live] = it
         P, cur, pi = params.take(live), pt.take(live), PI[live]
-        pi_new, _ = dual_update_pi(g, cur.ell, pi, P)
+        pi_new = dual_update_pi(g, cur.ell, pi, P)
         nxt, pi_next, nu_next, psi_next = cur.take(np.arange(live.size)), pi.copy(), nu[live], psi[live]
         accepted = np.zeros(live.size, dtype=bool)
         for theta in _THETAS:
@@ -730,33 +723,16 @@ def _cloud_minima(g, Y, E):
 
 
 def gap_certificates(g, results, params, cloud):
-    """(gap, bound) per result: gap = g(ell(u*) + E) - min over the cloud of
-    g(ell(u) + E), with ell(u*) from ``result.objectives`` and the minima in
-    one ``_cloud_minima`` pass; bound = D_R(u*, p/mu) from ``u_star``, ``p_bar``."""
+    """Duality-gap certificate (gap, bound) of each converged result. Theory
+    gives 0 <= gap <= bound; a cloud minimum, never below the true one, can
+    only lower the gap.
+
+    gap = g(ell(u*) + E) - min over the cloud of g(ell(u) + E), with ell(u*)
+    from ``result.objectives`` and the minima in one ``_cloud_minima`` pass;
+    bound = D_R(u*, p/mu) from ``u_star``, ``p_bar``, for the regularizer of
+    ``params`` (only its mu is read)."""
     R = params.regularizer()
     E = np.reshape([r.E_bar for r in results], (len(results), cloud.points_obj.shape[1]))
     return [(g.value(r.objectives + r.E_bar) - m, R.bregman(r.u_star, R.conjugate_gradient(r.p_bar)))
             for r, m in zip(results, _cloud_minima(g, cloud.points_obj, E))]
 
-
-def gap_and_bound(f, g, result, params, cloud):
-    """``gap_certificates`` of one result (``f`` is not called)."""
-    return gap_certificates(g, [result], params, cloud)[0]
-
-
-def certify_gap(f, g, result, params, cloud, tol=1e-6) -> float:
-    """Check 0 <= gap <= Bregman bound (within tol) against a sampled oracle.
-
-    Raises CertificationError carrying both sides when violated.
-    """
-    if not result.converged:
-        raise ValueError("certification requires a converged result")
-    gap, bound = gap_and_bound(f, g, result, params, cloud)
-    if not (-tol <= gap <= bound + tol):
-        raise CertificationError(
-            f"gap certificate violated: gap={gap:.3e} outside [{-tol:.1e}, {bound + tol:.3e}]",
-            gap=gap,
-            lower=-tol,
-            upper=bound + tol,
-        )
-    return gap

@@ -43,6 +43,100 @@ def all_pairs_filter(points, mode="strong"):
     return ~dominated
 
 
+def epsilon_filter(cloud, epsilon):
+    """Sequential epsilon filter for ``epsilon > 0``: a point is dropped when
+    some already-kept point q satisfies q <= p + epsilon componentwise with
+    q != p."""
+    from hopfront.oracle import SampleCloud
+
+    P = np.asarray(cloud.points_obj, dtype=float)
+    kept = []
+    for i in range(P.shape[0]):
+        p = P[i]
+        drop = False
+        for j in kept:
+            q = P[j]
+            if np.all(q <= p + epsilon) and not np.array_equal(q, p):
+                drop = True
+                break
+        if not drop:
+            kept.append(i)
+    mask = np.zeros(P.shape[0], dtype=bool)
+    mask[kept] = True
+    return SampleCloud(
+        points_u=cloud.points_u[mask],
+        points_obj=cloud.points_obj[mask],
+        source=cloud.source + "|filtered(strong)",
+    )
+
+
+def nonconvexity_witness(front, envelope, margin, tol=1e-9) -> int:
+    """Count front points sitting on a genuine nonconvex bulge.
+
+    A planar front point witnesses nonconvexity when it is nondominated
+    within the front, at least ``margin`` away from every envelope point, and
+    not dominated by any envelope point beyond ``tol``.
+    """
+    from hopfront.oracle import nondominated_mask
+
+    front = np.asarray(front, dtype=float)
+    if front.size == 0:
+        return 0
+    front = front.reshape(front.shape[0], -1)
+    envelope = np.asarray(envelope, dtype=float).reshape(-1, front.shape[1])
+    if front.shape[1] != 2:
+        raise ValueError("witness is defined for two objectives")
+    keep = nondominated_mask(front, "strong")
+    count = 0
+    for p in front[keep]:
+        dists = np.sqrt(((envelope - p) ** 2).sum(axis=1))
+        if dists.min() < margin:
+            continue
+        le = np.all(envelope <= p + tol, axis=1)
+        lt = np.any(envelope < p - tol, axis=1)
+        if np.any(le & lt):
+            continue
+        count += 1
+    return count
+
+
+def jacobian_check(f, u, h: float = 1e-6) -> float:
+    """Max relative gap between the stored Jacobian and central differences.
+
+    Relative to ``max(1, |entry|)`` so flat rows do not divide by zero.
+    """
+    from hopfront.core import as_vector
+
+    if h <= 0:
+        raise ValueError("h must be positive")
+    J = f.jacobian(u)
+    Jfd = f.fd_jacobian(as_vector(u, f.dim_u, "u"), h)
+    scale = np.maximum(1.0, np.abs(Jfd))
+    return float(np.max(np.abs(J - Jfd) / scale))
+
+
+def read_front_csv(path):
+    """Header and rows of a ``front.csv``, each row a dict keyed by column."""
+    with open(path, encoding="utf-8") as handle:
+        header = handle.readline().strip().split(",")
+        rows = []
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            vals = line.split(",")
+            rec = {}
+            for key, val in zip(header, vals):
+                if key in ("sample_index", "iterations"):
+                    rec[key] = int(val)
+                elif key == "converged":
+                    rec[key] = val == "true"
+                else:
+                    rec[key] = float(val) if val else None
+            rows.append(rec)
+    return header, rows
+
+
 def _projected_descent(grad_fn, val_fn, u0, project, maxit=200, tol=1e-9):
     # Spectral projected gradient: Barzilai-Borwein first trials clipped to
     # [1e-6, 1e6], halved under the nonmonotone Armijo test against the
@@ -111,7 +205,7 @@ def scalar_envelope(problem, n_weights=16, starts=16, seed=0, base_cloud=None):
         sols_u.append(best_u)
         sols_y.append(f.value(best_u))
     cloud = SampleCloud(np.stack(sols_u), np.stack(sols_y), f"envelope({n_weights})")
-    return greedy_pareto_filter(cloud, mode="strong")
+    return greedy_pareto_filter(cloud)
 
 
 def rowwise_direction(k, pt, gvec, params, x):

@@ -9,10 +9,11 @@ import time
 import numpy as np
 import pytest
 
+from conftest import epsilon_filter, jacobian_check, nonconvexity_witness, read_front_csv
+
 import hopfront as hf
 from hopfront.cli import main as cli_main
-from hopfront.cli import read_front_csv
-from hopfront.core import SoftMax, VectorObjective, WeightedSum, HopfLaxParams, jacobian_check
+from hopfront.core import SoftMax, VectorObjective, WeightedSum, HopfLaxParams
 from hopfront.solver import SolverConfig, solve
 
 BENCHMARKS = ("ex1", "ex2a", "ex2b", "ex3a-d10", "ex3b")
@@ -83,7 +84,7 @@ def test_criterion_01_example1_reproduction(ex1_cli_run):
     assert parabola_gap <= 0.02
 
     objs = np.array([[r["ell_1"], r["ell_2"]] for r in converged])
-    ref = hf.reference_front(prob, mc=20000, seed=11)
+    ref = hf.greedy_pareto_filter(hf.sample_cloud(prob, mc=20000, seed=11))
     forward = hf.front_distance(objs, ref.points_obj)[0]
     assert forward <= 0.05
     assert elapsed <= 5.0
@@ -100,14 +101,14 @@ def test_criterion_02_nonconvex_front_recovery():
         elapsed = time.perf_counter() - start
         objs = np.array([s.objectives for s in front.samples if s.converged])
         base = hf.sample_cloud(prob, grid=150)
-        ref = hf.greedy_pareto_filter(base, mode="strong")
+        ref = hf.greedy_pareto_filter(base)
         forward = hf.front_distance(objs, ref.points_obj)[0]
         assert forward <= 0.03, pid
         assert elapsed <= 5.0, pid
         details.append(f"{pid}: forward={forward:.4f}, wall={elapsed:.2f}s")
         if pid == "ex2b":
             envelope = hf.convex_envelope_front(prob, n_weights=16, base_cloud=base)
-            witnesses = hf.nonconvexity_witness(objs, envelope.points_obj, margin=0.05)
+            witnesses = nonconvexity_witness(objs, envelope.points_obj, margin=0.05)
             assert witnesses >= 5
             details.append(f"ex2b witnesses={witnesses}")
     _pass(2, "; ".join(details))
@@ -122,8 +123,8 @@ def test_criterion_03_gap_certificates(benchmark_runs):
         for params, res in chain:
             if not res.converged:
                 continue
-            gap = hf.certify_gap(prob.objective, g, res, params, cloud, tol=1e-6)
-            _, bound = hf.gap_and_bound(prob.objective, g, res, params, cloud)
+            [(gap, bound)] = hf.gap_certificates(g, [res], params, cloud)
+            assert -1e-6 <= gap <= bound + 1e-6, (pid, gap, bound)
             worst_low = min(worst_low, gap)
             worst_high = max(worst_high, gap - bound)
             checked += 1
@@ -202,7 +203,7 @@ def test_criterion_08_five_objective_run():
     objs = np.array([s.objectives for s in front.samples if s.converged])
     us = np.array([s.u for s in front.samples if s.converged])
     cloud = hf.SampleCloud(us, objs, "solver front")
-    filtered = hf.greedy_pareto_filter(cloud, mode="strong", epsilon=1e-9)
+    filtered = epsilon_filter(cloud, 1e-9)
     assert hf.nondominated_mask(filtered.points_obj, "strong").all()
     assert elapsed <= 120.0
     _pass(8, f"{conv}/100 converged, {len(filtered)} points after eps-filter, wall={elapsed:.2f}s")

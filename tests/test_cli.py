@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import read_front_csv
 
-from hopfront.cli import build_parser, main, read_front_csv
+from hopfront.cli import build_parser, main
 from hopfront.constrained import ConstraintSet
 from hopfront.core import HopfLaxParams, SoftMax, VectorObjective
 from hopfront.problems import PROBLEMS, BenchmarkProblem
@@ -122,7 +123,7 @@ class TestSweepCommand:
         prob = hf.get_problem(pid)
         cloud = hf.certification_cloud(prob, mc=3000, seed=2)
         if prob.objective.dim_obj == 2:
-            cloud = hf.greedy_pareto_filter(cloud, mode="strong")
+            cloud = hf.greedy_pareto_filter(cloud)
         front = hf.sweep(prob, n_samples=10, reference=cloud)
         _, rows = read_front_csv(out / "front.csv")
         assert all(s.converged for s in front.samples)
@@ -299,6 +300,14 @@ class TestOracleCommand:
         code = run(["oracle", "--problem", "ex1", "--mc", "0"])
         assert code == 1
         assert "empty reference" in capsys.readouterr().err
+
+    def test_grid_and_mc_together_are_a_usage_error(self, tmp_path, capsys):
+        # the manifest would record an --mc the reference never used
+        out = tmp_path / "orc"
+        assert run(["oracle", "--problem", "ex2b", "--grid", "50", "--mc", "100", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--grid" in err and "--mc" in err
+        assert not out.exists()
 
     def test_constraints_without_projector_exit_one(self, tmp_path, capsys, monkeypatch):
         # ell(u) = -u on the unit disc: clipping to the bounding box would put

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from conftest import jacobian_check
+
 from hopfront.core import (
     HopfLaxParams,
     QuadraticRegularizer,
@@ -14,7 +16,6 @@ from hopfront.core import (
     VectorObjective,
     WeightedSum,
     as_vector,
-    jacobian_check,
 )
 
 

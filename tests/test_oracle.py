@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import all_pairs_filter, brute_force_filter, scalar_envelope
+from conftest import all_pairs_filter, brute_force_filter, epsilon_filter, nonconvexity_witness, scalar_envelope
 
 from hopfront.oracle import (
     SampleCloud,
@@ -15,9 +15,7 @@ from hopfront.oracle import (
     enrich_cloud,
     front_distance,
     greedy_pareto_filter,
-    nonconvexity_witness,
     nondominated_mask,
-    reference_front,
     sample_cloud,
 )
 from hopfront.constrained import box_constraints
@@ -75,7 +73,7 @@ class TestDominates:
 
 class TestGreedyParetoFilter:
     def test_small_example(self):
-        out = greedy_pareto_filter(cloud_of([[1, 2], [2, 1], [2, 2]]), mode="strong")
+        out = greedy_pareto_filter(cloud_of([[1, 2], [2, 1], [2, 2]]))
         assert out.points_obj.tolist() == [[1, 2], [2, 1]]
 
     def test_singleton(self):
@@ -94,19 +92,19 @@ class TestGreedyParetoFilter:
 
     def test_idempotent(self, rng):
         P = rng.random((200, 2))
-        once = greedy_pareto_filter(cloud_of(P), mode="strong")
-        twice = greedy_pareto_filter(once, mode="strong")
+        once = greedy_pareto_filter(cloud_of(P))
+        twice = greedy_pareto_filter(once)
         assert np.array_equal(once.points_obj, twice.points_obj)
 
     def test_stable_order(self, rng):
         P = rng.random((100, 3))
-        out = greedy_pareto_filter(cloud_of(P), mode="strong")
+        out = greedy_pareto_filter(cloud_of(P))
         keep = nondominated_mask(P, "strong")
         assert np.array_equal(out.points_obj, P[keep])
 
     def test_epsilon_filter_collapses_near_ties(self):
         P = np.array([[0.0, 1.0], [0.0, 1.0 + 5e-10], [1.0, 0.0]])
-        out = greedy_pareto_filter(cloud_of(P), mode="strong", epsilon=1e-9)
+        out = epsilon_filter(cloud_of(P), 1e-9)
         assert out.points_obj.shape[0] == 2
         keep = nondominated_mask(out.points_obj, "strong")
         assert keep.all()
@@ -116,7 +114,7 @@ class TestGreedyParetoFilter:
             greedy_pareto_filter(cloud_of(np.zeros((0, 2))))
 
     def test_duplicates_kept_in_strong_mode(self):
-        out = greedy_pareto_filter(cloud_of([[1.0, 1.0], [1.0, 1.0]]), mode="strong")
+        out = greedy_pareto_filter(cloud_of([[1.0, 1.0], [1.0, 1.0]]))
         assert out.points_obj.shape[0] == 2
 
 
@@ -213,14 +211,14 @@ class TestNondominatedMask:
 class TestReferenceFront:
     def test_grid_front_clusters_near_diagonal(self):
         prob = example2_case1()
-        ref = reference_front(prob, grid=150)
+        ref = greedy_pareto_filter(sample_cloud(prob, grid=150))
         spacing = 1.0 / 149
         off = np.abs(ref.points_u[:, 1] - ref.points_u[:, 0])
         assert off.max() <= 4 * spacing
 
     def test_mc_front_on_parabola_boundary(self):
         prob = example1()
-        ref = reference_front(prob, mc=20000, seed=0)
+        ref = greedy_pareto_filter(sample_cloud(prob, mc=20000, seed=0))
         k1 = -ref.points_u[:, 0] ** 2 + ref.points_u[:, 1]
         assert k1.min() >= -1e-9  # feasible
         assert np.quantile(k1, 0.95) <= 0.05  # hugging the boundary
@@ -238,13 +236,13 @@ class TestReferenceFront:
             tau_start=np.zeros(2), tau_end=np.ones(2),
             label="constant",
         )
-        ref = reference_front(prob, mc=500, seed=1)
+        ref = greedy_pareto_filter(sample_cloud(prob, mc=500, seed=1))
         assert ref.points_obj.shape[0] >= 1
         assert np.allclose(ref.points_obj, 0.0)
 
     def test_internally_nondominated(self, rng):
         prob = example2_case1()
-        ref = reference_front(prob, mc=3000, seed=2)
+        ref = greedy_pareto_filter(sample_cloud(prob, mc=3000, seed=2))
         assert nondominated_mask(ref.points_obj, "strong").all()
 
     def test_source_validation(self):
@@ -271,7 +269,7 @@ class TestCloudReuse:
         prob = get_problem(pid)
         base = sample_cloud(prob, mc=4000, seed=seed)
         cert = certification_cloud(prob, mc=4000, seed=seed)
-        assert same_cloud(enrich_cloud(prob, base, 20000), cert)
+        assert same_cloud(enrich_cloud(prob, base), cert)
         # and the one pass over base + enrichment that certification_cloud used to make
         U = np.concatenate([base.points_u, prob.optimal_manifold(20000)])
         assert same_cloud(cert, SampleCloud(U, prob.objective.value_batch(U), "one pass"))
@@ -279,8 +277,7 @@ class TestCloudReuse:
     def test_enrich_without_manifold_or_count_is_identity(self):
         prob = dataclasses.replace(get_problem("ex2a"), optimal_manifold=None)
         base = sample_cloud(prob, mc=500, seed=0)
-        assert enrich_cloud(prob, base, 100) is base
-        assert enrich_cloud(get_problem("ex2a"), base, 0) is base
+        assert enrich_cloud(prob, base) is base
 
     @pytest.mark.parametrize("pid", ["ex1", "ex2a", "ex2b", "ex3a-d10"])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -288,7 +285,7 @@ class TestCloudReuse:
         # ND(ND(A) + B) = ND(A + B) by transitivity, in the same order
         prob = get_problem(pid)
         reference = greedy_pareto_filter(sample_cloud(prob, mc=4000, seed=seed))
-        reused = greedy_pareto_filter(enrich_cloud(prob, reference, 20000))
+        reused = greedy_pareto_filter(enrich_cloud(prob, reference))
         assert same_cloud(reused, greedy_pareto_filter(certification_cloud(prob, mc=4000, seed=seed)))
 
     @pytest.mark.parametrize("pid", ["ex2a", "ex2b", "ex3a-d10", "ex3b"])
@@ -348,7 +345,7 @@ class TestConvexEnvelope:
         prob = example2_case1()
         base = sample_cloud(prob, grid=60)
         env = convex_envelope_front(prob, n_weights=8, base_cloud=base)
-        ref = reference_front(prob, grid=60)
+        ref = greedy_pareto_filter(sample_cloud(prob, grid=60))
         for e in env.points_obj:
             strictly_better = np.all(ref.points_obj < e - 1e-6, axis=1)
             assert not strictly_better.any()

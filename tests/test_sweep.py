@@ -3,7 +3,7 @@ import pytest
 
 from hopfront.core import HopfLaxParams, VectorObjective, WeightedSum
 from hopfront.problems import BenchmarkProblem, example2_case1, get_problem
-from hopfront.solver import SolverConfig, gap_and_bound, solve
+from hopfront.solver import SolverConfig, gap_certificates, solve
 from hopfront.sweep import TauPath, sweep
 
 
@@ -136,10 +136,10 @@ class TestSweep:
             if s.converged:
                 assert s.gap is not None and s.bregman_bound is not None
                 assert s.gap <= s.bregman_bound + 1e-6
-                # the batched pass records what gap_and_bound gives the lone solve
+                # the pass over all samples records what it gives the lone solve
                 params = prob.params_for(s.tau)
                 lone = solve(prob.objective, g, params, constraints=prob.constraints)
-                assert (s.gap, s.bregman_bound) == gap_and_bound(prob.objective, g, lone, params, cloud)
+                assert [(s.gap, s.bregman_bound)] == gap_certificates(g, [lone], params, cloud)
 
     def test_nonconverged_samples_retained_and_flagged(self):
         prob = example2_case1()
