@@ -253,7 +253,8 @@ def _reference(problem, args, timed):
     where = {"grid": args.grid} if args.grid is not None else {"mc": args.mc, "seed": args.seed}
     base = timed("sampling", sample_cloud, problem, **where)
     reference = timed("filter", greedy_pareto_filter, base)
-    envelope = timed("envelope", convex_envelope_front, problem, n_weights=args.weights, base_cloud=base)
+    envelope = timed("envelope", convex_envelope_front, problem, n_weights=args.weights, seed=args.seed,
+                     base_cloud=base)
     return base, reference, envelope
 
 
@@ -376,7 +377,7 @@ def cmd_sweep(args):
     extra = {"reference_seconds": ref_seconds} if args.compare else {}
     _write_manifest(outdir, args, duration_s=duration, converged=front.converged_count(),
                     total=len(front.samples), timings=dict(timed), inner_steps=front.inner_steps,
-                    inner_row_steps=front.inner_row_steps, **extra)
+                    inner_row_steps=front.inner_row_steps, merit_evals=front.merit_evals, **extra)
     print(f"swept {len(front.samples)} samples ({front.converged_count()} converged) "
           f"in {duration:.3f}s -> {front_csv}")
     return 0 if front.converged_count() else 2

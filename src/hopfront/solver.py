@@ -6,7 +6,9 @@ constraint multipliers nu from stationarity, and refines the primal point u
 by minimizing the shifted scalarization over the constraint set (projected
 value descent). A merit function measuring violation of the full optimality
 system safeguards every step: the dual step and the primal step are damped
-until the merit is non-increasing, so recorded merit values never rise.
+until the merit is non-increasing, so recorded merit values never rise. A
+row whose inner solve did not move has one candidate at every primal
+damping, so it is tried once per dual step.
 
 The inner descent preconditions with the Gauss-Newton matrix
 B0 = s I + J^T J, which lacks the scalarizer's and the constraints'
@@ -115,12 +117,14 @@ class SolveResult:
 
 
 class BatchResult(list):
-    """The results of ``solve_batch`` in row order, plus the inner work of its
-    lock-step loop: ``inner_steps`` descent steps taken together and
-    ``inner_row_steps`` live rows summed over those steps."""
+    """The results of ``solve_batch`` in row order, plus the work of its
+    lock-step loop: ``inner_steps`` descent steps taken together,
+    ``inner_row_steps`` live rows summed over those steps and ``merit_evals``
+    merit calls, the initial one included."""
 
     inner_steps = 0
     inner_row_steps = 0
+    merit_evals = 0
 
 
 @dataclass(eq=False)
@@ -545,13 +549,16 @@ def _candidates(f, k, u, inner, base):
 def run_primal_dual(f, g, k, params, cfg, U, PI) -> BatchResult:
     """The outer loop behind ``solve_batch``, one row per row of params.tau,
     from the feasible starts U and dual starts PI; inputs are assumed
-    consistent."""
+    consistent. Each dual candidate theta gets one inner solve, relaxed by
+    eta until the merit does not rise; a row whose inner point is its base
+    leaves after one trial."""
     work = BatchResult()
     n, m = U.shape[0], 0 if k is None else k.dim_con
     gamma = 1.0 / params.stiffness
     pt = evaluate(f, k, U)
     nu = np.zeros((n, m))
     psi = merit_psi(g, pt, PI, params, nu=nu)
+    work.merit_evals = 1
     psi_floor = cfg.eps**2 * np.maximum(1.0, psi)
     merit_history = [[float(p)] for p in psi]
     residual_history: List[List[float]] = [[] for _ in range(n)]
@@ -592,17 +599,20 @@ def run_primal_dual(f, g, k, params, cfg, U, PI) -> BatchResult:
                 if not trying.size:
                     break
                 b = base.u[trying]
+                # an unmoved inner point is the candidate at every eta
+                once = (inner.u[trying] == b).all(axis=1)
                 cand = _candidates(f, k, b + eta * (inner.u[trying] - b), inner.take(trying), base.take(trying))
                 eta *= _BACKTRACK_FACTOR
                 P_try, pi_try = P_rows.take(trying), pi_cand[trying]
                 nu_cand = multiplier_estimate(cand, pi_try, P_try) if m else np.zeros((trying.size, 0))
                 psi_cand = merit_psi(g, cand, pi_try, P_try, nu=nu_cand)
+                work.merit_evals += 1
                 psi_now = psi[live[rows[trying]]]
                 ok = np.isfinite(psi_cand) & (psi_cand <= psi_now + _MERIT_SLACK * np.maximum(1.0, psi_now))
                 hit = rows[trying[ok]]
                 nxt.put(hit, cand.take(ok))
                 pi_next[hit], nu_next[hit], psi_next[hit], accepted[hit] = pi_try[ok], nu_cand[ok], psi_cand[ok], True
-                trying = trying[~ok]
+                trying = trying[~ok & ~once]
         iterations[live[~accepted]] -= 1  # merit stalled at its numerical floor
 
         a = np.flatnonzero(accepted)

@@ -62,14 +62,16 @@ class FrontSample:
 @dataclass(eq=False)
 class ParetoFront:
     """Samples in path order; ``timings`` holds the seconds ``sweep`` spent
-    on the batched solves and on the certificates, ``inner_steps`` and
-    ``inner_row_steps`` the inner work of the batch (``BatchResult``)."""
+    on the batched solves and on the certificates, ``inner_steps``,
+    ``inner_row_steps`` and ``merit_evals`` the work of the batch
+    (``BatchResult``)."""
 
     problem_id: str
     samples: List[FrontSample] = field(default_factory=list)
     timings: dict = field(default_factory=dict)
     inner_steps: int = 0
     inner_row_steps: int = 0
+    merit_evals: int = 0
 
     def converged_count(self):
         return sum(1 for s in self.samples if s.converged)
@@ -105,7 +107,8 @@ def sweep(
     start = time.perf_counter()
     params = HopfLaxParams(x=problem.x, tau=np.stack(path.points()), alpha=alpha, c=c, mu=mu)
     results = solve_batch(problem.objective, g, params, cfg, constraints=problem.constraints)
-    front = ParetoFront(problem.id, inner_steps=results.inner_steps, inner_row_steps=results.inner_row_steps)
+    front = ParetoFront(problem.id, inner_steps=results.inner_steps, inner_row_steps=results.inner_row_steps,
+                        merit_evals=results.merit_evals)
     for i, (t, res) in enumerate(zip(path.parameters(), results)):
         residual = res.residual_history[-1] if res.residual_history else np.inf
         front.samples.append(FrontSample(i, float(t), params.tau[i], res.u_star, res.objectives, res.pi_star,

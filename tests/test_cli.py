@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from conftest import read_front_csv
 
-from hopfront.cli import build_parser, main
+from hopfront.cli import build_parser, main, write_cloud_csv
 from hopfront.constrained import ConstraintSet
 from hopfront.core import HopfLaxParams, SoftMax, VectorObjective
-from hopfront.problems import PROBLEMS, BenchmarkProblem
+from hopfront.oracle import convex_envelope_front, sample_cloud
+from hopfront.problems import PROBLEMS, BenchmarkProblem, get_problem
 from hopfront.solver import SolverConfig
 
 
@@ -110,7 +111,9 @@ class TestSweepCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         front = hf.sweep(hf.get_problem("ex1"), n_samples=12)
         assert 0 < front.inner_steps <= front.inner_row_steps
-        assert (manifest["inner_steps"], manifest["inner_row_steps"]) == (front.inner_steps, front.inner_row_steps)
+        assert 0 < front.merit_evals
+        assert ((manifest["inner_steps"], manifest["inner_row_steps"], manifest["merit_evals"])
+                == (front.inner_steps, front.inner_row_steps, front.merit_evals))
 
     @pytest.mark.parametrize("pid", ["ex1", "ex3b"])
     def test_gaps_are_certificates_against_a_fresh_certification_cloud(self, tmp_path, pid):
@@ -295,6 +298,18 @@ class TestOracleCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["params"]["seed"] == 7
         assert "seed=7" in manifest["source"]
+
+    def test_mc_reference_envelope_uses_seed(self, tmp_path):
+        # more than two objectives: the envelope draws Dirichlet weights
+        out = tmp_path / "orc"
+        assert run(["oracle", "--problem", "ex3b", "--mc", "2000", "--seed", "7", "--out", str(out)]) == 0
+        prob = get_problem("ex3b")
+        base = sample_cloud(prob, mc=2000, seed=7)
+        for seed in (7, 0):
+            write_cloud_csv(tmp_path / f"envelope_{seed}.csv", convex_envelope_front(prob, seed=seed, base_cloud=base))
+        written = (out / "envelope.csv").read_bytes()
+        assert written == (tmp_path / "envelope_7.csv").read_bytes()
+        assert written != (tmp_path / "envelope_0.csv").read_bytes()
 
     def test_zero_samples_exit_one(self, capsys):
         code = run(["oracle", "--problem", "ex1", "--mc", "0"])

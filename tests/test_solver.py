@@ -817,6 +817,37 @@ class TestInnerDepth:
         assert depth and max(depth) < solver._MAXIT_U  # four inner solves hit it with halving
 
 
+class TestMeritSafeguard:
+    """A row whose inner solve did not move has the same candidate at every
+    primal damping eta, so the safeguard tries it once per dual candidate."""
+
+    def test_ex1_sweep_merit_evals(self, monkeypatch):
+        from hopfront import solver
+        from hopfront.sweep import sweep
+
+        merit, calls = solver.merit_psi, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return merit(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "merit_psi", counting)
+        prob = get_problem("ex1")
+        g = prob.default_preference()
+        front = sweep(prob, g, n_samples=100)
+        assert front.converged_count() == 100
+        assert len(calls) == front.merit_evals <= 30  # 74 when every eta repeated the trial
+        # the samples whose dual step is damped (theta < 1) at some iteration
+        for i in (0, 1, 2, 3, 4, 5, 10, 11, 15, 21):
+            s = front.samples[i]
+            lone = solve(prob.objective, g, prob.params_for(s.tau), constraints=prob.constraints)
+            assert s.u.tobytes() == lone.u_star.tobytes()
+            assert s.pi.tobytes() == lone.pi_star.tobytes()
+            assert s.objectives.tobytes() == lone.objectives.tobytes()
+            assert (s.residual, s.iterations, s.converged) == (lone.residual_history[-1], lone.iterations,
+                                                               lone.converged)
+
+
 class TestCertifyGap:
     def quad_setup(self, x):
         f = VectorObjective(1, 1, lambda u: u**2, lambda u: np.array([[2.0 * u[0]]]))
