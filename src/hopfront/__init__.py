@@ -13,7 +13,6 @@ from .core import (
     HopfLaxParams,
     NumericalError,
     PreferenceFunction,
-    QuadraticRegularizer,
     SoftMax,
     VectorObjective,
     WeightedSum,
@@ -33,7 +32,6 @@ from .solver import (
     BatchResult,
     SolveResult,
     SolverConfig,
-    dual_update_pi,
     evaluate,
     gap_certificates,
     merit_psi,

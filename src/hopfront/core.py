@@ -1,4 +1,4 @@
-"""Core types: vector objectives, preference scalarizers, quadratic regularization.
+"""Core types: vector objectives, preference scalarizers, the Hopf-Lax parameters.
 
 Everything here is immutable after construction and safe to share between
 concurrent solver runs.
@@ -246,27 +246,34 @@ class SoftMax(PreferenceFunction):
         self.dim_obj = int(dim_obj)
 
     def value(self, y):
-        y = as_vector(y, self.dim_obj)
-        z = y / self.eps
-        m = float(z.max())
-        return self.eps * (m + float(np.log(np.exp(z - m).sum())))
+        return float(self.value_batch(as_vector(y, self.dim_obj)[None])[0])
 
     def value_batch(self, Y):
+        # eps (m + log sum exp(y/eps - m)) with m = max y/eps; rows where y/eps
+        # overflows take m + eps log sum exp((y - m)/eps) with m = max y instead
         Y = np.asarray(Y, dtype=float).reshape(-1, self.dim_obj)
-        if self.dim_obj >= 8:
-            # from 8 terms on, numpy's row sum is pairwise with 8 accumulators
-            z = Y / self.eps
-            m = z.max(axis=1, keepdims=True)
-            return self.eps * (m[:, 0] + np.log(np.exp(z - m).sum(axis=1)))
-        # a shorter row sum runs left to right, as this sum over the rows of
-        # the transposed stack does, bit for bit and several times faster
-        z = np.divide(Y.T, self.eps, order="C")  # the one stack-sized array
-        m = z.max(axis=0)
-        return self.eps * (m + np.log(np.exp(np.subtract(z, m, out=z), out=z).sum(axis=0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.dim_obj >= 8:
+                # from 8 terms on, numpy's row sum is pairwise with 8 accumulators
+                z = Y / self.eps
+                m = z.max(axis=1, keepdims=True)
+                v = self.eps * (m[:, 0] + np.log(np.exp(z - m).sum(axis=1)))
+            else:
+                # a shorter row sum runs left to right, as this sum over the rows of
+                # the transposed stack does, bit for bit and several times faster
+                z = np.divide(Y.T, self.eps, order="C")  # the one stack-sized array
+                m = z.max(axis=0)
+                v = self.eps * (m + np.log(np.exp(np.subtract(z, m, out=z), out=z).sum(axis=0)))
+            if not -np.inf < v.sum() < np.inf:  # one sum tests every row, NaN included
+                big = np.flatnonzero(~np.isfinite(v))
+                m = Y[big].max(axis=1, keepdims=True)
+                v[big] = m[:, 0] + self.eps * np.log(np.exp((Y[big] - m) / self.eps).sum(axis=1))
+        return v
 
     def gradient(self, y):
         y = as_points(y, self.dim_obj)
-        z = (y - y.max(axis=-1, keepdims=True)) / self.eps
+        with np.errstate(over="ignore"):  # a shift below -eps * 1.8e308 has weight exp(-inf) = 0
+            z = (y - y.max(axis=-1, keepdims=True)) / self.eps
         w = np.exp(z)
         return w / w.sum(axis=-1, keepdims=True)
 
@@ -322,33 +329,6 @@ class WeightedSum(PreferenceFunction):
         return np.broadcast_to(self.weights, as_points(v, self.dim_obj, "v").shape).copy()
 
 
-@dataclass(frozen=True)
-class QuadraticRegularizer:
-    """R(u) = mu/2 ||u||^2 with mu > 0."""
-
-    mu: float
-
-    def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-
-    def value(self, u):
-        u = np.asarray(u, dtype=float)
-        return 0.5 * self.mu * float(u @ u)
-
-    def gradient(self, u):
-        return self.mu * np.asarray(u, dtype=float)
-
-    def conjugate_gradient(self, p):
-        """Gradient of the conjugate, i.e. the inverse gradient map p -> p/mu."""
-        return np.asarray(p, dtype=float) / self.mu
-
-    def bregman(self, u, v) -> float:
-        """D_R(u, v) = R(u) - R(v) - <grad R(v), u - v>; nonnegative, zero iff u = v."""
-        diff = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
-        return 0.5 * self.mu * float(diff @ diff)
-
-
 @dataclass(frozen=True, eq=False)
 class HopfLaxParams:
     """Per-solve parameter bundle: state (x, tau), horizon weight alpha,
@@ -399,6 +379,3 @@ class HopfLaxParams:
     def dual_momentum(self, u):
         """p = c (x - alpha u)."""
         return self.c * (self.x - self.alpha * np.asarray(u, dtype=float))
-
-    def regularizer(self) -> QuadraticRegularizer:
-        return QuadraticRegularizer(self.mu)

@@ -27,21 +27,24 @@ its mirror point starts the next one there.
 
 ``solve_batch`` solves a stack of tau (``HopfLaxParams.tau`` of shape
 ``(n, N)``) as one batch, one row per tau; ``solve`` is the batch of one.
-Each row keeps its state in stacked arrays. Every nesting level -- outer
-iteration, dual damping trial, inner descent step, Armijo trial, primal
-damping trial -- keeps the index array of its live rows and makes one
-batched objective, Jacobian and projection call per step; a row leaves a
-level when it stops there. The batch reports its inner work
-(``BatchResult``). Each row does exactly the arithmetic of a lone solve, so
-its result does not depend on the batch. Every row takes its two-metric
-step in one stacked solve, projected onto the tangent space of its active
-constraints. Linear systems are solved as one stack without a d x d matrix
-(``spd_solve``). A box (``ConstraintSet.bounds``) takes that projector and
-its multipliers from its faces in closed form and never forms Jac[k].
+Every function here takes stacks, a lone point being the stack of one.
+Every nesting level -- outer iteration, dual damping trial, inner descent
+step, Armijo trial, primal damping trial -- keeps the index array of its
+live rows and makes one batched objective, Jacobian and projection call per
+step; a row leaves a level when it stops there. The batch reports its inner
+work (``BatchResult``). Each row does exactly the arithmetic of a lone
+solve, so its result does not depend on the batch. Every row takes its
+two-metric step in one stacked solve, projected onto the tangent space of
+its active constraints. Linear systems are solved as one stack without a
+d x d matrix (``spd_solve``). A box (``ConstraintSet.bounds``) takes that
+projector and its multipliers from its faces in closed form and never
+forms Jac[k].
 
 Each point is evaluated once (``evaluate``): the merit, the multipliers, the
 stop test, the next dual step and the next inner solve all read that
-record, and the inner solve returns its last point's record.
+record, and the inner solve returns its last point's record. One function,
+``stationarity_residual``, assembles J^T pi + mu u - p - Jac[k]^T nu from
+it for the merit, the multipliers, the stop test and the polish.
 """
 from __future__ import annotations
 
@@ -51,7 +54,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import HopfLaxParams, NumericalError, SoftMax, as_vector
+from .core import HopfLaxParams, NumericalError, SoftMax
 
 # Acceptance slack for the merit safeguard; absorbs rounding near the floor
 # without masking genuine increases.
@@ -129,10 +132,10 @@ class BatchResult(list):
 
 @dataclass(eq=False)
 class Evaluation:
-    """ell(u) and Jac[ell](u) at a point u ``(d,)`` or at every row of a
-    stack ``(n, d)``, plus k(u) when there are constraints (``kv`` is None
-    otherwise). ``k`` is kept for Jac[k] or a box's faces, which only the rows
-    next to an active constraint read."""
+    """ell(u) and Jac[ell](u) at every row of a stack u ``(n, d)``, plus k(u)
+    when there are constraints (``kv`` is None otherwise). ``k`` is kept for
+    Jac[k] or a box's faces, which only the rows next to an active
+    constraint read."""
 
     u: np.ndarray
     ell: np.ndarray
@@ -153,17 +156,15 @@ class Evaluation:
 
 
 def evaluate(f, k, u, ell=None) -> Evaluation:
-    """The one evaluation of the objective (and constraint) maps at a point
-    or a stack u that every solver step there reads; ``ell``, when the
-    caller already holds ell(u), is taken as it is."""
-    u = np.asarray(u, dtype=float)  # f.jacobian validates a point
-    one = u.ndim == 1
+    """The one evaluation of the objective (and constraint) maps at every
+    row of a stack u ``(n, d)`` that every solver step there reads; ``ell``,
+    when the caller already holds ell(u), is taken as it is."""
     if ell is None:
-        ell = f.value(u) if one else f.value_batch(u)
-    J = f.jacobian(u) if one else f.jacobian_batch(u)
+        ell = f.value_batch(u)
+    J = f.jacobian_batch(u)
     if k is None or k.dim_con == 0:
         return Evaluation(u, ell, J)
-    return Evaluation(u, ell, J, k.value(u) if one else k.value_batch(u), k)
+    return Evaluation(u, ell, J, k.value_batch(u), k)
 
 
 def _tmv(A, x):
@@ -187,22 +188,29 @@ def _norm(a):
     return np.sqrt(_dot(a, a))
 
 
-def dual_update_pi(g, ell, pi, params):
-    """One dual step from ell = ell(u), or from a stack of them:
-    pi_next = grad g(ell + E) with E = c (tau + alpha pi)."""
-    return g.gradient(ell + params.dual_shift(pi))
-
-
-def stationarity_residual(J, u, pi, params, Jk=None, nu=None):
-    """J^T pi + mu u - c (x - alpha u) - Jk^T nu, at a point or row by row.
-
-    ``J`` is Jac[ell](u) and ``Jk`` is Jac[k](u), both already evaluated; the
-    constraint term is left out when ``Jk`` is None.
-    """
-    r = _tmv(J, np.asarray(pi, dtype=float)) + params.mu * u - params.dual_momentum(u)
-    if Jk is not None:
-        r = r - _tmv(Jk, np.asarray(nu, dtype=float))
+def stationarity_residual(pt, pi, params, nu=None):
+    """J^T pi + mu u - c (x - alpha u) - Jac[k]^T nu at every row of the
+    evaluated stack ``pt``; the constraint term is left out when ``nu`` is
+    None. A box's Jac[k]^T nu is nu_lo - nu_hi; any other set evaluates
+    Jac[k] at the rows whose nu is nonzero only, as the term vanishes on the
+    others."""
+    r = _tmv(pt.J, pi) + params.mu * pt.u - params.dual_momentum(pt.u)
+    if nu is None or not nu.any():
+        return r
+    rows = np.flatnonzero(nu.any(axis=1))
+    if pt.k.bounds is not None:
+        lo, hi = _box_faces(nu[rows])
+        r[rows] -= lo - hi
+    else:
+        r[rows] -= _tmv(pt.k.jacobian_batch(pt.u[rows]), nu[rows])
     return r
+
+
+def _projected_residual(k, u, F, gamma):
+    # |u - P(u - gamma F)| / gamma row by row for the projection P onto K (the
+    # identity when k is None): the variational-inequality residual of F
+    v = u - gamma * F
+    return _norm(u - (v if k is None else k.project(v))) / gamma
 
 
 def spd_solve(s, L, r):
@@ -229,20 +237,12 @@ def spd_solve(s, L, r):
 
 
 def merit_psi(g, pt, pi, params, *, nu=None):
-    """Violation of the optimality system at the evaluated point ``pt``, or
-    at every row of an evaluated stack; zero exactly at its solutions. The
-    squared stationarity residual (with the multiplier term when ``nu`` is
-    given) in the inverse-preconditioner norm, plus the squared fixed-point
-    displacement of the dual prox."""
-    r = stationarity_residual(pt.J, pt.u, pi, params)
-    if nu is not None:
-        R, U, NU = np.atleast_2d(r, pt.u, nu)  # views; a point is the stack of one
-        rows = np.flatnonzero(NU.any(axis=1))  # Jk^T nu vanishes on the other rows
-        if rows.size and pt.k.bounds is not None:  # a box's Jk^T nu is nu_lo - nu_hi
-            lo, hi = _box_faces(NU[rows])
-            R[rows] -= lo - hi
-        elif rows.size:
-            R[rows] -= _tmv(pt.k.jacobian_batch(U[rows]), NU[rows])
+    """Violation of the optimality system at every row of the evaluated
+    stack ``pt``; zero exactly at its solutions. The squared stationarity
+    residual (with the multiplier term when ``nu`` is given) in the
+    inverse-preconditioner norm, plus the squared fixed-point displacement
+    of the dual prox."""
+    r = stationarity_residual(pt, pi, params, nu)
     term1 = 0.5 * _dot(r, spd_solve(params.stiffness, pt.J, r))
     E = params.dual_shift(pi)
     disp = g.prox_conjugate(pi + _RHO * (pt.ell + E), _RHO, start=pi) - pi  # pi is its fixed point
@@ -251,7 +251,7 @@ def merit_psi(g, pt, pi, params, *, nu=None):
 
 def multiplier_estimate(pt, pi, params):
     """Nonnegative least-squares multipliers over the nearly active set of
-    the evaluated point ``pt``, or of every row of an evaluated stack.
+    every row of the evaluated stack ``pt``.
 
     Exact projection zeroes the ascent signal on active constraints, so the
     multipliers are recovered from stationarity instead: minimize
@@ -260,15 +260,12 @@ def multiplier_estimate(pt, pi, params):
     any one active constraint) the minimizer is max(0, a_j . F) / |a_j|^2,
     on a box max(0, +-F_i); other rows take ``_nnls_subsets``.
     """
-    if pt.kv.ndim == 1:  # a point is the stack of one
-        stack = Evaluation(pt.u[None], pt.ell[None], pt.J[None], pt.kv[None], pt.k)
-        return multiplier_estimate(stack, np.asarray(pi, dtype=float)[None], params)[0]
     nu = np.zeros(pt.kv.shape)
     active = pt.kv <= _ACTIVE_THRESHOLD
     rows = np.flatnonzero(active.any(axis=1))
     if not rows.size:
         return nu
-    F = stationarity_residual(pt.J[rows], pt.u[rows], np.asarray(pi, dtype=float)[rows], params)
+    F = stationarity_residual(pt.take(rows), pi[rows], params)
     if pt.k.bounds is not None:
         for half, on, b in zip(_box_faces(nu), _box_faces(active[rows]), (F, -F)):
             half[rows] = np.where(on, np.maximum(b, 0.0), 0.0)
@@ -415,20 +412,23 @@ def _interpolated_step(t, t_fit):
 def _inner_solve(f, g, k, pt, pi, params, cfg):
     # Inner solve of the shifted scalarization over K (or all of R^d when k
     # is None) from every row of the evaluated stack pt, in lock step:
-    # projected gradient descent, preconditioned in the two-metric sense,
-    # with Armijo backtracking along the projection arc and a plain-gradient
-    # arc fallback, then an LM polish of unconstrained rows. From its second
-    # step on, a row away from active constraints adds the secant row of its
-    # last step and gradient change to the preconditioner (``_secant_row``);
-    # the pairs start afresh with each inner solve. A trial's value
-    # and the slope gvec . s / t of its realized step s fit a quadratic in
-    # the step length (``_fitted_minimizer``); a failed trial's next step
-    # length is that fit's minimizer, safeguarded (``_interpolated_step``). A row's next step
-    # first tries twice its accepted length, since the curvature mismatch is
-    # persistent, or the fitted minimizer where the accepted step overshot
-    # past it (``_LS_OVERSHOOT``): doubling would repeat that zig-zag. Returns
-    # the evaluation of each row's last point and the number of descent steps
-    # each row took.
+    # projected gradient descent along the two-metric direction, with Armijo
+    # backtracking along the projection arc, then an LM polish of
+    # unconstrained rows. That direction is a positive definite scaling of
+    # the gradient, so it descends wherever the gradient is nonzero
+    # (Bertsekas, SIAM J. Control Optim. 1982); a row that accepts no step
+    # in 30 trials stops where it is. From its second step on, a row away
+    # from active constraints adds the secant row of its last step and
+    # gradient change to the preconditioner (``_secant_row``); the pairs
+    # start afresh with each inner solve. A trial's value and the slope
+    # gvec . s / t of its realized step s fit a quadratic in the step length
+    # (``_fitted_minimizer``); a failed trial's next step length is that
+    # fit's minimizer, safeguarded (``_interpolated_step``). A row's next
+    # step first tries twice its accepted length, since the curvature
+    # mismatch is persistent, or the fitted minimizer where the accepted
+    # step overshot past it (``_LS_OVERSHOOT``): doubling would repeat that
+    # zig-zag. Returns the evaluation of each row's last point and the
+    # number of descent steps each row took.
     E = params.dual_shift(pi)
     stiff = params.stiffness
     cx = params.c * params.x
@@ -454,7 +454,7 @@ def _inner_solve(f, g, k, pt, pi, params, cfg):
             break
         cur = pt.take(live)
         gvec = _tmv(cur.J, g.gradient(cur.ell + E[live])) + stiff * cur.u - cx
-        res[live] = _norm(cur.u - project(cur.u - gamma * gvec)) / gamma
+        res[live] = _projected_residual(k, cur.u, gvec, gamma)
         go = np.flatnonzero(~(res[live] <= res_tol))
         live, cur, gvec = live[go], cur.take(go), gvec[go]
         if not live.size:
@@ -464,30 +464,27 @@ def _inner_solve(f, g, k, pt, pi, params, cfg):
         # every row still live after the first step accepted its last one
         x = np.zeros_like(u) if it == 0 else _secant_row(k, cur, u - u_prev[live], gvec - g_prev[live], stiff)
         u_prev[live], g_prev[live] = u, gvec
+        direction = _direction(k, cur, gvec, params, x)
         found = np.zeros(live.size, dtype=bool)
         cand, ell_c, fc = np.empty_like(u), np.empty_like(cur.ell), np.empty(live.size)
-        for attempt, direction in enumerate((_direction(k, cur, gvec, params, x), gamma * gvec)):
-            todo = np.flatnonzero(~found)
-            t = t_first[live] if attempt == 0 else np.ones(live.size)
-            for _ in range(30):
-                if not todo.size:
-                    break
-                tt, f0 = t[todo], fu[live[todo]]
-                trial = project(u[todo] - tt[:, None] * direction[todo])
-                ell_t = f.value_batch(trial)
-                ft = val(live[todo], trial, ell_t)
-                step = trial - u[todo]
-                # projection-arc form of the Armijo sufficient decrease
-                ok = ft <= f0 - _LS_C1 * _dot(step, step) / np.maximum(tt, 1e-300)
-                t_fit = _fitted_minimizer(tt, f0, _dot(gvec[todo], step) / tt, ft)
-                hit = todo[ok]
-                cand[hit], ell_c[hit], fc[hit], found[hit] = trial[ok], ell_t[ok], ft[ok], True
-                if attempt == 0:
-                    t_ok, fit_ok = tt[ok], t_fit[ok]
-                    t_first[live[hit]] = np.where(fit_ok < _LS_OVERSHOOT * t_ok, fit_ok, np.minimum(1.0, t_ok / _LS_BETA))
-                todo = todo[~ok]
-                t[todo] = _interpolated_step(tt[~ok], t_fit[~ok])
-        # a row that accepts no step stops where it is
+        todo, t = np.arange(live.size), t_first[live]
+        for _ in range(30):
+            if not todo.size:
+                break
+            tt, f0 = t[todo], fu[live[todo]]
+            trial = project(u[todo] - tt[:, None] * direction[todo])
+            ell_t = f.value_batch(trial)
+            ft = val(live[todo], trial, ell_t)
+            step = trial - u[todo]
+            # projection-arc form of the Armijo sufficient decrease
+            ok = ft <= f0 - _LS_C1 * _dot(step, step) / np.maximum(tt, 1e-300)
+            t_fit = _fitted_minimizer(tt, f0, _dot(gvec[todo], step) / tt, ft)
+            hit = todo[ok]
+            cand[hit], ell_c[hit], fc[hit], found[hit] = trial[ok], ell_t[ok], ft[ok], True
+            t_ok, fit_ok = tt[ok], t_fit[ok]
+            t_first[live[hit]] = np.where(fit_ok < _LS_OVERSHOOT * t_ok, fit_ok, np.minimum(1.0, t_ok / _LS_BETA))
+            todo = todo[~ok]
+            t[todo] = _interpolated_step(tt[~ok], t_fit[~ok])
         hit = np.flatnonzero(found)
         if hit.size:
             pt.put(live[hit], evaluate(f, k, cand[hit], ell_c[hit]))
@@ -497,16 +494,16 @@ def _inner_solve(f, g, k, pt, pi, params, cfg):
         # LM polish, row by row: value descent bottoms out at the rounding
         # floor of the composite, the residual does not
         for i in np.flatnonzero(res > 0.05 * cfg.eps):
-            pt.put(i, _polish(f, pt.take(i), pi[i], params, cfg))
+            pt.put([i], _polish(f, pt.take([i]), pi[[i]], params, cfg))
     return pt, steps
 
 
 def _polish(f, pt, pi, params, cfg):
     # Damped LM steps on the stationarity residual at frozen pi from the
-    # evaluated unconstrained point pt until the residual target is met or
-    # the iterate stalls; returns the evaluation of the final iterate.
+    # evaluated unconstrained stack of one pt until the residual target is
+    # met or the iterate stalls; returns the evaluation of the final iterate.
     target = 0.05 * cfg.eps
-    r_cur = stationarity_residual(pt.J, pt.u, pi, params)
+    r_cur = stationarity_residual(pt, pi, params)
     for _ in range(_MAXIT_POLISH):
         r_norm = float(np.linalg.norm(r_cur))
         if r_norm <= target:
@@ -517,7 +514,7 @@ def _polish(f, pt, pi, params, cfg):
             if not np.all(np.isfinite(u_next)):
                 raise NumericalError("primal update produced non-finite iterate")
             pt_next = evaluate(f, None, u_next)
-            r_next = stationarity_residual(pt_next.J, pt_next.u, pi, params)
+            r_next = stationarity_residual(pt_next, pi, params)
             # damping: the Gauss-Newton model can understate curvature and
             # equal-norm mirror steps would cycle; the required decrease
             # scales with the damping so short steps stay acceptable
@@ -554,7 +551,6 @@ def run_primal_dual(f, g, k, params, cfg, U, PI) -> BatchResult:
     leaves after one trial."""
     work = BatchResult()
     n, m = U.shape[0], 0 if k is None else k.dim_con
-    gamma = 1.0 / params.stiffness
     pt = evaluate(f, k, U)
     nu = np.zeros((n, m))
     psi = merit_psi(g, pt, PI, params, nu=nu)
@@ -573,7 +569,7 @@ def run_primal_dual(f, g, k, params, cfg, U, PI) -> BatchResult:
             break
         iterations[live] = it
         P, cur, pi = params.take(live), pt.take(live), PI[live]
-        pi_new = dual_update_pi(g, cur.ell, pi, P)
+        pi_new = g.gradient(cur.ell + P.dual_shift(pi))  # the dual step, pi = grad g(ell + E)
         nxt, pi_next, nu_next, psi_next = cur.take(np.arange(live.size)), pi.copy(), nu[live], psi[live]
         accepted = np.zeros(live.size, dtype=bool)
         for theta in _THETAS:
@@ -618,10 +614,8 @@ def run_primal_dual(f, g, k, params, cfg, U, PI) -> BatchResult:
         a = np.flatnonzero(accepted)
         rows = live[a]
         nxt, pi_next, nu_next, psi_next = nxt.take(a), pi_next[a], nu_next[a], psi_next[a]
-        # the stationarity residual; with constraints, the projected
-        # (variational-inequality) residual
-        F = stationarity_residual(nxt.J, nxt.u, pi_next, params)
-        res = _norm(F) if k is None else _norm(nxt.u - k.project(nxt.u - gamma * F)) / gamma
+        F = stationarity_residual(nxt, pi_next, params)
+        res = _norm(F) if k is None else _projected_residual(k, nxt.u, F, 1.0 / params.stiffness)
         pi_disp, nu_disp = _norm(pi_next - PI[rows]), _norm(nu_next - nu[rows])
         u_disp = _norm(nxt.u - pt.u[rows])
         pt.put(rows, nxt)
@@ -652,8 +646,8 @@ def run_primal_dual(f, g, k, params, cfg, U, PI) -> BatchResult:
     return work
 
 
-def solve(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None) -> SolveResult:
-    """Run the primal-dual iteration from u0 = x / max(alpha, 1), pi0 = 0 and
+def solve(f, g, params, cfg=None, *, constraints=None) -> SolveResult:
+    """Run the primal-dual iteration from u = x / max(alpha, 1), pi = 0 and
     zero multipliers: ``solve_batch`` on the one tau of ``params``.
 
     ``constraints`` (a ConstraintSet k(u) >= 0 with a projector) adds the
@@ -665,10 +659,10 @@ def solve(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None) -> Sol
     NumericalError.
     """
     one = HopfLaxParams(params.x, params.tau[None], params.alpha, params.c, params.mu)
-    return solve_batch(f, g, one, cfg, u0, pi0, constraints=constraints)[0]
+    return solve_batch(f, g, one, cfg, constraints=constraints)[0]
 
 
-def solve_batch(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None) -> BatchResult:
+def solve_batch(f, g, params, cfg=None, *, constraints=None) -> BatchResult:
     """``solve`` at every row of the stacked ``params.tau`` ``(n, N)``, all
     rows in one lock-step batch; returns one result per row, each equal bit
     for bit to the lone solve at its tau, with the batch's inner work."""
@@ -685,12 +679,10 @@ def solve_batch(f, g, params, cfg=None, u0=None, pi0=None, *, constraints=None) 
     if params.tau.ndim != 2:
         raise ValueError("solve_batch takes a stack of tau, shape (n, N); solve takes one")
     n = params.tau.shape[0]
-    u = as_vector(u0, f.dim_u, "u0") if u0 is not None else params.x / max(params.alpha, 1.0)
-    U = np.tile(u, (n, 1))
+    U = np.tile(params.x / max(params.alpha, 1.0), (n, 1))
     if k is not None:
         U = k.project(U)
-    pi = as_vector(pi0, f.dim_obj, "pi0") if pi0 is not None else np.zeros(f.dim_obj)
-    return run_primal_dual(f, g, k, params, cfg, U, np.tile(pi, (n, 1)))
+    return run_primal_dual(f, g, k, params, cfg, U, np.zeros((n, f.dim_obj)))
 
 
 def _cloud_minima(g, Y, E):
@@ -739,10 +731,13 @@ def gap_certificates(g, results, params, cloud):
 
     gap = g(ell(u*) + E) - min over the cloud of g(ell(u) + E), with ell(u*)
     from ``result.objectives`` and the minima in one ``_cloud_minima`` pass;
-    bound = D_R(u*, p/mu) from ``u_star``, ``p_bar``, for the regularizer of
-    ``params`` (only its mu is read)."""
-    R = params.regularizer()
+    bound = D_R(u*, p/mu) = mu/2 |u* - p/mu|^2 from ``u_star``, ``p_bar``, the
+    Bregman distance of the regularizer R(u) = mu/2 |u|^2 of ``params``
+    (only its mu is read)."""
     E = np.reshape([r.E_bar for r in results], (len(results), cloud.points_obj.shape[1]))
-    return [(g.value(r.objectives + r.E_bar) - m, R.bregman(r.u_star, R.conjugate_gradient(r.p_bar)))
-            for r, m in zip(results, _cloud_minima(g, cloud.points_obj, E))]
+    out = []
+    for r, m in zip(results, _cloud_minima(g, cloud.points_obj, E)):
+        d = r.u_star - r.p_bar / params.mu
+        out.append((g.value(r.objectives + r.E_bar) - m, 0.5 * params.mu * float(d @ d)))
+    return out
 

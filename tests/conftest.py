@@ -208,6 +208,13 @@ def scalar_envelope(problem, n_weights=16, starts=16, seed=0, base_cloud=None):
     return greedy_pareto_filter(cloud)
 
 
+def evaluate_one(f, k, u):
+    """The solver's evaluation of the stack of one point u."""
+    from hopfront.solver import evaluate
+
+    return evaluate(f, k, np.asarray(u, dtype=float)[None])
+
+
 def rowwise_direction(k, pt, gvec, params, x):
     """The solver's preconditioned descent direction, one row at a time, with
     the two-metric step next to active constraints, from the dense

@@ -41,30 +41,18 @@ def ex1_cli_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def benchmark_runs():
-    """Warm-started solve chains (with cold retry) per benchmark, plus the
-    certification cloud used for the duality-gap checks."""
+    """One batch of solves from the default start along a 40-point path per
+    benchmark, plus the certification cloud used for the duality-gap checks."""
     runs = {}
     for pid in BENCHMARKS:
         prob = hf.get_problem(pid)
         g = prob.default_preference()
         cfg = SolverConfig()
         cloud = hf.certification_cloud(prob, mc=20000, seed=0)
-        path = hf.TauPath(prob.tau_start, prob.tau_end, 40)
-        chain = []
-        warm = None
-        for tau in path.points():
-            params = prob.params_for(tau)
-            res = solve(prob.objective, g, params, cfg,
-                        u0=None if warm is None else warm[0],
-                        pi0=None if warm is None else warm[1],
-                        constraints=prob.constraints)
-            if warm is not None and not res.converged:
-                retry = solve(prob.objective, g, params, cfg, constraints=prob.constraints)
-                if retry.converged:
-                    res = retry
-            if res.converged:
-                warm = (res.u_star, res.pi_star)
-            chain.append((params, res))
+        taus = np.stack(hf.TauPath(prob.tau_start, prob.tau_end, 40).points())
+        params = HopfLaxParams(prob.x, taus, prob.alpha, prob.c, prob.mu)
+        results = hf.solve_batch(prob.objective, g, params, cfg, constraints=prob.constraints)
+        chain = [(params.take(i), res) for i, res in enumerate(results)]
         runs[pid] = (prob, g, cfg, cloud, chain)
     return runs
 

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import evaluate_one
+
 from hopfront.constrained import (
     ConstraintSet,
     box_constraints,
@@ -45,7 +47,7 @@ def ex1_params(tau=(0.0, 0.0)):
 
 
 def constrained_residual(f, k, u, pi, nu, params):
-    return stationarity_residual(f.jacobian(u), u, pi, params, k.jacobian(u), nu)
+    return stationarity_residual(evaluate_one(f, k, u), pi[None], params, nu[None])[0]
 
 
 class TestConstrainedResidual:
@@ -55,7 +57,7 @@ class TestConstrainedResidual:
         u = rng.uniform(-1, 1, size=2)
         pi = rng.dirichlet([1, 1])
         r_con = constrained_residual(prob.objective, prob.constraints, u, pi, np.zeros(2), params)
-        r_unc = stationarity_residual(prob.objective.jacobian(u), u, pi, params)
+        r_unc = stationarity_residual(evaluate_one(prob.objective, None, u), pi[None], params)[0]
         assert np.allclose(r_con, r_unc, atol=1e-15)
 
     def test_multiplier_cancels_gradient(self):
@@ -216,9 +218,9 @@ class TestBoxConstraints:
 class TestMultiplierEstimate:
     def test_inactive_gives_zero(self):
         prob = example1()
-        nu = multiplier_estimate(evaluate(prob.objective, prob.constraints, [0.0, 1.0]),
-                                 np.array([0.5, 0.5]), ex1_params())
-        assert np.array_equal(nu, np.zeros(2))
+        nu = multiplier_estimate(evaluate_one(prob.objective, prob.constraints, [0.0, 1.0]),
+                                 np.array([[0.5, 0.5]]), ex1_params())
+        assert np.array_equal(nu, np.zeros((1, 2)))
 
     def test_box_estimate_matches_clip_closed_form(self, rng):
         d = 3
@@ -226,9 +228,9 @@ class TestMultiplierEstimate:
         f = VectorObjective(d, 1, lambda u: np.array([u.sum()]), lambda u: np.ones((1, d)))
         params = HopfLaxParams(x=np.zeros(d), tau=np.zeros(1), alpha=1.0, c=0.1, mu=0.01)
         u = np.array([0.0, 0.5, 1.0])  # lower face, free, upper face
-        pi = np.array([1.0])
-        F = stationarity_residual(f.jacobian(u), u, pi, params)
-        nu = multiplier_estimate(evaluate(f, k, u), pi, params)
+        pi = np.array([[1.0]])
+        F = stationarity_residual(evaluate_one(f, None, u), pi, params)[0]
+        nu = multiplier_estimate(evaluate_one(f, k, u), pi, params)[0]
         assert nu[0] == pytest.approx(max(F[0], 0.0))   # lower face row is +e_0
         assert nu[3 + 2] == pytest.approx(max(-F[2], 0.0))  # upper face row is -e_2
         assert np.all(nu >= 0)
@@ -244,7 +246,7 @@ def nnls_reference(pt, pi, params):
     nu = np.zeros(pt.kv.shape)
     for i in np.flatnonzero((pt.kv <= _ACTIVE_THRESHOLD).any(axis=1)):
         on = np.flatnonzero(pt.kv[i] <= _ACTIVE_THRESHOLD)
-        F = stationarity_residual(pt.J[i], pt.u[i], pi[i], params)
+        F = stationarity_residual(pt.take([i]), pi[[i]], params)[0]
         nu[i, on] = nnls(pt.k.jacobian(pt.u[i])[on].T, F)[0]
     return nu
 
@@ -317,9 +319,9 @@ class TestMeritPsiK:
     def test_zero_at_bound_kkt_point(self):
         f = identity_objective()
         k = halfline_constraint()
-        psi = merit_psi(WeightedSum([1.0]), evaluate(f, k, [0.0]), np.array([1.0]), scalar_params(),
-                        nu=np.array([1.0]))
-        assert psi == pytest.approx(0.0, abs=1e-28)
+        psi = merit_psi(WeightedSum([1.0]), evaluate_one(f, k, [0.0]), np.array([[1.0]]), scalar_params(),
+                        nu=np.array([[1.0]]))
+        assert psi[0] == pytest.approx(0.0, abs=1e-28)
 
     def test_interior_zero_multiplier_matches_unconstrained(self, rng):
         prob = example1()
@@ -327,8 +329,8 @@ class TestMeritPsiK:
         g = SoftMax(0.1, 2)
         u = np.array([0.0, 1.0])
         pi = rng.dirichlet([1, 1])
-        psi_k = merit_psi(g, evaluate(prob.objective, prob.constraints, u), pi, params, nu=np.zeros(2))
-        psi = merit_psi(g, evaluate(prob.objective, None, u), pi, params)
+        psi_k = merit_psi(g, evaluate_one(prob.objective, prob.constraints, u), pi[None], params, nu=np.zeros((1, 2)))
+        psi = merit_psi(g, evaluate_one(prob.objective, None, u), pi[None], params)
         assert psi_k == psi
 
     def test_matches_independent_assembly(self, rng):
@@ -349,7 +351,7 @@ class TestMeritPsiK:
             E = params.dual_shift(pi)
             disp = g.prox_conjugate(pi + rho * (prob.objective.value(u) + E), rho) - pi
             expected = 0.5 * float(r @ (Binv @ r)) + float(disp @ disp) / (2 * rho**2)
-            got = merit_psi(g, evaluate(prob.objective, prob.constraints, u), pi, params, nu=nu)
+            got = merit_psi(g, evaluate_one(prob.objective, prob.constraints, u), pi[None], params, nu=nu[None])[0]
             assert got == pytest.approx(expected, rel=1e-9)
 
 
@@ -407,15 +409,14 @@ class TestSolveConstrained:
     def test_infeasible_start_without_projector_raises(self):
         f = identity_objective()
         k = ConstraintSet(1, 1, lambda u: u.copy(), lambda u: np.array([[1.0]]))
-        with pytest.raises(ValueError):
-            solve(f, WeightedSum([1.0]), scalar_params(x=0.0), u0=np.array([-1.0]), constraints=k)
+        with pytest.raises(ValueError):  # the start x / max(alpha, 1) = -1 is infeasible
+            solve(f, WeightedSum([1.0]), scalar_params(x=-1.0), constraints=k)
 
     def test_constraint_set_without_projector_rejected(self):
         # even from a feasible start: only projected value descent is left
         k = ConstraintSet(1, 1, lambda u: u.copy(), lambda u: np.array([[1.0]]))
         with pytest.raises(ValueError, match="projector"):
-            solve(identity_objective(), WeightedSum([1.0]), scalar_params(x=0.0), u0=np.array([2.0]),
-                  constraints=k)
+            solve(identity_objective(), WeightedSum([1.0]), scalar_params(x=2.0), constraints=k)
 
     def test_unbatched_projector_takes_stack_row_by_row(self):
         calls = []

@@ -11,7 +11,6 @@ from conftest import jacobian_check
 
 from hopfront.core import (
     HopfLaxParams,
-    QuadraticRegularizer,
     SoftMax,
     VectorObjective,
     WeightedSum,
@@ -56,6 +55,26 @@ class TestPreferenceValues:
         g = SoftMax(0.1, 2)
         v = g.value([1e4, -1e4])
         assert np.isfinite(v) and v == pytest.approx(1e4)
+
+    @pytest.mark.parametrize("n", [2, 9])  # both row-sum orders of value_batch
+    def test_softmax_where_y_over_eps_overflows(self, n):
+        # y / eps overflows, and a shift across the whole float range
+        # overflows in the gradient; neither may warn or return NaN
+        g = SoftMax(0.1, n)
+        y = np.zeros(n)
+        y[0] = 2e307
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g.value(y) == 2e307
+            Y = np.stack([y, np.arange(n) * 2e307])
+            assert g.value_batch(Y).tolist() == [2e307, Y[1, -1]]
+            y[1] = -1e307
+            y[0] = 1e307
+            assert g.gradient(y).tolist() == [1.0] + [0.0] * (n - 1)
+            # finite rows whose sum overflows keep their direct values
+            wide, Y = SoftMax(10.0, n), np.zeros((2, n))
+            Y[:, 0] = 1.5e308
+            assert wide.value_batch(Y).tolist() == [wide.value(Y[0])] * 2
 
     def test_nonfinite_input_rejected(self):
         g = SoftMax(0.1, 2)
@@ -364,30 +383,6 @@ class TestStackedKernels:
             g.prox_conjugate(np.zeros((3, 3)), 0.5)
 
 
-class TestRegularizer:
-    def test_bregman_examples(self):
-        assert QuadraticRegularizer(2.0).bregman([1.0, 0.0], [0.0, 0.0]) == 1.0
-        assert QuadraticRegularizer(0.7).bregman([1.2, -3.0], [1.2, -3.0]) == 0.0
-        assert QuadraticRegularizer(0.01).bregman([3.0, 4.0], [0.0, 0.0]) == pytest.approx(0.125)
-
-    def test_bregman_matches_definition(self, rng):
-        R = QuadraticRegularizer(0.37)
-        for _ in range(50):
-            u = rng.normal(size=4)
-            v = rng.normal(size=4)
-            direct = R.value(u) - R.value(v) - float(R.gradient(v) @ (u - v))
-            assert abs(R.bregman(u, v) - direct) <= 1e-12
-
-    def test_conjugate_gradient_inverts_gradient(self, rng):
-        R = QuadraticRegularizer(2.5)
-        p = rng.normal(size=3)
-        assert np.allclose(R.gradient(R.conjugate_gradient(p)), p)
-
-    def test_mu_positive_required(self):
-        with pytest.raises(ValueError):
-            QuadraticRegularizer(0.0)
-
-
 class TestVectorObjective:
     def test_identity_jacobian_check(self):
         f = VectorObjective(3, 3, lambda u: u, lambda u: np.eye(3))
@@ -482,3 +477,5 @@ class TestHopfLaxParams:
             HopfLaxParams(x=np.zeros(1), tau=np.zeros(1), alpha=0.0, c=1.0, mu=1.0)
         with pytest.raises(ValueError):
             HopfLaxParams(x=np.zeros(1), tau=np.zeros(1), alpha=1.0, c=-1.0, mu=1.0)
+        with pytest.raises(ValueError):
+            HopfLaxParams(x=np.zeros(1), tau=np.zeros(1), alpha=1.0, c=1.0, mu=0.0)

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+
+from conftest import evaluate_one
 
 from hopfront.core import HopfLaxParams, SoftMax, VectorObjective, WeightedSum
 from hopfront.oracle import SampleCloud, certification_cloud, greedy_pareto_filter
@@ -7,7 +11,6 @@ from hopfront.problems import get_problem
 from hopfront.solver import (
     SolverConfig,
     _cloud_minima,
-    dual_update_pi,
     evaluate,
     gap_certificates,
     merit_psi,
@@ -30,6 +33,11 @@ def ex2a_objective():
     from hopfront.problems import example2_case1
 
     return example2_case1().objective
+
+
+def dual_update_pi(g, ell, pi, params):
+    # the outer loop's dual step, pi_next = grad g(ell + E) with E = c (tau + alpha pi)
+    return g.gradient(ell + params.dual_shift(pi))
 
 
 class TestDualUpdate:
@@ -63,14 +71,14 @@ class TestStationarityResidual:
     def test_forced_kkt_point(self):
         f = identity_objective()
         u = np.array([0.0])
-        r = stationarity_residual(f.jacobian(u), u, np.array([1.0]), scalar_params(x=1.0))
-        assert r == pytest.approx(0.0)
+        r = stationarity_residual(evaluate_one(f, None, u), np.array([[1.0]]), scalar_params(x=1.0))
+        assert r[0] == pytest.approx(0.0)
 
     def test_linear_arithmetic(self):
         f = identity_objective()
         u = np.array([1.0])
-        r = stationarity_residual(f.jacobian(u), u, np.array([1.0]), scalar_params(x=1.0))
-        assert r == pytest.approx(2.0)
+        r = stationarity_residual(evaluate_one(f, None, u), np.array([[1.0]]), scalar_params(x=1.0))
+        assert r[0] == pytest.approx(2.0)
 
     def test_matches_hand_rolled_formula(self, rng):
         f = ex2a_objective()
@@ -79,16 +87,16 @@ class TestStationarityResidual:
             u = rng.uniform(0, 1, size=2)
             pi = rng.uniform(0, 1, size=2)
             expected = f.jacobian(u).T @ pi + 0.01 * u + 0.1 * 1.0 * u - 0.1 * np.zeros(2)
-            assert np.allclose(stationarity_residual(f.jacobian(u), u, pi, params), expected, atol=1e-14)
+            assert np.allclose(stationarity_residual(evaluate_one(f, None, u), pi[None], params)[0], expected, atol=1e-14)
 
 
 def lm_step(f, u, pi, params):
     # one undamped Levenberg-Marquardt step u - B^-1 r with
     # B = (mu + alpha c) I + J^T J, built from the residual and solve the
     # solver's LM refinement uses
-    J = f.jacobian(u)
-    r = stationarity_residual(J, u, pi, params)
-    return u - spd_solve(params.stiffness, J, r), float(np.linalg.norm(r))
+    pt = evaluate_one(f, None, u)
+    r = stationarity_residual(pt, pi[None], params)[0]
+    return u - spd_solve(params.stiffness, pt.J[0], r), float(np.linalg.norm(r))
 
 
 class TestPrimalUpdate:
@@ -130,20 +138,20 @@ class TestMerit:
     def test_zero_at_scalar_kkt_point(self):
         f = identity_objective()
         g = WeightedSum([1.0])
-        psi = merit_psi(g, evaluate(f, None, [0.0]), np.array([1.0]), scalar_params(x=1.0))
-        assert psi == pytest.approx(0.0, abs=1e-28)
+        psi = merit_psi(g, evaluate_one(f, None, [0.0]), np.array([[1.0]]), scalar_params(x=1.0))
+        assert psi[0] == pytest.approx(0.0, abs=1e-28)
 
     def test_positive_when_dual_displaced(self):
         f = identity_objective()
         g = WeightedSum([1.0])
-        psi = merit_psi(g, evaluate(f, None, [0.0]), np.array([0.4]), scalar_params(x=1.0))
-        assert psi > 1e-3
+        psi = merit_psi(g, evaluate_one(f, None, [0.0]), np.array([[0.4]]), scalar_params(x=1.0))
+        assert psi[0] > 1e-3
 
     def test_nu_is_keyword_only(self):
         # a positional fifth argument (a stale step size) must not become nu
         f = identity_objective()
         with pytest.raises(TypeError):
-            merit_psi(WeightedSum([1.0]), evaluate(f, None, [0.0]), np.array([1.0]), scalar_params(x=1.0), 0.5)
+            merit_psi(WeightedSum([1.0]), evaluate_one(f, None, [0.0]), np.array([[1.0]]), scalar_params(x=1.0), 0.5)
 
     def test_matches_independent_assembly(self, rng):
         f = ex2a_objective()
@@ -161,7 +169,7 @@ class TestMerit:
             E = 0.1 * (params.tau + pi)
             disp = g.prox_conjugate(pi + rho * (f.value(u) + E), rho) - pi
             expected = 0.5 * float(r @ (Binv @ r)) + float(disp @ disp) / (2 * rho**2)
-            assert merit_psi(g, evaluate(f, None, u), pi, params) == pytest.approx(expected, rel=1e-9)
+            assert merit_psi(g, evaluate_one(f, None, u), pi[None], params)[0] == pytest.approx(expected, rel=1e-9)
 
 
 class TestSolve:
@@ -264,9 +272,9 @@ class TestSolve:
         assert calls
         for f, k, pt_in in calls:
             for i in range(pt_in.u.shape[0]):
-                fresh = evaluate(f, k, pt_in.u[i])
+                fresh = evaluate(f, k, pt_in.u[[i]])
                 for name in ("u", "ell", "J", "kv"):
-                    assert getattr(pt_in, name)[i].tobytes() == getattr(fresh, name).tobytes(), name
+                    assert getattr(pt_in, name)[i].tobytes() == getattr(fresh, name)[0].tobytes(), name
 
     def test_extreme_tau_keeps_pi_on_the_simplex(self):
         # at |ell + E| ~ 1e20 and beyond, the Moreau form of the conjugate prox cancels to 0
@@ -280,13 +288,27 @@ class TestSolve:
                 assert np.all(res.pi_star >= 0.0)
                 assert res.pi_star.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_extreme_tau_where_the_soft_max_argument_overflows(self):
+        # at c tau = 1e308, (ell + E) / eps overflows; the solve converges
+        # without a warning to the point of c tau = 1e300
+        prob = get_problem("ex1")
+        results = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1e308, 1e300):
+                params = HopfLaxParams(prob.x, np.array([t, 0.0]), prob.alpha, 1.0, prob.mu)
+                results.append(solve(prob.objective, prob.default_preference(), params, constraints=prob.constraints))
+        assert all(r.converged for r in results)
+        np.testing.assert_allclose(results[0].u_star, [0.58653, 0.34402], atol=1e-5)
+        np.testing.assert_allclose(results[0].u_star, results[1].u_star, atol=1e-12)
+
     def test_perturbing_solution_raises_merit(self):
         f = identity_objective()
         g = WeightedSum([1.0])
         params = scalar_params(x=1.0)
         res = solve(f, g, params, SolverConfig(eps=1e-10))
-        base = merit_psi(g, evaluate(f, None, res.u_star), res.pi_star, params)
-        bumped = merit_psi(g, evaluate(f, None, res.u_star + 0.1), res.pi_star, params)
+        base = merit_psi(g, evaluate_one(f, None, res.u_star), res.pi_star[None], params)[0]
+        bumped = merit_psi(g, evaluate_one(f, None, res.u_star + 0.1), res.pi_star[None], params)[0]
         assert base <= 1e-16
         assert bumped > 1e-4
 
@@ -414,20 +436,23 @@ class TestStackedKernels:
         PI = rng.dirichlet(np.ones(f.dim_obj), size=30)
         params = HopfLaxParams(prob.x, taus, prob.alpha, prob.c, prob.mu)
         pts = evaluate(f, k, U)
-        R = stationarity_residual(pts.J, pts.u, PI, params)
+        R = stationarity_residual(pts, PI, params)
         X = spd_solve(params.stiffness, pts.J, R)
         NU = multiplier_estimate(pts, PI, params)
+        RN = stationarity_residual(pts, PI, params, NU)
         PSI = merit_psi(g, pts, PI, params, nu=NU)
         assert NU[:10].any()
         for i in range(30):
-            pt, one = evaluate(f, k, U[i]), prob.params_for(taus[i])
+            # each row against its lone call, the stack of one
+            pt, pi, one = evaluate(f, k, U[[i]]), PI[[i]], params.take([i])
             for stacked, name in ((pts.ell, "ell"), (pts.J, "J"), (pts.kv, "kv")):
-                assert stacked[i].tobytes() == getattr(pt, name).tobytes()
-            assert R[i].tobytes() == stationarity_residual(pt.J, pt.u, PI[i], one).tobytes()
-            assert X[i].tobytes() == spd_solve(one.stiffness, pt.J, R[i]).tobytes()
-            nu = multiplier_estimate(pt, PI[i], one)
-            assert NU[i].tobytes() == nu.tobytes()
-            assert PSI[i] == merit_psi(g, pt, PI[i], one, nu=nu)
+                assert stacked[i].tobytes() == getattr(pt, name)[0].tobytes()
+            assert R[i].tobytes() == stationarity_residual(pt, pi, one)[0].tobytes()
+            assert X[i].tobytes() == spd_solve(one.stiffness, pt.J[0], R[i]).tobytes()
+            nu = multiplier_estimate(pt, pi, one)
+            assert NU[i].tobytes() == nu[0].tobytes()
+            assert RN[i].tobytes() == stationarity_residual(pt, pi, one, nu)[0].tobytes()
+            assert PSI[i] == merit_psi(g, pt, pi, one, nu=nu)[0]
 
     @pytest.mark.parametrize("pid", ["ex1", "ex2b", "ex3a-d10", "ex3b", "disc", "halfplane"])
     def test_two_metric_direction_matches_rowwise(self, pid, rng):
@@ -702,7 +727,8 @@ class TestInnerLineSearch:
             return out
 
         def spy_evaluate(f_, k_, u, ell=None):
-            accepted.append(np.array(u))
+            if ell is not None:  # an accepted step; the LM polish evaluates without ell
+                accepted.append(np.array(u))
             return ev(f_, k_, u, ell)
 
         monkeypatch.setattr(solver, "_fitted_minimizer", spy_fit)
@@ -727,7 +753,7 @@ class TestInnerLineSearch:
             assert trials[0][4][0] == pytest.approx((g0 @ d) / (d @ H @ d), rel=1e-12)
             # every accepted step passes the Armijo test at its step length
             # (unconstrained, so the step is -t d with d = B^-1 gvec)
-            path = [U[i]] + [a[0] for a in accepted if a.ndim == 2]  # the LM polish evaluates points
+            path = [U[i]] + [a[0] for a in accepted]
             assert len(path) == steps[0] + 1
             for u0, u1 in zip(path, path[1:]):
                 s = u1 - u0
@@ -756,6 +782,32 @@ class TestInnerLineSearch:
                                         SolverConfig())
         assert (steps <= 5).all()
         np.testing.assert_allclose(pt.u, -(q * params.dual_shift(pi)) / (1.0 + q), atol=1e-8)
+
+
+class TestDescentDirection:
+    """The inner solve tries the two-metric direction only, with no
+    plain-gradient fallback: it scales the gradient by a positive definite
+    matrix on the free coordinates and by a positive number on the others,
+    so it descends wherever the gradient is nonzero."""
+
+    @pytest.mark.parametrize("pid", ["ex1", "ex2a", "ex2b", "ex3a-d10", "ex3a-d30", "ex3a-d100", "ex3b"])
+    def test_direction_descends_on_the_default_sweeps(self, pid, monkeypatch):
+        from hopfront import solver
+        from hopfront.sweep import sweep
+
+        direction, checked = solver._direction, []
+
+        def spy(k, pt, gvec, *args):
+            d = direction(k, pt, gvec, *args)
+            moving = gvec.any(axis=1)
+            slope = (gvec * d).sum(axis=1)
+            assert (slope[moving] > 0.0).all(), slope[moving].min()
+            checked.append(int(moving.sum()))
+            return d
+
+        monkeypatch.setattr(solver, "_direction", spy)
+        sweep(get_problem(pid), n_samples=20)
+        assert sum(checked) > 0
 
 
 class TestInnerDepth:
@@ -864,6 +916,22 @@ class TestCertifyGap:
         [(gap, bound)] = gap_certificates(g, [res], params, cloud)
         assert bound == pytest.approx(0.125, abs=1e-9)
         assert -1e-9 <= gap <= bound + 1e-9
+
+    def test_bound_is_the_bregman_distance_of_the_regularizer(self, rng):
+        # D_R(u, v) = R(u) - R(v) - grad R(v) . (u - v) for R(u) = mu/2 |u|^2
+        # at the dual point v = p / mu, where grad R(v) = p
+        from hopfront.solver import SolveResult
+
+        mu = 0.37
+        params = HopfLaxParams(np.zeros(4), np.zeros(1), alpha=1.0, c=1.0, mu=mu)
+        cloud = SampleCloud(np.zeros((1, 4)), np.zeros((1, 1)), "origin")
+        R = lambda u: 0.5 * mu * (u @ u)  # noqa: E731
+        for _ in range(50):
+            u, p = rng.normal(size=4), rng.normal(size=4)
+            res = SolveResult(u, np.ones(1), p, np.zeros(1), np.zeros(1), 1, True)
+            [(_, bound)] = gap_certificates(WeightedSum([1.0]), [res], params, cloud)
+            v = p / mu
+            assert abs(bound - (R(u) - R(v) - p @ (u - v))) <= 1e-12
 
     def test_zero_bregman_case_has_zero_gap(self):
         # x chosen so the stationary point coincides with the dual point p/mu
