@@ -5,6 +5,7 @@ concurrent solver runs.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -29,6 +30,17 @@ def as_vector(y, n=None, name="y"):
     if not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite")
     return v
+
+
+def as_count(n, name):
+    """``n`` as an int of at least 1, from any integer type but no float."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return n
 
 
 def as_points(y, n, name="y"):

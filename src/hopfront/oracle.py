@@ -296,7 +296,7 @@ def convex_envelope_front(problem, n_weights=16, seed=0, base_cloud=None):
     sols, vals = _lockstep_descent(f, problem.projector(), np.repeat(W, k, axis=0), U[seed_idx.ravel()])
     best = np.argmin(vals.reshape(-1, k), axis=1)
     sols_u = sols.reshape(-1, k, f.dim_u)[np.arange(len(W)), best]
-    sols_y = np.stack([f.value(u) for u in sols_u])
+    sols_y = f.value_batch(sols_u)
     # Weights that share a minimizer give equal rows, which the strong
     # filter keeps; the first of each stands for them.
     first = np.sort(np.unique(sols_y, axis=0, return_index=True)[1])

@@ -5,10 +5,9 @@ One outer iteration takes the dual step in the weights pi, estimates the
 constraint multipliers nu from stationarity, and refines the primal point u
 by minimizing the shifted scalarization over the constraint set (projected
 value descent). A merit function measuring violation of the full optimality
-system safeguards every step: the dual step and the primal step are damped
-until the merit is non-increasing, so recorded merit values never rise. A
-row whose inner solve did not move has one candidate at every primal
-damping, so it is tried once per dual step.
+system safeguards every step: the dual step is damped until the inner
+minimizer at the damped weights does not raise the merit, so recorded merit
+values never rise.
 
 The inner descent preconditions with the Gauss-Newton matrix
 B0 = s I + J^T J, which lacks the scalarizer's and the constraints'
@@ -29,16 +28,15 @@ its mirror point starts the next one there.
 ``(n, N)``) as one batch, one row per tau; ``solve`` is the batch of one.
 Every function here takes stacks, a lone point being the stack of one.
 Every nesting level -- outer iteration, dual damping trial, inner descent
-step, Armijo trial, primal damping trial -- keeps the index array of its
-live rows and makes one batched objective, Jacobian and projection call per
-step; a row leaves a level when it stops there. The batch reports its inner
-work (``BatchResult``). Each row does exactly the arithmetic of a lone
-solve, so its result does not depend on the batch. Every row takes its
-two-metric step in one stacked solve, projected onto the tangent space of
-its active constraints. Linear systems are solved as one stack without a
-d x d matrix (``spd_solve``). A box (``ConstraintSet.bounds``) takes that
-projector and its multipliers from its faces in closed form and never
-forms Jac[k].
+step, Armijo trial -- keeps the index array of its live rows and makes one
+batched objective, Jacobian and projection call per step; a row leaves a
+level when it stops there. The batch reports its inner work
+(``BatchResult``). Each row does exactly the arithmetic of a lone solve, so
+its result does not depend on the batch. Every row takes its two-metric
+step in one stacked solve, projected onto the tangent space of its active
+constraints. Linear systems are solved as one stack without a d x d matrix
+(``spd_solve``). A box (``ConstraintSet.bounds``) takes that projector and
+its multipliers from its faces in closed form and never forms Jac[k].
 
 Each point is evaluated once (``evaluate``): the merit, the multipliers, the
 stop test, the next dual step and the next inner solve all read that
@@ -54,7 +52,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import HopfLaxParams, NumericalError, SoftMax
+from .core import HopfLaxParams, NumericalError, SoftMax, as_count
 
 # Acceptance slack for the merit safeguard; absorbs rounding near the floor
 # without masking genuine increases.
@@ -63,10 +61,7 @@ _MERIT_SLACK = 1e-15
 # Step sizes, inner-loop limits and line-search constants. No run sets them,
 # so they are fixed here rather than carried in SolverConfig.
 _RHO = 0.5  # dual prox step
-_ETA = 1.0  # first primal damping of each safeguard trial
 _THETAS = (1.0, 0.5, 0.25, 0.125, 0.0)  # dual step damping per safeguard trial
-_BACKTRACK_FACTOR = 0.5  # primal step damping per safeguard trial
-_ETA_TRIALS = 5  # primal damping trials per dual candidate
 _ACTIVE_THRESHOLD = 1e-3  # k(u) below this counts as nearly active
 _MAXIT_U = 200  # value-descent steps per inner solve
 _TOL_U = 1e-4  # value-descent move tolerance, tightened to 0.01 eps when smaller
@@ -95,8 +90,7 @@ class SolverConfig:
         # the chained comparison is False for NaN as well
         if not 0.0 < self.eps < np.inf:
             raise ValueError("eps must be positive and finite")
-        if self.maxit_outer < 1:
-            raise ValueError("maxit_outer must be positive")
+        object.__setattr__(self, "maxit_outer", as_count(self.maxit_outer, "maxit_outer"))
 
 
 @dataclass(eq=False)
@@ -530,25 +524,12 @@ def _polish(f, pt, pi, params, cfg):
     return pt
 
 
-def _candidates(f, k, u, inner, base):
-    # The evaluation at every row of u; a candidate at the inner solve's or
-    # at the base's point, bit for bit, keeps that point's evaluation.
-    bits = np.ascontiguousarray(u).view(np.int64)
-    cand = base.take(np.arange(u.shape[0]))
-    at_inner = (bits == inner.u.view(np.int64)).all(axis=1)
-    cand.put(at_inner, inner.take(at_inner))
-    fresh = ~at_inner & ~(bits == base.u.view(np.int64)).all(axis=1)
-    if fresh.any():
-        cand.put(fresh, evaluate(f, k, u[fresh]))
-    return cand
-
-
 def run_primal_dual(f, g, k, params, cfg, U, PI) -> BatchResult:
     """The outer loop behind ``solve_batch``, one row per row of params.tau,
     from the feasible starts U and dual starts PI; inputs are assumed
-    consistent. Each dual candidate theta gets one inner solve, relaxed by
-    eta until the merit does not rise; a row whose inner point is its base
-    leaves after one trial."""
+    consistent. Each dual candidate theta gets one inner solve, whose last
+    point is the row's candidate; a row accepts the first candidate whose
+    merit does not rise."""
     work = BatchResult()
     n, m = U.shape[0], 0 if k is None else k.dim_con
     pt = evaluate(f, k, U)
@@ -562,8 +543,6 @@ def run_primal_dual(f, g, k, params, cfg, U, PI) -> BatchResult:
     converged = np.zeros(n, dtype=bool)
     live = np.arange(n)
 
-    # The safeguard damps both channels: the dual step by theta, the primal
-    # step by eta, accepting the first merit-nonincreasing combination.
     for it in range(1, cfg.maxit_outer + 1):
         if not live.size:
             break
@@ -582,33 +561,21 @@ def run_primal_dual(f, g, k, params, cfg, U, PI) -> BatchResult:
                 pi_cand = pi[rows]
             else:
                 pi_cand = pi[rows] + theta * (pi_new[rows] - pi[rows])
-            base, P_rows = cur.take(rows), P.take(rows)
-            # one inner solve per dual candidate, which eta only relaxes
-            inner, steps = _inner_solve(f, g, k, base, pi_cand, P_rows, cfg)
+            P_rows = P.take(rows)
+            # one inner solve per dual candidate, its last point the candidate
+            cand, steps = _inner_solve(f, g, k, cur.take(rows), pi_cand, P_rows, cfg)
             # a row leaves the lock step for good, so the batch took as many
             # steps as its longest row
             work.inner_steps += int(steps.max(initial=0))
             work.inner_row_steps += int(steps.sum())
-            eta = _ETA
-            trying = np.arange(rows.size)
-            for _ in range(_ETA_TRIALS):
-                if not trying.size:
-                    break
-                b = base.u[trying]
-                # an unmoved inner point is the candidate at every eta
-                once = (inner.u[trying] == b).all(axis=1)
-                cand = _candidates(f, k, b + eta * (inner.u[trying] - b), inner.take(trying), base.take(trying))
-                eta *= _BACKTRACK_FACTOR
-                P_try, pi_try = P_rows.take(trying), pi_cand[trying]
-                nu_cand = multiplier_estimate(cand, pi_try, P_try) if m else np.zeros((trying.size, 0))
-                psi_cand = merit_psi(g, cand, pi_try, P_try, nu=nu_cand)
-                work.merit_evals += 1
-                psi_now = psi[live[rows[trying]]]
-                ok = np.isfinite(psi_cand) & (psi_cand <= psi_now + _MERIT_SLACK * np.maximum(1.0, psi_now))
-                hit = rows[trying[ok]]
-                nxt.put(hit, cand.take(ok))
-                pi_next[hit], nu_next[hit], psi_next[hit], accepted[hit] = pi_try[ok], nu_cand[ok], psi_cand[ok], True
-                trying = trying[~ok & ~once]
+            nu_cand = multiplier_estimate(cand, pi_cand, P_rows) if m else np.zeros((rows.size, 0))
+            psi_cand = merit_psi(g, cand, pi_cand, P_rows, nu=nu_cand)
+            work.merit_evals += 1
+            psi_now = psi[live[rows]]
+            ok = np.isfinite(psi_cand) & (psi_cand <= psi_now + _MERIT_SLACK * np.maximum(1.0, psi_now))
+            hit = rows[ok]
+            nxt.put(hit, cand.take(ok))
+            pi_next[hit], nu_next[hit], psi_next[hit], accepted[hit] = pi_cand[ok], nu_cand[ok], psi_cand[ok], True
         iterations[live[~accepted]] -= 1  # merit stalled at its numerical floor
 
         a = np.flatnonzero(accepted)

@@ -16,7 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import HopfLaxParams, as_vector
+from .core import HopfLaxParams, as_count, as_vector
 from .solver import SolverConfig, gap_certificates, solve_batch
 
 
@@ -31,8 +31,7 @@ class TauPath:
     def __post_init__(self):
         object.__setattr__(self, "start", as_vector(self.start, name="start"))
         object.__setattr__(self, "end", as_vector(self.end, self.start.shape[0], "end"))
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        object.__setattr__(self, "n_samples", as_count(self.n_samples, "n_samples"))
 
     def parameters(self):
         if self.n_samples == 1:

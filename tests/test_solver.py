@@ -337,6 +337,17 @@ class TestSolve:
                     SolverConfig(maxit_outer=1, eps=1e-14))
         assert not res.converged
 
+    def test_maxit_outer_must_be_a_positive_integer(self):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="maxit_outer must be >= 1"):
+                SolverConfig(maxit_outer=bad)
+        for bad in (2.5, 2.0, "3"):
+            with pytest.raises(ValueError, match="maxit_outer must be an integer"):
+                SolverConfig(maxit_outer=bad)
+        cfg = SolverConfig(maxit_outer=np.int64(2))
+        assert cfg.maxit_outer == 2 and type(cfg.maxit_outer) is int
+        assert solve(identity_objective(), WeightedSum([1.0]), scalar_params(x=1.0), cfg).iterations <= 2
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             solve(identity_objective(), WeightedSum([1.0, 1.0]), scalar_params())
@@ -870,25 +881,31 @@ class TestInnerDepth:
 
 
 class TestMeritSafeguard:
-    """A row whose inner solve did not move has the same candidate at every
-    primal damping eta, so the safeguard tries it once per dual candidate."""
+    """Each dual candidate gets one inner solve, and its last point is the
+    candidate: one merit evaluation per inner solve, after the initial one."""
 
     def test_ex1_sweep_merit_evals(self, monkeypatch):
         from hopfront import solver
         from hopfront.sweep import sweep
 
-        merit, calls = solver.merit_psi, []
+        merit, inner, merit_calls, inner_calls = solver.merit_psi, solver._inner_solve, [], []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
+        def counting_merit(*args, **kwargs):
+            merit_calls.append(1)
             return merit(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "merit_psi", counting)
+        def counting_inner(*args):
+            inner_calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(solver, "merit_psi", counting_merit)
+        monkeypatch.setattr(solver, "_inner_solve", counting_inner)
         prob = get_problem("ex1")
         g = prob.default_preference()
         front = sweep(prob, g, n_samples=100)
         assert front.converged_count() == 100
-        assert len(calls) == front.merit_evals <= 30  # 74 when every eta repeated the trial
+        assert len(merit_calls) == front.merit_evals == len(inner_calls) + 1
+        assert front.merit_evals <= 30
         # the samples whose dual step is damped (theta < 1) at some iteration
         for i in (0, 1, 2, 3, 4, 5, 10, 11, 15, 21):
             s = front.samples[i]
@@ -898,6 +915,21 @@ class TestMeritSafeguard:
             assert s.objectives.tobytes() == lone.objectives.tobytes()
             assert (s.residual, s.iterations, s.converged) == (lone.residual_history[-1], lone.iterations,
                                                                lone.converged)
+
+    @pytest.mark.parametrize("name, lo, hi", [("ex2a", 0.1985, 0.2103), ("ex2b", 0.2628, 0.2640)])
+    def test_former_merit_stall_bands_converge(self, name, lo, hi):
+        # a candidate relaxed toward its base kept a multiplier on an interior
+        # point there, so every trial raised the merit and the row stalled
+        prob = get_problem(name)
+        t = np.linspace(lo, hi, 201)[:, None]
+        params = prob.params_for(prob.tau_start + t * (prob.tau_end - prob.tau_start))
+        results = solve_batch(prob.objective, prob.default_preference(), params, constraints=prob.constraints)
+        assert [i for i, r in enumerate(results) if not r.converged] == []
+
+    def test_ex2b_twenty_sample_sweep_converges(self):
+        from hopfront.sweep import sweep
+
+        assert sweep(get_problem("ex2b"), n_samples=20).converged_count() == 20
 
 
 class TestCertifyGap:

@@ -43,6 +43,11 @@ class TestTauPath:
             TauPath(np.zeros(2), np.zeros(3), 5)
         with pytest.raises(ValueError):
             TauPath(np.zeros(2), np.zeros(2), 0)
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            TauPath(np.zeros(2), np.ones(2), 2.5)
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            sweep(linear_problem(), WeightedSum([1.0]), n_samples=2.5)
+        assert len(TauPath(np.zeros(2), np.ones(2), np.int64(3)).parameters()) == 3
 
 
 class TestSweep:
