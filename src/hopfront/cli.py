@@ -380,7 +380,7 @@ def cmd_sweep(args):
                     inner_row_steps=front.inner_row_steps, merit_evals=front.merit_evals, **extra)
     print(f"swept {len(front.samples)} samples ({front.converged_count()} converged) "
           f"in {duration:.3f}s -> {front_csv}")
-    return 0 if front.converged_count() else 2
+    return 0 if front.converged_count() == len(front.samples) else 2
 
 
 def cmd_oracle(args):

@@ -22,7 +22,12 @@ set. The Armijo backtracking does not halve a failed step length t: it
 takes the minimizer of the quadratic through the composite's value and
 slope at 0 and its value at t, kept within [0.1 t, 0.5 t] (Nocedal &
 Wright, Numerical Optimization, 2nd ed., sec. 3.5). A step accepted near
-its mirror point starts the next one there.
+its mirror point starts the next one there. A trial whose value is within
+rounding of the start value (4 ulps) passes as well: value descent ends at
+the composite's rounding floor, above a tight residual target, while the
+preconditioned step there still shrinks the gradient, which the arithmetic
+resolves far below that floor (the approximate-Wolfe rule of Hager & Zhang,
+SIAM J. Optim. 2005). So one inner method serves every solve.
 
 ``solve_batch`` solves a stack of tau (``HopfLaxParams.tau`` of shape
 ``(n, N)``) as one batch, one row per tau; ``solve`` is the batch of one.
@@ -42,7 +47,7 @@ Each point is evaluated once (``evaluate``): the merit, the multipliers, the
 stop test, the next dual step and the next inner solve all read that
 record, and the inner solve returns its last point's record. One function,
 ``stationarity_residual``, assembles J^T pi + mu u - p - Jac[k]^T nu from
-it for the merit, the multipliers, the stop test and the polish.
+it for the merit, the multipliers and the stop test.
 """
 from __future__ import annotations
 
@@ -73,7 +78,6 @@ _LS_C1 = 1e-4  # Armijo sufficient-decrease constant
 # ex3b's inner row steps from 2,707 to 1,641 and moved no other problem by
 # more than 2%; 0.7 added 5% on ex2a and ex2b, and 1.0 lost one sample each.
 _LS_OVERSHOOT = 0.6
-_MAXIT_POLISH = 10  # LM polish steps after an unconstrained inner solve
 _CERT_CHUNK = 1024  # cloud rows per screening product in _cloud_minima: 1024 x samples doubles
 _CERT_FLOOR = 1e-150  # smallest screened exp factor; the product of two stays a normal number
 
@@ -407,11 +411,13 @@ def _inner_solve(f, g, k, pt, pi, params, cfg):
     # Inner solve of the shifted scalarization over K (or all of R^d when k
     # is None) from every row of the evaluated stack pt, in lock step:
     # projected gradient descent along the two-metric direction, with Armijo
-    # backtracking along the projection arc, then an LM polish of
-    # unconstrained rows. That direction is a positive definite scaling of
-    # the gradient, so it descends wherever the gradient is nonzero
-    # (Bertsekas, SIAM J. Control Optim. 1982); a row that accepts no step
-    # in 30 trials stops where it is. From its second step on, a row away
+    # backtracking along the projection arc. That direction is a positive
+    # definite scaling of the gradient, so it descends wherever the gradient
+    # is nonzero (Bertsekas, SIAM J. Control Optim. 1982); a row that accepts
+    # no step in 30 trials stops where it is. A trial whose value is within
+    # 4 ulps of the start value is accepted too, so a row at the composite's
+    # rounding floor keeps stepping until its residual meets res_tol, it
+    # stops moving or it reaches _MAXIT_U. From its second step on, a row away
     # from active constraints adds the secant row of its last step and
     # gradient change to the preconditioner (``_secant_row``); the pairs
     # start afresh with each inner solve. A trial's value and the slope
@@ -439,7 +445,6 @@ def _inner_solve(f, g, k, pt, pi, params, cfg):
     pt = pt.take(np.arange(n))  # a copy, updated row by row
     u_prev, g_prev = np.empty_like(pt.u), np.empty_like(pt.u)  # each row's last point and gradient
     fu = val(slice(None), pt.u, pt.ell)
-    res = np.full(n, np.inf)
     t_first = np.ones(n)  # the first Armijo trial of each row's next step
     steps = np.zeros(n, dtype=int)
     live = np.arange(n)
@@ -448,8 +453,8 @@ def _inner_solve(f, g, k, pt, pi, params, cfg):
             break
         cur = pt.take(live)
         gvec = _tmv(cur.J, g.gradient(cur.ell + E[live])) + stiff * cur.u - cx
-        res[live] = _projected_residual(k, cur.u, gvec, gamma)
-        go = np.flatnonzero(~(res[live] <= res_tol))
+        res = _projected_residual(k, cur.u, gvec, gamma)
+        go = np.flatnonzero(~(res <= res_tol))
         live, cur, gvec = live[go], cur.take(go), gvec[go]
         if not live.size:
             break
@@ -472,6 +477,8 @@ def _inner_solve(f, g, k, pt, pi, params, cfg):
             step = trial - u[todo]
             # projection-arc form of the Armijo sufficient decrease
             ok = ft <= f0 - _LS_C1 * _dot(step, step) / np.maximum(tt, 1e-300)
+            # or no change the composite's three-term sum can resolve
+            ok |= ft <= f0 + 4 * np.finfo(float).eps * np.abs(f0)
             t_fit = _fitted_minimizer(tt, f0, _dot(gvec[todo], step) / tt, ft)
             hit = todo[ok]
             cand[hit], ell_c[hit], fc[hit], found[hit] = trial[ok], ell_t[ok], ft[ok], True
@@ -484,44 +491,7 @@ def _inner_solve(f, g, k, pt, pi, params, cfg):
             pt.put(live[hit], evaluate(f, k, cand[hit], ell_c[hit]))
             fu[live[hit]] = fc[hit]
         live = live[hit[~(_norm(cand[hit] - u[hit]) <= move_tol)]]
-    if k is None:
-        # LM polish, row by row: value descent bottoms out at the rounding
-        # floor of the composite, the residual does not
-        for i in np.flatnonzero(res > 0.05 * cfg.eps):
-            pt.put([i], _polish(f, pt.take([i]), pi[[i]], params, cfg))
     return pt, steps
-
-
-def _polish(f, pt, pi, params, cfg):
-    # Damped LM steps on the stationarity residual at frozen pi from the
-    # evaluated unconstrained stack of one pt until the residual target is
-    # met or the iterate stalls; returns the evaluation of the final iterate.
-    target = 0.05 * cfg.eps
-    r_cur = stationarity_residual(pt, pi, params)
-    for _ in range(_MAXIT_POLISH):
-        r_norm = float(np.linalg.norm(r_cur))
-        if r_norm <= target:
-            return pt
-        step, frac = spd_solve(params.stiffness, pt.J, r_cur), 1.0
-        for _ in range(25):
-            u_next = pt.u - step
-            if not np.all(np.isfinite(u_next)):
-                raise NumericalError("primal update produced non-finite iterate")
-            pt_next = evaluate(f, None, u_next)
-            r_next = stationarity_residual(pt_next, pi, params)
-            # damping: the Gauss-Newton model can understate curvature and
-            # equal-norm mirror steps would cycle; the required decrease
-            # scales with the damping so short steps stay acceptable
-            if float(np.linalg.norm(r_next)) <= r_norm * (1.0 - 1e-3 * frac):
-                break
-            step = 0.5 * step
-            frac *= 0.5
-        else:
-            return pt
-        if float(np.linalg.norm(pt_next.u - pt.u)) <= 1e-15 * (1.0 + float(np.linalg.norm(pt.u))):
-            return pt_next
-        pt, r_cur = pt_next, r_next
-    return pt
 
 
 def run_primal_dual(f, g, k, params, cfg, U, PI) -> BatchResult:

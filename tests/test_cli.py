@@ -74,6 +74,14 @@ class TestSolveCommand:
 
 
 class TestSweepCommand:
+    def test_partial_convergence_exit_two(self, tmp_path):
+        # 4 outer iterations converge 3 of these 6 samples: any unconverged
+        # sample is non-convergence, as for ``solve``
+        out = tmp_path / "run"
+        assert run(["sweep", "--problem", "ex2a", "--n", "6", "--maxit", "4", "--out", str(out)]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert 0 < manifest["converged"] < manifest["total"] == 6
+
     def test_outputs_and_schema(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = run(["sweep", "--problem", "ex2a", "--n", "8", "--out", str(out)])

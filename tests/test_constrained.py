@@ -292,6 +292,24 @@ class TestMultiplierNNLS:
         both = (pts.kv <= 1e-3).all(axis=1)
         assert both.sum() >= 200 and (nu[both] > 0.0).any()
 
+    def test_ex1_vertex_multiplier_on_a_row_that_does_not_push(self):
+        # At ex1's vertex (-1.5, 2.25) the active normals a1 = (3, 1) and
+        # a2 = (-1, -2) meet at 135 degrees. F = (2.1, -1) has a2 . F < 0,
+        # yet F = 1.04 a1 + 1.02 a2: both multipliers are positive, so the
+        # rows with a_j . F > 0 are not the support of the NNLS solution.
+        prob = example1()
+        u, pi = np.array([[-1.5, 2.25]]), np.array([[0.3, 0.7]])
+        F = np.array([2.1, -1.0])
+        pt = evaluate(prob.objective, prob.constraints, u)
+        alpha, c, mu = 1.0, 0.1, 0.01
+        x = (pt.J[0].T @ pi[0] + (mu + alpha * c) * u[0] - F) / c  # F = J^T pi + (mu + alpha c) u - c x
+        params = HopfLaxParams(x, np.zeros((1, 2)), alpha, c, mu)
+        np.testing.assert_allclose(stationarity_residual(pt, pi, params)[0], F, atol=1e-12)
+        assert (pt.kv == 0.0).all() and prob.constraints.jacobian(u[0])[1] @ F < 0.0
+        nu = multiplier_estimate(pt, pi, params)
+        np.testing.assert_allclose(nu[0], [1.04, 1.02], rtol=1e-10)
+        assert (np.abs(nu - nnls_reference(pt, pi, params)) <= 1e-12).all()
+
     def test_single_active_rows(self, rng):
         prob = example1()
         a = rng.uniform(-1.4, 0.9, size=200)
