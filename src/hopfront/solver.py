@@ -52,7 +52,6 @@ it for the merit, the multipliers and the stop test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import List, Optional
 
 import numpy as np
@@ -248,16 +247,13 @@ def merit_psi(g, pt, pi, params, *, nu=None):
 
 
 def multiplier_estimate(pt, pi, params):
-    """Nonnegative least-squares multipliers over the nearly active set of
-    every row of the evaluated stack ``pt``.
-
-    Exact projection zeroes the ascent signal on active constraints, so the
-    multipliers are recovered from stationarity instead: minimize
-    ||Jac[k]_A^T nu - F|| over nu >= 0 supported on the active set A.
-    Where the active rows a_j are pairwise orthogonal or opposite (a box,
-    any one active constraint) the minimizer is max(0, a_j . F) / |a_j|^2,
-    on a box max(0, +-F_i); other rows take ``_nnls_subsets``.
-    """
+    """Nonnegative least-squares multipliers over the nearly active set A of
+    every row of the evaluated stack ``pt``. Exact projection zeroes the
+    ascent signal on active constraints, so they come from stationarity:
+    min ||Jac[k]_A^T nu - F|| over nu >= 0 on A, every row of A a candidate
+    whether or not the step pushes against it. A box takes its faces' closed
+    form max(0, +-F_i) and never forms Jac[k]; any other set takes the
+    Lawson-Hanson NNLS ``_nnls``."""
     nu = np.zeros(pt.kv.shape)
     active = pt.kv <= _ACTIVE_THRESHOLD
     rows = np.flatnonzero(active.any(axis=1))
@@ -269,58 +265,47 @@ def multiplier_estimate(pt, pi, params):
             half[rows] = np.where(on, np.maximum(b, 0.0), 0.0)
         return nu
     cols = np.flatnonzero(active[rows].any(axis=0))  # the constraints some row needs
-    on = active[np.ix_(rows, cols)]
-    # a shared Jacobian (p, d) stays one matrix, so its Gram matrix is one
-    # too; b and |a_j|^2 are row-wise dots, so a row's multipliers do not
-    # depend on the other rows of the stack
-    Jk = pt.k.jacobian_batch(pt.u[rows])[..., cols, :]
-    b, aa = _dot(Jk, F[:, None, :]), _dot(Jk, Jk)
-    x = np.divide(np.maximum(b, 0.0), aa, out=np.zeros_like(b), where=on & (aa > 0.0))
-    # the closed form is exact where every pair of active rows is orthogonal
-    # or opposite; a row with an active pair of another kind is re-solved
-    G, norm = np.matmul(Jk, np.swapaxes(Jk, -1, -2)), np.sqrt(aa)
-    apart = (G == 0.0) | (G == -norm[..., :, None] * norm[..., None, :]) | np.eye(cols.size, dtype=bool)
-    if not apart.all():
-        tangled = (on[:, :, None] & on[:, None, :] & ~apart).any(axis=(1, 2))
-        for group in _mask_groups(on, np.flatnonzero(tangled)):
-            c = np.flatnonzero(on[group[0]])
-            Gg = np.broadcast_to(G, (rows.size,) + G.shape[-2:])[group]  # one matrix per row
-            x[np.ix_(group, c)] = _nnls_subsets(Gg[:, c[:, None], c], b[np.ix_(group, c)])
-    nu[np.ix_(rows, cols)] = x
+    Jk = pt.k.jacobian_batch(pt.u[rows])[..., cols, :]  # a shared (p, d) stays one matrix, as does G
+    G = np.matmul(Jk, np.swapaxes(Jk, -1, -2))
+    nu[np.ix_(rows, cols)] = _nnls(G, _dot(Jk, F[:, None, :]), active[np.ix_(rows, cols)], _norm(F))
     return nu
 
 
-def _nnls_subsets(G, b):
-    # min ||A x - F|| over x >= 0 at every row of a stack that shares the
-    # columns of A, from the Gram matrices G = A^T A and b = A^T F. The
-    # optimum is the unconstrained minimizer on its own support, and there
-    # ||A x - F||^2 = |F|^2 - x . b, so it is the nonnegative subset solution
-    # with the largest x . b (Lawson & Hanson, Solving Least Squares
-    # Problems, 1974, ch. 23). Enumerating the 2^p - 1 supports is exact and
-    # meant for the few non-orthogonal active constraints of one point (two
-    # at ex1's corners); pinv keeps a rank-deficient support a candidate.
+def _nnls(G, b, on, fnorm):
+    # min |A x - F| over x >= 0, zero off the mask ``on``, row by row from G =
+    # A^T A (per row or shared), b = A^T F and |F|: Lawson & Hanson's active
+    # set (Solving Least Squares Problems, 1974, ch. 23) in lock step. A row
+    # frees the masked column of largest w = b - G x once x solves its free
+    # block, and stops when no w exceeds its rounding, so no column dependent
+    # on the free ones makes the LU solve singular; a solve that leaves a free
+    # column <= 0 steps back to the first zero crossing, which leaves.
     n, p = b.shape
-    x, gain = np.zeros((n, p)), np.zeros(n)
-    for size in range(1, p + 1):
-        for S in map(list, combinations(range(p), size)):
-            xs = _mv(np.linalg.pinv(G[:, S][:, :, S]), b[:, S])
-            xb = _dot(xs, b[:, S])
-            best = (xs >= 0.0).all(axis=1) & (xb > gain)
-            x[best] = 0.0
-            x[np.ix_(best, S)] = xs[best]
-            gain[best] = xb[best]
+    G, tol = np.broadcast_to(G, (n, p, p)), 8 * p * np.finfo(float).eps
+    x, free, grow, live = np.zeros((n, p)), np.zeros((n, p), dtype=bool), np.ones(n, dtype=bool), np.arange(n)
+    for _ in range(3 * p):
+        Gl, xl = G[live], x[live]
+        w = b[live] - _mv(Gl, xl)
+        noise = tol * (np.sqrt(np.diagonal(Gl, axis1=1, axis2=2)) * fnorm[live, None] + _mv(np.abs(Gl), xl))
+        w[~on[live] | free[live] | ~grow[live, None] | (w <= noise)] = 0.0
+        j = w.argmax(axis=1)
+        more = w[np.arange(live.size), j] > 0.0
+        free[live[more], j[more]] = True
+        live = live[more | ~grow[live]]
+        if not live.size:
+            break
+        fl = free[live]
+        M = np.where(fl[:, :, None] & fl[:, None, :], G[live], np.eye(p))  # the identity off the free block
+        z = np.linalg.solve(M, np.where(fl, b[live], 0.0)[..., None])[..., 0]
+        neg = fl & (z <= 0.0)
+        grow[live] = ok = ~neg.any(axis=1)
+        x[live[ok]] = np.where(fl[ok], z[ok], 0.0)
+        r, xr, zr, neg = live[~ok], x[live[~ok]], z[~ok], neg[~ok]
+        # the step to each crossing; 0 where x = 0 already, so no 0 / 0
+        ratio = np.divide(xr, xr - zr, out=np.where(neg, 0.0, np.inf), where=neg & (xr > 0.0))
+        step = ratio.min(axis=1, keepdims=True)
+        free[r] &= (ratio > step) & (xr + step * (zr - xr) > 0.0)  # the first crossing leaves exactly
+        x[r] = np.where(free[r], xr + step * (zr - xr), 0.0)
     return x
-
-
-def _mask_groups(masks, rows):
-    # the given rows of a stack of boolean masks, sorted by their packed
-    # mask and cut where it changes: the groups of rows that share one mask
-    if rows.size < 2:
-        return [rows] if rows.size else []
-    keys = np.packbits(masks[rows], axis=1)
-    order = np.lexsort(keys.T[::-1])
-    keys, rows = keys[order], rows[order]
-    return np.split(rows, np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1)) + 1)
 
 
 def _box_faces(x):

@@ -322,12 +322,13 @@ class TestMultiplierNNLS:
     def test_supports_against_nnls(self, p, rng):
         from scipy.optimize import nnls
 
-        from hopfront.solver import _nnls_subsets
+        from hopfront.solver import _nnls
 
         A = rng.normal(size=(300, 4, p))
         A[:100, :, 1] = A[:100, :, 0] * rng.uniform(-1.0, 1.0, size=(100, 1)) + 0.1 * A[:100, :, 1]
         F = rng.normal(size=(300, 4))
-        x = _nnls_subsets(np.matmul(np.swapaxes(A, 1, 2), A), np.matmul(np.swapaxes(A, 1, 2), F[..., None])[..., 0])
+        x = _nnls(np.matmul(np.swapaxes(A, 1, 2), A), np.matmul(np.swapaxes(A, 1, 2), F[..., None])[..., 0],
+                  np.ones((300, p), dtype=bool), np.linalg.norm(F, axis=1))
         for xi, Ai, Fi in zip(x, A, F):
             ref = nnls(Ai, Fi)[0]
             assert np.abs(xi - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
