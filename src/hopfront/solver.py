@@ -315,12 +315,12 @@ def _box_faces(x):
     return x[..., :d], x[..., d:]
 
 
-def _tangent_projector(k, u, active):
+def _tangent_projector(k, Jk, active):
     # The projector P onto the tangent space of each row's active
     # constraints, as the map V -> V P on stacks (n, r, d), and |Jk_A|_F^2
     # of each row's active Jacobian rows. A box zeroes the coordinates of
-    # its active faces (unit rows). Any other set takes P = I - W^T W for
-    # an orthonormal basis W of the row space of its Jacobian A with the
+    # its active faces (unit rows) and reads no Jk. Any other set takes
+    # P = I - W^T W for an orthonormal basis W of the row space of Jk with the
     # inactive rows zeroed, by Gram-Schmidt over the rows of A. A remainder
     # with |v|^2 <= 1e-15 |A|_F^2, pinv's cutoff on the Gram matrix, lies in
     # the span of the earlier rows and is dropped, so P is pinv's
@@ -328,7 +328,7 @@ def _tangent_projector(k, u, active):
     if k.bounds is not None:
         free = ~np.logical_or(*_box_faces(active))[:, None, :]
         return (lambda V: np.where(free, V, 0.0)), active.sum(axis=1)
-    A = np.where(active[..., None], k.jacobian_batch(u), 0.0)
+    A = np.where(active[..., None], Jk, 0.0)
     AA = (A * A).sum(axis=(-2, -1))
     W = np.zeros(A.shape)
     for j in range(A.shape[-2]):
@@ -362,15 +362,24 @@ def _direction(k, pt, gvec, params, x):
     # divides the normal component by its trace s d + |J|_F^2 + |x|^2 +
     # |Jk_A|_F^2 (the two-metric step). With P the tangent projector and
     # z = Q y for an orthonormal basis Q of its range, (s I + P L^T L P) z =
-    # P g for L = [J; x] is the tangent system Q^T B Q y = Q^T g. A row with
-    # no active constraint has P = I and takes the plain preconditioned step
-    # bit for bit.
+    # P g for L = [J; x] is the tangent system Q^T B Q y = Q^T g. A nearly
+    # active constraint j counts only where the step pushes against it,
+    # (Jac[k] g)_j > 0 (Bertsekas, SIAM J. Control Optim. 1982): on a box,
+    # g_i > 0 at lower face i and g_i < 0 at its upper face. A row with no
+    # such constraint has P = I and takes the plain preconditioned step bit
+    # for bit.
     s = params.stiffness
     L = np.concatenate((pt.J, x[:, None, :]), axis=1)
-    active = None if k is None else pt.kv <= _ACTIVE_THRESHOLD
+    active, Jk = None if k is None else pt.kv <= _ACTIVE_THRESHOLD, None
+    if active is not None and active.any():
+        if k.bounds is not None:
+            active &= np.concatenate((gvec > 0.0, gvec < 0.0), axis=1)
+        else:
+            Jk = k.jacobian_batch(pt.u)
+            active &= _mv(Jk, gvec) > 0.0
     if active is None or not active.any():  # P = I on every row
         return spd_solve(s, L, gvec)
-    project, kk = _tangent_projector(k, pt.u, active)
+    project, kk = _tangent_projector(k, Jk, active)
     Pg = project(gvec[:, None, :])[:, 0]
     trace = s * gvec.shape[-1] + (L * L).sum(axis=(-2, -1)) + kk
     return spd_solve(s, project(L), Pg) + (gvec - Pg) / trace[:, None]

@@ -217,12 +217,12 @@ def evaluate_one(f, k, u):
 
 def rowwise_direction(k, pt, gvec, params, x):
     """The solver's preconditioned descent direction, one row at a time, with
-    the two-metric step next to active constraints, from the dense
-    preconditioner B = (mu + alpha c) I + J^T J + x x^T for the row's secant
-    row x (+ Jk^T Jk on the active rows Jk) and a dense orthonormal basis Q of
-    the null space of Jk; the reference the solver's low-rank stacked
-    projector step is checked against. Returns the directions and each row's
-    spectral norm |B|."""
+    the two-metric step next to the nearly active constraints the step pushes
+    against ((Jk g)_j > 0), from the dense preconditioner
+    B = (mu + alpha c) I + J^T J + x x^T for the row's secant row x (+ Jk^T Jk
+    on those rows Jk) and a dense orthonormal basis Q of the null space of
+    Jk; the reference the solver's low-rank stacked projector step is checked
+    against. Returns the directions and each row's spectral norm |B|."""
     from scipy.linalg import null_space
 
     from hopfront.solver import _ACTIVE_THRESHOLD
@@ -231,6 +231,7 @@ def rowwise_direction(k, pt, gvec, params, x):
     active = pt.kv <= _ACTIVE_THRESHOLD
     out, B_norm = np.empty_like(gvec), np.empty(len(gvec))
     for i, gi in enumerate(gvec):
+        active[i] &= k.jacobian(pt.u[i]) @ gi > 0  # near, and the step pushes against it
         B = params.stiffness * np.eye(d) + pt.J[i].T @ pt.J[i] + np.outer(x[i], x[i])
         if active[i].any():
             Jk_a = k.jacobian(pt.u[i])[active[i]]

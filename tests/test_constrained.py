@@ -252,8 +252,9 @@ def nnls_reference(pt, pi, params):
 
 
 class TestMultiplierNNLS:
-    """The numpy multiplier estimate against scipy's NNLS: closed form for
-    orthogonal or opposite active rows, supports enumerated otherwise."""
+    """The numpy multiplier estimate against scipy's NNLS: a box's faces in
+    closed form, any other set by the lock-step Lawson-Hanson ``_nnls`` over
+    every nearly active row."""
 
     @staticmethod
     def assert_matches_nnls(f, k, U, rng):
@@ -332,6 +333,62 @@ class TestMultiplierNNLS:
         for xi, Ai, Fi in zip(x, A, F):
             ref = nnls(Ai, Fi)[0]
             assert np.abs(xi - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_masks_against_nnls(self, p, rng):
+        # random candidate masks; a third of the rows with a nearly collinear
+        # pair of columns, and a third with a strongly collinear pair, whose x
+        # the Gram form resolves to about eps cond(A)^2 only, so there only
+        # the residual is checked. A row alone takes the result it takes in
+        # the stack.
+        from scipy.optimize import nnls
+
+        from hopfront.solver import _nnls
+
+        n, m = 300, 8
+        A = rng.normal(size=(n, m, p))
+        mix = np.repeat([0.1, 1e-4, 1.0], n // 3)[:, None]
+        A[:, :, 1] = A[:, :, 0] * rng.uniform(-1.0, 1.0, size=(n, 1)) + mix * A[:, :, 1]
+        F = rng.normal(size=(n, m))
+        on = rng.random(size=(n, p)) < 0.7
+        G, b = np.matmul(np.swapaxes(A, 1, 2), A), np.matmul(np.swapaxes(A, 1, 2), F[..., None])[..., 0]
+        fnorm = np.linalg.norm(F, axis=1)
+        x = _nnls(G, b, on, fnorm)
+        assert (x >= 0.0).all() and (x[~on] == 0.0).all()
+        for i in range(n):
+            c = np.flatnonzero(on[i])
+            ref = np.zeros(p)
+            if c.size:
+                ref[c] = nnls(A[i][:, c], F[i])[0]
+            if mix[i, 0] != 1e-4:
+                assert np.abs(x[i] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+            res, res_ref = np.linalg.norm(A[i] @ x[i] - F[i]), np.linalg.norm(A[i] @ ref - F[i])
+            assert abs(res - res_ref) <= 1e-12 * fnorm[i]
+        for i in (0, 150, 299):
+            assert x[i].tobytes() == _nnls(G[[i]], b[[i]], on[[i]], fnorm[[i]])[0].tobytes()
+
+    def test_parallel_active_rows(self, rng):
+        # the same half-plane a . u <= 1/2 written twice, at scales 1 and 3:
+        # nu is not unique, the residual is, and the free block of the NNLS
+        # never holds both rows, whose Gram block is singular
+        a, scale = np.array([1.0, 2.0, -1.0]), np.array([1.0, 3.0])
+        k = ConstraintSet(3, 2, lambda u: (0.5 - u @ a)[..., None] * scale,
+                          lambda u: scale[:, None] * a, batched=True)
+        B = rng.normal(size=(2, 3))
+        f = VectorObjective(3, 2, lambda u: u @ B.T + 0.1 * (u**2).sum(axis=-1, keepdims=True),
+                            lambda u: B + 0.2 * u[..., None, :], batched=True)
+        U = rng.normal(size=(400, 3))
+        U -= ((U @ a - 0.5) / (a @ a))[:, None] * a  # on the line
+        U[::4] -= 1e-4 * a  # nearly active
+        params = HopfLaxParams(rng.normal(size=3), rng.normal(scale=3.0, size=(400, 2)), 1.0, 0.5, 0.1)
+        PI = rng.dirichlet(np.ones(2), size=400)
+        pts = evaluate(f, k, U)
+        nu, ref = multiplier_estimate(pts, PI, params), nnls_reference(pts, PI, params)
+        assert (nu >= 0.0).all() and (nu > 0.0).any()
+        res = np.linalg.norm(stationarity_residual(pts, PI, params, nu), axis=1)
+        res_ref = np.linalg.norm(stationarity_residual(pts, PI, params, ref), axis=1)
+        scale_F = np.maximum(1.0, np.linalg.norm(stationarity_residual(pts, PI, params), axis=1))
+        assert (np.abs(res - res_ref) <= 1e-12 * scale_F).all()
 
 
 class TestMeritPsiK:

@@ -525,6 +525,29 @@ class TestStackedKernels:
         for i in (0, 25, 32, 59):  # a row alone takes the step it takes in the stack
             assert D[i].tobytes() == _direction(k, pts.take([i]), G[[i]], params.take([i]), X[[i]])[0].tobytes()
 
+    def test_near_faces_the_step_does_not_push_against_leave_it_alone(self, rng):
+        # every coordinate within the threshold of a face, the gradient
+        # pulling it inward: no face pushes, so the step is the plain
+        # preconditioned one; flipping one row's gradient at one coordinate
+        # makes that face push, and the step leaves it alone
+        from hopfront.solver import _direction
+
+        prob = get_problem("ex3a-d10")
+        f, k = prob.objective, prob.constraints
+        lo, hi = prob.feasible_box
+        U = np.where(rng.random(size=(20, f.dim_u)) < 0.5, lo + 5e-4, hi - 5e-4)
+        params = HopfLaxParams(prob.x, rng.normal(scale=5.0, size=(20, f.dim_obj)), prob.alpha, prob.c, prob.mu)
+        pts = evaluate(f, k, U)
+        G = np.where(U < 0.5 * (lo + hi), -1.0, 1.0) * rng.uniform(0.1, 1.0, size=U.shape)
+        X = np.zeros_like(G)
+        D = _direction(k, pts, G, params, X)
+        assert D.tobytes() == spd_solve(params.stiffness, np.concatenate((pts.J, X[:, None]), axis=1), G).tobytes()
+        G[3, 2] *= -1.0
+        D2 = _direction(k, pts, G, params, X)
+        trace = params.stiffness * f.dim_u + (pts.J[3] ** 2).sum() + 1.0  # one active face
+        assert D2[3, 2] == pytest.approx(G[3, 2] / trace, rel=1e-14)
+        assert D2[np.arange(20) != 3].tobytes() == D[np.arange(20) != 3].tobytes()
+
 
 class TestTangentProjector:
     """The generic tangent projector, by Gram-Schmidt over the active
@@ -548,7 +571,7 @@ class TestTangentProjector:
         n, d = U.shape
         active = np.full((n, 2), case != "none")
         active[:, 1] &= case != "one"
-        project, kk = _tangent_projector(k, U, active)
+        project, kk = _tangent_projector(k, k.jacobian_batch(U), active)
         A = np.where(active[..., None], k.jacobian_batch(U), 0.0)
         At = np.swapaxes(A, -1, -2)
         ref = np.eye(d) - At @ np.linalg.pinv(A @ At, hermitian=True) @ A

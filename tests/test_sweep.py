@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfront.core import HopfLaxParams, VectorObjective, WeightedSum
 from hopfront.problems import BenchmarkProblem, example2_case1, get_problem
@@ -152,6 +154,37 @@ class TestSweep:
         front = sweep(prob, n_samples=5, cfg=cfg)
         assert len(front.samples) == 5
         assert front.converged_count() < 5
+
+
+class TestNearBoundCrawl:
+    """A nearly active constraint counts in the two-metric step only where
+    the step pushes against it (Bertsekas 1982). Before that rule a
+    coordinate near its bound that the gradient pulled inward took a
+    gradient step divided by a trace growing with d, and crawled: ex3a-d100
+    at 20 samples converged 19/20 and ex3a-d1000 at 100 samples 69/100."""
+
+    DEFAULT = ("ex1", "ex2a", "ex2b", "ex3a-d10", "ex3a-d30", "ex3a-d100", "ex3b")
+
+    @staticmethod
+    def converges_at(pid, t):
+        prob = get_problem(pid)
+        tau = prob.tau_start + t * (prob.tau_end - prob.tau_start)
+        return solve(prob.objective, prob.default_preference(), prob.params_for(tau),
+                     constraints=prob.constraints).converged
+
+    @pytest.mark.parametrize("pid, n", [("ex3a-d100", 20), ("ex3a-d1000", 100)])
+    def test_every_sample_converges(self, pid, n):
+        assert sweep(get_problem(pid), n_samples=n).converged_count() == n
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(pid=st.sampled_from(DEFAULT), t=st.floats(0.0, 1.0))
+    def test_converges_at_any_t(self, pid, t):
+        assert self.converges_at(pid, t)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=30)
+    @given(t=st.floats(0.2103, 0.7042))
+    def test_converges_in_the_old_ex3a_d100_failure_band(self, t):
+        assert self.converges_at("ex3a-d100", t)
 
 
 class TestFrontAccessors:
