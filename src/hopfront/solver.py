@@ -38,10 +38,13 @@ batched objective, Jacobian and projection call per step; a row leaves a
 level when it stops there. The batch reports its inner work
 (``BatchResult``). Each row does exactly the arithmetic of a lone solve, so
 its result does not depend on the batch. Every row takes its two-metric
-step in one stacked solve, projected onto the tangent space of its active
-constraints. Linear systems are solved as one stack without a d x d matrix
-(``spd_solve``). A box (``ConstraintSet.bounds``) takes that projector and
-its multipliers from its faces in closed form and never forms Jac[k].
+step in one stacked solve, projected onto the tangent space of the nearly
+active constraints its step pushes against (Bertsekas 1982): a near bound
+that the gradient pulls away from leaves the step alone. Linear systems are
+solved as one stack without a d x d matrix (``spd_solve``). The multipliers
+come from one lock-step Lawson-Hanson NNLS over every nearly active row. A
+box (``ConstraintSet.bounds``) takes its projector and multipliers from its
+faces in closed form and never forms Jac[k].
 
 Each point is evaluated once (``evaluate``): the merit, the multipliers, the
 stop test, the next dual step and the next inner solve all read that
@@ -303,8 +306,9 @@ def _nnls(G, b, on, fnorm):
         # the step to each crossing; 0 where x = 0 already, so no 0 / 0
         ratio = np.divide(xr, xr - zr, out=np.where(neg, 0.0, np.inf), where=neg & (xr > 0.0))
         step = ratio.min(axis=1, keepdims=True)
-        free[r] &= (ratio > step) & (xr + step * (zr - xr) > 0.0)  # the first crossing leaves exactly
-        x[r] = np.where(free[r], xr + step * (zr - xr), 0.0)
+        xr += step * (zr - xr)
+        free[r] &= (ratio > step) & (xr > 0.0)  # the first crossing leaves exactly
+        x[r] = np.where(free[r], xr, 0.0)
     return x
 
 
@@ -320,11 +324,11 @@ def _tangent_projector(k, Jk, active):
     # constraints, as the map V -> V P on stacks (n, r, d), and |Jk_A|_F^2
     # of each row's active Jacobian rows. A box zeroes the coordinates of
     # its active faces (unit rows) and reads no Jk. Any other set takes
-    # P = I - W^T W for an orthonormal basis W of the row space of Jk with the
-    # inactive rows zeroed, by Gram-Schmidt over the rows of A. A remainder
-    # with |v|^2 <= 1e-15 |A|_F^2, pinv's cutoff on the Gram matrix, lies in
-    # the span of the earlier rows and is dropped, so P is pinv's
-    # I - A^T (A A^T)^+ A on parallel and zeroed rows as well.
+    # P = I - W^T W for an orthonormal basis W of the row space of A, its
+    # Jacobian Jk with the inactive rows zeroed, by Gram-Schmidt over the
+    # rows of A. A remainder with |v|^2 <= 1e-15 |A|_F^2, pinv's cutoff on
+    # the Gram matrix, lies in the span of the earlier rows and is dropped,
+    # so P is pinv's I - A^T (A A^T)^+ A on parallel and zeroed rows too.
     if k.bounds is not None:
         free = ~np.logical_or(*_box_faces(active))[:, None, :]
         return (lambda V: np.where(free, V, 0.0)), active.sum(axis=1)
@@ -370,7 +374,7 @@ def _direction(k, pt, gvec, params, x):
     # for bit.
     s = params.stiffness
     L = np.concatenate((pt.J, x[:, None, :]), axis=1)
-    active, Jk = None if k is None else pt.kv <= _ACTIVE_THRESHOLD, None
+    active, Jk = (None if k is None else pt.kv <= _ACTIVE_THRESHOLD), None
     if active is not None and active.any():
         if k.bounds is not None:
             active &= np.concatenate((gvec > 0.0, gvec < 0.0), axis=1)
