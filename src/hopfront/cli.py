@@ -74,8 +74,13 @@ def _columns(prefix, n):
     return [f"{prefix}_{i+1}" for i in range(n)]
 
 
+def _cell(value):
+    # a float array fills one cell per entry
+    return ",".join(map(repr, value.tolist())) if isinstance(value, np.ndarray) else _fmt(value)
+
+
 def _write_csv(path, cols, rows):
-    lines = [",".join(cols)] + [",".join(_fmt(v) for v in row) for row in rows]
+    lines = [",".join(cols)] + [",".join(map(_cell, row)) for row in rows]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -89,7 +94,7 @@ def write_front_csv(path, front):
         + ["residual", "iterations", "converged", "gap", "bregman_bound"]
     )
     rows = (
-        [s.index, s.t, *s.tau, *s.u, *s.objectives, *s.pi, *s.E,
+        [s.index, s.t, s.tau, s.u, s.objectives, s.pi, s.E,
          s.residual, s.iterations, s.converged, s.gap, s.bregman_bound]
         for s in front.samples
     )
@@ -99,7 +104,7 @@ def write_front_csv(path, front):
 def write_cloud_csv(path, cloud):
     cols = (["sample_index"] + _columns("u", cloud.points_u.shape[1])
             + _columns("ell", cloud.points_obj.shape[1]))
-    rows = ([i, *u, *y] for i, (u, y) in enumerate(zip(cloud.points_u, cloud.points_obj)))
+    rows = ([i, u, y] for i, (u, y) in enumerate(zip(cloud.points_u, cloud.points_obj)))
     _write_csv(path, cols, rows)
 
 
@@ -155,22 +160,20 @@ def write_scatter_svg(path, layers, title, xlabel="objective 1", ylabel="objecti
         P = np.asarray(layer["points"], dtype=float)
         if len(P) == 0:
             continue
+        xy = list(zip(sx(P[:, 0]).tolist(), sy(P[:, 1]).tolist()))
         if layer["style"] == "line":
             color = layer["color"]
-            coords = " ".join(f"{sx(p[0]):.2f},{sy(p[1]):.2f}" for p in P)
+            coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in xy)
             parts.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1" '
                 f'stroke-dasharray="{layer.get("dash", "")}"/>'
             )
-            for p in P:
-                parts.append(f'<circle cx="{sx(p[0]):.2f}" cy="{sy(p[1]):.2f}" r="1.5" fill="{color}"/>')
+            parts.extend(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.5" fill="{color}"/>' for x, y in xy)
         else:
             color = _svg_color(0.5)
             n = max(len(P) - 1, 1)
-            for j, p in enumerate(P):
-                parts.append(
-                    f'<circle cx="{sx(p[0]):.2f}" cy="{sy(p[1]):.2f}" r="3" fill="{_svg_color(j/n)}"/>'
-                )
+            parts.extend(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{_svg_color(j/n)}"/>'
+                         for j, (x, y) in enumerate(xy))
         parts.append(f'<rect x="{W-mr-150}" y="{legend_y-8}" width="10" height="10" fill="{color}"/>')
         parts.append(
             f'<text x="{W-mr-135}" y="{legend_y}" font-size="10">{layer["label"]}</text>'
@@ -245,7 +248,8 @@ class _Timings(dict):
         return out
 
 
-_LAYERS = ("sampling", "filter", "envelope", "certification_cloud", "solves", "certificates", "output")
+_LAYERS = ("sampling", "filter", "envelope", "certification_cloud", "solves", "certificates", "distance",
+           "output")
 
 
 def _reference(problem, args, timed):
@@ -321,7 +325,7 @@ def cmd_sweep(args):
         base, reference, envelope = _reference(problem, args, timed)
         # shifted-scalarization minima live on the nondominated subset; N > 2
         # stays unfiltered, as ex3b's enriched 30k cloud keeps 20,000 points
-        # and filtering it took 2.1 s against 15 ms for its 100 gaps. A Monte
+        # and filtering it took 2.1 s against 5 ms for its 100 gaps. A Monte
         # Carlo base is the certification cloud's first rows. For N = 2 its
         # filtered subset stands in for it: by transitivity the filter keeps
         # the same points, in the same order.
@@ -354,7 +358,7 @@ def cmd_sweep(args):
 
     converged_pts = np.array([s.objectives for s in front.samples if s.converged])
     if args.compare and len(converged_pts):
-        fwd, bwd, haus = front_distance(converged_pts, reference.points_obj)
+        fwd, bwd, haus = timed("distance", front_distance, converged_pts, reference.points_obj)
         print(f"front distance forward={fwd!r} backward={bwd!r} hausdorff={haus!r}")
 
     for p, q in args.pairs:
@@ -373,7 +377,7 @@ def cmd_sweep(args):
             write_scatter_svg(os.path.join(outdir, name), layers, title=f"{problem.id}: traced front",
                               xlabel=f"objective {p}", ylabel=f"objective {q}")
 
-    timed["output"] = time.perf_counter() - start_output
+    timed["output"] = time.perf_counter() - start_output - timed["distance"]
     extra = {"reference_seconds": ref_seconds} if args.compare else {}
     _write_manifest(outdir, args, duration_s=duration, converged=front.converged_count(),
                     total=len(front.samples), timings=dict(timed), inner_steps=front.inner_steps,

@@ -258,7 +258,7 @@ def multiplier_estimate(pt, pi, params):
     form max(0, +-F_i) and never forms Jac[k]; any other set takes the
     Lawson-Hanson NNLS ``_nnls``."""
     nu = np.zeros(pt.kv.shape)
-    active = pt.kv <= _ACTIVE_THRESHOLD
+    active = _near(pt.kv)
     rows = np.flatnonzero(active.any(axis=1))
     if not rows.size:
         return nu
@@ -312,6 +312,11 @@ def _nnls(G, b, on, fnorm):
     return x
 
 
+def _near(kv):
+    # the nearly active constraints of every row, from its values k(u)
+    return kv <= _ACTIVE_THRESHOLD
+
+
 def _box_faces(x):
     # the lower-face and upper-face halves, as views, of a box's constraint
     # axis: its rows are +e_i, then -e_i (``box_constraints``)
@@ -343,21 +348,22 @@ def _tangent_projector(k, Jk, active):
     return (lambda V: V - np.matmul(np.matmul(V, np.swapaxes(W, -1, -2)), W)), AA
 
 
-def _secant_row(k, pt, step, dg, stiff):
+def _secant_row(pt, step, dg, stiff, near):
     # Each row's memoryless structured SR1 row x: with r = dg - B0 step for
     # the Gauss-Newton matrix B0 = stiff I + J^T J at the row's point, x =
     # r / sqrt(r . step), so B0 + x x^T maps the last step to the gradient
     # change dg (the secant equation). Zero where r . step is not safely
-    # positive, keeping B positive definite, or a constraint is nearly active.
+    # positive, keeping B positive definite, or a constraint is nearly active
+    # (``near``, None without constraints).
     r = dg - stiff * step - _tmv(pt.J, _mv(pt.J, step))
     rs = _dot(r, step)
     ok = rs > 1e-12 * _norm(r) * _norm(step)
-    if k is not None:
-        ok &= ~(pt.kv <= _ACTIVE_THRESHOLD).any(axis=1)
+    if near is not None:
+        ok &= ~near.any(axis=1)
     return np.where(ok[:, None], r / np.sqrt(np.where(ok, rs, 1.0))[:, None], 0.0)
 
 
-def _direction(k, pt, gvec, params, x):
+def _direction(k, pt, gvec, params, x, near):
     # The preconditioned descent direction of every row of the evaluated
     # stack pt, in one solve, with B = s I + J^T J + x x^T for the row's
     # secant row x (``_secant_row``). Preconditioning a projected-gradient
@@ -371,16 +377,17 @@ def _direction(k, pt, gvec, params, x):
     # (Jac[k] g)_j > 0 (Bertsekas, SIAM J. Control Optim. 1982): on a box,
     # g_i > 0 at lower face i and g_i < 0 at its upper face. A row with no
     # such constraint has P = I and takes the plain preconditioned step bit
-    # for bit.
+    # for bit. ``near`` is the rows' nearly active constraints (``_near``),
+    # None without constraints.
     s = params.stiffness
     L = np.concatenate((pt.J, x[:, None, :]), axis=1)
-    active, Jk = (None if k is None else pt.kv <= _ACTIVE_THRESHOLD), None
-    if active is not None and active.any():
+    active, Jk = near, None
+    if near is not None and near.any():
         if k.bounds is not None:
-            active &= np.concatenate((gvec > 0.0, gvec < 0.0), axis=1)
+            active = near & np.concatenate((gvec > 0.0, gvec < 0.0), axis=1)
         else:
             Jk = k.jacobian_batch(pt.u)
-            active &= _mv(Jk, gvec) > 0.0
+            active = near & (_mv(Jk, gvec) > 0.0)
     if active is None or not active.any():  # P = I on every row
         return spd_solve(s, L, gvec)
     project, kk = _tangent_projector(k, Jk, active)
@@ -457,11 +464,11 @@ def _inner_solve(f, g, k, pt, pi, params, cfg):
         if not live.size:
             break
         steps[live] += 1
-        u = cur.u
+        u, near = cur.u, None if k is None else _near(cur.kv)
         # every row still live after the first step accepted its last one
-        x = np.zeros_like(u) if it == 0 else _secant_row(k, cur, u - u_prev[live], gvec - g_prev[live], stiff)
+        x = np.zeros_like(u) if it == 0 else _secant_row(cur, u - u_prev[live], gvec - g_prev[live], stiff, near)
         u_prev[live], g_prev[live] = u, gvec
-        direction = _direction(k, cur, gvec, params, x)
+        direction = _direction(k, cur, gvec, params, x, near)
         found = np.zeros(live.size, dtype=bool)
         cand, ell_c, fc = np.empty_like(u), np.empty_like(cur.ell), np.empty(live.size)
         todo, t = np.arange(live.size), t_first[live]
@@ -636,12 +643,15 @@ def _cloud_minima(g, Y, E):
     2 u (M_i + log N). A row attaining the direct minimum thus has
     S_r <= S_min exp(2 d_S + 2 d_V), and the candidates are the rows with
     S_r <= S_min (1 + 2 margin), margin = 64 u (M_i + N + 1). S is taken in
-    row chunks for each column's minimum, and again for the candidates only
-    in the chunks whose own minimum of some column is within its bound. The
-    bound needs normal numbers, so a column with an entry of A or B_i below
-    _CERT_FLOOR, like any other g, takes the whole cloud.
+    row chunks for each column's minimum; a chunk is taken again only for
+    the columns whose minimum there is within their bound, and every
+    column's candidates go through one ``g.value_batch`` call, reduced per
+    column by ``np.minimum.at``. The bound needs normal numbers, so a column
+    with an entry of A or B_i below _CERT_FLOOR, like any other g, takes the
+    whole cloud in a call of its own, as does a column without a candidate
+    below +inf.
     """
-    cand = {}
+    cand_rows, cand_cols = [], []  # each candidate's cloud row and column
     if isinstance(g, SoftMax) and len(Y):
         with np.errstate(over="ignore", invalid="ignore"):
             A, zE = Y / g.eps, E / g.eps  # A is the one cloud-sized array
@@ -653,10 +663,19 @@ def _cloud_minima(g, Y, E):
         if cols.size:
             chunk_min = np.array([(A[s : s + _CERT_CHUNK] @ Bt).min(axis=0) for s in starts])
             bound = chunk_min.min(axis=0) * (1 + 2 * margin[cols])
-            for s in np.array(starts)[(chunk_min <= bound).any(axis=1)]:
-                for r, k in zip(*np.nonzero(A[s : s + _CERT_CHUNK] @ Bt <= bound)):
-                    cand.setdefault(int(cols[k]), []).append(s + r)
-    return [float(np.min(g.value_batch((Y[cand[i]] if i in cand else Y) + e))) for i, e in enumerate(E)]
+            near = chunk_min <= bound
+            for c in np.flatnonzero(near.any(axis=1)):
+                ks = np.flatnonzero(near[c])
+                r, j = np.nonzero(A[starts[c] : starts[c] + _CERT_CHUNK] @ Bt[:, ks] <= bound[ks])
+                cand_rows.append(starts[c] + r)
+                cand_cols.append(cols[ks[j]])
+    out = np.full(len(E), np.inf)
+    if cand_rows:
+        c = np.concatenate(cand_cols)
+        np.minimum.at(out, c, g.value_batch(Y[np.concatenate(cand_rows)] + E[c]))
+    for i in np.flatnonzero(out == np.inf):  # not screened, or no candidate below +inf
+        out[i] = np.min(g.value_batch(Y + E[i]))
+    return out.tolist()
 
 
 def gap_certificates(g, results, params, cloud):
@@ -668,11 +687,11 @@ def gap_certificates(g, results, params, cloud):
     from ``result.objectives`` and the minima in one ``_cloud_minima`` pass;
     bound = D_R(u*, p/mu) = mu/2 |u* - p/mu|^2 from ``u_star``, ``p_bar``, the
     Bregman distance of the regularizer R(u) = mu/2 |u|^2 of ``params``
-    (only its mu is read)."""
-    E = np.reshape([r.E_bar for r in results], (len(results), cloud.points_obj.shape[1]))
-    out = []
-    for r, m in zip(results, _cloud_minima(g, cloud.points_obj, E)):
-        d = r.u_star - r.p_bar / params.mu
-        out.append((g.value(r.objectives + r.E_bar) - m, 0.5 * params.mu * float(d @ d)))
-    return out
-
+    (only its mu is read). Each is one stacked call over the results."""
+    if not results:
+        return []
+    ell, E, u, p = (np.array([getattr(r, name) for r in results])
+                    for name in ("objectives", "E_bar", "u_star", "p_bar"))
+    gaps = g.value_batch(ell + E) - np.array(_cloud_minima(g, cloud.points_obj, E))
+    d = u - p / params.mu
+    return list(zip(gaps.tolist(), (0.5 * params.mu * _dot(d, d)).tolist()))

@@ -333,6 +333,108 @@ def pointwise_epigraph_halfspace(u):
     return vertices[int(np.argmin(((vertices - (a, b)) ** 2).sum(axis=1)))].copy()
 
 
+def cellwise_front_csv(front):
+    """The text of a ``front.csv`` written one ``_fmt`` cell at a time; the
+    reference the library's array-cell writer is checked against."""
+    from hopfront.cli import _columns, _fmt
+
+    d, n_obj = front.samples[0].u.shape[0], front.samples[0].objectives.shape[0]
+    cols = (
+        ["sample_index", "t"] + _columns("tau", n_obj) + _columns("u", d)
+        + _columns("ell", n_obj) + _columns("pi", n_obj) + _columns("E", n_obj)
+        + ["residual", "iterations", "converged", "gap", "bregman_bound"]
+    )
+    rows = (
+        [s.index, s.t, *s.tau, *s.u, *s.objectives, *s.pi, *s.E,
+         s.residual, s.iterations, s.converged, s.gap, s.bregman_bound]
+        for s in front.samples
+    )
+    return "\n".join([",".join(cols)] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+
+
+def cellwise_cloud_csv(cloud):
+    """The text of a cloud CSV written one ``_fmt`` cell at a time."""
+    from hopfront.cli import _columns, _fmt
+
+    cols = ["sample_index"] + _columns("u", cloud.points_u.shape[1]) + _columns("ell", cloud.points_obj.shape[1])
+    rows = ([i, *u, *y] for i, (u, y) in enumerate(zip(cloud.points_u, cloud.points_obj)))
+    return "\n".join([",".join(cols)] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+
+
+def pointwise_scatter_svg(layers, title, xlabel="objective 1", ylabel="objective 2"):
+    """The text of ``write_scatter_svg`` with every point mapped and formatted
+    on its own; the reference the library's array writer is checked
+    against."""
+    from hopfront.cli import _svg_color
+
+    W, H = 640, 480
+    ml, mr, mt, mb = 60, 20, 30, 45
+    pts = np.concatenate([np.asarray(l["points"], dtype=float) for l in layers if len(l["points"])])
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    span = np.where(hi - lo < 1e-12, 1.0, hi - lo)
+    lo, hi = lo - 0.05 * span, hi + 0.05 * span
+    span = hi - lo
+
+    def sx(x):
+        return ml + (x - lo[0]) / span[0] * (W - ml - mr)
+
+    def sy(y):
+        return H - mb - (y - lo[1]) / span[1] * (H - mt - mb)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" viewBox="0 0 {W} {H}">',
+        f'<rect width="{W}" height="{H}" fill="white"/>',
+        f'<text x="{W/2:.1f}" y="18" text-anchor="middle" font-size="13">{title}</text>',
+        f'<line x1="{ml}" y1="{H-mb}" x2="{W-mr}" y2="{H-mb}" stroke="black"/>',
+        f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{H-mb}" stroke="black"/>',
+        f'<text x="{(ml+W-mr)/2:.1f}" y="{H-8}" text-anchor="middle" font-size="11">{xlabel}</text>',
+        f'<text x="14" y="{(mt+H-mb)/2:.1f}" text-anchor="middle" font-size="11" '
+        f'transform="rotate(-90 14 {(mt+H-mb)/2:.1f})">{ylabel}</text>',
+    ]
+    for i in range(5):
+        fx, fy = lo[0] + span[0] * i / 4, lo[1] + span[1] * i / 4
+        parts.append(f'<text x="{sx(fx):.1f}" y="{H-mb+14}" text-anchor="middle" font-size="9">{fx:.3g}</text>')
+        parts.append(f'<text x="{ml-6}" y="{sy(fy)+3:.1f}" text-anchor="end" font-size="9">{fy:.3g}</text>')
+    legend_y = mt + 8
+    for layer in layers:
+        P = np.asarray(layer["points"], dtype=float)
+        if len(P) == 0:
+            continue
+        if layer["style"] == "line":
+            color = layer["color"]
+            coords = " ".join(f"{sx(p[0]):.2f},{sy(p[1]):.2f}" for p in P)
+            parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1" '
+                         f'stroke-dasharray="{layer.get("dash", "")}"/>')
+            for p in P:
+                parts.append(f'<circle cx="{sx(p[0]):.2f}" cy="{sy(p[1]):.2f}" r="1.5" fill="{color}"/>')
+        else:
+            color = _svg_color(0.5)
+            n = max(len(P) - 1, 1)
+            for j, p in enumerate(P):
+                parts.append(f'<circle cx="{sx(p[0]):.2f}" cy="{sy(p[1]):.2f}" r="3" fill="{_svg_color(j/n)}"/>')
+        parts.append(f'<rect x="{W-mr-150}" y="{legend_y-8}" width="10" height="10" fill="{color}"/>')
+        parts.append(f'<text x="{W-mr-135}" y="{legend_y}" font-size="10">{layer["label"]}</text>')
+        legend_y += 16
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def pairwise_front_distance(A, B):
+    """(forward, backward, hausdorff) from one scalar distance per pair, its
+    squares summed left to right; the reference ``front_distance`` is checked
+    against."""
+    def dist(a, b):
+        s = 0.0
+        for x, y in zip(a, b):
+            s += (x - y) * (x - y)
+        return math.sqrt(s)
+
+    A, B = np.asarray(A, dtype=float).tolist(), np.asarray(B, dtype=float).tolist()
+    forward = max(min(dist(a, b) for b in B) for a in A)
+    backward = max(min(dist(a, b) for a in A) for b in B)
+    return forward, backward, max(forward, backward)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import read_front_csv
+from conftest import cellwise_cloud_csv, cellwise_front_csv, pointwise_scatter_svg, read_front_csv
 
-from hopfront.cli import build_parser, main, write_cloud_csv
+from hopfront import cli
+from hopfront.cli import build_parser, main, write_cloud_csv, write_front_csv, write_scatter_svg
 from hopfront.constrained import ConstraintSet
 from hopfront.core import HopfLaxParams, SoftMax, VectorObjective
 from hopfront.oracle import convex_envelope_front, sample_cloud
@@ -105,9 +106,10 @@ class TestSweepCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         timings = manifest["timings"]
         assert set(timings) == {"sampling", "filter", "envelope", "certification_cloud",
-                                "solves", "certificates", "output"}
+                                "solves", "certificates", "distance", "output"}
         assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
         assert (timings["envelope"] > 0.0) == compare
+        assert (timings["distance"] > 0.0) == compare
         assert timings["solves"] > 0.0
         assert manifest["duration_s"] >= 0.0 and ("reference_seconds" in manifest) == compare
 
@@ -286,6 +288,54 @@ class TestSweepCommand:
         assert "front distance forward=" in text
         _, rows = read_front_csv(out / "front.csv")
         assert any(r["gap"] is not None for r in rows if r["converged"])
+
+
+class TestWriters:
+    """The array-cell CSV and array SVG writers write the bytes of the
+    one-cell-at-a-time and one-point-at-a-time writers."""
+
+    def test_front_csv_with_unconverged_rows(self, tmp_path):
+        from hopfront.sweep import sweep
+
+        prob = get_problem("ex2a")
+        front = sweep(prob, n_samples=8, reference=sample_cloud(prob, mc=2000, seed=0),
+                      cfg=SolverConfig(maxit_outer=3))
+        assert 0 < front.converged_count() < 8  # rows with false and empty gap cells
+        write_front_csv(tmp_path / "front.csv", front)
+        assert (tmp_path / "front.csv").read_text() == cellwise_front_csv(front)
+
+    def test_cloud_csv(self, tmp_path):
+        cloud = sample_cloud(get_problem("ex3b"), mc=500, seed=2)
+        write_cloud_csv(tmp_path / "cloud.csv", cloud)
+        assert (tmp_path / "cloud.csv").read_text() == cellwise_cloud_csv(cloud)
+
+    def test_scatter_svg_layers(self, tmp_path, rng):
+        layers = [
+            {"points": rng.normal(size=(40, 2)), "label": "reference", "style": "line", "color": "#222222"},
+            {"points": rng.normal(size=(9, 2)), "label": "envelope", "style": "line", "color": "#cc2222",
+             "dash": "6,3"},
+            {"points": np.zeros((0, 2)), "label": "empty", "style": "colored"},
+            {"points": rng.normal(size=(25, 2)) * 1e3, "label": "solver", "style": "colored"},
+            {"points": [[0.5, -0.25]], "label": "one point", "style": "colored"},
+        ]
+        write_scatter_svg(tmp_path / "f.svg", layers, "t", "x", "y")
+        assert (tmp_path / "f.svg").read_text() == pointwise_scatter_svg(layers, "t", "x", "y")
+        one = [{"points": [[1.0, 2.0]], "label": "one point", "style": "line", "color": "#000000"}]
+        write_scatter_svg(tmp_path / "one.svg", one, "one")
+        assert (tmp_path / "one.svg").read_text() == pointwise_scatter_svg(one, "one")
+
+    def test_scatter_svg_of_an_ex3b_sweep_with_pairs(self, tmp_path, monkeypatch):
+        written, write = [], cli.write_scatter_svg
+
+        def both(path, layers, title, **labels):
+            write(path, layers, title, **labels)
+            written.append(Path(path).read_text() == pointwise_scatter_svg(layers, title, **labels))
+
+        monkeypatch.setattr(cli, "write_scatter_svg", both)
+        out = tmp_path / "run"
+        assert run(["sweep", "--problem", "ex3b", "--n", "10", "--compare", "--mc", "2000",
+                    "--pairs", "1:2,3:4", "--out", str(out)]) == 0
+        assert written == [True, True]
 
 
 class TestOracleCommand:

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import all_pairs_filter, brute_force_filter, epsilon_filter, nonconvexity_witness, scalar_envelope
+from conftest import (
+    all_pairs_filter,
+    brute_force_filter,
+    epsilon_filter,
+    nonconvexity_witness,
+    pairwise_front_distance,
+    scalar_envelope,
+)
 
 from hopfront.oracle import (
     SampleCloud,
@@ -439,6 +446,20 @@ class TestFrontDistance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             front_distance(np.zeros((0, 2)), [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("N", [1, 2, 5])
+    def test_equals_pairwise_distances_bit_for_bit(self, N, rng):
+        for n, m in ((1, 1), (7, 40), (30, 3)):
+            A = rng.normal(size=(n, N)) * 10.0 ** rng.uniform(-3, 3)
+            B = rng.normal(size=(m, N))
+            assert front_distance(A, B) == pairwise_front_distance(A, B)
+
+    @pytest.mark.parametrize("N", [8, 13])
+    def test_keeps_numpys_pairwise_row_sum_from_eight_objectives(self, N, rng):
+        A, B = rng.normal(size=(9, N)), rng.normal(size=(50, N))
+        d = np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2))
+        fwd, bwd = float(d.min(axis=1).max()), float(d.min(axis=0).max())
+        assert front_distance(A, B) == (fwd, bwd, max(fwd, bwd))
 
 
 class TestNonconvexityWitness:

@@ -482,7 +482,7 @@ class TestStackedKernels:
 
         from hopfront.constrained import ConstraintSet
         from hopfront.problems import get_problem
-        from hopfront.solver import _direction
+        from hopfront.solver import _direction, _near
 
         # without a tangent basis, the SVD null space, row by row: a disc
         # taking one point at a time, and a batched halfplane whose jac
@@ -516,21 +516,23 @@ class TestStackedKernels:
         G = rng.normal(size=U.shape)
         X = rng.normal(size=U.shape) * rng.uniform(0.0, 3.0, size=(60, 1))  # secant rows
         X[::3] = 0.0  # rows without one
-        D = _direction(k, pts, G, params, X)
+        near = _near(pts.kv)
+        D = _direction(k, pts, G, params, X, near)
         ref, B_norm = rowwise_direction(k, pts, G, params, X)
         # the low-rank solve's rounding is relative to |B| / s, which bounds
         # cond(B) and the condition number of its tangent system
         err = np.abs(D - ref).max(axis=1)
         assert (err <= 1e-14 * B_norm / params.stiffness * np.abs(ref).max(axis=1)).all()
         for i in (0, 25, 32, 59):  # a row alone takes the step it takes in the stack
-            assert D[i].tobytes() == _direction(k, pts.take([i]), G[[i]], params.take([i]), X[[i]])[0].tobytes()
+            lone = _direction(k, pts.take([i]), G[[i]], params.take([i]), X[[i]], near[[i]])
+            assert D[i].tobytes() == lone[0].tobytes()
 
     def test_near_faces_the_step_does_not_push_against_leave_it_alone(self, rng):
         # every coordinate within the threshold of a face, the gradient
         # pulling it inward: no face pushes, so the step is the plain
         # preconditioned one; flipping one row's gradient at one coordinate
         # makes that face push, and the step leaves it alone
-        from hopfront.solver import _direction
+        from hopfront.solver import _direction, _near
 
         prob = get_problem("ex3a-d10")
         f, k = prob.objective, prob.constraints
@@ -539,11 +541,11 @@ class TestStackedKernels:
         params = HopfLaxParams(prob.x, rng.normal(scale=5.0, size=(20, f.dim_obj)), prob.alpha, prob.c, prob.mu)
         pts = evaluate(f, k, U)
         G = np.where(U < 0.5 * (lo + hi), -1.0, 1.0) * rng.uniform(0.1, 1.0, size=U.shape)
-        X = np.zeros_like(G)
-        D = _direction(k, pts, G, params, X)
+        X, near = np.zeros_like(G), _near(pts.kv)
+        D = _direction(k, pts, G, params, X, near)
         assert D.tobytes() == spd_solve(params.stiffness, np.concatenate((pts.J, X[:, None]), axis=1), G).tobytes()
         G[3, 2] *= -1.0
-        D2 = _direction(k, pts, G, params, X)
+        D2 = _direction(k, pts, G, params, X, near)
         trace = params.stiffness * f.dim_u + (pts.J[3] ** 2).sum() + 1.0  # one active face
         assert D2[3, 2] == pytest.approx(G[3, 2] / trace, rel=1e-14)
         assert D2[np.arange(20) != 3].tobytes() == D[np.arange(20) != 3].tobytes()
@@ -599,25 +601,26 @@ class TestSecantRow:
         return s * S + np.einsum("nkd,nk->nd", pts.J, np.einsum("nkd,nd->nk", pts.J, S)) + R
 
     def test_secant_equation(self, rng):
-        from hopfront.solver import _direction, _secant_row
+        from hopfront.solver import _direction, _near, _secant_row
 
         k, pts, params = self.interior_stack(rng)
         s = params.stiffness
         S, R = rng.normal(size=pts.u.shape), rng.normal(size=pts.u.shape)
         R *= np.sign((R * S).sum(axis=1))[:, None]  # r . s > 0
         Y = self.gradient_change(pts, S, R, s)
-        X = _secant_row(k, pts, S, Y, s)
+        near = _near(pts.kv)
+        X = _secant_row(pts, S, Y, s, near)
         B = s * np.eye(2) + np.swapaxes(pts.J, -1, -2) @ pts.J + X[:, :, None] * X[:, None, :]
         assert (np.linalg.eigvalsh(B) > 0.0).all()
         BS = (B @ S[..., None])[..., 0]
         assert (np.abs(BS - Y).max(axis=1) <= 1e-12 * np.abs(Y).max(axis=1)).all()
         # the preconditioned direction of y is the step: B^-1 y = s
-        D = _direction(k, pts, Y, params, X)
+        D = _direction(k, pts, Y, params, X, near)
         B_norm = np.linalg.norm(B, 2, axis=(1, 2))
         assert (np.abs(D - S).max(axis=1) <= 1e-13 * B_norm / s * np.abs(S).max(axis=1)).all()
 
     def test_zero_row_next_to_a_constraint_or_without_positive_curvature(self, rng):
-        from hopfront.solver import _secant_row
+        from hopfront.solver import _near, _secant_row
 
         k, pts, params = self.interior_stack(rng)
         s = params.stiffness
@@ -628,7 +631,7 @@ class TestSecantRow:
         U = pts.u.copy()
         U[20:30, 0] = k.bounds[1][0]  # an upper face active
         pts = evaluate(get_problem("ex2b").objective, k, U)
-        X = _secant_row(k, pts, S, self.gradient_change(pts, S, R, s), s)
+        X = _secant_row(pts, S, self.gradient_change(pts, S, R, s), s, _near(pts.kv))
         assert (X[:30] == 0.0).all()
         assert (X[30:] != 0.0).any(axis=1).all()
 
@@ -675,7 +678,7 @@ class TestLowRankMemory:
         # from its bounds: one dense (2d, d) box Jacobian is 16 MB at d = 1000
         import tracemalloc
 
-        from hopfront.solver import _direction, multiplier_estimate
+        from hopfront.solver import _direction, _near, multiplier_estimate
 
         prob = get_problem("ex3a-d1000")
         f, k, g = prob.objective, prob.constraints, prob.default_preference()
@@ -689,7 +692,7 @@ class TestLowRankMemory:
         try:
             nu = multiplier_estimate(pts, PI, params)
             merit_psi(g, pts, PI, params, nu=nu)
-            _direction(k, pts, G, params, np.zeros_like(G))
+            _direction(k, pts, G, params, np.zeros_like(G), _near(pts.kv))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -998,6 +1001,34 @@ class TestCertifyGap:
             v = p / mu
             assert abs(bound - (R(u) - R(v) - p @ (u - v))) <= 1e-12
 
+    def test_no_results_give_no_certificates(self):
+        f, g, params, cloud = self.quad_setup(x=1.0)
+        assert gap_certificates(g, [], params, cloud) == []
+        assert gap_certificates(SoftMax(0.1, 1), [], params, cloud) == []
+
+    def test_softmax_batched_value_equals_the_value_of_each_row(self):
+        # the stacked gaps of gap_certificates are the lone g.value ones
+        rng = np.random.default_rng(5)
+        for N in range(2, 14):
+            g = SoftMax(0.1, N)
+            Y = rng.normal(scale=3.0, size=(1000, N)) * 10.0 ** rng.uniform(-2, 2, size=(1000, 1))
+            assert g.value_batch(Y).tolist() == [g.value(y) for y in Y]
+
+    @pytest.mark.parametrize("pid", ["ex1", "ex3b"])
+    def test_softmax_certificates_equal_the_per_result_formula(self, pid):
+        prob = get_problem(pid)
+        g = prob.default_preference()
+        cloud = certification_cloud(prob, mc=2000, seed=0)
+        tau = np.linspace(prob.tau_start, prob.tau_end, 12)
+        params = HopfLaxParams(x=prob.x, tau=tau, alpha=prob.alpha, c=prob.c, mu=prob.mu)
+        results = solve_batch(prob.objective, g, params, constraints=prob.constraints)
+        minima = _cloud_minima(g, cloud.points_obj, np.stack([r.E_bar for r in results]))
+        lone = []
+        for r, m in zip(results, minima):
+            d = r.u_star - r.p_bar / params.mu
+            lone.append((g.value(r.objectives + r.E_bar) - m, 0.5 * params.mu * float(d @ d)))
+        assert gap_certificates(g, list(results), params, cloud) == lone
+
     def test_zero_bregman_case_has_zero_gap(self):
         # x chosen so the stationary point coincides with the dual point p/mu
         f = VectorObjective(1, 1, lambda u: (u - 1.0) ** 2, lambda u: np.array([[2.0 * (u[0] - 1.0)]]))
@@ -1041,7 +1072,7 @@ class TestCloudMinima:
         Y = cloud.points_obj
         minima, rows = screened_minima(g, Y, E)
         assert minima == direct_minima(g, Y, E)
-        assert rows == [1] * 100  # every column was screened down to one row
+        assert rows == [100]  # one call, every column screened down to one row
 
     def test_near_tie_and_duplicates_return_direct_minimum(self):
         g = SoftMax(0.1, 3)
@@ -1067,7 +1098,7 @@ class TestCloudMinima:
         minima, rows = screened_minima(g, Y, E)
         assert minima == direct_minima(g, Y, E)
         assert minima == [float(g.value_batch(Y[r] + e)[0]) for r, e in zip(best, E)]
-        assert rows == [1, 1, 1]
+        assert rows == [3]
 
     def test_near_tie_straddling_a_chunk_boundary(self):
         g = SoftMax(0.1, 3)
@@ -1091,7 +1122,7 @@ class TestCloudMinima:
         E[1, 2] = 100.0  # exp(-1000) underflows in B: this column takes the whole cloud
         minima, rows = screened_minima(g, Y, E)
         assert minima == direct_minima(g, Y, E)
-        assert sorted(rows) == [1, 1, 1, 3000]
+        assert sorted(rows) == [3, 3000]  # the three screened columns' candidates in one call
         Y[7] = [0.0, 100.0, 0.0]  # and in A: every column does
         minima, rows = screened_minima(g, Y, E)
         assert minima == direct_minima(g, Y, E)
