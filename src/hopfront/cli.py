@@ -49,6 +49,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value):
+    if isinstance(value, np.ndarray):  # a float array fills one cell per entry
+        return ",".join(map(repr, value.tolist()))
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -74,13 +76,8 @@ def _columns(prefix, n):
     return [f"{prefix}_{i+1}" for i in range(n)]
 
 
-def _cell(value):
-    # a float array fills one cell per entry
-    return ",".join(map(repr, value.tolist())) if isinstance(value, np.ndarray) else _fmt(value)
-
-
 def _write_csv(path, cols, rows):
-    lines = [",".join(cols)] + [",".join(map(_cell, row)) for row in rows]
+    lines = [",".join(cols)] + [",".join(map(_fmt, row)) for row in rows]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 

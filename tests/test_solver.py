@@ -1052,7 +1052,7 @@ def screened_minima(g, Y, E):
     rows, call = [], g.value_batch
     g.value_batch = lambda Z: (rows.append(len(Z)), call(Z))[1]
     try:
-        return _cloud_minima(g, Y, E), rows
+        return _cloud_minima(g, Y, E).tolist(), rows
     finally:
         del g.value_batch
 
