@@ -456,7 +456,7 @@ def cmd_check(args):
     # Closed-form stationary point of the scalar linear problem.
     from .core import VectorObjective, WeightedSum
 
-    ident = VectorObjective(1, 1, lambda u: u, lambda u: np.array([[1.0]]))
+    ident = VectorObjective(1, 1, lambda u: u, lambda u: np.ones((len(u), 1, 1)))
     params = HopfLaxParams(x=np.array([1.0]), tau=np.array([0.0]), alpha=1.0, c=1.0, mu=1.0)
     res = solve(ident, WeightedSum([1.0]), params, SolverConfig(eps=1e-9))
     err = np.max(np.abs([res.u_star[0], res.p_bar[0] - 1.0, res.E_bar[0] - 1.0]))

@@ -13,21 +13,20 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import NumericalError, as_vector
+from .core import NumericalError
 
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSet:
     """Inequality constraints k_i(u) >= 0 with Jacobian and optional projector.
 
-    ``batched`` declares that ``fn``, ``jac`` and ``projector`` also accept
-    ``(n, d)`` stacks, where ``jac`` may return one matrix that holds for
-    every row. The ``*_batch`` methods and ``project`` otherwise take a stack
-    point by point. The solver works out the tangent space of the active
-    constraints from the active rows of ``jacobian_batch``. ``bounds`` is
-    ``(lo, hi)`` for the sets ``box_constraints`` builds and ``None`` for any
-    other; the solver then reads the box's faces from it and never calls
-    ``jac``.
+    ``fn``, ``jac`` and ``projector`` take ``(n, d)`` stacks: ``fn`` returns
+    ``(n, dim_con)`` values, ``jac`` the ``(n, dim_con, d)`` Jacobians or one
+    matrix that holds for every row, and ``projector`` projects each row.
+    The solver works out the tangent space of the active constraints from
+    the active rows of ``jacobian_batch``. ``bounds`` is ``(lo, hi)`` for the
+    sets ``box_constraints`` builds and ``None`` for any other; the solver
+    then reads the box's faces from it and never calls ``jac``.
     """
 
     dim_u: int
@@ -36,38 +35,25 @@ class ConstraintSet:
     jac: Callable[[np.ndarray], np.ndarray]
     projector: Optional[Callable[[np.ndarray], np.ndarray]] = None
     membership_tol: float = 1e-8
-    batched: bool = False
     bounds: Optional[tuple] = None
-
-    def value(self, u):
-        u = as_vector(u, self.dim_u, "u")
-        return np.asarray(self.fn(u), dtype=float).reshape(self.dim_con)
 
     def value_batch(self, U):
         U = np.asarray(U, dtype=float).reshape(-1, self.dim_u)
-        if self.batched:
-            return np.asarray(self.fn(U), dtype=float).reshape(U.shape[0], self.dim_con)
-        return np.stack([self.value(u) for u in U])
-
-    def jacobian(self, u):
-        u = as_vector(u, self.dim_u, "u")
-        return np.asarray(self.jac(u), dtype=float).reshape(self.dim_con, self.dim_u)
+        K = np.asarray(self.fn(U), dtype=float)
+        shape = (U.shape[0], self.dim_con)
+        if K.shape != shape:
+            raise ValueError(f"constraint fn returned shape {K.shape}, expected {shape}")
+        return K
 
     def jacobian_batch(self, U):
         """Jacobians at a stack of points, as an array that broadcasts to
         ``(n, dim_con, dim_u)``."""
-        U = np.asarray(U, dtype=float).reshape(-1, self.dim_u)
-        if self.batched:
-            return np.asarray(self.jac(U), dtype=float)
-        return np.stack([self.jacobian(u) for u in U])
+        return np.asarray(self.jac(np.asarray(U, dtype=float).reshape(-1, self.dim_u)), dtype=float)
 
-    def project(self, u):
+    def project(self, U):
         if self.projector is None:
             raise ValueError("constraint set has no projector")
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 2 and not self.batched:
-            return np.array([self.project(p) for p in u]).reshape(u.shape)
-        return np.asarray(self.projector(u), dtype=float)
+        return np.asarray(self.projector(np.asarray(U, dtype=float)), dtype=float)
 
 
 def box_constraints(lo, hi) -> ConstraintSet:
@@ -88,7 +74,6 @@ def box_constraints(lo, hi) -> ConstraintSet:
         jac=lambda u: np.vstack([np.eye(d), -np.eye(d)]),
         projector=lambda u: u.clip(lo, hi),
         membership_tol=1e-9,
-        batched=True,
         bounds=(lo, hi),
     )
 

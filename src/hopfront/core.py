@@ -57,74 +57,67 @@ def as_points(y, n, name="y"):
 class VectorObjective:
     """Smooth map from decision vectors to objective vectors.
 
-    ``fn`` maps ``(d,)`` arrays to ``(dim_obj,)`` arrays. ``jac`` returns the
-    ``(dim_obj, d)`` Jacobian at a point; when omitted, central finite
-    differences are used. ``batched`` declares that both also accept
-    ``(n, d)`` stacks, returning ``(n, dim_obj)`` values and
-    ``(n, dim_obj, d)`` Jacobians; ``value_batch`` and ``jacobian_batch``
-    otherwise evaluate the stack point by point.
+    ``fn`` maps an ``(n, d)`` stack of points to its ``(n, dim_obj)``
+    values and ``jac`` to its ``(n, dim_obj, d)`` Jacobians; each row must
+    equal the stack of that point alone, bit for bit. When ``jac`` is
+    omitted, central finite differences are used. ``value`` and
+    ``jacobian`` take one point, as the stack of one.
     """
 
     dim_u: int
     dim_obj: int
     fn: Callable[[np.ndarray], np.ndarray]
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    batched: bool = False
 
     def value(self, u):
-        u = as_vector(u, self.dim_u, "u")
-        y = np.asarray(self.fn(u), dtype=float).reshape(self.dim_obj)
-        if not np.isfinite(y).all():
-            raise NumericalError("objective returned non-finite values")
-        return y
+        return self.value_batch(as_vector(u, self.dim_u, "u")[None])[0]
 
     def value_batch(self, U):
         U = np.asarray(U, dtype=float).reshape(-1, self.dim_u)
-        if not self.batched:
-            return np.stack([self.value(u) for u in U])
-        Y = np.asarray(self.fn(U), dtype=float).reshape(U.shape[0], self.dim_obj)
+        Y = np.asarray(self.fn(U), dtype=float)
+        shape = (U.shape[0], self.dim_obj)
+        if Y.shape != shape:
+            raise ValueError(f"fn returned shape {Y.shape}, expected {shape}")
         if not np.isfinite(Y).all():
             raise NumericalError("objective returned non-finite values")
         return Y
 
     def jacobian(self, u):
-        u = as_vector(u, self.dim_u, "u")
-        if self.jac is not None:
-            return np.asarray(self.jac(u), dtype=float).reshape(self.dim_obj, self.dim_u)
-        return self.fd_jacobian(u, _FD_STEP)
+        return self.jacobian_batch(as_vector(u, self.dim_u, "u")[None])[0]
 
     def jacobian_batch(self, U):
         """Jacobians at a stack of points, ``(n, dim_obj, dim_u)``."""
         U = np.asarray(U, dtype=float).reshape(-1, self.dim_u)
-        if not (self.batched and self.jac is not None):
-            return np.stack([self.jacobian(u) for u in U])
+        if self.jac is None:
+            return self.fd_jacobian(U, _FD_STEP)
         J = np.asarray(self.jac(U), dtype=float)
         shape = (U.shape[0], self.dim_obj, self.dim_u)
         if J.shape != shape:
-            raise ValueError(f"batched jac returned shape {J.shape}, expected {shape}")
+            raise ValueError(f"jac returned shape {J.shape}, expected {shape}")
         return J
 
-    def fd_jacobian(self, u, h):
-        """Central-difference Jacobian with step ``h``, which ``jacobian`` uses
-        when no ``jac`` is given."""
-        u = as_vector(u, self.dim_u, "u")
-        J = np.empty((self.dim_obj, self.dim_u))
+    def fd_jacobian(self, U, h):
+        """Central-difference Jacobians at a stack of points with step ``h``,
+        which ``jacobian_batch`` uses when no ``jac`` is given."""
+        U = np.asarray(U, dtype=float).reshape(-1, self.dim_u)
+        J = np.empty((U.shape[0], self.dim_obj, self.dim_u))
         for i in range(self.dim_u):
-            up = u.copy()
-            dn = u.copy()
-            up[i] += h
-            dn[i] -= h
+            up = U.copy()
+            dn = U.copy()
+            up[:, i] += h
+            dn[:, i] -= h
             # divide by the realized step so a linear map gives its exact slope
-            J[:, i] = (self.value(up) - self.value(dn)) / (up[i] - dn[i])
+            J[:, :, i] = (self.value_batch(up) - self.value_batch(dn)) / (up[:, i] - dn[:, i])[:, None]
         return J
 
 
 class PreferenceFunction:
     """Monotone convex scalarizer with conjugate-prox calculus.
 
-    Subclasses provide ``value``, ``gradient`` and ``prox_scaled`` (the prox
-    of ``g/rho``). ``prox_conjugate`` follows from the Moreau identity and
-    always lands in the domain of the conjugate. ``gradient``,
+    Subclasses provide ``value_batch`` (one value per row of a stack
+    ``(k, N)``), ``gradient`` and ``prox_scaled`` (the prox of ``g/rho``);
+    ``value`` is the stack of one. ``prox_conjugate`` follows from the Moreau
+    identity and always lands in the domain of the conjugate. ``gradient``,
     ``prox_scaled`` and ``prox_conjugate`` take a point ``(N,)`` or a stack
     ``(k, N)``, row by row; the solver only accepts ``smooth`` scalarizers.
     """
@@ -133,11 +126,10 @@ class PreferenceFunction:
     smooth: bool
 
     def value(self, y) -> float:
-        raise NotImplementedError
+        return float(self.value_batch(as_vector(y, self.dim_obj)[None])[0])
 
     def value_batch(self, Y) -> np.ndarray:
-        Y = np.asarray(Y, dtype=float).reshape(-1, self.dim_obj)
-        return np.array([self.value(y) for y in Y])
+        raise NotImplementedError
 
     def gradient(self, y) -> np.ndarray:
         raise NotImplementedError
@@ -257,25 +249,19 @@ class SoftMax(PreferenceFunction):
         self.eps = float(eps)
         self.dim_obj = int(dim_obj)
 
-    def value(self, y):
-        return float(self.value_batch(as_vector(y, self.dim_obj)[None])[0])
-
     def value_batch(self, Y):
         # eps (m + log sum exp(y/eps - m)) with m = max y/eps; rows where y/eps
         # overflows take m + eps log sum exp((y - m)/eps) with m = max y instead
         Y = np.asarray(Y, dtype=float).reshape(-1, self.dim_obj)
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.dim_obj >= 8:
-                # from 8 terms on, numpy's row sum is pairwise with 8 accumulators
-                z = Y / self.eps
-                m = z.max(axis=1, keepdims=True)
-                v = self.eps * (m[:, 0] + np.log(np.exp(z - m).sum(axis=1)))
-            else:
-                # a shorter row sum runs left to right, as this sum over the rows of
-                # the transposed stack does, bit for bit and several times faster
-                z = np.divide(Y.T, self.eps, order="C")  # the one stack-sized array
-                m = z.max(axis=0)
-                v = self.eps * (m + np.log(np.exp(np.subtract(z, m, out=z), out=z).sum(axis=0)))
+            z = np.divide(Y.T, self.eps, order="C")  # the one stack-sized array
+            m = z.max(axis=0)
+            # each row's terms added left to right at every N, on a stack of one
+            # too, where numpy's sum would go pairwise from 8 terms
+            total, *rest = np.exp(np.subtract(z, m, out=z), out=z)
+            for terms in rest:
+                total += terms
+            v = self.eps * (m + np.log(total))
             if not -np.inf < v.sum() < np.inf:  # one sum tests every row, NaN included
                 big = np.flatnonzero(~np.isfinite(v))
                 m = Y[big].max(axis=1, keepdims=True)
@@ -318,9 +304,6 @@ class WeightedSum(PreferenceFunction):
             raise ValueError("weights must be strictly positive")
         self.weights = w
         self.dim_obj = w.size
-
-    def value(self, y):
-        return float(self.weights @ as_vector(y, self.dim_obj))
 
     def value_batch(self, Y):
         Y = np.asarray(Y, dtype=float).reshape(-1, self.dim_obj)

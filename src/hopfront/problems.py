@@ -40,8 +40,8 @@ class BenchmarkProblem:
 
     def projector(self):
         """Euclidean projection onto the feasible set (``feasible_box`` when
-        there are no constraints); maps a point ``(d,)`` or a stack ``(n, d)``
-        of points row by row."""
+        there are no constraints); maps a stack ``(n, d)`` of points row by
+        row."""
         if self.constraints is None:
             lo, hi = self.feasible_box
             return lambda u: np.clip(u, lo, hi)
@@ -50,19 +50,9 @@ class BenchmarkProblem:
         return self.constraints.projector
 
 
-def _stack_last(cols):
-    # On a single point every column is a scalar, and np.stack costs more
-    # than the objective itself there.
-    if np.ndim(cols[0]) == 0:
-        return np.array(cols, dtype=float)
-    return np.stack(cols, axis=-1)
-
-
 def _stack_jac(u, rows):
-    # Jacobian from its entries: scalars on one point, (n,) columns on an
-    # (n, d) stack, where constant entries are broadcast to every row.
-    if u.ndim == 1:
-        return np.array(rows)
+    # Jacobian (n, N, d) of an (n, d) stack from its entries, (n,) columns or
+    # constants, which are broadcast to every row.
     J = np.empty((u.shape[0], len(rows), len(rows[0])))
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
@@ -76,14 +66,14 @@ def example1() -> BenchmarkProblem:
 
     def ell(u):
         u1, u2 = u[..., 0], u[..., 1]
-        return _stack_last([-u1, u1 + u2**2])
+        return np.stack([-u1, u1 + u2**2], axis=-1)
 
     def jac(u):
         return _stack_jac(u, [[-1.0, 0.0], [1.0, 2.0 * u.T[1]]])
 
     def kfun(u):
         u1, u2 = u[..., 0], u[..., 1]
-        return _stack_last([-(u1**2) + u2, -u1 - 2.0 * u2 + 3.0])
+        return np.stack([-(u1**2) + u2, -u1 - 2.0 * u2 + 3.0], axis=-1)
 
     def kjac(u):
         return _stack_jac(u, [[-2.0 * u.T[0], 1.0], [-1.0, -2.0]])
@@ -104,11 +94,10 @@ def example1() -> BenchmarkProblem:
         jac=kjac,
         projector=project_epigraph_halfspace,
         membership_tol=1e-6,
-        batched=True,
     )
     return BenchmarkProblem(
         id="ex1",
-        objective=VectorObjective(2, 2, ell, jac, batched=True),
+        objective=VectorObjective(2, 2, ell, jac),
         constraints=constraints,
         feasible_box=(np.array([-1.5, 0.0]), np.array([1.0, 2.25])),
         alpha=1.0,
@@ -126,7 +115,7 @@ def _box_problem(pid, ell, jac, d, n_obj, alpha, c, mu, tau_start, tau_end, labe
     lo, hi = np.zeros(d), np.ones(d)
     return BenchmarkProblem(
         id=pid,
-        objective=VectorObjective(d, n_obj, ell, jac, batched=True),
+        objective=VectorObjective(d, n_obj, ell, jac),
         constraints=box_constraints(lo, hi),
         feasible_box=(lo, hi),
         alpha=alpha,
@@ -158,7 +147,7 @@ def example2_case1() -> BenchmarkProblem:
         penalty = lam * (v * v)
         l1 = u1 + penalty
         l2 = 1.0 - u1 + a * ((x * x) * (x * x)) - b * (x * x) + penalty
-        return _stack_last([l1, l2])
+        return np.stack([l1, l2], axis=-1)
 
     def jac(u):
         u1, u2 = u.T
@@ -183,7 +172,7 @@ def example2_case2() -> BenchmarkProblem:
         pen = v * v
         l1 = u1 + g1 * np.sin(4.0 * np.pi * u1) + b1 * pen
         l2 = ((x * x) * (x * x)) * (y * y) + eta * (1.0 - u1) + b2 * pen
-        return _stack_last([l1, l2])
+        return np.stack([l1, l2], axis=-1)
 
     def jac(u):
         u1, u2 = u.T
@@ -208,8 +197,8 @@ def _mean_spread(u):
 
 def _mean_spread_jac(u, s, coef, spread):
     # Jacobian of ell_i = h_i(s) + spread_i * r2 from coef_i = h_i'(s): row i
-    # is h_i'(s) / d + spread_i * 2 (u - s) / d. coef is (N,) on one point and
-    # (n, N) on a stack.
+    # is h_i'(s) / d + spread_i * 2 (u - s) / d, with coef (n, N) on an (n, d)
+    # stack.
     d = u.shape[-1]
     dev = 2.0 * (u - s[..., None]) / d
     return coef[..., None] * (1.0 / d) + spread[:, None] * dev[..., None, :]
@@ -231,15 +220,15 @@ def example3_case1(d: int) -> BenchmarkProblem:
         x = s - 0.5
         l1 = s + g1 * np.sin(2.0 * np.pi * s) + b1 * r2
         l2 = 1.0 - s + a * ((x * x) * (x * x)) - b * (x * x) + b2 * r2
-        return _stack_last([l1, l2])
+        return np.stack([l1, l2], axis=-1)
 
     spread = np.array([b1, b2])
 
     def jac(u):
         s = u.mean(axis=-1)
         x = s - 0.5
-        coef = _stack_last([1.0 + 2.0 * np.pi * g1 * np.cos(2.0 * np.pi * s),
-                            -1.0 + 4.0 * a * (x * x * x) - 2.0 * b * x])
+        coef = np.stack([1.0 + 2.0 * np.pi * g1 * np.cos(2.0 * np.pi * s),
+                         -1.0 + 4.0 * a * (x * x * x) - 2.0 * b * x], axis=-1)
         return _mean_spread_jac(u, s, coef, spread)
 
     scale = 10.0 * d
@@ -264,21 +253,22 @@ def example3_case2() -> BenchmarkProblem:
         l3 = y * y + c3 * r2
         l4 = z * z + c4 * r2
         l5 = 0.5 * (s * s) + g5 * np.sin(4.0 * np.pi * s) + c5 * r2
-        return _stack_last([l1, l2, l3, l4, l5])
+        return np.stack([l1, l2, l3, l4, l5], axis=-1)
 
     spread = np.array([b1, b2, c3, c4, c5])
 
     def jac(u):
         s = u.mean(axis=-1)
         x = s - 0.5
-        coef = _stack_last(
+        coef = np.stack(
             [
                 1.0 + 2.0 * np.pi * g1 * np.cos(2.0 * np.pi * s),
                 -1.0 + 4.0 * a * (x * x * x) - 2.0 * b * x,
                 2.0 * (s - 0.2),
                 2.0 * (s - 0.8),
                 s + 4.0 * np.pi * g5 * np.cos(4.0 * np.pi * s),
-            ]
+            ],
+            axis=-1,
         )
         return _mean_spread_jac(u, s, coef, spread)
 

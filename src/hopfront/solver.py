@@ -577,7 +577,7 @@ def run_primal_dual(f, g, k, params, cfg, U, PI) -> BatchResult:
     if m:
         nu = multiplier_estimate(pt, PI, params)
         complementarity = np.abs(nu * pt.kv).max(axis=1)
-        feasibility = np.maximum(0.0, -pt.kv.min(axis=1))
+        feasibility = 0.0 - np.minimum(pt.kv.min(axis=1), 0.0)  # +0.0, not -0.0, on the boundary
     p_bar, E_bar = params.dual_momentum(pt.u), params.dual_shift(PI)
     work.extend(
         SolveResult(pt.u[i], PI[i], p_bar[i], E_bar[i], pt.ell[i], int(iterations[i]), bool(converged[i]),

@@ -34,12 +34,11 @@ class TauPath:
         object.__setattr__(self, "n_samples", as_count(self.n_samples, "n_samples"))
 
     def parameters(self):
-        if self.n_samples == 1:
-            return np.zeros(1)
         return np.linspace(0.0, 1.0, self.n_samples)
 
     def points(self):
-        return [self.start + t * (self.end - self.start) for t in self.parameters()]
+        """The tau samples, one row each, ``(n_samples, N)``."""
+        return self.start + self.parameters()[:, None] * (self.end - self.start)
 
 
 @dataclass(eq=False)
@@ -104,7 +103,7 @@ def sweep(
     cfg = cfg or SolverConfig()
 
     start = time.perf_counter()
-    params = HopfLaxParams(x=problem.x, tau=np.stack(path.points()), alpha=alpha, c=c, mu=mu)
+    params = HopfLaxParams(x=problem.x, tau=path.points(), alpha=alpha, c=c, mu=mu)
     results = solve_batch(problem.objective, g, params, cfg, constraints=problem.constraints)
     front = ParetoFront(problem.id, inner_steps=results.inner_steps, inner_row_steps=results.inner_row_steps,
                         merit_evals=results.merit_evals)

@@ -110,7 +110,7 @@ def jacobian_check(f, u, h: float = 1e-6) -> float:
     if h <= 0:
         raise ValueError("h must be positive")
     J = f.jacobian(u)
-    Jfd = f.fd_jacobian(as_vector(u, f.dim_u, "u"), h)
+    Jfd = f.fd_jacobian(as_vector(u, f.dim_u, "u")[None], h)[0]
     scale = np.maximum(1.0, np.abs(Jfd))
     return float(np.max(np.abs(J - Jfd) / scale))
 
@@ -208,6 +208,17 @@ def scalar_envelope(problem, n_weights=16, starts=16, seed=0, base_cloud=None):
     return greedy_pareto_filter(cloud)
 
 
+def constraint_value(k, u):
+    """The constraint values of k at one point u, the stack of one."""
+    return k.value_batch(np.asarray(u, dtype=float)[None])[0]
+
+
+def constraint_jacobian(k, u):
+    """The ``(dim_con, d)`` constraint Jacobian of k at one point u, the
+    stack of one, whose ``jac`` may return one matrix for every row."""
+    return np.broadcast_to(k.jacobian_batch(np.asarray(u, dtype=float)[None]), (1, k.dim_con, k.dim_u))[0]
+
+
 def evaluate_one(f, k, u):
     """The solver's evaluation of the stack of one point u."""
     from hopfront.solver import evaluate
@@ -231,10 +242,10 @@ def rowwise_direction(k, pt, gvec, params, x):
     active = pt.kv <= _ACTIVE_THRESHOLD
     out, B_norm = np.empty_like(gvec), np.empty(len(gvec))
     for i, gi in enumerate(gvec):
-        active[i] &= k.jacobian(pt.u[i]) @ gi > 0  # near, and the step pushes against it
+        active[i] &= constraint_jacobian(k, pt.u[i]) @ gi > 0  # near, and the step pushes against it
         B = params.stiffness * np.eye(d) + pt.J[i].T @ pt.J[i] + np.outer(x[i], x[i])
         if active[i].any():
-            Jk_a = k.jacobian(pt.u[i])[active[i]]
+            Jk_a = constraint_jacobian(k, pt.u[i])[active[i]]
             B += Jk_a.T @ Jk_a
             Q = null_space(Jk_a)
             out[i] = Q @ np.linalg.solve(Q.T @ B @ Q, Q.T @ gi) + (gi - Q @ (Q.T @ gi)) / B.trace()

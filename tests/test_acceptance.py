@@ -49,7 +49,7 @@ def benchmark_runs():
         g = prob.default_preference()
         cfg = SolverConfig()
         cloud = hf.certification_cloud(prob, mc=20000, seed=0)
-        taus = np.stack(hf.TauPath(prob.tau_start, prob.tau_end, 40).points())
+        taus = hf.TauPath(prob.tau_start, prob.tau_end, 40).points()
         params = HopfLaxParams(prob.x, taus, prob.alpha, prob.c, prob.mu)
         results = hf.solve_batch(prob.objective, g, params, cfg, constraints=prob.constraints)
         chain = [(params.take(i), res) for i, res in enumerate(results)]
@@ -152,7 +152,7 @@ def test_criterion_05_filter_equivalence():
 
 
 def test_criterion_06_closed_form_kkt():
-    f = VectorObjective(1, 1, lambda u: u, lambda u: np.array([[1.0]]))
+    f = VectorObjective(1, 1, lambda u: u, lambda u: np.ones((len(u), 1, 1)))
     g = WeightedSum([1.0])
     params = HopfLaxParams(x=np.array([1.0]), tau=np.array([0.0]), alpha=1.0, c=1.0, mu=1.0)
     res = solve(f, g, params, SolverConfig(eps=1e-9))
@@ -231,7 +231,7 @@ def test_criterion_09_numerical_hygiene(rng):
 
 
 def test_criterion_10_constrained_unconstrained_reduction():
-    f = VectorObjective(1, 1, lambda u: u, lambda u: np.array([[1.0]]))
+    f = VectorObjective(1, 1, lambda u: u, lambda u: np.ones((len(u), 1, 1)))
     g = WeightedSum([1.0])
     params = HopfLaxParams(x=np.array([1.0]), tau=np.array([0.0]), alpha=1.0, c=1.0, mu=1.0)
     box = hf.box_constraints(np.array([-1e3]), np.array([1e3]))

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -32,6 +33,14 @@ class TestSolveCommand:
         assert out["feasibility_violation"] <= 1e-6
         assert len(out["u_star"]) == 2
         assert len(out["nu_star"]) == 4 or len(out["nu_star"]) == 2
+
+    def test_feasibility_violation_on_the_boundary_is_positive_zero(self, capsys):
+        # u* = (0, 0) lies on the parabola, where the least constraint is +0.0
+        assert run(["solve", "--problem", "ex1", "--tau", "0,0"]) == 0
+        text = capsys.readouterr().out
+        violation = json.loads(text)["feasibility_violation"]
+        assert violation == 0.0 and math.copysign(1.0, violation) == 1.0
+        assert '"feasibility_violation": 0.0' in text
 
     def test_ex2a_converges_with_reference_params(self, capsys):
         code = run(["solve", "--problem", "ex2a", "--tau", "0,0",
@@ -388,10 +397,10 @@ class TestOracleCommand:
     def test_constraints_without_projector_exit_one(self, tmp_path, capsys, monkeypatch):
         # ell(u) = -u on the unit disc: clipping to the bounding box would put
         # the envelope at the infeasible corner (1, 1), dominating the disc
-        disc = ConstraintSet(2, 1, lambda u: np.array([1.0 - u @ u]), lambda u: np.array([-2.0 * u]))
+        disc = ConstraintSet(2, 1, lambda u: 1.0 - (u * u).sum(axis=-1, keepdims=True), lambda u: -2.0 * u[:, None])
         prob = BenchmarkProblem(
             id="disc",
-            objective=VectorObjective(2, 2, lambda u: -u, lambda u: -np.eye(2)),
+            objective=VectorObjective(2, 2, lambda u: -u, lambda u: np.tile(-np.eye(2), (len(u), 1, 1))),
             constraints=disc,
             feasible_box=(-np.ones(2), np.ones(2)),
             alpha=1.0, c=0.1, mu=0.01, x=np.zeros(2),

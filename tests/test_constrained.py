@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import evaluate_one
+from conftest import constraint_jacobian, constraint_value, evaluate_one
 
 from hopfront.constrained import (
     ConstraintSet,
@@ -25,7 +25,7 @@ from hopfront.solver import (
 
 
 def identity_objective():
-    return VectorObjective(1, 1, lambda u: u, lambda u: np.array([[1.0]]))
+    return VectorObjective(1, 1, lambda u: u, lambda u: np.ones((len(u), 1, 1)))
 
 
 def scalar_params(x=0.0):
@@ -39,7 +39,7 @@ def halfline_constraint():
 
 
 def empty_constraint():
-    return ConstraintSet(1, 0, lambda u: np.zeros(0), lambda u: np.zeros((0, 1)))
+    return ConstraintSet(1, 0, lambda u: np.zeros((len(u), 0)), lambda u: np.zeros((0, 1)))
 
 
 def ex1_params(tau=(0.0, 0.0)):
@@ -163,7 +163,7 @@ class TestProjections:
         d2 = ((cand - np.array([4.0, 4.0])) ** 2).sum(axis=1)
         best = cand[np.argmin(d2)]
         assert np.allclose(out, best, atol=1e-4)
-        assert example1().constraints.value(out).min() >= 0.0
+        assert constraint_value(example1().constraints, out).min() >= 0.0
 
     def test_projection_distance_matches_boundary_brute_force(self, rng):
         K = example1().constraints
@@ -196,7 +196,7 @@ class TestProjections:
     @given(u=ex1_plane_points())
     def test_exact_projection_properties(self, u):
         p = project_epigraph_halfspace(u)
-        assert example1().constraints.value(p).min() >= 0.0
+        assert constraint_value(example1().constraints, p).min() >= 0.0
         assert np.array_equal(project_epigraph_halfspace(p), p)
         # obtuse-angle characterisation of the projection onto a convex set
         assert ((_BOUNDARY_GRID - p) @ (u - p)).max() <= 1e-12
@@ -225,7 +225,7 @@ class TestMultiplierEstimate:
     def test_box_estimate_matches_clip_closed_form(self, rng):
         d = 3
         k = box_constraints(np.zeros(d), np.ones(d))
-        f = VectorObjective(d, 1, lambda u: np.array([u.sum()]), lambda u: np.ones((1, d)))
+        f = VectorObjective(d, 1, lambda u: u.sum(axis=1, keepdims=True), lambda u: np.ones((len(u), 1, d)))
         params = HopfLaxParams(x=np.zeros(d), tau=np.zeros(1), alpha=1.0, c=0.1, mu=0.01)
         u = np.array([0.0, 0.5, 1.0])  # lower face, free, upper face
         pi = np.array([[1.0]])
@@ -247,7 +247,7 @@ def nnls_reference(pt, pi, params):
     for i in np.flatnonzero((pt.kv <= _ACTIVE_THRESHOLD).any(axis=1)):
         on = np.flatnonzero(pt.kv[i] <= _ACTIVE_THRESHOLD)
         F = stationarity_residual(pt.take([i]), pi[[i]], params)[0]
-        nu[i, on] = nnls(pt.k.jacobian(pt.u[i])[on].T, F)[0]
+        nu[i, on] = nnls(constraint_jacobian(pt.k, pt.u[i])[on].T, F)[0]
     return nu
 
 
@@ -274,7 +274,7 @@ class TestMultiplierNNLS:
         k = box_constraints(lo, hi)
         A = rng.normal(size=(2, d))
         f = VectorObjective(d, 2, lambda u: u @ A.T + 0.1 * (u**2).sum(axis=-1, keepdims=True),
-                            lambda u: A + 0.2 * u[..., None, :], batched=True)
+                            lambda u: A + 0.2 * u[..., None, :])
         U = rng.uniform(lo, hi, size=(400, d))
         faces = rng.random(size=U.shape) < 0.4
         U[faces] = np.where(rng.random(size=U.shape) < 0.5, lo, hi)[faces]
@@ -306,7 +306,7 @@ class TestMultiplierNNLS:
         x = (pt.J[0].T @ pi[0] + (mu + alpha * c) * u[0] - F) / c  # F = J^T pi + (mu + alpha c) u - c x
         params = HopfLaxParams(x, np.zeros((1, 2)), alpha, c, mu)
         np.testing.assert_allclose(stationarity_residual(pt, pi, params)[0], F, atol=1e-12)
-        assert (pt.kv == 0.0).all() and prob.constraints.jacobian(u[0])[1] @ F < 0.0
+        assert (pt.kv == 0.0).all() and constraint_jacobian(prob.constraints, u[0])[1] @ F < 0.0
         nu = multiplier_estimate(pt, pi, params)
         np.testing.assert_allclose(nu[0], [1.04, 1.02], rtol=1e-10)
         assert (np.abs(nu - nnls_reference(pt, pi, params)) <= 1e-12).all()
@@ -373,10 +373,10 @@ class TestMultiplierNNLS:
         # never holds both rows, whose Gram block is singular
         a, scale = np.array([1.0, 2.0, -1.0]), np.array([1.0, 3.0])
         k = ConstraintSet(3, 2, lambda u: (0.5 - u @ a)[..., None] * scale,
-                          lambda u: scale[:, None] * a, batched=True)
+                          lambda u: scale[:, None] * a)
         B = rng.normal(size=(2, 3))
         f = VectorObjective(3, 2, lambda u: u @ B.T + 0.1 * (u**2).sum(axis=-1, keepdims=True),
-                            lambda u: B + 0.2 * u[..., None, :], batched=True)
+                            lambda u: B + 0.2 * u[..., None, :])
         U = rng.normal(size=(400, 3))
         U -= ((U @ a - 0.5) / (a @ a))[:, None] * a  # on the line
         U[::4] -= 1e-4 * a  # nearly active
@@ -419,7 +419,7 @@ class TestMeritPsiK:
             pi = rng.dirichlet([1, 1])
             nu = rng.uniform(0, 1, size=2)
             J = prob.objective.jacobian(u)
-            Jk = prob.constraints.jacobian(u)
+            Jk = constraint_jacobian(prob.constraints, u)
             r = J.T @ pi - Jk.T @ nu + 0.01 * u + 0.1 * u
             B = 0.11 * np.eye(2) + J.T @ J
             det = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
@@ -454,7 +454,7 @@ class TestSolveConstrained:
         assert res.feasibility_violation == 0.0
 
     def test_empty_constraints_bitwise_reduction(self):
-        f = VectorObjective(1, 1, lambda u: u**2, lambda u: np.array([[2.0 * u[0]]]))
+        f = VectorObjective(1, 1, lambda u: u**2, lambda u: 2.0 * u[:, :, None])
         g = WeightedSum([1.0])
         params = scalar_params(x=1.0)
         unc = solve(f, g, params)
@@ -494,26 +494,17 @@ class TestSolveConstrained:
         with pytest.raises(ValueError, match="projector"):
             solve(identity_objective(), WeightedSum([1.0]), scalar_params(x=2.0), constraints=k)
 
-    def test_unbatched_projector_takes_stack_row_by_row(self):
-        calls = []
-
-        def project(u):
-            calls.append(u.shape)
-            return np.maximum(u, 0.0)
-
-        k = ConstraintSet(1, 1, lambda u: u.copy(), lambda u: np.array([[1.0]]), projector=project)
-        assert np.array_equal(k.project(np.array([[-1.0], [2.0]])), [[0.0], [2.0]])
-        assert calls == [(1,), (1,)]
-
     @pytest.mark.parametrize("which", ["ex1", "box"])
     def test_batch_jacobian_matches_points(self, which, rng):
-        from dataclasses import replace
-
         k = example1().constraints if which == "ex1" else box_constraints(np.zeros(3), np.ones(3))
         U = rng.uniform(-1.0, 1.0, size=(7, k.dim_u))
-        for batched in (k, replace(k, batched=False)):
-            J = np.broadcast_to(batched.jacobian_batch(U), (7, k.dim_con, k.dim_u))
-            assert J.tobytes() == np.stack([k.jacobian(u) for u in U]).tobytes()
+        J = np.broadcast_to(k.jacobian_batch(U), (7, k.dim_con, k.dim_u))
+        assert J.tobytes() == np.stack([constraint_jacobian(k, u) for u in U]).tobytes()
+
+    def test_per_point_fn_on_a_stack_rejected(self):
+        k = ConstraintSet(2, 1, lambda u: np.array([u[0] ** 2 + u[1]]), lambda u: np.ones((1, 2)))
+        with pytest.raises(ValueError, match=r"\(1, 2\).*\(3, 1\)"):
+            k.value_batch(np.zeros((3, 2)))
 
     def test_iterates_stay_feasible_under_projection(self):
         # every objective evaluation during an ex1 solve is at a feasible point
@@ -522,15 +513,14 @@ class TestSolveConstrained:
         base_fn = prob.objective.fn
 
         def recording(u):
-            if u.ndim == 1:
-                seen.append(u.copy())
+            seen.extend(u.copy())
             return base_fn(u)
 
         f = VectorObjective(2, 2, recording, prob.objective.jac)
         g = SoftMax(0.1, 2)
         res = solve(f, g, ex1_params(tau=(4.0, -4.0)), constraints=prob.constraints)
         assert res.converged
-        ks = np.array([prob.constraints.value(u) for u in seen])
+        ks = prob.constraints.value_batch(np.array(seen))
         assert ks.min() >= -1e-6
 
     def test_merit_history_non_increasing(self):
@@ -542,22 +532,19 @@ class TestSolveConstrained:
             assert diffs.size == 0 or diffs.max() <= 1e-12
 
     def test_projected_gradient_on_a_curved_set_from_its_jacobian(self):
-        # a curved, unbatched constraint set: the tangent projector comes from
-        # its active Jacobian row alone
+        # a curved constraint set: the tangent projector comes from its active
+        # Jacobian row alone
         def kfun(u):
-            return np.array([1.0 - u[0] ** 2 - u[1] ** 2])
+            return 1.0 - u[..., :1] ** 2 - u[..., 1:] ** 2
 
         def kjac(u):
-            return np.array([[-2.0 * u[0], -2.0 * u[1]]])
+            return -2.0 * u[..., None, :]
 
         def project(u):
-            norm = float(np.linalg.norm(u))
-            return u if norm <= 1.0 else u / norm
+            return u / np.maximum(np.linalg.norm(u, axis=-1, keepdims=True), 1.0)
 
         disc = ConstraintSet(2, 1, kfun, kjac, projector=project)
-        f = VectorObjective(2, 2,
-                            lambda u: np.array([-u[0], -u[1]]),
-                            lambda u: np.array([[-1.0, 0.0], [0.0, -1.0]]))
+        f = VectorObjective(2, 2, lambda u: -u, lambda u: np.tile(-np.eye(2), (len(u), 1, 1)))
         g = SoftMax(0.1, 2)
         params = HopfLaxParams(x=np.zeros(2), tau=np.array([1.0, -1.0]), alpha=1.0, c=0.1, mu=0.01)
         res = solve(f, g, params, constraints=disc)

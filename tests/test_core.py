@@ -56,7 +56,7 @@ class TestPreferenceValues:
         v = g.value([1e4, -1e4])
         assert np.isfinite(v) and v == pytest.approx(1e4)
 
-    @pytest.mark.parametrize("n", [2, 9])  # both row-sum orders of value_batch
+    @pytest.mark.parametrize("n", [2, 9])
     def test_softmax_where_y_over_eps_overflows(self, n):
         # y / eps overflows, and a shift across the whole float range
         # overflows in the gradient; neither may warn or return NaN
@@ -329,7 +329,11 @@ class TestStackedKernels:
         Y = rng.normal(scale=3.0, size=(3000, N)) * 10.0 ** rng.integers(-3, 3, size=(3000, 1))
         z = Y / g.eps
         m = z.max(axis=1, keepdims=True)
-        rows = g.eps * (m[:, 0] + np.log(np.exp(z - m).sum(axis=1)))
+        terms = np.exp(z - m)
+        total = terms[:, 0].copy()
+        for col in terms.T[1:]:  # each row's terms added left to right
+            total += col
+        rows = g.eps * (m[:, 0] + np.log(total))
         assert g.value_batch(Y).tobytes() == rows.tobytes()
         assert g.value_batch(Y[:50]).tolist() == [g.value(y) for y in Y[:50]]
 
@@ -385,23 +389,27 @@ class TestStackedKernels:
 
 class TestVectorObjective:
     def test_identity_jacobian_check(self):
-        f = VectorObjective(3, 3, lambda u: u, lambda u: np.eye(3))
+        f = VectorObjective(3, 3, lambda u: u, lambda u: np.tile(np.eye(3), (len(u), 1, 1)))
         assert jacobian_check(f, [0.3, -1.0, 2.0]) <= 1e-12
 
     def test_fd_fallback_used_without_analytic_jacobian(self):
-        f = VectorObjective(2, 1, lambda u: np.array([u[0] ** 2 + u[1]]))
+        f = VectorObjective(2, 1, lambda u: u[:, :1] ** 2 + u[:, 1:])
         J = f.jacobian(np.array([1.5, 2.0]))
         assert np.allclose(J, [[3.0, 1.0]], atol=1e-6)
+
+    def test_per_point_fn_on_a_stack_rejected(self):
+        f = VectorObjective(2, 1, lambda u: np.array([u[0] ** 2 + u[1]]))
+        with pytest.raises(ValueError, match=r"\(1, 2\).*\(3, 1\)"):
+            f.value_batch(np.zeros((3, 2)))
 
     def test_nonfinite_objective_raises(self):
         from hopfront.core import NumericalError
 
-        for batched in (False, True):
-            f = VectorObjective(1, 1, lambda u: np.where(u > 0.5, np.inf, u), batched=batched)
-            with pytest.raises(NumericalError):
-                f.value([1.0])
-            with pytest.raises(NumericalError):
-                f.value_batch([[0.0], [1.0]])
+        f = VectorObjective(1, 1, lambda u: np.where(u > 0.5, np.inf, u))
+        with pytest.raises(NumericalError):
+            f.value([1.0])
+        with pytest.raises(NumericalError):
+            f.value_batch([[0.0], [1.0]])
 
     def test_dimension_validation(self):
         f = VectorObjective(2, 2, lambda u: u)
@@ -426,28 +434,32 @@ class TestJacobianBatch:
         assert J.shape == (500, f.dim_obj, f.dim_u)
         assert np.array_equal(J, np.stack([f.jacobian(u) for u in U]))
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_point_by_point_fallback(self, batched, rng):
+    @pytest.mark.parametrize("with_jac", [False, True])
+    def test_point_by_point_fallback(self, with_jac, rng):
         def fn(u):
             return np.stack([u[..., 0] * u[..., 1], np.sin(u[..., 0])], axis=-1)
 
-        U = rng.normal(size=(7, 2))
-        # without jac every row takes the finite-difference Jacobian
-        fd = VectorObjective(2, 2, fn, None, batched=batched)
-        assert np.array_equal(fd.jacobian_batch(U), np.stack([fd.jacobian(u) for u in U]))
-        # an unbatched jac is only ever called on single points
         calls = []
 
         def jac(u):
             calls.append(u.shape)
-            return np.array([[u[1], u[0]], [np.cos(u[0]), 0.0]])
+            return np.stack(
+                [np.stack([u[..., 1], u[..., 0]], axis=-1), np.stack([np.cos(u[..., 0]), np.zeros(len(u))], axis=-1)],
+                axis=-2,
+            )
 
-        f = VectorObjective(2, 2, fn, jac)
-        assert np.array_equal(f.jacobian_batch(U), np.stack([f.jacobian(u) for u in U]))
-        assert set(calls) == {(2,)}
+        U = rng.normal(size=(7, 2))
+        # without jac every row takes the finite-difference Jacobian; either way
+        # the Jacobian of the stack equals the stack of each point alone
+        f = VectorObjective(2, 2, fn, jac if with_jac else None)
+        J = f.jacobian_batch(U)
+        assert J.shape == (7, 2, 2)
+        assert np.array_equal(J, np.stack([f.jacobian(u) for u in U]))
+        # a jac is called once on the whole stack, then on stacks of one
+        assert calls == ([(7, 2)] + [(1, 2)] * 7 if with_jac else [])
 
     def test_wrong_batched_shape_rejected(self):
-        f = VectorObjective(2, 2, lambda u: u, lambda u: np.eye(2), batched=True)
+        f = VectorObjective(2, 2, lambda u: u, lambda u: np.eye(2))
         with pytest.raises(ValueError, match=r"\(2, 2\).*\(3, 2, 2\)"):
             f.jacobian_batch(np.zeros((3, 2)))
 

@@ -236,7 +236,7 @@ class TestReferenceFront:
 
         prob = BenchmarkProblem(
             id="const",
-            objective=VectorObjective(2, 2, lambda u: np.zeros(u.shape[:-1] + (2,)), None, batched=True),
+            objective=VectorObjective(2, 2, lambda u: np.zeros(u.shape[:-1] + (2,)), None),
             constraints=None,
             feasible_box=(np.zeros(2), np.ones(2)),
             alpha=1.0, c=0.1, mu=0.01, x=np.zeros(2),
@@ -333,7 +333,7 @@ class TestConvexEnvelope:
 
         prob = BenchmarkProblem(
             id="pp",
-            objective=VectorObjective(1, 2, ell, jac, batched=True),
+            objective=VectorObjective(1, 2, ell, jac),
             constraints=box_constraints(np.zeros(1), np.ones(1)),
             feasible_box=(np.zeros(1), np.ones(1)),
             alpha=1.0, c=0.1, mu=0.01, x=np.zeros(1),
@@ -364,7 +364,7 @@ class TestConvexEnvelope:
 
         prob = BenchmarkProblem(
             id="one",
-            objective=VectorObjective(1, 1, lambda u: (u - 0.3) ** 2, None, batched=True),
+            objective=VectorObjective(1, 1, lambda u: (u - 0.3) ** 2, None),
             constraints=box_constraints(np.zeros(1), np.ones(1)),
             feasible_box=(np.zeros(1), np.ones(1)),
             alpha=1.0, c=0.1, mu=0.01, x=np.zeros(1),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import jacobian_check
+from conftest import constraint_value, jacobian_check
 
 from hopfront.problems import (
     example1,
@@ -21,7 +21,7 @@ class TestExample1:
 
     def test_constraints_active_at_corner(self):
         k = example1().constraints
-        assert np.allclose(k.value([1.0, 1.0]), [0.0, 0.0])
+        assert np.allclose(constraint_value(k, [1.0, 1.0]), [0.0, 0.0])
 
     def test_jacobian_formula(self):
         f = example1().objective
@@ -29,8 +29,8 @@ class TestExample1:
 
     def test_feasibility_geometry(self):
         k = example1().constraints
-        assert k.value([1.0, 1.0]).min() >= -k.membership_tol
-        assert k.value([1.01, 1.01**2]).min() < -k.membership_tol
+        assert constraint_value(k, [1.0, 1.0]).min() >= -k.membership_tol
+        assert constraint_value(k, [1.01, 1.01**2]).min() < -k.membership_tol
 
     def test_defaults(self):
         prob = example1()

@@ -22,7 +22,7 @@ from hopfront.solver import (
 
 
 def identity_objective():
-    return VectorObjective(1, 1, lambda u: u, lambda u: np.array([[1.0]]))
+    return VectorObjective(1, 1, lambda u: u, lambda u: np.ones((len(u), 1, 1)))
 
 
 def scalar_params(x=1.0, tau=0.0):
@@ -50,7 +50,7 @@ class TestDualUpdate:
 
     def test_softmax_symmetric_state(self):
         # ell(u) + E = (0, 0) by construction
-        f = VectorObjective(2, 2, lambda u: -scalar_E() * np.ones(2), lambda u: np.zeros((2, 2)))
+        f = VectorObjective(2, 2, lambda u: -scalar_E() * np.ones((len(u), 2)), lambda u: np.zeros((len(u), 2, 2)))
         g = SoftMax(0.1, 2)
         params = HopfLaxParams(x=np.zeros(2), tau=np.zeros(2), alpha=1.0, c=1.0, mu=1.0)
         pi_next = dual_update_pi(g, f.value(np.zeros(2)), np.zeros(2), params)
@@ -265,7 +265,7 @@ class TestSolve:
             return pt_in, steps
 
         monkeypatch.setattr(solver, "_inner_solve", recording)
-        taus = np.stack(TauPath(prob.tau_start, prob.tau_end, 3).points())
+        taus = TauPath(prob.tau_start, prob.tau_end, 3).points()
         solver.solve_batch(prob.objective, prob.default_preference(),
                            HopfLaxParams(prob.x, taus, prob.alpha, prob.c, prob.mu),
                            constraints=prob.constraints)
@@ -366,12 +366,12 @@ class TestSolve:
             Q = np.eye(2) if Q is None else Q
 
             def ell(u):
-                v = Q @ u
-                return np.array([float((v - a) @ (v - a)), float((v - b) @ (v - b))])
+                v = u @ Q.T
+                return np.stack([((v - a) ** 2).sum(axis=-1), ((v - b) ** 2).sum(axis=-1)], axis=-1)
 
             def jac(u):
-                v = Q @ u
-                return np.array([2 * (v - a) @ Q, 2 * (v - b) @ Q])
+                v = u @ Q.T
+                return np.stack([2 * (v - a) @ Q, 2 * (v - b) @ Q], axis=-2)
 
             return VectorObjective(2, 2, ell, jac)
 
@@ -485,18 +485,17 @@ class TestStackedKernels:
         from hopfront.solver import _direction, _near
 
         # without a tangent basis, the SVD null space, row by row: a disc
-        # taking one point at a time, and a batched halfplane whose jac
+        # whose jac returns one matrix per row, and a halfplane whose jac
         # returns one matrix for every row
         box = (-np.ones(2), np.ones(2))
         if pid == "disc":
             prob = get_problem("ex2a")
-            k = ConstraintSet(2, 1, lambda u: np.array([1.0 - u @ u]), lambda u: np.array([-2.0 * u]),
-                              projector=lambda u: u / max(1.0, float(np.linalg.norm(u))))
+            k = ConstraintSet(2, 1, lambda u: 1.0 - (u * u).sum(axis=-1, keepdims=True), lambda u: -2.0 * u[:, None],
+                              projector=lambda u: u / np.maximum(1.0, np.linalg.norm(u, axis=-1, keepdims=True)))
         elif pid == "halfplane":
             prob = get_problem("ex2a")
-            k = ConstraintSet(2, 1, lambda u: 0.5 - u.sum(axis=-1), lambda u: np.array([[-1.0, -1.0]]),
-                              projector=lambda u: u - np.maximum(0.0, u.sum(axis=-1, keepdims=True) - 0.5) / 2.0,
-                              batched=True)
+            k = ConstraintSet(2, 1, lambda u: 0.5 - u.sum(axis=-1, keepdims=True), lambda u: np.array([[-1.0, -1.0]]),
+                              projector=lambda u: u - np.maximum(0.0, u.sum(axis=-1, keepdims=True) - 0.5) / 2.0)
         else:
             prob = get_problem(pid)
             k, box = prob.constraints, prob.feasible_box
@@ -568,7 +567,7 @@ class TestTangentProjector:
             Jk = rng.normal(size=(n, 2, d)) * 10.0 ** rng.uniform(-2, 2, size=(n, 1, 1))
             if case == "parallel":
                 Jk[:, 1] = rng.choice([-3.0, 0.5, 2.0], size=(n, 1)) * Jk[:, 0]
-            k = ConstraintSet(d, 2, lambda U: np.zeros((len(U), 2)), lambda U: Jk, batched=True)
+            k = ConstraintSet(d, 2, lambda U: np.zeros((len(U), 2)), lambda U: Jk)
             U = rng.normal(size=(n, d))
         n, d = U.shape
         active = np.full((n, 2), case != "none")
@@ -643,8 +642,8 @@ def diagonal_quadratic(q):
     class Quadratic(PreferenceFunction):
         dim_obj, smooth = len(q), True
 
-        def value(self, y):
-            return 0.5 * float(y @ (q * y))
+        def value_batch(self, Y):
+            return 0.5 * (Y * (q * Y)).sum(axis=1)
 
         def gradient(self, y):
             return q * np.asarray(y, dtype=float)
@@ -751,7 +750,7 @@ class TestInnerLineSearch:
         from hopfront import solver
 
         q = np.array([7.0, 1.0])
-        f = VectorObjective(2, 2, lambda u: u, lambda u: np.eye(2), batched=False)
+        f = VectorObjective(2, 2, lambda u: u, lambda u: np.tile(np.eye(2), (len(u), 1, 1)))
         params = HopfLaxParams(np.zeros(2), np.array([[1.0, 0.5], [-2.0, 0.3]]), alpha=1.0, c=0.5, mu=0.5)
         pi = np.zeros((2, 2))
         E = params.dual_shift(pi)
@@ -821,7 +820,7 @@ class TestInnerLineSearch:
         from hopfront import solver
 
         q = np.full(2, 2.0 * ratio - 1.0)
-        f = VectorObjective(2, 2, lambda u: u, lambda u: np.eye(2), batched=False)
+        f = VectorObjective(2, 2, lambda u: u, lambda u: np.tile(np.eye(2), (len(u), 1, 1)))
         params = HopfLaxParams(np.zeros(2), np.array([[1.0, 0.5], [-2.0, 0.3]]), alpha=1.0, c=0.5, mu=0.5)
         pi = np.zeros((2, 2))
         U = np.array([[2.0, 0.1], [0.3, -1.5]])
@@ -970,7 +969,7 @@ class TestMeritSafeguard:
 
 class TestCertifyGap:
     def quad_setup(self, x):
-        f = VectorObjective(1, 1, lambda u: u**2, lambda u: np.array([[2.0 * u[0]]]))
+        f = VectorObjective(1, 1, lambda u: u**2, lambda u: 2.0 * u[:, :, None])
         g = WeightedSum([1.0])
         params = scalar_params(x=x)
         grid = np.linspace(-2.0, 2.0, 4001).reshape(-1, 1)
@@ -1031,7 +1030,7 @@ class TestCertifyGap:
 
     def test_zero_bregman_case_has_zero_gap(self):
         # x chosen so the stationary point coincides with the dual point p/mu
-        f = VectorObjective(1, 1, lambda u: (u - 1.0) ** 2, lambda u: np.array([[2.0 * (u[0] - 1.0)]]))
+        f = VectorObjective(1, 1, lambda u: (u - 1.0) ** 2, lambda u: 2.0 * (u[:, :, None] - 1.0))
         g = WeightedSum([1.0])
         params = scalar_params(x=2.0)
         grid = np.linspace(-1.0, 3.0, 8001).reshape(-1, 1)

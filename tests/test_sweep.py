@@ -10,7 +10,7 @@ from hopfront.sweep import TauPath, sweep
 
 
 def linear_problem():
-    f = VectorObjective(1, 1, lambda u: u, lambda u: np.ones(u.shape[:-1] + (1, 1)), batched=True)
+    f = VectorObjective(1, 1, lambda u: u, lambda u: np.ones(u.shape[:-1] + (1, 1)))
     return BenchmarkProblem(
         id="lin",
         objective=f,
