@@ -32,10 +32,13 @@ SIAM J. Optim. 2005). So one inner method serves every solve.
 ``solve_batch`` solves a stack of tau (``HopfLaxParams.tau`` of shape
 ``(n, N)``) as one batch, one row per tau; ``solve`` is the batch of one.
 Every function here takes stacks, a lone point being the stack of one.
-Every nesting level -- outer iteration, dual damping trial, inner descent
+Every nesting level -- outer iteration, dual candidate round, inner descent
 step, Armijo trial -- keeps the index array of its live rows and makes one
 batched objective, Jacobian and projection call per step; a row leaves a
-level when it stops there. The batch reports its inner work
+level when it stops there. A candidate round holds a row once per theta it
+tries, so the damped thetas of a batch share rounds, each within the full
+step's row count; a row's candidates past the one it accepts are extra
+work, never another result. The batch reports its inner work
 (``BatchResult``). Each row does exactly the arithmetic of a lone solve, so
 its result does not depend on the batch. Every row takes its two-metric
 step in one stacked solve, projected onto the tangent space of the nearly
@@ -68,7 +71,7 @@ _MERIT_SLACK = 1e-15
 # Step sizes, inner-loop limits and line-search constants. No run sets them,
 # so they are fixed here rather than carried in SolverConfig.
 _RHO = 0.5  # dual prox step
-_THETAS = (1.0, 0.5, 0.25, 0.125, 0.0)  # dual step damping per safeguard trial
+_THETAS = (1.0, 0.5, 0.25, 0.125, 0.0)  # dual step damping, in the order a row tries it
 _ACTIVE_THRESHOLD = 1e-3  # k(u) below this counts as nearly active
 _MAXIT_U = 200  # value-descent steps per inner solve
 _TOL_U = 1e-4  # value-descent move tolerance, tightened to 0.01 eps when smaller
@@ -499,23 +502,33 @@ def _inner_solve(f, g, k, pt, pi, params, cfg):
     return pt, steps
 
 
-def run_primal_dual(f, g, k, params, cfg, U, PI) -> BatchResult:
+def run_primal_dual(f, g, k, params, cfg) -> BatchResult:
     """The outer loop behind ``solve_batch``, one row per row of params.tau,
-    from the feasible starts U and dual starts PI; inputs are assumed
-    consistent. Each dual candidate theta gets one inner solve, whose last
-    point is the row's candidate; a row accepts the first candidate whose
-    merit does not rise."""
+    from u = x / max(alpha, 1) projected onto K, pi = 0 and zero
+    multipliers; inputs are assumed consistent. Each dual candidate theta
+    gets one inner solve, whose last point is the row's candidate; a row
+    accepts the first candidate in ``_THETAS`` order whose merit does not
+    rise. The full step (theta = 1) takes one round over every live row;
+    the rows it leaves stack their damped candidates as rows of one more
+    round, theta-major, as many thetas at a time as keep that round within
+    the full step's row count. So a lone solve tries one theta per round,
+    and no round holds more rows than the full step."""
     work = BatchResult()
-    n, m = U.shape[0], 0 if k is None else k.dim_con
-    pt = evaluate(f, k, U)
-    nu = np.zeros((n, m))
+    n, m = params.tau.shape[0], 0 if k is None else k.dim_con
+    # the loop writes the start evaluation's rows, so it takes a copy: user
+    # maps may return read-only arrays
+    U = np.tile(params.x / max(params.alpha, 1.0), (n, 1))
+    pt = evaluate(f, k, U if k is None else k.project(U)).take(np.arange(n))
+    del U  # the copy is the one start stack kept
+    PI, nu = np.zeros((n, f.dim_obj)), np.zeros((n, m))
     psi = merit_psi(g, pt, PI, params, nu=nu)
     work.merit_evals = 1
     psi_floor = cfg.eps**2 * np.maximum(1.0, psi)
-    merit_history = [[float(p)] for p in psi]
+    merit_history = [[p] for p in psi.tolist()]
     residual_history: List[List[float]] = [[] for _ in range(n)]
     iterations = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
+    moved = np.zeros(n, dtype=bool)  # the rows that accepted a candidate, so nu holds its multipliers
     live = np.arange(n)
 
     for it in range(1, cfg.maxit_outer + 1):
@@ -525,17 +538,14 @@ def run_primal_dual(f, g, k, params, cfg, U, PI) -> BatchResult:
         P, cur, pi = params.take(live), pt.take(live), PI[live]
         pi_new = g.gradient(cur.ell + P.dual_shift(pi))  # the dual step, pi = grad g(ell + E)
         nxt, pi_next, nu_next, psi_next = cur.take(np.arange(live.size)), pi.copy(), nu[live], psi[live]
-        accepted = np.zeros(live.size, dtype=bool)
-        for theta in _THETAS:
-            rows = np.flatnonzero(~accepted)
-            if not rows.size:
-                break
-            if theta == 1.0:
-                pi_cand = pi_new[rows]
-            elif theta == 0.0:
-                pi_cand = pi[rows]
-            else:
-                pi_cand = pi[rows] + theta * (pi_new[rows] - pi[rows])
+        todo, thetas = np.arange(live.size), _THETAS  # the rows without a candidate yet, the thetas left
+        while todo.size and thetas:
+            q = min(live.size // todo.size, len(thetas))  # the first round is the full step alone
+            rows = np.tile(todo, q)  # candidate j * todo.size + i is row todo[i] at thetas[j]
+            base, full = pi[todo], pi_new[todo]
+            pi_cand = np.concatenate([full if theta == 1.0 else base if theta == 0.0 else base + theta * (full - base)
+                                      for theta in thetas[:q]])
+            thetas = thetas[q:]
             P_rows = P.take(rows)
             # one inner solve per dual candidate, its last point the candidate
             cand, steps = _inner_solve(f, g, k, cur.take(rows), pi_cand, P_rows, cfg)
@@ -548,12 +558,16 @@ def run_primal_dual(f, g, k, params, cfg, U, PI) -> BatchResult:
             work.merit_evals += 1
             psi_now = psi[live[rows]]
             ok = np.isfinite(psi_cand) & (psi_cand <= psi_now + _MERIT_SLACK * np.maximum(1.0, psi_now))
-            hit = rows[ok]
-            nxt.put(hit, cand.take(ok))
-            pi_next[hit], nu_next[hit], psi_next[hit], accepted[hit] = pi_cand[ok], nu_cand[ok], psi_cand[ok], True
-        iterations[live[~accepted]] -= 1  # merit stalled at its numerical floor
+            ok = ok.reshape(q, todo.size)
+            hit = ok.any(axis=0)
+            pick = ok.argmax(axis=0)[hit] * todo.size + np.flatnonzero(hit)  # each row's first passing theta
+            won = todo[hit]
+            nxt.put(won, cand.take(pick))
+            pi_next[won], nu_next[won], psi_next[won] = pi_cand[pick], nu_cand[pick], psi_cand[pick]
+            todo = todo[~hit]
+        iterations[live[todo]] -= 1  # merit stalled at its numerical floor
 
-        a = np.flatnonzero(accepted)
+        a = np.setdiff1d(np.arange(live.size), todo, assume_unique=True)
         rows = live[a]
         nxt, pi_next, nu_next, psi_next = nxt.take(a), pi_next[a], nu_next[a], psi_next[a]
         F = stationarity_residual(nxt, pi_next, params)
@@ -561,10 +575,10 @@ def run_primal_dual(f, g, k, params, cfg, U, PI) -> BatchResult:
         pi_disp, nu_disp = _norm(pi_next - PI[rows]), _norm(nu_next - nu[rows])
         u_disp = _norm(nxt.u - pt.u[rows])
         pt.put(rows, nxt)
-        PI[rows], nu[rows], psi[rows] = pi_next, nu_next, psi_next
-        for j, row in enumerate(rows):
-            residual_history[row].append(float(res[j]))
-            merit_history[row].append(float(psi_next[j]))
+        PI[rows], nu[rows], psi[rows], moved[rows] = pi_next, nu_next, psi_next, True
+        for row, r, p in zip(rows.tolist(), res.tolist(), psi_next.tolist()):
+            residual_history[row].append(r)
+            merit_history[row].append(p)
         if not (np.isfinite(res).all() and np.isfinite(psi_next).all()):
             raise NumericalError("iteration diverged to non-finite values")
         done = (res <= cfg.eps) & (pi_disp <= cfg.eps) & (nu_disp <= cfg.eps) & (psi_next <= psi_floor[rows])
@@ -575,7 +589,9 @@ def run_primal_dual(f, g, k, params, cfg, U, PI) -> BatchResult:
 
     complementarity = feasibility = np.zeros(n)
     if m:
-        nu = multiplier_estimate(pt, PI, params)
+        fresh = np.flatnonzero(~moved)  # rows still at their start, nu = 0 there
+        if fresh.size:
+            nu[fresh] = multiplier_estimate(pt.take(fresh), PI[fresh], params.take(fresh))
         complementarity = np.abs(nu * pt.kv).max(axis=1)
         feasibility = 0.0 - np.minimum(pt.kv.min(axis=1), 0.0)  # +0.0, not -0.0, on the boundary
     p_bar, E_bar = params.dual_momentum(pt.u), params.dual_shift(PI)
@@ -620,11 +636,7 @@ def solve_batch(f, g, params, cfg=None, *, constraints=None) -> BatchResult:
         raise ValueError("constraint set has no projector")
     if params.tau.ndim != 2:
         raise ValueError("solve_batch takes a stack of tau, shape (n, N); solve takes one")
-    n = params.tau.shape[0]
-    U = np.tile(params.x / max(params.alpha, 1.0), (n, 1))
-    if k is not None:
-        U = k.project(U)
-    return run_primal_dual(f, g, k, params, cfg, U, np.zeros((n, f.dim_obj)))
+    return run_primal_dual(f, g, k, params, cfg)
 
 
 def _cloud_minima(g, Y, E):

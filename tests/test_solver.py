@@ -357,6 +357,35 @@ class TestSolve:
             solve(identity_objective(), WeightedSum([1.0]), scalar_params(),
                   constraints=box_constraints(np.zeros(2), np.ones(2)))
 
+    def test_read_only_map_results(self):
+        # fn, jac and the constraint fn may return read-only arrays, such as
+        # a broadcast view; the solve matches the one on writable copies
+        from dataclasses import replace
+
+        from hopfront.constrained import box_constraints
+
+        A = np.array([[2.0, 0.5], [-0.5, 1.0]])
+
+        def read_only(a):
+            a = np.array(a)
+            a.flags.writeable = False
+            return a
+
+        box = box_constraints(np.zeros(2), np.ones(2))
+        frozen_box = replace(box, fn=lambda u: read_only(box.fn(u)))
+        writable = VectorObjective(2, 2, lambda u: u @ A.T, lambda u: np.tile(A, (len(u), 1, 1)))
+        frozen = VectorObjective(2, 2, lambda u: read_only(u @ A.T), lambda u: np.broadcast_to(A, (len(u), 2, 2)))
+        g = SoftMax(0.1, 2)
+        params = HopfLaxParams(np.array([1.5, -0.5]), np.array([[0.0, 0.0], [1.0, -1.0], [-1.0, 2.0]]),
+                               alpha=1.0, c=1.0, mu=1.0)
+        ref = solve_batch(writable, g, params, constraints=box)
+        out = solve_batch(frozen, g, params, constraints=frozen_box)
+        assert all(r.converged for r in ref) and max(r.iterations for r in ref) > 1
+        assert any(r.nu_star.any() for r in ref)  # a face is active
+        for a, b in zip(ref, out):
+            assert a.u_star.tobytes() == b.u_star.tobytes() and a.nu_star.tobytes() == b.nu_star.tobytes()
+            assert (a.merit_history, a.iterations) == (b.merit_history, b.iterations)
+
     def test_scale_consistency_under_rotation(self):
         # minimizing ell(Q u) from state Q^T x reproduces Q^T u*
         a = np.array([1.0, 0.5])
@@ -920,6 +949,10 @@ class TestMeritSafeguard:
     candidate: one merit evaluation per inner solve, after the initial one."""
 
     def test_ex1_sweep_merit_evals(self, monkeypatch):
+        """The damped candidates of a batch iteration share stacked rounds (13
+        merit calls on this sweep, 22 with one theta per round), while a lone
+        solve tries one theta per round: on the samples whose dual step is
+        damped the two agree bit for bit."""
         from hopfront import solver
         from hopfront.sweep import sweep
 
@@ -940,7 +973,7 @@ class TestMeritSafeguard:
         front = sweep(prob, g, n_samples=100)
         assert front.converged_count() == 100
         assert len(merit_calls) == front.merit_evals == len(inner_calls) + 1
-        assert front.merit_evals <= 30
+        assert front.merit_evals <= 16
         # the samples whose dual step is damped (theta < 1) at some iteration
         for i in (0, 1, 2, 3, 4, 5, 10, 11, 15, 21):
             s = front.samples[i]
@@ -950,6 +983,41 @@ class TestMeritSafeguard:
             assert s.objectives.tobytes() == lone.objectives.tobytes()
             assert (s.residual, s.iterations, s.converged) == (lone.residual_history[-1], lone.iterations,
                                                                lone.converged)
+
+    @pytest.mark.parametrize("name", ["ex1", "ex3b"])
+    def test_damped_round_within_full_step(self, monkeypatch, name):
+        # No damped round holds more rows than its iteration's full-step
+        # round: the first inner solve after each dual step (the one call of
+        # g.gradient outside an inner solve) with as many rows as that step.
+        from hopfront import solver
+        from hopfront.sweep import sweep
+
+        prob = get_problem(name)
+        g = prob.default_preference()
+        inner, gradient, rounds, inside = solver._inner_solve, g.gradient, [], []
+
+        def spy_inner(f, g_, k, pt, *args):
+            inside.append(1)
+            try:
+                rounds[-1].append(len(pt.u))
+                return inner(f, g_, k, pt, *args)
+            finally:
+                inside.pop()
+
+        def spy_gradient(y):
+            if not inside:  # the dual step starts an outer iteration
+                rounds.append([len(y)])
+            return gradient(y)
+
+        monkeypatch.setattr(solver, "_inner_solve", spy_inner)
+        monkeypatch.setattr(g, "gradient", spy_gradient)
+        front = sweep(prob, g, n_samples=100)
+        assert front.converged_count() == 100
+        assert sum(len(r) - 1 for r in rounds) == front.merit_evals - 1  # every inner solve is seen
+        damped = [r for r in rounds if len(r) > 2]
+        assert damped  # some iteration damps its dual step
+        for dual, full, *rest in rounds:
+            assert full == dual and max(rest, default=0) <= full
 
     @pytest.mark.parametrize("name, lo, hi", [("ex2a", 0.1985, 0.2103), ("ex2b", 0.2628, 0.2640)])
     def test_former_merit_stall_bands_converge(self, name, lo, hi):
