@@ -40,4 +40,4 @@ from .solver import (
     solve_batch,
     stationarity_residual,
 )
-from .sweep import FrontSample, ParetoFront, TauPath, sweep
+from .sweep import sweep, tau_line

@@ -30,7 +30,7 @@ from .oracle import (
 )
 from .problems import get_problem, problem_ids
 from .solver import SolverConfig, solve
-from .sweep import TauPath, sweep
+from .sweep import sweep, tau_line
 
 
 class _UsageError(Exception):
@@ -82,18 +82,20 @@ def _write_csv(path, cols, rows):
         handle.write("\n".join(lines) + "\n")
 
 
-def write_front_csv(path, front):
-    d = front.samples[0].u.shape[0]
-    n_obj = front.samples[0].objectives.shape[0]
+def write_front_csv(path, front, tau, t):
+    """One row per result of ``front`` (a ``sweep``), at its tau row and its
+    fraction t along the line; a result with no residual yet writes inf."""
+    n_obj, d = tau.shape[1], front[0].u_star.shape[0]
     cols = (
         ["sample_index", "t"] + _columns("tau", n_obj) + _columns("u", d)
         + _columns("ell", n_obj) + _columns("pi", n_obj) + _columns("E", n_obj)
         + ["residual", "iterations", "converged", "gap", "bregman_bound"]
     )
     rows = (
-        [s.index, s.t, s.tau, s.u, s.objectives, s.pi, s.E,
-         s.residual, s.iterations, s.converged, s.gap, s.bregman_bound]
-        for s in front.samples
+        [i, t_i, tau_i, r.u_star, r.objectives, r.pi_star, r.E_bar,
+         r.residual_history[-1] if r.residual_history else np.inf, r.iterations, r.converged, r.gap,
+         r.bregman_bound]
+        for i, (t_i, tau_i, r) in enumerate(zip(t.tolist(), tau, front))
     )
     _write_csv(path, cols, rows)
 
@@ -308,7 +310,7 @@ def cmd_sweep(args):
         if not (1 <= p <= n_obj and 1 <= q <= n_obj):
             raise _UsageError(f"--pairs index outside 1..{n_obj}: {p}:{q}")
     # a bad --n fails here, before the reference clouds are sampled
-    path = TauPath(args.tau_start, args.tau_end, args.n)
+    tau = tau_line(args.tau_start, args.tau_end, args.n)
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     if not os.access(outdir, os.W_OK):
@@ -336,24 +338,16 @@ def cmd_sweep(args):
         ref_seconds = time.perf_counter() - t_ref
 
     start = time.perf_counter()
-    front = sweep(
-        problem,
-        SoftMax(args.pref_eps, n_obj),
-        alpha=args.alpha,
-        c=args.c,
-        mu=args.mu,
-        path=path,
-        cfg=_build_cfg(args),
-        reference=cert_cloud,
-    )
+    front = sweep(problem, tau, SoftMax(args.pref_eps, n_obj), alpha=args.alpha, c=args.c, mu=args.mu,
+                  cfg=_build_cfg(args), reference=cert_cloud)
     duration = time.perf_counter() - start
     timed.update(front.timings)
     start_output = time.perf_counter()
 
     front_csv = os.path.join(outdir, "front.csv")
-    write_front_csv(front_csv, front)
+    write_front_csv(front_csv, front, tau, np.linspace(0.0, 1.0, args.n))
 
-    converged_pts = np.array([s.objectives for s in front.samples if s.converged])
+    converged_pts = np.array([r.objectives for r in front if r.converged])
     if args.compare and len(converged_pts):
         fwd, bwd, haus = timed("distance", front_distance, converged_pts, reference.points_obj)
         print(f"front distance forward={fwd!r} backward={bwd!r} hausdorff={haus!r}")
@@ -376,12 +370,12 @@ def cmd_sweep(args):
 
     timed["output"] = time.perf_counter() - start_output - timed["distance"]
     extra = {"reference_seconds": ref_seconds} if args.compare else {}
-    _write_manifest(outdir, args, duration_s=duration, converged=front.converged_count(),
-                    total=len(front.samples), timings=dict(timed), inner_steps=front.inner_steps,
-                    inner_row_steps=front.inner_row_steps, merit_evals=front.merit_evals, **extra)
-    print(f"swept {len(front.samples)} samples ({front.converged_count()} converged) "
-          f"in {duration:.3f}s -> {front_csv}")
-    return 0 if front.converged_count() == len(front.samples) else 2
+    converged = len(converged_pts)
+    _write_manifest(outdir, args, duration_s=duration, converged=converged, total=len(front),
+                    timings=dict(timed), inner_steps=front.inner_steps, inner_row_steps=front.inner_row_steps,
+                    merit_evals=front.merit_evals, **extra)
+    print(f"swept {len(front)} samples ({converged} converged) in {duration:.3f}s -> {front_csv}")
+    return 0 if converged == len(front) else 2
 
 
 def cmd_oracle(args):
@@ -465,14 +459,14 @@ def cmd_check(args):
     # Gap certificate + merit descent on a short nonconvex sweep.
     problem = get_problem("ex2a")
     cloud = sample_cloud(problem, grid=150)
-    front = sweep(problem, n_samples=15, reference=cloud)
+    front = sweep(problem, tau_line(problem.tau_start, problem.tau_end, 15), reference=cloud)
     gaps_ok = True
     merit_ok = True
-    for s in front.samples:
-        if s.converged and s.gap is not None:
-            gaps_ok &= -1e-6 <= s.gap <= s.bregman_bound + 1e-6
+    for r in front:
+        if r.converged and r.gap is not None:
+            gaps_ok &= -1e-6 <= r.gap <= r.bregman_bound + 1e-6
     g2 = problem.default_preference()
-    for tau in TauPath(problem.tau_start, problem.tau_end, 5).points():
+    for tau in tau_line(problem.tau_start, problem.tau_end, 5):
         r = solve(problem.objective, g2, problem.params_for(tau), constraints=problem.constraints)
         diffs = np.diff(r.merit_history)
         merit_ok &= bool(diffs.size == 0 or diffs.max() <= 1e-12)

@@ -106,7 +106,9 @@ class SolverConfig:
 class SolveResult:
     """Outcome of one solve; ``objectives`` is ell(u_star). Without
     constraints ``nu_star`` is empty and ``complementarity`` and
-    ``feasibility_violation`` are 0."""
+    ``feasibility_violation`` are 0. ``gap`` and ``bregman_bound`` hold the
+    certificate ``sweep`` records for a converged result against its
+    reference cloud, None otherwise."""
 
     u_star: np.ndarray
     pi_star: np.ndarray
@@ -120,17 +122,21 @@ class SolveResult:
     nu_star: np.ndarray = field(default_factory=lambda: np.zeros(0))
     complementarity: float = 0.0
     feasibility_violation: float = 0.0
+    gap: Optional[float] = None
+    bregman_bound: Optional[float] = None
 
 
 class BatchResult(list):
     """The results of ``solve_batch`` in row order, plus the work of its
     lock-step loop: ``inner_steps`` descent steps taken together,
     ``inner_row_steps`` live rows summed over those steps and ``merit_evals``
-    merit calls, the initial one included."""
+    merit calls, the initial one included. ``timings`` holds the seconds per
+    layer that ``sweep`` spent (``solves``, ``certificates``)."""
 
-    inner_steps = 0
-    inner_row_steps = 0
-    merit_evals = 0
+    def __init__(self):
+        super().__init__()
+        self.inner_steps = self.inner_row_steps = self.merit_evals = 0
+        self.timings = {}
 
 
 @dataclass(eq=False)

@@ -344,21 +344,29 @@ def pointwise_epigraph_halfspace(u):
     return vertices[int(np.argmin(((vertices - (a, b)) ** 2).sum(axis=1)))].copy()
 
 
-def cellwise_front_csv(front):
+def default_line(prob, n):
+    """The problem's default tau line of ``n`` samples."""
+    from hopfront.sweep import tau_line
+
+    return tau_line(prob.tau_start, prob.tau_end, n)
+
+
+def cellwise_front_csv(front, tau, t):
     """The text of a ``front.csv`` written one ``_fmt`` cell at a time; the
     reference the library's array-cell writer is checked against."""
     from hopfront.cli import _columns, _fmt
 
-    d, n_obj = front.samples[0].u.shape[0], front.samples[0].objectives.shape[0]
+    d, n_obj = front[0].u_star.shape[0], front[0].objectives.shape[0]
     cols = (
         ["sample_index", "t"] + _columns("tau", n_obj) + _columns("u", d)
         + _columns("ell", n_obj) + _columns("pi", n_obj) + _columns("E", n_obj)
         + ["residual", "iterations", "converged", "gap", "bregman_bound"]
     )
     rows = (
-        [s.index, s.t, *s.tau, *s.u, *s.objectives, *s.pi, *s.E,
-         s.residual, s.iterations, s.converged, s.gap, s.bregman_bound]
-        for s in front.samples
+        [i, t_i, *tau_i, *r.u_star, *r.objectives, *r.pi_star, *r.E_bar,
+         r.residual_history[-1] if r.residual_history else np.inf, r.iterations, r.converged, r.gap,
+         r.bregman_bound]
+        for i, (t_i, tau_i, r) in enumerate(zip(t, tau, front))
     )
     return "\n".join([",".join(cols)] + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
 

@@ -49,7 +49,7 @@ def benchmark_runs():
         g = prob.default_preference()
         cfg = SolverConfig()
         cloud = hf.certification_cloud(prob, mc=20000, seed=0)
-        taus = hf.TauPath(prob.tau_start, prob.tau_end, 40).points()
+        taus = hf.tau_line(prob.tau_start, prob.tau_end, 40)
         params = HopfLaxParams(prob.x, taus, prob.alpha, prob.c, prob.mu)
         results = hf.solve_batch(prob.objective, g, params, cfg, constraints=prob.constraints)
         chain = [(params.take(i), res) for i, res in enumerate(results)]
@@ -85,9 +85,9 @@ def test_criterion_02_nonconvex_front_recovery():
     for pid in ("ex2a", "ex2b"):
         prob = hf.get_problem(pid)
         start = time.perf_counter()
-        front = hf.sweep(prob, n_samples=100)
+        front = hf.sweep(prob, hf.tau_line(prob.tau_start, prob.tau_end, 100))
         elapsed = time.perf_counter() - start
-        objs = np.array([s.objectives for s in front.samples if s.converged])
+        objs = np.array([r.objectives for r in front if r.converged])
         base = hf.sample_cloud(prob, grid=150)
         ref = hf.greedy_pareto_filter(base)
         forward = hf.front_distance(objs, ref.points_obj)[0]
@@ -169,9 +169,9 @@ def test_criterion_07_high_dimensional_scaling():
     for d in (3, 10, 30, 100):
         prob = hf.get_problem(f"ex3a-d{d}")
         start = time.perf_counter()
-        front = hf.sweep(prob, n_samples=100)
+        front = hf.sweep(prob, hf.tau_line(prob.tau_start, prob.tau_end, 100))
         times[d] = time.perf_counter() - start
-        assert len(front.samples) == 100, d
+        assert len(front) == 100, d
     assert times[100] <= 600.0
     ds = np.log([10.0, 30.0, 100.0])
     ts = np.log([times[10], times[30], times[100]])
@@ -184,12 +184,12 @@ def test_criterion_07_high_dimensional_scaling():
 def test_criterion_08_five_objective_run():
     prob = hf.get_problem("ex3b")
     start = time.perf_counter()
-    front = hf.sweep(prob, n_samples=100)
+    front = hf.sweep(prob, hf.tau_line(prob.tau_start, prob.tau_end, 100))
     elapsed = time.perf_counter() - start
-    conv = front.converged_count()
+    conv = sum(r.converged for r in front)
     assert conv >= 80
-    objs = np.array([s.objectives for s in front.samples if s.converged])
-    us = np.array([s.u for s in front.samples if s.converged])
+    objs = np.array([r.objectives for r in front if r.converged])
+    us = np.array([r.u_star for r in front if r.converged])
     cloud = hf.SampleCloud(us, objs, "solver front")
     filtered = epsilon_filter(cloud, 1e-9)
     assert hf.nondominated_mask(filtered.points_obj, "strong").all()

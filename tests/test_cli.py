@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import cellwise_cloud_csv, cellwise_front_csv, pointwise_scatter_svg, read_front_csv
+from conftest import cellwise_cloud_csv, cellwise_front_csv, default_line, pointwise_scatter_svg, read_front_csv
 
 from hopfront import cli
 from hopfront.cli import build_parser, main, write_cloud_csv, write_front_csv, write_scatter_svg
@@ -128,7 +129,7 @@ class TestSweepCommand:
         out = tmp_path / "run"
         assert run(["sweep", "--problem", "ex1", "--n", "12", "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        front = hf.sweep(hf.get_problem("ex1"), n_samples=12)
+        front = hf.sweep(hf.get_problem("ex1"), default_line(hf.get_problem("ex1"), 12))
         assert 0 < front.inner_steps <= front.inner_row_steps
         assert 0 < front.merit_evals
         assert ((manifest["inner_steps"], manifest["inner_row_steps"], manifest["merit_evals"])
@@ -146,22 +147,22 @@ class TestSweepCommand:
         cloud = hf.certification_cloud(prob, mc=3000, seed=2)
         if prob.objective.dim_obj == 2:
             cloud = hf.greedy_pareto_filter(cloud)
-        front = hf.sweep(prob, n_samples=10, reference=cloud)
+        front = hf.sweep(prob, default_line(prob, 10), reference=cloud)
         _, rows = read_front_csv(out / "front.csv")
-        assert all(s.converged for s in front.samples)
-        assert [rec["gap"] for rec in rows] == [s.gap for s in front.samples]
+        assert all(r.converged for r in front)
+        assert [rec["gap"] for rec in rows] == [r.gap for r in front]
 
     def test_csv_round_trip_full_precision(self, tmp_path):
         out = tmp_path / "run"
         run(["sweep", "--problem", "ex2a", "--n", "5", "--out", str(out)])
         import hopfront as hf
 
-        front = hf.sweep(hf.get_problem("ex2a"), n_samples=5)
+        front = hf.sweep(hf.get_problem("ex2a"), default_line(hf.get_problem("ex2a"), 5))
         _, rows = read_front_csv(out / "front.csv")
-        for rec, s in zip(rows, front.samples):
-            assert rec["u_1"] == s.u[0]
-            assert rec["ell_2"] == s.objectives[1]
-            assert rec["residual"] == s.residual
+        for rec, r in zip(rows, front):
+            assert rec["u_1"] == r.u_star[0]
+            assert rec["ell_2"] == r.objectives[1]
+            assert rec["residual"] == r.residual_history[-1]
 
     @pytest.mark.parametrize("flags", [
         [],
@@ -232,6 +233,20 @@ class TestSweepCommand:
                     "--out", str(tmp_path)])
         assert code == 1
         assert "empty reference" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pid, start, end", [
+        ("ex1", "1e308,-1e308", "-1e308,1e308"),
+        ("ex3b", "1e308,-1e308,1e308,-1e308,1e308", "-1e308,1e308,-1e308,1e308,-1e308"),
+    ])
+    def test_tau_endpoints_whose_difference_overflows(self, tmp_path, capsys, pid, start, end):
+        # end - start overflows in every component, but each row of the line
+        # is finite, and its solves converge without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["sweep", "--problem", pid, "--n", "5", f"--tau-start={start}", f"--tau-end={end}",
+                        "--out", str(tmp_path)])
+        assert code == 0
+        assert "swept 5 samples (5 converged)" in capsys.readouterr().out
 
     def test_one_tau_endpoint_alone_takes_effect(self, tmp_path):
         base = tmp_path / "base"
@@ -310,11 +325,11 @@ class TestWriters:
         from hopfront.sweep import sweep
 
         prob = get_problem("ex2a")
-        front = sweep(prob, n_samples=8, reference=sample_cloud(prob, mc=2000, seed=0),
-                      cfg=SolverConfig(maxit_outer=3))
-        assert 0 < front.converged_count() < 8  # rows with false and empty gap cells
-        write_front_csv(tmp_path / "front.csv", front)
-        assert (tmp_path / "front.csv").read_text() == cellwise_front_csv(front)
+        tau, t = default_line(prob, 8), np.linspace(0.0, 1.0, 8)
+        front = sweep(prob, tau, reference=sample_cloud(prob, mc=2000, seed=0), cfg=SolverConfig(maxit_outer=3))
+        assert 0 < sum(r.converged for r in front) < 8  # rows with false and empty gap cells
+        write_front_csv(tmp_path / "front.csv", front, tau, t)
+        assert (tmp_path / "front.csv").read_text() == cellwise_front_csv(front, tau, t)
 
     def test_cloud_csv(self, tmp_path):
         cloud = sample_cloud(get_problem("ex3b"), mc=500, seed=2)

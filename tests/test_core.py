@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from conftest import jacobian_check
+from conftest import default_line, jacobian_check
 
 from hopfront.core import (
     HopfLaxParams,
@@ -307,8 +307,9 @@ class TestWarmProx:
         from hopfront import get_problem, sweep
 
         calls = counted_omega(monkeypatch)
-        front = sweep(get_problem("ex1"), n_samples=100)
-        assert front.converged_count() == 100
+        prob = get_problem("ex1")
+        front = sweep(prob, default_line(prob, 100))
+        assert sum(r.converged for r in front) == 100
         assert len(calls) <= 0.6 * 290  # 290 when every prox starts at the bracket end
 
     def test_point_hint_and_weighted_sum(self):

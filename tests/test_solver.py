@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import evaluate_one
+from conftest import default_line, evaluate_one
 
 from hopfront.core import HopfLaxParams, SoftMax, VectorObjective, WeightedSum
 from hopfront.oracle import SampleCloud, certification_cloud, greedy_pareto_filter
@@ -233,7 +233,6 @@ class TestSolve:
         from dataclasses import replace
 
         from hopfront.problems import get_problem
-        from hopfront.sweep import TauPath
 
         prob = get_problem(pid)
         points = []
@@ -243,7 +242,7 @@ class TestSolve:
             return prob.objective.jac(u)
 
         f = replace(prob.objective, jac=recording)
-        for tau in TauPath(prob.tau_start, prob.tau_end, 8).points():
+        for tau in default_line(prob, 8):
             points.clear()
             solve(f, prob.default_preference(), prob.params_for(tau), constraints=prob.constraints)
             assert points
@@ -253,7 +252,6 @@ class TestSolve:
     def test_inner_solve_returns_its_last_points_evaluation(self, pid, monkeypatch):
         from hopfront import solver
         from hopfront.problems import get_problem
-        from hopfront.sweep import TauPath
 
         prob = get_problem(pid)
         calls = []
@@ -265,7 +263,7 @@ class TestSolve:
             return pt_in, steps
 
         monkeypatch.setattr(solver, "_inner_solve", recording)
-        taus = TauPath(prob.tau_start, prob.tau_end, 3).points()
+        taus = default_line(prob, 3)
         solver.solve_batch(prob.objective, prob.default_preference(),
                            HopfLaxParams(prob.x, taus, prob.alpha, prob.c, prob.mu),
                            constraints=prob.constraints)
@@ -742,8 +740,8 @@ class TestBoxFaces:
             calls.append(u.shape)
             return prob.constraints.jac(u)
 
-        front = hf.sweep(replace(prob, constraints=replace(prob.constraints, jac=jac)), n_samples=20)
-        assert front.converged_count() > 0
+        front = hf.sweep(replace(prob, constraints=replace(prob.constraints, jac=jac)), default_line(prob, 20))
+        assert sum(r.converged for r in front) > 0
         assert calls == []
 
 
@@ -881,7 +879,7 @@ class TestDescentDirection:
             return d
 
         monkeypatch.setattr(solver, "_direction", spy)
-        sweep(get_problem(pid), n_samples=20)
+        sweep(get_problem(pid), default_line(get_problem(pid), 20))
         assert sum(checked) > 0
 
 
@@ -897,8 +895,8 @@ class TestInnerDepth:
         # 42, ex2a 208, ex2b 295, ex3b 63
         from hopfront.sweep import sweep
 
-        front = sweep(get_problem(pid), n_samples=100)
-        assert front.converged_count() == 100
+        front = sweep(get_problem(pid), default_line(get_problem(pid), 100))
+        assert sum(r.converged for r in front) == 100
         assert front.inner_steps <= bound
 
     def test_ex1_sweep_inner_steps(self, monkeypatch):
@@ -913,8 +911,8 @@ class TestInnerDepth:
             return direction(k, pt, gvec, *args)
 
         monkeypatch.setattr(solver, "_direction", counting)
-        front = sweep(get_problem("ex1"), n_samples=100)
-        assert front.converged_count() == 100
+        front = sweep(get_problem("ex1"), default_line(get_problem("ex1"), 100))
+        assert sum(r.converged for r in front) == 100
         assert front.inner_steps <= 150  # 910 with halving backtracking
         # the recorded work is the descent steps the batch actually took
         assert front.inner_steps == sum(1 for c in counted if c)
@@ -923,10 +921,9 @@ class TestInnerDepth:
     def test_ex1_sample_21_stays_below_the_step_cap(self, monkeypatch):
         from hopfront import solver
         from hopfront.problems import get_problem
-        from hopfront.sweep import TauPath
 
         prob = get_problem("ex1")
-        tau = TauPath(prob.tau_start, prob.tau_end, 100).points()[21]
+        tau = default_line(prob, 100)[21]
         inner, direction, depth = solver._inner_solve, solver._direction, []
 
         def counting_inner(*args):
@@ -970,19 +967,20 @@ class TestMeritSafeguard:
         monkeypatch.setattr(solver, "_inner_solve", counting_inner)
         prob = get_problem("ex1")
         g = prob.default_preference()
-        front = sweep(prob, g, n_samples=100)
-        assert front.converged_count() == 100
+        tau = default_line(prob, 100)
+        front = sweep(prob, tau, g)
+        assert sum(r.converged for r in front) == 100
         assert len(merit_calls) == front.merit_evals == len(inner_calls) + 1
         assert front.merit_evals <= 16
         # the samples whose dual step is damped (theta < 1) at some iteration
         for i in (0, 1, 2, 3, 4, 5, 10, 11, 15, 21):
-            s = front.samples[i]
-            lone = solve(prob.objective, g, prob.params_for(s.tau), constraints=prob.constraints)
-            assert s.u.tobytes() == lone.u_star.tobytes()
-            assert s.pi.tobytes() == lone.pi_star.tobytes()
-            assert s.objectives.tobytes() == lone.objectives.tobytes()
-            assert (s.residual, s.iterations, s.converged) == (lone.residual_history[-1], lone.iterations,
-                                                               lone.converged)
+            r = front[i]
+            lone = solve(prob.objective, g, prob.params_for(tau[i]), constraints=prob.constraints)
+            assert r.u_star.tobytes() == lone.u_star.tobytes()
+            assert r.pi_star.tobytes() == lone.pi_star.tobytes()
+            assert r.objectives.tobytes() == lone.objectives.tobytes()
+            assert (r.residual_history[-1], r.iterations, r.converged) == (lone.residual_history[-1],
+                                                                           lone.iterations, lone.converged)
 
     @pytest.mark.parametrize("name", ["ex1", "ex3b"])
     def test_damped_round_within_full_step(self, monkeypatch, name):
@@ -1011,8 +1009,8 @@ class TestMeritSafeguard:
 
         monkeypatch.setattr(solver, "_inner_solve", spy_inner)
         monkeypatch.setattr(g, "gradient", spy_gradient)
-        front = sweep(prob, g, n_samples=100)
-        assert front.converged_count() == 100
+        front = sweep(prob, default_line(prob, 100), g)
+        assert sum(r.converged for r in front) == 100
         assert sum(len(r) - 1 for r in rounds) == front.merit_evals - 1  # every inner solve is seen
         damped = [r for r in rounds if len(r) > 2]
         assert damped  # some iteration damps its dual step
@@ -1032,7 +1030,8 @@ class TestMeritSafeguard:
     def test_ex2b_twenty_sample_sweep_converges(self):
         from hopfront.sweep import sweep
 
-        assert sweep(get_problem("ex2b"), n_samples=20).converged_count() == 20
+        prob = get_problem("ex2b")
+        assert sum(r.converged for r in sweep(prob, default_line(prob, 20))) == 20
 
 
 class TestCertifyGap:
