@@ -3,18 +3,22 @@
 Grid / Monte Carlo sampling, nondominated filtering, weighted-sum envelope
 baselines, and set distances. These are the validation oracles the solver
 results are checked against, so everything here is deliberately simple and
-deterministic. The N > 2 filter screens with the front of a subsample and
-compares one objective at a time. The envelope runs its spectral
-projected-gradient descents (SPG; Birgin, Martinez & Raydan 2000, with the
-nonmonotone test of Grippo, Lampariello & Lucidi 1986), one per weight and
-start, in lock step as one batch: each row keeps its own step and stopping
-test, and leaves the batch when it stops.
+deterministic. The 2-D filter sorts once, by f1 (Kung, Luccio & Preparata,
+J. ACM 22, 1975). The N > 2 filter screens with the front of a subsample and
+compares one objective at a time, as rejection sampling tests constraints
+one column at a time. The envelope runs its spectral projected-gradient
+descents (SPG; Birgin, Martinez & Raydan 2000, with the nonmonotone test of
+Grippo, Lampariello & Lucidi 1986), one per weight and start, in lock step
+as one batch: each row keeps its own step and stopping test, and leaves the
+batch when it stops.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import as_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,21 +47,22 @@ _CERT_ENRICH = 20000  # optimal-manifold samples of a certification cloud
 
 
 def _dominated_mask_2d(P, strong):
-    # One lexicographic sort; exact, ties handled explicitly. Within an f1
-    # group f2 ascends, so the group's first f2 is its minimum, and the prefix
-    # minimum of f2 just before the group is the best f2 at strictly smaller f1.
-    order = np.lexsort((P[:, 1], P[:, 0]))
-    f1, f2 = P[order, 0], P[order, 1]
-    new_group = np.concatenate(([True], f1[1:] != f1[:-1]))
-    first = np.maximum.accumulate(np.where(new_group, np.arange(len(f1)), 0))
-    best_strict = np.concatenate(([np.inf], np.minimum.accumulate(f2)))[first]
+    # Exact, ties handled explicitly: each f1 group's least f2, and the
+    # running minimum of the earlier groups' least f2 (the best f2 at strictly
+    # smaller f1), do not depend on the order inside a group.
+    order = np.argsort(P[:, 0])
+    f1 = P[order, 0]
+    starts = np.flatnonzero(np.concatenate(([True], f1[1:] != f1[:-1])))
+    del f1  # the sorted copies are the filter's peak memory
+    f2 = P[order, 1]
+    least = np.minimum.reduceat(f2, starts)
+    bound = np.concatenate(([np.inf], np.minimum.accumulate(least)[:-1]))
     if strong:
-        # smaller f1 and f2 <= ours, or equal f1 and f2 strictly smaller
-        dominated = (f2 >= best_strict) | (f2 > f2[first])
-    else:
-        dominated = f2 > best_strict
-    mask = np.empty(len(f1), dtype=bool)
-    mask[order] = dominated
+        # smaller f1 and f2 <= ours (f2 >= b is f2 > b one ulp down), or
+        # equal f1 and f2 strictly smaller
+        bound = np.minimum(np.nextafter(bound, -np.inf), least)
+    mask = np.empty(len(f2), dtype=bool)
+    mask[order] = f2 > np.repeat(bound, np.diff(starts, append=len(f2)))
     return mask
 
 
@@ -129,7 +134,8 @@ def _feasible_mask(problem, U):
     # points drawn in the box lie in a constraint box that holds it
     if k is None or k.bounds is not None and (k.bounds[0] <= lo).all() and (hi <= k.bounds[1]).all():
         return np.ones(U.shape[0], dtype=bool)
-    return k.value_batch(U).min(axis=1) >= -k.membership_tol
+    # min down contiguous columns, not along each short row; a NaN row fails
+    return np.ascontiguousarray(k.value_batch(U).T).min(axis=0) >= -k.membership_tol
 
 
 def sample_cloud(problem, grid=None, mc=None, seed=0) -> SampleCloud:
@@ -146,6 +152,7 @@ def sample_cloud(problem, grid=None, mc=None, seed=0) -> SampleCloud:
     if grid is not None:
         if grid < 2:
             raise ValueError("grid resolution must be >= 2")
+        grid = as_count(grid, "grid")
         if d != 2:
             raise ValueError("grid sampling is supported for 2-D problems only")
         axes = [np.linspace(lo[i], hi[i], grid) for i in range(d)]
@@ -156,18 +163,15 @@ def sample_cloud(problem, grid=None, mc=None, seed=0) -> SampleCloud:
     else:
         if mc <= 0:
             raise ValueError("empty reference: mc must be positive")
+        mc = as_count(mc, "mc")
         rng = np.random.default_rng(seed)
-        chunks = []
-        total = 0
-        attempts = 0
+        chunks, total = [], 0
         while total < mc:
-            draw = rng.uniform(lo, hi, size=(max(mc, 1024), d))
-            keep = draw[_feasible_mask(problem, draw)]
-            chunks.append(keep)
-            total += keep.shape[0]
-            attempts += 1
-            if attempts > 1000:
+            if len(chunks) == 1000:
                 raise ValueError("empty reference: rejection sampling failed")
+            draw = rng.uniform(lo, hi, size=(max(mc, 1024), d))
+            chunks.append(draw[_feasible_mask(problem, draw)])
+            total += len(chunks[-1])
         U = np.concatenate(chunks)[:mc]
         source = f"monte_carlo({mc},seed={seed})"
     return SampleCloud(points_u=U, points_obj=problem.objective.value_batch(U), source=source)
@@ -273,6 +277,7 @@ def convex_envelope_front(problem, n_weights=16, seed=0, base_cloud=None):
     """
     if n_weights < 2:
         raise ValueError("n_weights must be >= 2")
+    n_weights = as_count(n_weights, "n_weights")
     f = problem.objective
     N = f.dim_obj
     if base_cloud is None:

@@ -659,15 +659,19 @@ def _cloud_minima(g, Y, E):
     rounding (Y + E_i)/eps and its shift move the 1-Lipschitz log-sum-exp by
     4 u M_i, exp, sum and log add (N + 1 + log N) u, and m + log and * eps
     2 u (M_i + log N). A row attaining the direct minimum thus has
-    S_r <= S_min exp(2 d_S + 2 d_V), and the candidates are the rows with
-    S_r <= S_min (1 + 2 margin), margin = 64 u (M_i + N + 1). S is taken in
-    row chunks for each column's minimum; a chunk is taken again only for
-    the columns whose minimum there is within their bound, and every
-    column's candidates go through one ``g.value_batch`` call, reduced per
-    column by ``np.minimum.at``. The bound needs normal numbers, so a column
-    with an entry of A or B_i below _CERT_FLOOR, like any other g, takes the
-    whole cloud in a call of its own, as does a column without a candidate
-    below +inf.
+    S_r <= S_q exp(2 d_S + 2 d_V) for every row q, and the candidates are
+    the rows with S_r <= S_min (1 + 2 margin), margin = 64 u (M_i + N + 1).
+    S is taken in row chunks c, for column i only where L_ci <= T_i (1 + 2
+    margin), T_i the least S_qi over a strided subsample: L_ci = (A's least
+    entries in c) . B_i is below every S_ri of c (A, B > 0) and errs like S,
+    so the bound above holds for it, with q the row of T_i, where c holds a
+    row attaining the direct minimum. S_min is the least S taken; a chunk is
+    taken again only for the columns whose minimum there is within their
+    bound, and every column's candidates go through one ``g.value_batch``
+    call, reduced per column by ``np.minimum.at``. The bound needs normal
+    numbers, so a column with an entry of A or B_i below _CERT_FLOOR, like
+    any other g, takes the whole cloud in a call of its own, as does a column
+    without a candidate below +inf.
     """
     cand_rows, cand_cols = [], []  # each candidate's cloud row and column
     if isinstance(g, SoftMax) and len(Y):
@@ -677,10 +681,15 @@ def _cloud_minima(g, Y, E):
             B = np.exp(zE - zE.max(axis=1, keepdims=True))
             margin = 64 * 2.0**-53 * ((max(Y.max(), -Y.min()) + np.abs(E).max(axis=1)) / g.eps + Y.shape[1] + 1)
         cols = np.flatnonzero((B.min(axis=1) >= _CERT_FLOOR) & (A.min() >= _CERT_FLOOR))
-        starts, Bt = range(0, len(Y), _CERT_CHUNK), B[cols].T
+        starts, Bt, slack = np.arange(0, len(Y), _CERT_CHUNK), B[cols].T, 1 + 2 * margin[cols]
         if cols.size:
-            chunk_min = np.array([(A[s : s + _CERT_CHUNK] @ Bt).min(axis=0) for s in starts])
-            bound = chunk_min.min(axis=0) * (1 + 2 * margin[cols])
+            top = (A[:: max(1, len(A) // _CERT_CHUNK)] @ Bt).min(axis=0) * slack
+            pairs = np.minimum.reduceat(A, starts, axis=0) @ Bt <= top
+            chunk_min = np.full(pairs.shape, np.inf)
+            for c in np.flatnonzero(pairs.any(axis=1)):
+                ks = np.flatnonzero(pairs[c])
+                chunk_min[c, ks] = (A[starts[c] : starts[c] + _CERT_CHUNK] @ Bt[:, ks]).min(axis=0)
+            bound = chunk_min.min(axis=0) * slack
             near = chunk_min <= bound
             for c in np.flatnonzero(near.any(axis=1)):
                 ks = np.flatnonzero(near[c])

@@ -25,7 +25,7 @@ from hopfront.oracle import (
     nondominated_mask,
     sample_cloud,
 )
-from hopfront.constrained import box_constraints
+from hopfront.constrained import ConstraintSet, box_constraints
 from hopfront.problems import example1, example2_case1, get_problem
 
 
@@ -170,6 +170,41 @@ def padded(points):
     return np.concatenate([P, pad, P])
 
 
+def lexsort_filter_2d(points, mode):
+    """Two-objective keep-mask by one lexicographic sort on (f1, f2): inside
+    an f1 group f2 ascends, so the group's first f2 is its least, and the
+    prefix minimum of f2 just before the group is the best f2 at strictly
+    smaller f1. Independent of the library's argsort and group minima, and
+    fast enough for clouds of benchmark size."""
+    P = np.asarray(points, dtype=float)
+    order = np.lexsort((P[:, 1], P[:, 0]))
+    f1, f2 = P[order, 0], P[order, 1]
+    new_group = np.concatenate(([True], f1[1:] != f1[:-1]))
+    first = np.maximum.accumulate(np.where(new_group, np.arange(len(f1)), 0))
+    best_strict = np.concatenate(([np.inf], np.minimum.accumulate(f2)))[first]
+    if mode == "strong":
+        dominated = (f2 >= best_strict) | (f2 > f2[first])
+    else:
+        dominated = f2 > best_strict
+    keep = np.empty(len(f1), dtype=bool)
+    keep[order] = ~dominated
+    return keep
+
+
+def two_objective_cloud(kind, seed, n=20011):
+    # integer levels, so that f1 groups hold many rows and rows repeat, with
+    # a random half of the zeros negated
+    rng = np.random.default_rng(seed)
+    if kind == "front":  # thousands of nondominated rows, ties along the front
+        f1 = rng.integers(-1000, 1000, n)
+        P = np.stack([f1, -f1 + rng.integers(0, 3, n)], axis=1).astype(float)
+    else:
+        levels = {"few-levels": 2, "many-levels": 1000}[kind]
+        P = rng.integers(-levels, levels + 1, size=(n, 2)).astype(float)
+    P[(P == 0) & (rng.random(P.shape) < 0.5)] = -0.0
+    return P
+
+
 class TestNondominatedMask:
     @pytest.mark.parametrize("mode", ["strong", "weak"])
     def test_ex3b_cloud_matches_all_pairs(self, mode):
@@ -203,6 +238,28 @@ class TestNondominatedMask:
     def test_malformed_shape_rejected(self, points):
         with pytest.raises(ValueError, match="2-D array"):
             nondominated_mask(points)
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", ["few-levels", "many-levels", "front"])
+    def test_two_objectives_at_benchmark_scale(self, kind, seed, mode):
+        P = two_objective_cloud(kind, seed)
+        assert np.signbit(P[P == 0]).any() and (~np.signbit(P[P == 0])).any()
+        assert len(np.unique(P[:, 0])) < len(P) // 4  # f1 groups of several rows
+        keep = nondominated_mask(P, mode)
+        assert np.array_equal(keep, lexsort_filter_2d(P, mode))
+        # rows in another order, and with f1's zeros of the other sign, keep the same points
+        perm = np.random.default_rng(seed + 7).permutation(len(P))
+        assert np.array_equal(nondominated_mask(P[perm], mode), keep[perm])
+        Q = P.copy()
+        Q[Q[:, 0] == 0, 0] *= -1.0
+        assert np.array_equal(nondominated_mask(Q, mode), keep)
+
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_lexsort_reference_matches_all_pairs(self, mode):
+        for kind in ("few-levels", "many-levels", "front"):
+            P = two_objective_cloud(kind, 2, n=2000)
+            assert np.array_equal(lexsort_filter_2d(P, mode), all_pairs_filter(P, mode))
 
     @settings(derandomize=True, deadline=None, database=None)
     @given(P=tie_heavy_clouds(), mode=st.sampled_from(["strong", "weak"]))
@@ -315,6 +372,92 @@ class TestCloudReuse:
         narrow = dataclasses.replace(prob, constraints=box_constraints([0.0, 0.0], [1.0, 0.5]))
         cloud = sample_cloud(narrow, mc=2000, seed=0)
         assert len(cloud) == 2000 and cloud.points_u[:, 1].max() <= 0.5
+
+
+def rowwise_monte_carlo(problem, mc, seed):
+    """``sample_cloud``'s Monte Carlo draws with membership taken as a row
+    reduction, ``K.min(axis=1) >= -membership_tol``, each draw indexed and
+    all of them joined."""
+    k, (lo, hi) = problem.constraints, problem.feasible_box
+    rng = np.random.default_rng(seed)
+    chunks, total = [], 0
+    while total < mc:
+        draw = rng.uniform(lo, hi, size=(max(mc, 1024), problem.objective.dim_u))
+        chunks.append(draw[k.value_batch(draw).min(axis=1) >= -k.membership_tol])
+        total += len(chunks[-1])
+    return np.concatenate(chunks)[:mc]
+
+
+def table_constraints(K):
+    # a constraint set whose values are the rows of K, whatever the points
+    return ConstraintSet(dim_u=2, dim_con=K.shape[1], fn=lambda U: K[: len(U)], jac=None)
+
+
+class TestRejectionSampling:
+    @pytest.mark.parametrize("n_con", [1, 2, 3, 7])
+    def test_membership_equals_the_row_reduction(self, n_con):
+        import hopfront.oracle as oracle
+
+        rng = np.random.default_rng(n_con)
+        tol = 1e-6
+        K = rng.choice([-2 * tol, -tol, np.nextafter(-tol, -1.0), -0.0, 0.0, 0.5, np.nan, np.inf, -np.inf],
+                       size=(5000, n_con))
+        K[:8] = 1.0
+        K[0, -1] = np.nan  # NaN anywhere in a row rejects it
+        K[1, 0] = np.nan
+        K[2, -1] = -tol  # exactly at the tolerance is kept
+        K[3, 0] = -tol
+        K[4, -1] = np.nextafter(-tol, -1.0)  # one ulp past it is not
+        prob = dataclasses.replace(get_problem("ex1"), constraints=dataclasses.replace(
+            table_constraints(K), membership_tol=tol))
+        feasible = oracle._feasible_mask(prob, np.zeros((len(K), 2)))
+        assert np.array_equal(feasible, K.min(axis=1) >= -tol)
+        assert feasible[:8].tolist() == [False, False, True, True, False, True, True, True]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_ex1_cloud_equals_the_row_wise_formula(self, seed):
+        prob = get_problem("ex1")
+        U = rowwise_monte_carlo(prob, 20000, seed)
+        assert same_cloud(sample_cloud(prob, mc=20000, seed=seed),
+                          SampleCloud(U, prob.objective.value_batch(U), "row-wise"))
+
+    def test_rejection_without_feasible_points_fails(self):
+        prob = dataclasses.replace(get_problem("ex1"), constraints=table_constraints(np.full((1024, 1), -1.0)))
+        with pytest.raises(ValueError, match="rejection sampling failed"):
+            sample_cloud(prob, mc=10)
+
+
+class TestCountValidation:
+    @pytest.mark.parametrize("call, name", [
+        (lambda p: sample_cloud(p, mc=2.5), "mc"),
+        (lambda p: sample_cloud(p, mc=100.0), "mc"),
+        (lambda p: sample_cloud(p, grid=3.0), "grid"),
+        (lambda p: certification_cloud(p, mc=10.5), "mc"),
+        (lambda p: convex_envelope_front(p, n_weights=2.5), "n_weights"),
+    ], ids=["mc-2.5", "mc-100.0", "grid-3.0", "certification-mc-10.5", "n_weights-2.5"])
+    def test_non_integer_counts_rejected(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call(get_problem("ex2a"))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda p: sample_cloud(p, mc=0), "empty reference: mc must be positive"),
+        (lambda p: sample_cloud(p, mc=-3), "empty reference: mc must be positive"),
+        (lambda p: sample_cloud(p, grid=1), "grid resolution must be >= 2"),
+        (lambda p: certification_cloud(p, mc=0), "empty reference: mc must be positive"),
+        (lambda p: convex_envelope_front(p, n_weights=1), "n_weights must be >= 2"),
+    ], ids=["mc-0", "mc-negative", "grid-1", "certification-mc-0", "n_weights-1"])
+    def test_counts_too_small_keep_their_messages(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(get_problem("ex2a"))
+
+    def test_numpy_integer_counts(self):
+        prob = get_problem("ex2a")
+        assert same_cloud(sample_cloud(prob, mc=np.int64(300), seed=1), sample_cloud(prob, mc=300, seed=1))
+        assert sample_cloud(prob, mc=np.int64(300)).source == "monte_carlo(300,seed=0)"
+        assert same_cloud(sample_cloud(prob, grid=np.int64(7)), sample_cloud(prob, grid=7))
+        base = sample_cloud(prob, mc=500, seed=0)
+        assert same_cloud(convex_envelope_front(prob, n_weights=np.int64(4), base_cloud=base),
+                          convex_envelope_front(prob, n_weights=4, base_cloud=base))
 
 
 class TestConvexEnvelope:

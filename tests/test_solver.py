@@ -1154,17 +1154,20 @@ class TestCloudMinima:
         assert rows == [4]  # both tied rows and their duplicates, nothing else
 
     def test_column_minima_in_different_chunks(self):
-        # each column's minimum sits in its own 1024-row chunk, none in the first
+        # each column's minimum sits in its own 1024-row chunk, none in the
+        # first; at offset 1 none is a row of the screen's every-third-row
+        # subsample, so only the chunks' lower bounds find them
         g = SoftMax(0.1, 3)
-        Y = 0.2 + 0.8 * np.random.default_rng(3).random((4000, 3))
-        best = {1500: [0.0, 0.3, 0.3], 2100: [0.3, 0.0, 0.3], 3900: [0.3, 0.3, 0.0]}
-        for r, y in best.items():
-            Y[r] = y
-        E = 0.5 * np.eye(3)
-        minima, rows = screened_minima(g, Y, E)
-        assert minima == direct_minima(g, Y, E)
-        assert minima == [float(g.value_batch(Y[r] + e)[0]) for r, e in zip(best, E)]
-        assert rows == [3]
+        for offset in (0, 1):
+            Y = 0.2 + 0.8 * np.random.default_rng(3).random((4000, 3))
+            best = {1500 + offset: [0.0, 0.3, 0.3], 2100 + offset: [0.3, 0.0, 0.3], 3900 + offset: [0.3, 0.3, 0.0]}
+            for r, y in best.items():
+                Y[r] = y
+            E = 0.5 * np.eye(3)
+            minima, rows = screened_minima(g, Y, E)
+            assert minima == direct_minima(g, Y, E)
+            assert minima == [float(g.value_batch(Y[r] + e)[0]) for r, e in zip(best, E)]
+            assert rows == [3]
 
     def test_near_tie_straddling_a_chunk_boundary(self):
         g = SoftMax(0.1, 3)
