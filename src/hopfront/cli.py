@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .core import HopfLaxParams, SoftMax
 from .oracle import (
+    SampleCloud,
     certification_cloud,
     convex_envelope_front,
     enrich_cloud,
@@ -252,13 +253,15 @@ _LAYERS = ("sampling", "filter", "envelope", "certification_cloud", "solves", "c
 
 
 def _reference(problem, args, timed):
-    """Base cloud, its strong nondominated subset and the convex envelope."""
+    """Base cloud, its strong nondominated subset and the convex envelope.
+    The filter and the envelope are the last to read the base cloud's
+    decision vectors, so it comes back in objective space only."""
     where = {"grid": args.grid} if args.grid is not None else {"mc": args.mc, "seed": args.seed}
     base = timed("sampling", sample_cloud, problem, **where)
     reference = timed("filter", greedy_pareto_filter, base)
     envelope = timed("envelope", convex_envelope_front, problem, n_weights=args.weights, seed=args.seed,
                      base_cloud=base)
-    return base, reference, envelope
+    return SampleCloud(None, base.points_obj, base.source), reference, envelope
 
 
 def _write_manifest(outdir, args, **fields):

@@ -15,6 +15,7 @@ batch when it stops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -23,18 +24,20 @@ from .core import as_count
 
 @dataclass(frozen=True, eq=False)
 class SampleCloud:
-    """Aligned decision / objective samples with a provenance tag."""
+    """Objective samples, their decision vectors row for row where they are
+    kept (``points_u`` is None in objective-space clouds), and a provenance
+    tag."""
 
-    points_u: np.ndarray
+    points_u: Optional[np.ndarray]
     points_obj: np.ndarray
     source: str
 
     def __post_init__(self):
-        if self.points_u.shape[0] != self.points_obj.shape[0]:
+        if self.points_u is not None and self.points_u.shape[0] != self.points_obj.shape[0]:
             raise ValueError("points_u and points_obj must be index-aligned")
 
     def __len__(self):
-        return self.points_u.shape[0]
+        return self.points_obj.shape[0]
 
 
 _BLOCK = 64  # points compared per vectorised step of the N != 2 filter
@@ -44,6 +47,7 @@ _ENVELOPE_STARTS = 16  # descents per envelope weight, from its best cloud point
 _GLL_MEMORY = 10  # accepted values the envelope's nonmonotone Armijo test looks back on
 _BB_MIN, _BB_MAX = 1e-6, 1e6  # clip bounds of the envelope's Barzilai-Borwein step
 _CERT_ENRICH = 20000  # optimal-manifold samples of a certification cloud
+_CLOUD_CHUNK = 1 << 16  # decision entries (rows x d) per objective call on a cloud
 
 
 def _dominated_mask_2d(P, strong):
@@ -123,7 +127,7 @@ def greedy_pareto_filter(cloud: SampleCloud) -> SampleCloud:
     """The strong nondominated subset (``nondominated_mask``), in input order."""
     mask = nondominated_mask(cloud.points_obj)
     return SampleCloud(
-        points_u=cloud.points_u[mask],
+        points_u=None if cloud.points_u is None else cloud.points_u[mask],
         points_obj=cloud.points_obj[mask],
         source=cloud.source + "|filtered(strong)",
     )
@@ -136,6 +140,24 @@ def _feasible_mask(problem, U):
         return np.ones(U.shape[0], dtype=bool)
     # min down contiguous columns, not along each short row; a NaN row fails
     return np.ascontiguousarray(k.value_batch(U).T).min(axis=0) >= -k.membership_tol
+
+
+def _feasible_rows(problem, U):
+    # U itself when every row is feasible, as every draw of a box problem is
+    keep = _feasible_mask(problem, U)
+    return U if keep.all() else U[keep]
+
+
+def _cloud_values(f, U):
+    """``f.value_batch(U)`` in chunks of rows of at most ``_CLOUD_CHUNK``
+    entries, so the objective's temporaries stay chunk-sized. Rows are
+    independent (the ``VectorObjective`` contract), so the values are those
+    of one call, bit for bit."""
+    rows = max(1, _CLOUD_CHUNK // U.shape[1])
+    Y = np.empty((U.shape[0], f.dim_obj))
+    for start in range(0, U.shape[0], rows):
+        Y[start : start + rows] = f.value_batch(U[start : start + rows])
+    return Y
 
 
 def sample_cloud(problem, grid=None, mc=None, seed=0) -> SampleCloud:
@@ -157,8 +179,7 @@ def sample_cloud(problem, grid=None, mc=None, seed=0) -> SampleCloud:
             raise ValueError("grid sampling is supported for 2-D problems only")
         axes = [np.linspace(lo[i], hi[i], grid) for i in range(d)]
         G = np.meshgrid(*axes, indexing="ij")
-        U = np.stack([g.ravel() for g in G], axis=1)
-        U = U[_feasible_mask(problem, U)]
+        U = _feasible_rows(problem, np.stack([g.ravel() for g in G], axis=1))
         source = f"grid({grid})"
     else:
         if mc <= 0:
@@ -169,28 +190,30 @@ def sample_cloud(problem, grid=None, mc=None, seed=0) -> SampleCloud:
         while total < mc:
             if len(chunks) == 1000:
                 raise ValueError("empty reference: rejection sampling failed")
-            draw = rng.uniform(lo, hi, size=(max(mc, 1024), d))
-            chunks.append(draw[_feasible_mask(problem, draw)])
+            chunks.append(_feasible_rows(problem, rng.uniform(lo, hi, size=(max(mc, 1024), d))))
             total += len(chunks[-1])
-        U = np.concatenate(chunks)[:mc]
+        U = (chunks[0] if len(chunks) == 1 else np.concatenate(chunks))[:mc]
         source = f"monte_carlo({mc},seed={seed})"
-    return SampleCloud(points_u=U, points_obj=problem.objective.value_batch(U), source=source)
+    return SampleCloud(points_u=U, points_obj=_cloud_values(problem.objective, U), source=source)
 
 
 def enrich_cloud(problem, cloud) -> SampleCloud:
-    """``cloud`` followed by ``_CERT_ENRICH`` samples of the problem's known
-    optimal manifold, when it declares one; otherwise ``cloud`` itself. The
-    extra samples only sharpen minima estimates, never bias them."""
+    """``cloud``'s objective values followed by those of ``_CERT_ENRICH``
+    samples of the problem's known optimal manifold, when it declares one, as
+    an objective-space cloud (``points_u`` is None); otherwise ``cloud``
+    itself. The extra samples only sharpen minima estimates, never bias
+    them."""
     if problem.optimal_manifold is None:
         return cloud
     extra = problem.optimal_manifold(_CERT_ENRICH)
-    return SampleCloud(points_u=np.concatenate([cloud.points_u, extra]),
-                       points_obj=np.concatenate([cloud.points_obj, problem.objective.value_batch(extra)]),
+    return SampleCloud(points_u=None,
+                       points_obj=np.concatenate([cloud.points_obj, _cloud_values(problem.objective, extra)]),
                        source=cloud.source + f"|enriched({extra.shape[0]})")
 
 
 def certification_cloud(problem, mc=20000, seed=0) -> SampleCloud:
-    """Feasible cloud for duality-gap certificates.
+    """Feasible objective-space cloud (``points_u`` is None) for duality-gap
+    certificates.
 
     Monte Carlo base plus optimal-manifold enrichment where the problem
     provides one, so the sampled minimum of shifted scalarizations tracks the
@@ -199,7 +222,8 @@ def certification_cloud(problem, mc=20000, seed=0) -> SampleCloud:
     holding ``sample_cloud(problem, mc=mc, seed=seed)`` enriches it instead
     of drawing it again.
     """
-    return enrich_cloud(problem, sample_cloud(problem, mc=mc, seed=seed))
+    base = sample_cloud(problem, mc=mc, seed=seed)
+    return enrich_cloud(problem, SampleCloud(None, base.points_obj, base.source))
 
 
 def _lockstep_descent(f, project, W, U0, maxit=200, tol=1e-9):

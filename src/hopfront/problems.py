@@ -130,9 +130,10 @@ def _box_problem(pid, ell, jac, d, n_obj, alpha, c, mu, tau_start, tau_end, labe
 
 
 def _diagonal_manifold(d):
+    # a read-only (n, d) view of one column: no n x d stack is stored
     def manifold(n):
         t = np.linspace(0.0, 1.0, max(2, n))
-        return np.repeat(t[:, None], d, axis=1)
+        return np.broadcast_to(t[:, None], (t.size, d))
 
     return manifold
 

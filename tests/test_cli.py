@@ -316,6 +316,23 @@ class TestSweepCommand:
         _, rows = read_front_csv(out / "front.csv")
         assert any(r["gap"] is not None for r in rows if r["converged"])
 
+    def test_compare_memory_is_one_decision_cloud(self, tmp_path):
+        # Each cloud costs its objective stack, and at most one mc x d stack of
+        # decision vectors is alive at a time: the traced peak stays within three.
+        import tracemalloc
+
+        mc, d = 4000, 200
+        argv = ["sweep", "--problem", f"ex3a-d{d}", "--compare", "--mc", str(mc), "--n", "10",
+                "--out", str(tmp_path)]
+        assert run(argv) == 0  # warm-up: first-call allocations of numpy and the solver
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * mc * d * 8, f"traced peak {peak / 2**20:.1f} MiB"
+
 
 class TestWriters:
     """The array-cell CSV and array SVG writers write the bytes of the

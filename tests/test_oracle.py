@@ -320,7 +320,11 @@ class TestReferenceFront:
 
 
 def same_cloud(a, b):
-    return a.points_u.tobytes() == b.points_u.tobytes() and a.points_obj.tobytes() == b.points_obj.tobytes()
+    # objective bytes always; decision vectors where the clouds keep them
+    if (a.points_u is None) != (b.points_u is None):
+        return False
+    return a.points_obj.tobytes() == b.points_obj.tobytes() and (
+        a.points_u is None or a.points_u.tobytes() == b.points_u.tobytes())
 
 
 BUILT_IN = ["ex1", "ex2a", "ex2b", "ex3b", "ex3a-d10", "ex3a-d100"]
@@ -334,9 +338,10 @@ class TestCloudReuse:
         base = sample_cloud(prob, mc=4000, seed=seed)
         cert = certification_cloud(prob, mc=4000, seed=seed)
         assert same_cloud(enrich_cloud(prob, base), cert)
+        assert cert.points_u is None and len(cert) == 24000
         # and the one pass over base + enrichment that certification_cloud used to make
         U = np.concatenate([base.points_u, prob.optimal_manifold(20000)])
-        assert same_cloud(cert, SampleCloud(U, prob.objective.value_batch(U), "one pass"))
+        assert same_cloud(cert, SampleCloud(None, prob.objective.value_batch(U), "one pass"))
 
     def test_enrich_without_manifold_or_count_is_identity(self):
         prob = dataclasses.replace(get_problem("ex2a"), optimal_manifold=None)
@@ -372,6 +377,54 @@ class TestCloudReuse:
         narrow = dataclasses.replace(prob, constraints=box_constraints([0.0, 0.0], [1.0, 0.5]))
         cloud = sample_cloud(narrow, mc=2000, seed=0)
         assert len(cloud) == 2000 and cloud.points_u[:, 1].max() <= 0.5
+
+    def test_certification_cloud_without_manifold_is_objective_only(self):
+        prob = dataclasses.replace(get_problem("ex2a"), optimal_manifold=None)
+        cert = certification_cloud(prob, mc=500, seed=0)
+        assert cert.points_u is None
+        assert cert.points_obj.tobytes() == sample_cloud(prob, mc=500, seed=0).points_obj.tobytes()
+
+
+DEFAULT_PROBLEMS = ["ex1", "ex2a", "ex2b", "ex3a-d10", "ex3a-d30", "ex3a-d100", "ex3a-d1000", "ex3b"]
+
+
+class TestChunkedValues:
+    @pytest.mark.parametrize("pid", DEFAULT_PROBLEMS)
+    def test_chunks_equal_one_call(self, pid):
+        import hopfront.oracle as oracle
+
+        prob = get_problem(pid)
+        f, (lo, hi) = prob.objective, prob.feasible_box
+        rows = oracle._CLOUD_CHUNK // f.dim_u
+        rng = np.random.default_rng(7)
+        for n in (rows - 1, rows, rows + 1, 2 * rows + 1):
+            U = rng.uniform(lo, hi, size=(n, f.dim_u))
+            assert oracle._cloud_values(f, U).tobytes() == f.value_batch(U).tobytes()
+
+    @pytest.mark.parametrize("pid", ["ex2a", "ex2b", "ex3a-d10", "ex3a-d100", "ex3a-d1000", "ex3b"])
+    def test_broadcast_manifold_equals_the_repeated_stack(self, pid):
+        import hopfront.oracle as oracle
+
+        prob = get_problem(pid)
+        f = prob.objective
+        for n in (1, 2, 3, 20000):
+            view = prob.optimal_manifold(n)
+            t = np.linspace(0.0, 1.0, max(2, n))
+            stack = np.repeat(t[:, None], f.dim_u, axis=1)
+            assert not view.flags.writeable and np.array_equal(view, stack)
+            want = f.value_batch(stack).tobytes()
+            assert f.value_batch(view).tobytes() == want
+            assert oracle._cloud_values(f, view).tobytes() == want
+
+    @pytest.mark.parametrize("mc", [500, 3000])
+    def test_a_draw_feasible_in_every_row_is_the_cloud(self, mc):
+        # a box problem's cloud is the first mc rows of the generator's first draw
+        prob = get_problem("ex3b")
+        lo, hi = prob.feasible_box
+        draw = np.random.default_rng(4).uniform(lo, hi, size=(max(mc, 1024), 20))
+        cloud = sample_cloud(prob, mc=mc, seed=4)
+        assert cloud.points_u.tobytes() == draw[:mc].tobytes()
+        assert cloud.points_obj.tobytes() == prob.objective.value_batch(draw[:mc]).tobytes()
 
 
 def rowwise_monte_carlo(problem, mc, seed):
