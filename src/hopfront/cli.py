@@ -468,9 +468,6 @@ def cmd_check(args):
     for r in front:
         if r.converged and r.gap is not None:
             gaps_ok &= -1e-6 <= r.gap <= r.bregman_bound + 1e-6
-    g2 = problem.default_preference()
-    for tau in tau_line(problem.tau_start, problem.tau_end, 5):
-        r = solve(problem.objective, g2, problem.params_for(tau), constraints=problem.constraints)
         diffs = np.diff(r.merit_history)
         merit_ok &= bool(diffs.size == 0 or diffs.max() <= 1e-12)
     report("gap-certificate", gaps_ok, "all converged samples within bounds")

@@ -297,7 +297,8 @@ def convex_envelope_front(problem, n_weights=16, seed=0, base_cloud=None):
     Nonconvex landscapes need multiple starts, seeded from the best cloud
     samples per weight; all weight x start descents run as one lock-step
     batch, and each weight keeps its first best start. Recovers only the
-    convex envelope of the front.
+    convex envelope of the front. ``base_cloud`` (by default a 4,000-point
+    ``sample_cloud``) must keep its decision vectors ``points_u``.
     """
     if n_weights < 2:
         raise ValueError("n_weights must be >= 2")
@@ -307,6 +308,8 @@ def convex_envelope_front(problem, n_weights=16, seed=0, base_cloud=None):
     if base_cloud is None:
         base_cloud = sample_cloud(problem, mc=4000, seed=seed)
     U, Y = base_cloud.points_u, base_cloud.points_obj
+    if U is None:
+        raise ValueError("base_cloud must keep its decision vectors (points_u is None)")
 
     if N == 1:
         best = int(np.argmin(Y[:, 0]))
@@ -343,6 +346,8 @@ def front_distance(A, B):
         raise ValueError("front_distance requires nonempty inputs")
     A = A.reshape(A.shape[0], -1)
     B = B.reshape(B.shape[0], -1)
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"front_distance: {A.shape[1]} objectives against {B.shape[1]}")
     # squared differences added one coordinate at a time, without an (n, m, N) temporary
     d2 = np.zeros((A.shape[0], B.shape[0]))
     for a, b in zip(A.T, B.T):

@@ -3,7 +3,9 @@
 Each builder returns an immutable problem bundle: objectives with analytic
 Jacobians, constraints, the feasible bounding box, solver defaults, and the
 default sweep path in tau space. Problem ids are the stable strings used by
-the CLI and output manifests: ex1, ex2a, ex2b, ex3a-d{N}, ex3b.
+the CLI and output manifests: ex1, ex2a, ex2b, ex3a-d{N}, ex3b. ex1 has
+curved constraints; the others are unit-box problems (``_box_problem``), and
+ex3a-d{N} and ex3b are one mean/spread family (``_mean_spread_problem``).
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ class BenchmarkProblem:
     x: np.ndarray
     tau_start: np.ndarray
     tau_end: np.ndarray
-    label: str
     optimal_manifold: Optional[Callable[[int], np.ndarray]] = None
 
     def params_for(self, tau) -> HopfLaxParams:
@@ -106,25 +107,24 @@ def example1() -> BenchmarkProblem:
         x=np.zeros(2),
         tau_start=np.array([-10.0, 10.0]),
         tau_end=np.array([10.0, -10.0]),
-        label="semialgebraic-constrained 2-D",
         optimal_manifold=boundary,
     )
 
 
-def _box_problem(pid, ell, jac, d, n_obj, alpha, c, mu, tau_start, tau_end, label, manifold=None):
+def _box_problem(pid, ell, jac, d, n_obj, c, mu, tau_end, manifold):
     lo, hi = np.zeros(d), np.ones(d)
+    tau_end = np.asarray(tau_end, dtype=float)
     return BenchmarkProblem(
         id=pid,
         objective=VectorObjective(d, n_obj, ell, jac),
         constraints=box_constraints(lo, hi),
         feasible_box=(lo, hi),
-        alpha=alpha,
+        alpha=1.0,
         c=c,
         mu=mu,
         x=np.zeros(d),
-        tau_start=np.asarray(tau_start, dtype=float),
-        tau_end=np.asarray(tau_end, dtype=float),
-        label=label,
+        tau_start=-tau_end,
+        tau_end=tau_end,
         optimal_manifold=manifold,
     )
 
@@ -156,11 +156,7 @@ def example2_case1() -> BenchmarkProblem:
         x = u1 - 0.5
         return _stack_jac(u, [[1.0 - dp, dp], [-1.0 + 4.0 * a * (x * x * x) - 2.0 * b * x - dp, dp]])
 
-    return _box_problem(
-        "ex2a", ell, jac, 2, 2, 1.0, 0.1, 0.01,
-        [-10.0, 10.0], [10.0, -10.0], "nonconvex planar front",
-        manifold=_diagonal_manifold(2),
-    )
+    return _box_problem("ex2a", ell, jac, 2, 2, 0.1, 0.01, [10.0, -10.0], _diagonal_manifold(2))
 
 
 def example2_case2() -> BenchmarkProblem:
@@ -183,105 +179,66 @@ def example2_case2() -> BenchmarkProblem:
         d2 = 4.0 * (x * x * x) * (y * y) + 2.0 * ((x * x) * (x * x)) * y - eta - b2 * dpen
         return _stack_jac(u, [[d1, b1 * dpen], [d2, b2 * dpen]])
 
-    return _box_problem(
-        "ex2b", ell, jac, 2, 2, 1.0, 0.1, 0.01,
-        [-10.0, 10.0], [10.0, -10.0], "highly nonconvex planar front",
-        manifold=_diagonal_manifold(2),
-    )
+    return _box_problem("ex2b", ell, jac, 2, 2, 0.1, 0.01, [10.0, -10.0], _diagonal_manifold(2))
 
 
-def _mean_spread(u):
-    s = u.mean(axis=-1)
-    r2 = ((u - s[..., None]) ** 2).mean(axis=-1)
-    return s, r2
-
-
-def _mean_spread_jac(u, s, coef, spread):
-    # Jacobian of ell_i = h_i(s) + spread_i * r2 from coef_i = h_i'(s): row i
-    # is h_i'(s) / d + spread_i * 2 (u - s) / d, with coef (n, N) on an (n, d)
-    # stack.
-    d = u.shape[-1]
-    dev = 2.0 * (u - s[..., None]) / d
-    return coef[..., None] * (1.0 / d) + spread[:, None] * dev[..., None, :]
-
-
-def example3_case1(d: int) -> BenchmarkProblem:
-    """Mean/spread objectives on [0,1]^d; Pareto set hugs the diagonal.
+def _mean_spread_problem(pid, d, n_obj):
+    """Objectives ell_i(u) = h_i(s) + w_i r2 on [0,1]^d from the first
+    ``n_obj`` heads h_i, for s the mean of u and r2 its spread; the Pareto
+    set hugs the diagonal.
 
     Stiffness scales with d, so c and mu shrink like 1/d; the tau range grows
     like d to keep c*tau, and with it the swept family of scalarizations,
     independent of the dimension.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    a, b, g1, b1, b2 = 1.0, 0.7, 0.1, 0.5, 0.5
+    a, b, g1, g5 = 1.0, 0.7, 0.1, 0.05
+    w = np.array([0.5, 0.5, 0.3, 0.4, 0.2])[:n_obj]
+
+    # h_i(s) and h_i'(s) as generators: zip(w, ...) evaluates the first n_obj
+    def heads(s):
+        x = s - 0.5
+        yield s + g1 * np.sin(2.0 * np.pi * s)
+        yield 1.0 - s + a * ((x * x) * (x * x)) - b * (x * x)
+        yield (s - 0.2) * (s - 0.2)
+        yield (s - 0.8) * (s - 0.8)
+        yield 0.5 * (s * s) + g5 * np.sin(4.0 * np.pi * s)
+
+    def slopes(s):
+        x = s - 0.5
+        yield 1.0 + 2.0 * np.pi * g1 * np.cos(2.0 * np.pi * s)
+        yield -1.0 + 4.0 * a * (x * x * x) - 2.0 * b * x
+        yield 2.0 * (s - 0.2)
+        yield 2.0 * (s - 0.8)
+        yield s + 4.0 * np.pi * g5 * np.cos(4.0 * np.pi * s)
 
     def ell(u):
-        s, r2 = _mean_spread(u)
-        x = s - 0.5
-        l1 = s + g1 * np.sin(2.0 * np.pi * s) + b1 * r2
-        l2 = 1.0 - s + a * ((x * x) * (x * x)) - b * (x * x) + b2 * r2
-        return np.stack([l1, l2], axis=-1)
-
-    spread = np.array([b1, b2])
+        s = u.mean(axis=-1)
+        r2 = ((u - s[..., None]) ** 2).mean(axis=-1)
+        return np.stack([h + wi * r2 for wi, h in zip(w, heads(s))], axis=-1)
 
     def jac(u):
+        # row i is h_i'(s) / d + w_i * 2 (u - s) / d
         s = u.mean(axis=-1)
-        x = s - 0.5
-        coef = np.stack([1.0 + 2.0 * np.pi * g1 * np.cos(2.0 * np.pi * s),
-                         -1.0 + 4.0 * a * (x * x * x) - 2.0 * b * x], axis=-1)
-        return _mean_spread_jac(u, s, coef, spread)
+        coef = np.stack([g for _, g in zip(w, slopes(s))], axis=-1)
+        dev = 2.0 * (u - s[..., None]) / d
+        return coef[..., None] * (1.0 / d) + w[:, None] * dev[..., None, :]
 
-    scale = 10.0 * d
-    return _box_problem(
-        f"ex3a-d{d}", ell, jac, d, 2, 1.0, 0.1 / d, 0.01 / d,
-        [-scale, scale], [scale, -scale], f"high-dimensional nonconvex front (d={d})",
-        manifold=_diagonal_manifold(d),
-    )
+    # One spread direction across the shifts traces a curve of distinct
+    # tradeoffs (for N = 2 the planar cases' (1, -1)); it scales with d.
+    tau_end = 10.0 * d * np.linspace(1.0, -1.0, n_obj)
+    return _box_problem(pid, ell, jac, d, n_obj, 0.1 / d, 0.01 / d, tau_end, _diagonal_manifold(d))
+
+
+def example3_case1(d: int) -> BenchmarkProblem:
+    """Two mean/spread objectives on [0,1]^d: a nonconvex front."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    return _mean_spread_problem(f"ex3a-d{d}", d, 2)
 
 
 def example3_case2() -> BenchmarkProblem:
-    """Five objectives over [0,1]^20 built from the mean and spread."""
-    d = 20
-    a, b, g1, b1, b2 = 1.0, 0.7, 0.1, 0.5, 0.5
-    c3, c4, c5, g5 = 0.3, 0.4, 0.2, 0.05
-
-    def ell(u):
-        s, r2 = _mean_spread(u)
-        x, y, z = s - 0.5, s - 0.2, s - 0.8
-        l1 = s + g1 * np.sin(2.0 * np.pi * s) + b1 * r2
-        l2 = 1.0 - s + a * ((x * x) * (x * x)) - b * (x * x) + b2 * r2
-        l3 = y * y + c3 * r2
-        l4 = z * z + c4 * r2
-        l5 = 0.5 * (s * s) + g5 * np.sin(4.0 * np.pi * s) + c5 * r2
-        return np.stack([l1, l2, l3, l4, l5], axis=-1)
-
-    spread = np.array([b1, b2, c3, c4, c5])
-
-    def jac(u):
-        s = u.mean(axis=-1)
-        x = s - 0.5
-        coef = np.stack(
-            [
-                1.0 + 2.0 * np.pi * g1 * np.cos(2.0 * np.pi * s),
-                -1.0 + 4.0 * a * (x * x * x) - 2.0 * b * x,
-                2.0 * (s - 0.2),
-                2.0 * (s - 0.8),
-                s + 4.0 * np.pi * g5 * np.cos(4.0 * np.pi * s),
-            ],
-            axis=-1,
-        )
-        return _mean_spread_jac(u, s, coef, spread)
-
-    # One spread direction across the five shifts traces a curve of distinct
-    # tradeoffs; components scale with d like the planar cases.
-    w = np.linspace(1.0, -1.0, 5)
-    scale = 10.0 * d
-    return _box_problem(
-        "ex3b", ell, jac, d, 5, 1.0, 0.1 / d, 0.01 / d,
-        -scale * w, scale * w, "five objectives, 20-D decision space",
-        manifold=_diagonal_manifold(d),
-    )
+    """Five mean/spread objectives over [0,1]^20: ex3a's two and three more."""
+    return _mean_spread_problem("ex3b", 20, 5)
 
 
 _EX3A = re.compile(r"^ex3a-d(\d+)$")

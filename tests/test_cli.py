@@ -437,7 +437,6 @@ class TestOracleCommand:
             feasible_box=(-np.ones(2), np.ones(2)),
             alpha=1.0, c=0.1, mu=0.01, x=np.zeros(2),
             tau_start=np.zeros(2), tau_end=np.ones(2),
-            label="disc",
         )
         monkeypatch.setitem(PROBLEMS, "disc", lambda: prob)
         out = tmp_path / "orc"

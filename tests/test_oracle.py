@@ -298,7 +298,6 @@ class TestReferenceFront:
             feasible_box=(np.zeros(2), np.ones(2)),
             alpha=1.0, c=0.1, mu=0.01, x=np.zeros(2),
             tau_start=np.zeros(2), tau_end=np.ones(2),
-            label="constant",
         )
         ref = greedy_pareto_filter(sample_cloud(prob, mc=500, seed=1))
         assert ref.points_obj.shape[0] >= 1
@@ -534,7 +533,6 @@ class TestConvexEnvelope:
             feasible_box=(np.zeros(1), np.ones(1)),
             alpha=1.0, c=0.1, mu=0.01, x=np.zeros(1),
             tau_start=np.zeros(2), tau_end=np.ones(2),
-            label="parabola pair",
         )
         env = convex_envelope_front(prob, n_weights=11, seed=0)
         xs = np.linspace(0, 1, 100001)
@@ -565,7 +563,6 @@ class TestConvexEnvelope:
             feasible_box=(np.zeros(1), np.ones(1)),
             alpha=1.0, c=0.1, mu=0.01, x=np.zeros(1),
             tau_start=np.zeros(1), tau_end=np.ones(1),
-            label="single",
         )
         env = convex_envelope_front(prob, n_weights=5, seed=0)
         assert env.points_obj.shape == (1, 1)
@@ -578,6 +575,11 @@ class TestConvexEnvelope:
         base = sample_cloud(prob, mc=20000, seed=1)
         env = convex_envelope_front(prob, seed=1, base_cloud=base)
         assert len(env) == len(np.unique(env.points_obj, axis=0)) == 14
+
+    def test_objective_only_base_cloud_rejected(self):
+        prob = example2_case1()
+        with pytest.raises(ValueError, match="decision vectors"):
+            convex_envelope_front(prob, base_cloud=certification_cloud(prob, mc=500, seed=0))
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("pid", ["ex1", "ex2a", "ex2b", "ex3a-d10", "ex3b"])
@@ -642,6 +644,11 @@ class TestFrontDistance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             front_distance(np.zeros((0, 2)), [[0.0, 0.0]])
+
+    def test_objective_count_mismatch_rejected(self):
+        for A, B in ((np.zeros((3, 2)), np.zeros((4, 3))), (np.zeros((4, 3)), np.zeros((3, 2)))):
+            with pytest.raises(ValueError, match="objectives"):
+                front_distance(A, B)
 
     @pytest.mark.parametrize("N", [1, 2, 5])
     def test_equals_pairwise_distances_bit_for_bit(self, N, rng):

@@ -104,6 +104,13 @@ class TestExample3:
         u = 0.8 * np.ones(20)
         assert f.value(u)[3] == pytest.approx(0.0, abs=1e-15)
 
+    def test_case2_extends_case1_at_d20(self, rng):
+        # one mean/spread builder: ex3b's first two objectives are ex3a-d20's
+        U = rng.uniform(size=(20000, 20))
+        f2, f5 = example3_case1(20).objective, example3_case2().objective
+        assert f5.value_batch(U)[:, :2].tobytes() == f2.value_batch(U).tobytes()
+        assert f5.jacobian_batch(U)[:, :2].tobytes() == f2.jacobian_batch(U).tobytes()
+
     def test_case1_requires_d_at_least_two(self):
         with pytest.raises(ValueError):
             example3_case1(1)

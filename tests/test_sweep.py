@@ -21,7 +21,6 @@ def linear_problem():
         alpha=1.0, c=1.0, mu=1.0,
         x=np.array([1.0]),
         tau_start=np.array([0.0]), tau_end=np.array([1.0]),
-        label="scalar linear",
     )
 
 
