@@ -171,7 +171,8 @@ def _wright_omega(x):
         w, r, wp1 = _fsc_step(x, w)
         r2, wp2 = r * r, wp1 * wp1
         again = np.abs((2.0 * w * w - 8.0 * w - 1.0) * (r2 * r2)) >= (72.0 * _DBL_EPSILON) * (wp2 * wp2 * wp2)
-        w = np.where(again, _fsc_step(x, w)[0], w)
+        if again.any():
+            w = np.where(again, _fsc_step(x, w)[0], w)
         return np.where(x < -50.0, ex, np.where(x > 1e20, x, w))
 
 
@@ -192,47 +193,43 @@ def _entropic_weights(v, eps, rho, tol=1e-13, maxit=200, start=None):
     # Newton starts below the root there. Rows whose least theta_i is not
     # finite start at the bracket's lower end. Entries whose shift
     # overflows to -inf get weight omega(-inf) = 0. The rows refine their
-    # own theta in lock step, each leaving at its own stop test.
+    # own theta in lock step, on stacks compacted as each leaves at its stop.
     with np.errstate(over="ignore"):
         base = (v - v.max(axis=1, keepdims=True)) / eps - np.log(eps * rho)
 
-    def weights(rows, theta):
-        return eps * rho * _wright_omega(base[rows] - theta[:, None] / eps)
+    def weights(b, theta):
+        return eps * rho * _wright_omega(b - theta[:, None] / eps)
 
     scale = max(1.0, eps, 1.0 / rho)
-    rows = np.arange(v.shape[0])
-    lo, hi = np.full(rows.size, -1.0 / rho), np.full(rows.size, eps * np.log(v.shape[1]))
-    theta = lo.copy()
+    live = np.arange(v.shape[0])
+    lo, hi = np.full(live.size, -1.0 / rho), np.full(live.size, eps * np.log(v.shape[1]))
+    theta = lo
     if start is not None:
         with np.errstate(all="ignore"):
             omega = np.asarray(start, dtype=float) / (eps * rho)
             guess = (eps * (base - omega - np.log(omega))).min(axis=1)
         theta = np.where(np.isfinite(guess), np.clip(guess, lo, hi), lo)
-    out = np.empty_like(base)
-    live = rows
+    out, b = np.empty_like(base), base
     for _ in range(maxit):
         if not live.size:
             break
-        s = weights(live, theta[live])
+        s = weights(b, theta)
         val = s.sum(axis=1) - 1.0
         done = np.abs(val) <= tol
-        out[live[done]] = s[done]
-        live, s, val, th = live[~done], s[~done], val[~done], theta[live[~done]]
+        if done.any():
+            out[live[done]], keep = s[done], ~done
+            live, b, theta, lo, hi, s, val = (a[keep] for a in (live, b, theta, lo, hi, s, val))
         pos = val > 0.0
-        lo[live[pos]] = th[pos]
-        hi[live[~pos]] = th[~pos]
+        lo, hi = np.where(pos, theta, lo), np.where(pos, hi, theta)
         omega = s / (eps * rho)
         deriv = -rho * (omega / (1.0 + omega)).sum(axis=1)
-        mid = 0.5 * (lo[live] + hi[live])
-        new = mid.copy()
-        newton = deriv != 0.0
-        new[newton] = th[newton] - val[newton] / deriv[newton]
-        new = np.where((lo[live] < new) & (new < hi[live]), new, mid)
-        fin = np.abs(new - th) <= 1e-16 * scale
+        new = theta - val / np.where(deriv != 0.0, deriv, np.nan)  # NaN where deriv = 0, sent to mid
+        new = np.where((lo < new) & (new < hi), new, 0.5 * (lo + hi))
+        fin = np.abs(new - theta) <= 1e-16 * scale
+        theta = new
         if fin.any():
-            out[live[fin]] = weights(live[fin], new[fin])
-        theta[live] = new
-        live = live[~fin]
+            out[live[fin]], keep = weights(b[fin], new[fin]), ~fin
+            live, b, theta, lo, hi = (a[keep] for a in (live, b, theta, lo, hi))
     if live.size:
         raise NumericalError("entropic prox root-find did not converge")
     return out
@@ -364,8 +361,10 @@ class HopfLaxParams:
         return self.mu + self.alpha * self.c
 
     def take(self, rows):
-        """The parameters of the given rows of a stacked ``tau``."""
-        return HopfLaxParams(self.x, self.tau[rows], self.alpha, self.c, self.mu)
+        """The parameters of the given rows of a stacked ``tau``, not validated again."""
+        out = object.__new__(HopfLaxParams)
+        out.__dict__.update(vars(self), tau=self.tau[rows])
+        return out
 
     def dual_shift(self, pi):
         """E = c (tau + alpha pi)."""

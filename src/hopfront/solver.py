@@ -9,51 +9,32 @@ system safeguards every step: the dual step is damped until the inner
 minimizer at the damped weights does not raise the merit, so recorded merit
 values never rise.
 
-The inner descent preconditions with the Gauss-Newton matrix
-B0 = s I + J^T J, which lacks the scalarizer's and the constraints'
-curvature and so can overshoot the inner minimizer several times over. Away
-from active constraints each row adds a memoryless structured SR1 row from
-its last step h and gradient change y: B = B0 + r r^T / (r . h) with
-r = y - B0 h, so that B h = y, where r . h is safely positive (Dennis, Gay &
-Welsch, NL2SOL, ACM TOMS 1981; Conn, Gould & Toint, Math. Prog. 1991). It
-supplies the curvature B0 misses along ex2b's valley u2 = u1. Next to an
-active constraint a row keeps B0, which took fewer steps on ex1's curved
-set. The Armijo backtracking does not halve a failed step length t: it
-takes the minimizer of the quadratic through the composite's value and
-slope at 0 and its value at t, kept within [0.1 t, 0.5 t] (Nocedal &
-Wright, Numerical Optimization, 2nd ed., sec. 3.5). A step accepted near
-its mirror point starts the next one there. A trial whose value is within
-rounding of the start value (4 ulps) passes as well: value descent ends at
-the composite's rounding floor, above a tight residual target, while the
-preconditioned step there still shrinks the gradient, which the arithmetic
-resolves far below that floor (the approximate-Wolfe rule of Hager & Zhang,
-SIAM J. Optim. 2005). So one inner method serves every solve.
+The inner descent preconditions with the Gauss-Newton matrix B0 = s I +
+J^T J plus, away from active constraints, a memoryless structured SR1 row
+for the curvature B0 misses (``_secant_row``; Dennis, Gay & Welsch, NL2SOL,
+ACM TOMS 1981; Conn, Gould & Toint, Math. Prog. 1991). Its Armijo
+backtracking interpolates (``_interpolated_step``), and a trial within 4
+ulps of the start value passes too, since value descent ends at the
+composite's rounding floor while the step there still shrinks the gradient
+(the approximate-Wolfe rule of Hager & Zhang, SIAM J. Optim. 2005).
 
 ``solve_batch`` solves a stack of tau (``HopfLaxParams.tau`` of shape
 ``(n, N)``) as one batch, one row per tau; ``solve`` is the batch of one.
 Every function here takes stacks, a lone point being the stack of one.
 Every nesting level -- outer iteration, dual candidate round, inner descent
-step, Armijo trial -- keeps the index array of its live rows and makes one
-batched objective, Jacobian and projection call per step; a row leaves a
-level when it stops there. A candidate round holds a row once per theta it
-tries, so the damped thetas of a batch share rounds, each within the full
-step's row count; a row's candidates past the one it accepts are extra
-work, never another result. The batch reports its inner work
-(``BatchResult``). Each row does exactly the arithmetic of a lone solve, so
-its result does not depend on the batch. Every row takes its two-metric
-step in one stacked solve, projected onto the tangent space of the nearly
-active constraints its step pushes against (Bertsekas 1982): a near bound
-that the gradient pulls away from leaves the step alone. Linear systems are
-solved as one stack without a d x d matrix (``spd_solve``). The multipliers
-come from one lock-step Lawson-Hanson NNLS over every nearly active row. A
-box (``ConstraintSet.bounds``) takes its projector and multipliers from its
-faces in closed form and never forms Jac[k].
+step, Armijo trial -- makes one batched objective, Jacobian and projection
+call per step for its live rows; a row leaves a level when it stops there,
+and a step whose rows are all live reads them in place. The damped thetas
+of a batch share candidate rounds, each within the full step's row count.
+Each row does exactly the arithmetic of a lone solve, so its result does
+not depend on the batch; the batch reports its work and the seconds of its
+layers (``BatchResult``). Linear systems are solved as one stack without a
+d x d matrix (``spd_solve``), and a box (``ConstraintSet.bounds``) never
+forms Jac[k].
 
 Each point is evaluated once (``evaluate``): the merit, the multipliers, the
-stop test, the next dual step and the next inner solve all read that
-record, and the inner solve returns its last point's record. One function,
-``stationarity_residual``, assembles J^T pi + mu u - p - Jac[k]^T nu from
-it for the merit, the multipliers and the stop test.
+stop test and the next steps read that record, and ``stationarity_residual``
+is the one place that assembles J^T pi + mu u - p - Jac[k]^T nu from it.
 """
 from __future__ import annotations
 
@@ -62,7 +43,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import HopfLaxParams, NumericalError, SoftMax, as_count
+from .core import _DBL_EPSILON, HopfLaxParams, NumericalError, SoftMax, as_count
 
 # Acceptance slack for the merit safeguard; absorbs rounding near the floor
 # without masking genuine increases.
@@ -130,13 +111,14 @@ class BatchResult(list):
     """The results of ``solve_batch`` in row order, plus the work of its
     lock-step loop: ``inner_steps`` descent steps taken together,
     ``inner_row_steps`` live rows summed over those steps and ``merit_evals``
-    merit calls, the initial one included. ``timings`` holds the seconds per
-    layer that ``sweep`` spent (``solves``, ``certificates``)."""
+    merit calls, the initial one included. ``timings`` holds the seconds of
+    the loop's ``dual_step``, ``inner_solve``, ``multipliers`` and ``merit``,
+    to which ``sweep`` adds ``solves`` (the whole batch) and ``certificates``."""
 
     def __init__(self):
         super().__init__()
         self.inner_steps = self.inner_row_steps = self.merit_evals = 0
-        self.timings = {}
+        self.timings = dict.fromkeys(("dual_step", "inner_solve", "multipliers", "merit"), 0.0)
 
 
 @dataclass(eq=False)
@@ -415,34 +397,30 @@ def _fitted_minimizer(t, f0, slope, ft):
 
 def _interpolated_step(t, t_fit):
     # The next Armijo trial of rows whose trial at t failed: its fitted
-    # minimizer t_fit kept within [0.1 t, 0.5 t]; half of t where the fit has
-    # no minimizer (Nocedal & Wright, Numerical Optimization, 2nd ed., sec.
-    # 3.5).
+    # minimizer t_fit kept within [0.1 t, 0.5 t], or half of t where the fit
+    # has none (Nocedal & Wright, Numerical Optimization, 2nd ed., sec. 3.5).
     return np.where(np.isnan(t_fit), _LS_BETA * t, np.clip(t_fit, _LS_FLOOR * t, _LS_BETA * t))
 
 
 def _inner_solve(f, g, k, pt, pi, params, cfg):
     # Inner solve of the shifted scalarization over K (or all of R^d when k
     # is None) from every row of the evaluated stack pt, in lock step:
-    # projected gradient descent along the two-metric direction, with Armijo
-    # backtracking along the projection arc. That direction is a positive
-    # definite scaling of the gradient, so it descends wherever the gradient
-    # is nonzero (Bertsekas, SIAM J. Control Optim. 1982); a row that accepts
-    # no step in 30 trials stops where it is. A trial whose value is within
-    # 4 ulps of the start value is accepted too, so a row at the composite's
-    # rounding floor keeps stepping until its residual meets res_tol, it
-    # stops moving or it reaches _MAXIT_U. From its second step on, a row away
-    # from active constraints adds the secant row of its last step and
-    # gradient change to the preconditioner (``_secant_row``); the pairs
-    # start afresh with each inner solve. A trial's value and the slope
-    # gvec . s / t of its realized step s fit a quadratic in the step length
-    # (``_fitted_minimizer``); a failed trial's next step length is that
-    # fit's minimizer, safeguarded (``_interpolated_step``). A row's next
-    # step first tries twice its accepted length, since the curvature
-    # mismatch is persistent, or the fitted minimizer where the accepted
-    # step overshot past it (``_LS_OVERSHOOT``): doubling would repeat that
-    # zig-zag. Returns the evaluation of each row's last point and the
-    # number of descent steps each row took.
+    # projected gradient descent along the two-metric direction, a positive
+    # definite scaling of the gradient that descends wherever the gradient
+    # is nonzero (Bertsekas, SIAM J. Control Optim. 1982), with Armijo
+    # backtracking along the projection arc. A row stops when its residual
+    # meets res_tol, when it stops moving, when it accepts no step in 30
+    # trials or at _MAXIT_U; a trial within 4 ulps of the start value passes,
+    # so a row at the composite's rounding floor keeps stepping. From its
+    # second step on, a row away from active constraints adds the secant row
+    # of its last step and gradient change (``_secant_row``), afresh in each
+    # inner solve. A failed trial's next step length is the safeguarded
+    # minimizer of the quadratic fitted to its value and the slope gvec . s / t
+    # of its realized step s (``_interpolated_step``). A row's next step first
+    # tries twice its accepted length, the curvature mismatch being
+    # persistent, or the fitted minimizer where the accepted step overshot
+    # past it (``_LS_OVERSHOOT``): doubling would repeat that zig-zag. Returns
+    # the evaluation of each row's last point and each row's descent steps.
     E = params.dual_shift(pi)
     stiff = params.stiffness
     cx = params.c * params.x
@@ -465,46 +443,56 @@ def _inner_solve(f, g, k, pt, pi, params, cfg):
     for it in range(_MAXIT_U):
         if not live.size:
             break
-        cur = pt.take(live)
-        gvec = _tmv(cur.J, g.gradient(cur.ell + E[live])) + stiff * cur.u - cx
-        res = _projected_residual(k, cur.u, gvec, gamma)
-        go = np.flatnonzero(~(res <= res_tol))
-        live, cur, gvec = live[go], cur.take(go), gvec[go]
-        if not live.size:
-            break
-        steps[live] += 1
+        at = slice(None) if live.size == n else live  # every row live: read pt's rows in place
+        cur = pt.take(at)
+        gvec = _tmv(cur.J, g.gradient(cur.ell + E[at])) + stiff * cur.u - cx
+        go = ~(_projected_residual(k, cur.u, gvec, gamma) <= res_tol)
+        if not go.all():
+            at = live = live[go]
+            cur, gvec = cur.take(go), gvec[go]
+            if not live.size:
+                break
+        steps[at] += 1
         u, near = cur.u, None if k is None else _near(cur.kv)
         # every row still live after the first step accepted its last one
-        x = np.zeros_like(u) if it == 0 else _secant_row(cur, u - u_prev[live], gvec - g_prev[live], stiff, near)
-        u_prev[live], g_prev[live] = u, gvec
+        x = np.zeros_like(u) if it == 0 else _secant_row(cur, u - u_prev[at], gvec - g_prev[at], stiff, near)
+        u_prev[at], g_prev[at] = u, gvec
         direction = _direction(k, cur, gvec, params, x, near)
-        found = np.zeros(live.size, dtype=bool)
-        cand, ell_c, fc = np.empty_like(u), np.empty_like(cur.ell), np.empty(live.size)
-        todo, t = np.arange(live.size), t_first[live]
+        # The first trial reads the live rows whole, and copies of its stacks
+        # (user maps may return read-only arrays) hold the candidates, which
+        # the rows failing it (todo) fill in from later, gathered trials.
+        t, f0, rows, ut, dt, gt, todo = t_first[live], fu[at], at, u, direction, gvec, None
         for _ in range(30):
+            trial = project(ut - t[:, None] * dt)
+            ell_t = f.value_batch(trial)
+            ft = val(rows, trial, ell_t)
+            step = trial - ut
+            # projection-arc form of the Armijo sufficient decrease
+            ok = ft <= f0 - _LS_C1 * _dot(step, step) / np.maximum(t, 1e-300)
+            # or no change the composite's three-term sum can resolve
+            ok |= ft <= f0 + 4 * _DBL_EPSILON * np.abs(f0)
+            t_fit = _fitted_minimizer(t, f0, _dot(gt, step) / t, ft)
+            t_next = np.where(t_fit < _LS_OVERSHOOT * t, t_fit, np.minimum(1.0, t / _LS_BETA))
+            if todo is None:  # t_first of a failing row is set again if it passes, else never read
+                t_first[at], cand, ell_c, fc, found = t_next, trial.copy(), ell_t.copy(), ft, ok
+                todo = fail = np.flatnonzero(~ok)
+            else:
+                hit = todo[ok]
+                cand[hit], ell_c[hit], fc[hit], found[hit] = trial[ok], ell_t[ok], ft[ok], True
+                t_first[live[hit]] = t_next[ok]
+                todo, fail = todo[~ok], ~ok
             if not todo.size:
                 break
-            tt, f0 = t[todo], fu[live[todo]]
-            trial = project(u[todo] - tt[:, None] * direction[todo])
-            ell_t = f.value_batch(trial)
-            ft = val(live[todo], trial, ell_t)
-            step = trial - u[todo]
-            # projection-arc form of the Armijo sufficient decrease
-            ok = ft <= f0 - _LS_C1 * _dot(step, step) / np.maximum(tt, 1e-300)
-            # or no change the composite's three-term sum can resolve
-            ok |= ft <= f0 + 4 * np.finfo(float).eps * np.abs(f0)
-            t_fit = _fitted_minimizer(tt, f0, _dot(gvec[todo], step) / tt, ft)
-            hit = todo[ok]
-            cand[hit], ell_c[hit], fc[hit], found[hit] = trial[ok], ell_t[ok], ft[ok], True
-            t_ok, fit_ok = tt[ok], t_fit[ok]
-            t_first[live[hit]] = np.where(fit_ok < _LS_OVERSHOOT * t_ok, fit_ok, np.minimum(1.0, t_ok / _LS_BETA))
-            todo = todo[~ok]
-            t[todo] = _interpolated_step(tt[~ok], t_fit[~ok])
-        hit = np.flatnonzero(found)
-        if hit.size:
-            pt.put(live[hit], evaluate(f, k, cand[hit], ell_c[hit]))
-            fu[live[hit]] = fc[hit]
-        live = live[hit[~(_norm(cand[hit] - u[hit]) <= move_tol)]]
+            t, f0 = _interpolated_step(t[fail], t_fit[fail]), f0[fail]
+            rows, ut, dt, gt = live[todo], u[todo], direction[todo], gvec[todo]
+        hit = np.flatnonzero(found) if todo.size else slice(None)
+        if todo.size:  # a row that accepted no trial stops where it is
+            at = live = live[hit]
+        stays = _norm(cand[hit] - u[hit]) <= move_tol  # before put: u may be pt's own rows
+        if live.size:
+            pt.put(at, evaluate(f, k, cand[hit], ell_c[hit]))
+            fu[at] = fc[hit]
+        live = live[~stays]
     return pt, steps
 
 
@@ -520,6 +508,14 @@ def run_primal_dual(f, g, k, params, cfg) -> BatchResult:
     the full step's row count. So a lone solve tries one theta per round,
     and no round holds more rows than the full step."""
     work = BatchResult()
+
+    def timed(layer, fn, *args, **kwargs):  # fn(*args, **kwargs), its seconds added to work.timings[layer]
+        from time import perf_counter  # function-local: importing the solver does no extra work
+        start = perf_counter()
+        out = fn(*args, **kwargs)
+        work.timings[layer] += perf_counter() - start
+        return out
+
     n, m = params.tau.shape[0], 0 if k is None else k.dim_con
     # the loop writes the start evaluation's rows, so it takes a copy: user
     # maps may return read-only arrays
@@ -527,7 +523,7 @@ def run_primal_dual(f, g, k, params, cfg) -> BatchResult:
     pt = evaluate(f, k, U if k is None else k.project(U)).take(np.arange(n))
     del U  # the copy is the one start stack kept
     PI, nu = np.zeros((n, f.dim_obj)), np.zeros((n, m))
-    psi = merit_psi(g, pt, PI, params, nu=nu)
+    psi = timed("merit", merit_psi, g, pt, PI, params, nu=nu)
     work.merit_evals = 1
     psi_floor = cfg.eps**2 * np.maximum(1.0, psi)
     merit_history = [[p] for p in psi.tolist()]
@@ -542,40 +538,48 @@ def run_primal_dual(f, g, k, params, cfg) -> BatchResult:
             break
         iterations[live] = it
         P, cur, pi = params.take(live), pt.take(live), PI[live]
-        pi_new = g.gradient(cur.ell + P.dual_shift(pi))  # the dual step, pi = grad g(ell + E)
-        nxt, pi_next, nu_next, psi_next = cur.take(np.arange(live.size)), pi.copy(), nu[live], psi[live]
+        pi_new = timed("dual_step", g.gradient, cur.ell + P.dual_shift(pi))  # the dual step, pi = grad g(ell + E)
+        nxt = None  # the accepted candidates, once a round leaves some row without one
         todo, thetas = np.arange(live.size), _THETAS  # the rows without a candidate yet, the thetas left
         while todo.size and thetas:
             q = min(live.size // todo.size, len(thetas))  # the first round is the full step alone
+            whole = todo.size == live.size  # then q = 1: the round is the live rows, in order
             rows = np.tile(todo, q)  # candidate j * todo.size + i is row todo[i] at thetas[j]
-            base, full = pi[todo], pi_new[todo]
+            base, full = (pi, pi_new) if whole else (pi[todo], pi_new[todo])
             pi_cand = np.concatenate([full if theta == 1.0 else base if theta == 0.0 else base + theta * (full - base)
                                       for theta in thetas[:q]])
             thetas = thetas[q:]
-            P_rows = P.take(rows)
+            P_rows, pt_rows = (P, cur) if whole else (P.take(rows), cur.take(rows))
             # one inner solve per dual candidate, its last point the candidate
-            cand, steps = _inner_solve(f, g, k, cur.take(rows), pi_cand, P_rows, cfg)
+            cand, steps = timed("inner_solve", _inner_solve, f, g, k, pt_rows, pi_cand, P_rows, cfg)
             # a row leaves the lock step for good, so the batch took as many
             # steps as its longest row
             work.inner_steps += int(steps.max(initial=0))
             work.inner_row_steps += int(steps.sum())
-            nu_cand = multiplier_estimate(cand, pi_cand, P_rows) if m else np.zeros((rows.size, 0))
-            psi_cand = merit_psi(g, cand, pi_cand, P_rows, nu=nu_cand)
+            nu_cand = timed("multipliers", multiplier_estimate, cand, pi_cand, P_rows) if m else nu[live[rows]]
+            psi_cand = timed("merit", merit_psi, g, cand, pi_cand, P_rows, nu=nu_cand)
             work.merit_evals += 1
             psi_now = psi[live[rows]]
             ok = np.isfinite(psi_cand) & (psi_cand <= psi_now + _MERIT_SLACK * np.maximum(1.0, psi_now))
             ok = ok.reshape(q, todo.size)
             hit = ok.any(axis=0)
+            if whole and hit.all():  # no row has a candidate yet, and every row takes this one
+                nxt, pi_next, nu_next, psi_next, todo = cand, pi_cand, nu_cand, psi_cand, todo[:0]
+                break
+            if nxt is None:
+                nxt, pi_next, nu_next, psi_next = cur.take(np.arange(live.size)), pi.copy(), nu[live], psi[live]
             pick = ok.argmax(axis=0)[hit] * todo.size + np.flatnonzero(hit)  # each row's first passing theta
             won = todo[hit]
             nxt.put(won, cand.take(pick))
             pi_next[won], nu_next[won], psi_next[won] = pi_cand[pick], nu_cand[pick], psi_cand[pick]
             todo = todo[~hit]
-        iterations[live[todo]] -= 1  # merit stalled at its numerical floor
 
-        a = np.setdiff1d(np.arange(live.size), todo, assume_unique=True)
-        rows = live[a]
-        nxt, pi_next, nu_next, psi_next = nxt.take(a), pi_next[a], nu_next[a], psi_next[a]
+        rows = live
+        if todo.size:
+            iterations[live[todo]] -= 1  # merit stalled at its numerical floor
+            keep = ~np.isin(np.arange(live.size), todo)
+            rows = live[keep]
+            nxt, pi_next, nu_next, psi_next = nxt.take(keep), pi_next[keep], nu_next[keep], psi_next[keep]
         F = stationarity_residual(nxt, pi_next, params)
         res = _norm(F) if k is None else _projected_residual(k, nxt.u, F, 1.0 / params.stiffness)
         pi_disp, nu_disp = _norm(pi_next - PI[rows]), _norm(nu_next - nu[rows])
@@ -601,12 +605,8 @@ def run_primal_dual(f, g, k, params, cfg) -> BatchResult:
         complementarity = np.abs(nu * pt.kv).max(axis=1)
         feasibility = 0.0 - np.minimum(pt.kv.min(axis=1), 0.0)  # +0.0, not -0.0, on the boundary
     p_bar, E_bar = params.dual_momentum(pt.u), params.dual_shift(PI)
-    work.extend(
-        SolveResult(pt.u[i], PI[i], p_bar[i], E_bar[i], pt.ell[i], int(iterations[i]), bool(converged[i]),
-                    residual_history[i], merit_history[i], nu[i], float(complementarity[i]),
-                    float(feasibility[i]))
-        for i in range(n)
-    )
+    work.extend(map(SolveResult, pt.u, PI, p_bar, E_bar, pt.ell, iterations.tolist(), converged.tolist(),
+                    residual_history, merit_history, nu, complementarity.tolist(), feasibility.tolist()))
     return work
 
 

@@ -40,7 +40,8 @@ def sweep(problem, tau, g=None, *, alpha=None, c=None, mu=None, cfg=None, refere
     Non-converged samples are retained and flagged. When ``reference`` (a
     SampleCloud) is given, each converged result records its duality-gap
     certificate and Bregman bound (``gap``, ``bregman_bound``). ``timings``
-    holds the seconds spent on the batched solves and on the certificates.
+    adds the seconds spent on the batched solves and on the certificates to
+    the solver's own layers.
     """
     g = g or problem.default_preference()
     alpha = problem.alpha if alpha is None else alpha
@@ -55,5 +56,5 @@ def sweep(problem, tau, g=None, *, alpha=None, c=None, mu=None, cfg=None, refere
         done = [res for res in results if res.converged]
         for res, (gap, bound) in zip(done, gap_certificates(g, done, params, reference)):
             res.gap, res.bregman_bound = gap, bound
-    results.timings = {"solves": solved - start, "certificates": time.perf_counter() - solved}
+    results.timings.update(solves=solved - start, certificates=time.perf_counter() - solved)
     return results

@@ -115,12 +115,16 @@ class TestSweepCommand:
         assert run(["sweep", "--problem", "ex2a", "--n", "6", "--out", str(out), *flags]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         timings = manifest["timings"]
+        solver_layers = {"dual_step", "inner_solve", "multipliers", "merit"}
         assert set(timings) == {"sampling", "filter", "envelope", "certification_cloud",
-                                "solves", "certificates", "distance", "output"}
+                                "solves", "certificates", "distance", "output"} | solver_layers
         assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
         assert (timings["envelope"] > 0.0) == compare
         assert (timings["distance"] > 0.0) == compare
         assert timings["solves"] > 0.0
+        # the solver's layers are parts of the solves; ex2a's box has multipliers
+        assert all(timings[key] > 0.0 for key in solver_layers)
+        assert sum(timings[key] for key in solver_layers) <= timings["solves"]
         assert manifest["duration_s"] >= 0.0 and ("reference_seconds" in manifest) == compare
 
     def test_manifest_records_inner_work(self, tmp_path):
@@ -485,3 +489,20 @@ class TestNumpyOnlyRuntime:
                               timeout=300, check=True)
         assert proc.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / "front.csv").is_file()
+
+    def test_import_and_problem_load_only_stdlib_numpy_and_hopfront(self):
+        # what the benchmark's set-up time covers, in a fresh interpreter:
+        # every module it loads is the standard library's, numpy's or ours
+        script = "\n".join([
+            "import sys",
+            "before = set(sys.modules)",
+            "import hopfront",
+            "hopfront.get_problem('ex2b')",
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}",
+            "print(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'hopfront'}))",
+        ])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                              timeout=300, check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"

@@ -374,6 +374,29 @@ class TestStackedKernels:
                 assert row.tobytes() == ref.tobytes()
                 assert row.tobytes() == g.prox_conjugate(v, rho).tobytes()
 
+    @pytest.mark.parametrize("N, eps, rho", [(2, 0.1, 1e-10), (2, 0.1, 0.5), (2, 0.1, 5.0), (5, 0.1, 1e-10),
+                                             (5, 0.1, 0.5), (5, 0.1, 5.0), (40, 2e-4, 200.0)])
+    def test_softmax_warm_prox_stack_equals_rows(self, N, eps, rho, rng, monkeypatch):
+        # starts that finish rows at different Newton iterations: the answer,
+        # the answer perturbed, a point of the simplex and no guess (zeros).
+        # At N = 40 some rows' Newton steps stall before the stop test, and
+        # those rows take their weights at the stalled theta.
+        g = SoftMax(eps, N)
+        V = self.extreme_rows(rng, N) if N < 40 else rng.normal(size=(200, N)) * 10.0 ** rng.uniform(-3, 5, (200, 1))
+        exact = g.prox_conjugate(V, rho)
+        starts = np.stack([exact, np.clip(exact + 1e-3 * rng.normal(size=exact.shape), 0.0, None),
+                           rng.dirichlet(np.ones(N), size=len(V)), np.zeros_like(exact)])
+        S = starts[np.arange(len(V)) % 4, np.arange(len(V))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = g.prox_conjugate(V, rho, start=S)
+            calls, evaluations = counted_omega(monkeypatch), set()
+            for v, s, row in zip(V, S, stacked):
+                calls.clear()
+                assert row.tobytes() == g.prox_conjugate(v, rho, start=s).tobytes()
+                evaluations.add(len(calls))
+        assert len(evaluations) >= 3
+
     def test_weighted_sum_stacks(self, rng):
         g = WeightedSum([0.2, 0.8])
         V = rng.normal(size=(4, 2))

@@ -1,3 +1,4 @@
+import copy
 import warnings
 
 import numpy as np
@@ -1032,6 +1033,93 @@ class TestMeritSafeguard:
 
         prob = get_problem("ex2b")
         assert sum(r.converged for r in sweep(prob, default_line(prob, 20))) == 20
+
+
+class TestBatchEqualsLone:
+    """A batch row equals the lone solve at its tau bit for bit on rows that
+    reach every branch of the lock-step loop: the longest outer run, the
+    rows with the most steps in the first inner solve, ticks whose first
+    Armijo trial every row passes, rows that fail it and take several
+    trials, and rows that accept no trial at all."""
+
+    @staticmethod
+    def failed_trials(monkeypatch, run):
+        # the failed Armijo trials of each tick of a lone solve: a tick is
+        # one _direction call, a failed trial one row of _interpolated_step
+        from hopfront import solver
+
+        ticks, direction, step = [], solver._direction, solver._interpolated_step
+        monkeypatch.setattr(solver, "_direction", lambda *a: (ticks.append(0), direction(*a))[1])
+        monkeypatch.setattr(solver, "_interpolated_step",
+                            lambda t, fit: (ticks.__setitem__(-1, ticks[-1] + t.size), step(t, fit))[1])
+        run()
+        monkeypatch.undo()
+        return ticks
+
+    # ex2b: 25 runs the most outer iterations (18), 53 and 40 take the most
+    # steps in the first inner solve (26 and 24), 26 and 70 take three
+    # trials in some tick; ex3b: 0 runs the most (5), 40 and 30 take the most
+    # first-solve steps (9 and 8), 9 fails one first trial
+    @pytest.mark.parametrize("name, rows, several", [("ex2b", (25, 53, 40, 26, 70), (26, 70)),
+                                                     ("ex3b", (0, 40, 30, 9), ())])
+    def test_sweep_rows_equal_lone_solves(self, monkeypatch, name, rows, several):
+        from hopfront import solver
+
+        prob = get_problem(name)
+        g = prob.default_preference()
+        tau = default_line(prob, 100)
+        inner, first = solver._inner_solve, []
+
+        def spy_inner(*args):
+            out = inner(*args)
+            first.append(out[1]) if not first else None
+            return out
+
+        monkeypatch.setattr(solver, "_inner_solve", spy_inner)
+        front = solve_batch(prob.objective, g, prob.params_for(tau), constraints=prob.constraints)
+        monkeypatch.undo()
+        iterations = [r.iterations for r in front]
+        assert iterations[rows[0]] == max(iterations)
+        assert sorted(first[0][list(rows[1:3])]) == sorted(first[0])[-2:]
+        for i in rows:
+            r = front[i]
+            lone = []
+            fails = self.failed_trials(monkeypatch, lambda: lone.append(
+                solve(prob.objective, g, prob.params_for(tau[i]), constraints=prob.constraints)))
+            lone = lone[0]
+            assert 0 in fails and max(fails) >= (2 if i in several else 1)
+            for key in ("u_star", "pi_star", "objectives", "nu_star"):
+                assert getattr(r, key).tobytes() == getattr(lone, key).tobytes(), key
+            assert (r.residual_history, r.merit_history, r.iterations, r.converged) == (
+                lone.residual_history, lone.merit_history, lone.iterations, lone.converged)
+
+    def test_rows_without_an_accepted_trial_equal_lone_inner_solves(self, monkeypatch):
+        # g(z) = 1/2 z^T diag(q) z, but NaN where z1 > 2: a row starting
+        # there compares every trial with a NaN start value, so none of its
+        # 30 trials passes and it stops where it started, while the other
+        # rows of the same ticks descend
+        from hopfront import solver
+
+        quadratic = diagonal_quadratic(np.array([3.0, 1.0]))
+        g = copy.copy(quadratic)
+        g.value_batch = lambda Y: np.where(Y[:, 0] > 2.0, np.nan, quadratic.value_batch(Y))
+        f = VectorObjective(2, 2, lambda u: u, lambda u: np.tile(np.eye(2), (len(u), 1, 1)))
+        params = HopfLaxParams(np.zeros(2), np.array([[1.0, 0.5], [4.0, 1.0], [0.5, 0.5], [2.0, -1.0]]),
+                               alpha=1.0, c=0.5, mu=0.5)
+        pi = np.zeros((4, 2))
+        U = np.array([[0.2, 0.1], [1.5, -0.5], [0.3, -1.5], [3.0, 2.0]])
+        pt, steps = solver._inner_solve(f, g, None, evaluate(f, None, U), pi, params, SolverConfig())
+        assert steps.tolist()[1::2] == [1, 1] and (steps[::2] > 1).all()
+        assert pt.u[1::2].tobytes() == U[1::2].tobytes()
+        for i in range(4):
+            lone = []
+            fails = self.failed_trials(monkeypatch, lambda: lone.append(solver._inner_solve(
+                f, g, None, evaluate(f, None, U[[i]]), pi[[i]], params.take([i]), SolverConfig())))
+            (one, one_steps), = lone
+            assert (fails[0] == 30) == (i % 2 == 1)
+            assert one_steps[0] == steps[i]
+            for key in ("u", "ell", "J"):
+                assert getattr(one, key)[0].tobytes() == getattr(pt, key)[i].tobytes(), key
 
 
 class TestCertifyGap:
